@@ -9,10 +9,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"log"
 	"net"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +22,7 @@ import (
 	"taskvine/internal/files"
 	"taskvine/internal/protocol"
 	"taskvine/internal/resources"
+	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
 	"taskvine/internal/worker"
 )
@@ -572,4 +575,129 @@ func TestLibraryDeploysOnceResourcesFree(t *testing.T) {
 	if !r.OK || string(r.Output) != "okok" {
 		t.Fatalf("invoke = %+v output=%q", r, r.Output)
 	}
+}
+
+// startResettingLibWorker registers a scripted worker that hosts the "math"
+// library: it acknowledges library deployments and answers invocations of
+// "double" until it has answered answer of them, then resets its socket
+// with calls still in flight. The returned channel closes once it has.
+func startResettingLibWorker(t *testing.T, m *Manager, id string, answer int) <-chan struct{} {
+	t.Helper()
+	nc, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := protocol.NewConn(nc)
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.Send(&protocol.Message{
+		Type: protocol.TypeRegister, WorkerID: id,
+		Capacity: &resources.R{Cores: 4, Memory: resources.GB, Disk: resources.GB},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reset := make(chan struct{})
+	go func() {
+		defer close(reset)
+		answered := 0
+		for {
+			msg, _, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			switch {
+			case msg.Type == protocol.TypeTask && msg.Spec != nil && msg.Spec.Kind == taskspec.KindLibrary:
+				conn.Send(&protocol.Message{Type: protocol.TypeComplete, TaskID: msg.TaskID, Status: "library-ready"})
+			case msg.Type == protocol.TypeInvoke && answered < answer:
+				args := msg.Spec.Args
+				conn.Send(&protocol.Message{
+					Type: protocol.TypeComplete, TaskID: msg.TaskID, Status: protocol.StatusOK,
+					Result: append(append([]byte(nil), args...), args...),
+				})
+				answered++
+			case msg.Type == protocol.TypeInvoke:
+				// A zero linger turns the close into a reset, which also
+				// discards answers still in the kernel's send buffer.
+				nc.(*net.TCPConn).SetLinger(0)
+				conn.Close()
+				return
+			}
+		}
+	}()
+	return reset
+}
+
+// TestChaosInvokeBurstSurvivesSocketReset breaks a worker's socket in the
+// middle of a burst of invocations. Every call must reach exactly one
+// terminal result, the lost ones through the workerGone requeue onto the
+// surviving instance, and every send the manager saw fail must be counted.
+func TestChaosInvokeBurstSurvivesSocketReset(t *testing.T) {
+	const calls = 256
+	answer := 16 + int(chaosSeed(t)*37%128)
+	var failedSends atomic.Int64
+	h := newHarness(t, 0, Config{
+		TickInterval: 20 * time.Millisecond,
+		Logger: log.New(lineFunc(func(line string) {
+			if strings.Contains(line, "invoking math.double") || strings.Contains(line, "dispatching task") {
+				failedSends.Add(1)
+			}
+		}), "", 0),
+	})
+	h.m.InstallLibrary("math", resources.R{Cores: 1})
+	reset := startResettingLibWorker(t, h.m, "resetting", answer)
+	waitLibraryReady(t, h.m)
+	startLibWorker(t, h.m, "survivor")
+	deadline := time.Now().Add(10 * time.Second)
+	for countKind(h.m, trace.LibraryReady, "") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("survivor's library never became ready")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	ids := make(map[int]string, calls)
+	for i := 0; i < calls; i++ {
+		arg := strconv.Itoa(i)
+		id, err := h.m.Invoke("math", "double", []byte(arg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[id] = arg + arg
+	}
+	seen := make(map[int]bool, calls)
+	for len(seen) < calls {
+		r := waitResult(t, h.m)
+		want, ok := ids[r.TaskID]
+		switch {
+		case !ok:
+			t.Fatalf("result for unknown task %d", r.TaskID)
+		case seen[r.TaskID]:
+			t.Fatalf("task %d delivered twice", r.TaskID)
+		case !r.OK || string(r.Output) != want:
+			t.Fatalf("task %d = %+v output=%q, want %q", r.TaskID, r, r.Output, want)
+		}
+		seen[r.TaskID] = true
+	}
+	select {
+	case <-reset:
+	default:
+		t.Fatal("scripted worker never reset its socket")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if extra, err := h.m.Wait(ctx); err == nil {
+		t.Fatalf("extra result after all %d calls: %+v", calls, extra)
+	}
+	counted := h.m.vm.SendErrors.With("invoke").Value() + h.m.vm.SendErrors.With("task").Value()
+	if counted != failedSends.Load() {
+		t.Fatalf("vine_send_errors_total counted %d failed sends, the log reports %d", counted, failedSends.Load())
+	}
+	t.Logf("seed %d: reset after %d answers; %d sends failed on the broken link", chaosSeed(t), answer, counted)
+}
+
+// lineFunc adapts a per-line callback to the io.Writer a log.Logger wants.
+type lineFunc func(string)
+
+func (f lineFunc) Write(p []byte) (int, error) {
+	f(string(p))
+	return len(p), nil
 }

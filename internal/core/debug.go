@@ -56,6 +56,10 @@ type DebugReport struct {
 	// behaviour: with event coalescing, passes never exceeds events.
 	EventsHandled  int64 `json:"events_handled"`
 	SchedulePasses int64 `json:"schedule_passes"`
+	// ArchivedTasks counts delivered tasks kept for recovery re-execution:
+	// only tasks that declared outputs, so it tracks recoverable work, not
+	// calls served.
+	ArchivedTasks int `json:"archived_tasks"`
 }
 
 // Debug returns a consistent snapshot of the manager's scheduling state,
@@ -81,6 +85,7 @@ func (m *Manager) buildDebug() DebugReport {
 	r := DebugReport{
 		Addr: m.Addr(), Now: now,
 		EventsHandled: m.eventsHandled, SchedulePasses: m.passes,
+		ArchivedTasks: len(m.archived),
 	}
 	ids := make([]int, 0, len(m.tasks))
 	for id := range m.tasks {

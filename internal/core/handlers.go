@@ -596,6 +596,7 @@ func (m *Manager) handleInvoke(ev event) {
 	})
 	if err := w.conn.Send(&protocol.Message{Type: protocol.TypeInvoke, TaskID: id, Spec: ev.spec}); err != nil {
 		m.logf("invoking %s.%s on %s: %v", ev.spec.Library, ev.spec.Function, w.id, err)
+		m.vm.SendErrors.With("invoke").Inc()
 		m.requeue(id, t, false)
 	}
 	ev.replyInt <- id

@@ -84,13 +84,19 @@ func (m *Manager) setState(id int, t *taskState, s taskspec.State) {
 	}
 }
 
-// archive moves a delivered terminal task out of the hot map. The state
-// counters are deliberately NOT decremented: the gauges keep counting done
-// and failed tasks for the whole workflow, as they always have. The task
-// stays reachable through taskByID for recovery re-execution.
+// archive moves a delivered terminal task out of the hot map. A task that
+// declared outputs stays reachable through taskByID, because losing one of
+// its files may require re-executing it; taskByID is only ever asked for a
+// file's producer. An output-less task (a plain Invoke, a command with no
+// outputs) can never be needed again and is dropped, so the manager's
+// memory tracks recoverable work, not calls served. The state counters are
+// deliberately NOT decremented: the gauges keep counting done and failed
+// tasks for the whole workflow, as they always have.
 func (m *Manager) archive(id int, t *taskState) {
 	delete(m.tasks, id)
-	m.archived[id] = t
+	if len(t.spec.Outputs) > 0 {
+		m.archived[id] = t
+	}
 }
 
 // taskByID finds a task in the hot map or the archive.

@@ -164,10 +164,11 @@ type Manager struct {
 	// only that work (ticks force a full pass as a safety net).
 	//
 	// staging holds the tasks currently placing data, so a pass never walks
-	// the full task map. archived holds terminal tasks whose results were
-	// delivered; they leave the hot map but stay reachable through taskByID
-	// for recovery re-execution. fileWaiters maps a file ID to the
-	// waiting/staging tasks that list it as a direct input, so a
+	// the full task map. archived holds delivered terminal tasks that
+	// declared outputs; they leave the hot map but stay reachable through
+	// taskByID for recovery re-execution of a lost file's producer.
+	// Output-less tasks are dropped on delivery. fileWaiters maps a file ID
+	// to the waiting/staging tasks that list it as a direct input, so a
 	// cache-update retries only the tasks that file could unblock.
 	staging     map[int]*taskState
 	archived    map[int]*taskState
@@ -188,7 +189,7 @@ type Manager struct {
 	liveCount     int
 	workerInfoBuf []policy.WorkerInfo
 	// stateCount mirrors the task population per lifecycle state (library
-	// deployments included, archived tasks still counted — the gauges'
+	// deployments included, finished tasks still counted — the gauges'
 	// historical semantics); appStateCount excludes library tasks and feeds
 	// Status. waitingZeroCore counts waiting tasks requesting zero cores,
 	// the one shape the free-cores scheduling shortcut cannot rule out.

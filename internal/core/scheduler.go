@@ -490,12 +490,13 @@ func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
 		Time: m.now(), Kind: trace.TaskStart, Worker: w.id, TaskID: id,
 		Detail: t.spec.Category,
 	})
-	// The send message is manager-owned scratch: Send serializes it
-	// synchronously before returning, and dispatch only runs on the event
-	// loop, so reusing one Message avoids a per-dispatch allocation.
+	// The send message is manager-owned scratch: Send encodes it into the
+	// connection's queue before returning, and dispatch only runs on the
+	// event loop, so reusing one Message avoids a per-dispatch allocation.
 	m.sendMsg = protocol.Message{Type: protocol.TypeTask, TaskID: id, Spec: t.spec}
 	if err := w.conn.Send(&m.sendMsg); err != nil {
 		m.logf("dispatching task %d to %s: %v", id, w.id, err)
+		m.vm.SendErrors.With("task").Inc()
 		m.requeue(id, t, false)
 	}
 }

@@ -130,12 +130,12 @@ type Message struct {
 	Payload   bool   `json:"payload,omitempty"`
 	// Dir marks a directory-valued object whose payload is a tar stream
 	// rather than raw file bytes.
-	Dir        bool   `json:"dir,omitempty"`
-	Lifetime   int    `json:"lifetime,omitempty"`
+	Dir      bool `json:"dir,omitempty"`
+	Lifetime int  `json:"lifetime,omitempty"`
 	// Tier reports which storage tier holds the object named by a
 	// cache-update (0 disk, 1 memory), so the manager can distinguish
 	// RAM-resident handle results from disk-materialized objects.
-	Tier int `json:"tier,omitempty"`
+	Tier       int    `json:"tier,omitempty"`
 	URL        string `json:"url,omitempty"`
 	PeerAddr   string `json:"peer_addr,omitempty"`
 	TransferID string `json:"transfer_id,omitempty"`
@@ -163,45 +163,122 @@ type Message struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// Conn wraps a network connection with the message codec. Writes are
-// serialized by a mutex so that concurrent senders cannot interleave a
-// control message inside another message's payload. Reads must be performed
-// by a single goroutine.
+// Conn wraps a network connection with the message codec.
+//
+// Control messages are queued, not written: Send encodes the frame into a
+// pending buffer under a short lock and returns, and a writer goroutine —
+// at most one per connection, started when the queue turns non-empty and
+// gone once it drains — swaps the buffer out and writes everything queued
+// in one call. Under load each write carries a burst of frames; when idle
+// it carries one. Payload sends and Close are synchronous: they take the
+// socket lock, write the queued frames first, and then their own bytes,
+// so frames from one goroutine keep their order and a control frame can
+// never land inside another message's payload. A failed write is sticky:
+// it closes the socket, so the read side sees the peer gone, and every
+// later send returns it. Reads must be performed by a single goroutine.
 type Conn struct {
 	raw net.Conn
 	r   *bufio.Reader
-	w   *bufio.Writer // guarded by wmu
-	// enc is the JSON encoder bound to w, reused across sends so the hot
-	// dispatch path does not re-marshal into a fresh byte slice per
-	// message (guarded by wmu). Encode appends the '\n' the line framing
-	// requires.
-	enc *json.Encoder
-	wmu sync.Mutex
-	// bin selects binary framing for outgoing messages (guarded by wmu).
-	// Incoming framing needs no state: every message self-identifies by
-	// its first byte.
-	bin bool
 	// pending is the unread remainder of the previous message's payload;
 	// it must be drained before the next control message can be decoded.
 	pending int64
 	// line accumulates JSON control lines that overflow the bufio buffer,
 	// reused across Recv calls to avoid per-message allocation.
 	line []byte
+
+	// wmu is the socket lock, held by whoever writes to raw: the writer
+	// goroutine, a payload send, or Close. Lock order is wmu, then qmu.
+	wmu sync.Mutex
+	w   *bufio.Writer // guarded by wmu; payload sends only
+	// qmu guards the queue of encoded frames. It is held to append or swap
+	// buffers, never across a write, so senders do not wait on the socket.
+	qmu   sync.Mutex
+	queue []byte // guarded by qmu
+	// spare is the buffer the writer last emptied, reused as the next
+	// queue (guarded by qmu).
+	spare []byte
+	// enc is the JSON encoder bound to the queue, reused across sends so
+	// the hot dispatch path does not re-marshal into a fresh byte slice per
+	// message (guarded by qmu). Encode appends the '\n' the line framing
+	// requires.
+	enc *json.Encoder
+	// bin selects binary framing for outgoing messages (guarded by qmu).
+	// Incoming framing needs no state: every message self-identifies by
+	// its first byte.
+	bin bool
+	// writing is set while a writer goroutine owns the queue (guarded by
+	// qmu).
+	writing bool
+	// err is the sticky write failure, or errClosed after Close (guarded
+	// by qmu).
+	err error
+	// drained wakes senders parked on a queue at queueHighWater.
+	drained sync.Cond
+	// writers tracks the writer goroutine so Close can wait for it.
+	writers sync.WaitGroup
+}
+
+const (
+	// queueHighWater bounds the frames a peer that stopped reading can
+	// pin in memory: a Send that finds this much queued waits for the
+	// writer instead.
+	queueHighWater = 4 << 20
+	// maxSpare is the largest drained buffer kept for reuse; a buffer
+	// grown by a burst of big frames is dropped instead of pinned.
+	maxSpare = 1 << 20
+	// closeFlushTimeout bounds how long Close writes queued frames to a
+	// peer that may have stopped reading.
+	closeFlushTimeout = time.Second
+)
+
+var errClosed = fmt.Errorf("protocol: send on closed connection: %w", net.ErrClosed)
+
+// queueWriter points the JSON encoder at the conn's queue. Caller holds
+// qmu.
+type queueWriter struct{ c *Conn }
+
+func (q queueWriter) Write(p []byte) (int, error) {
+	q.c.queue = append(q.c.queue, p...)
+	return len(p), nil
 }
 
 // NewConn wraps an established network connection.
 func NewConn(c net.Conn) *Conn {
-	w := bufio.NewWriterSize(c, 1<<16)
-	return &Conn{
+	conn := &Conn{
 		raw: c,
 		r:   bufio.NewReaderSize(c, 1<<16),
-		w:   w,
-		enc: json.NewEncoder(w),
+		w:   bufio.NewWriterSize(c, 1<<16),
 	}
+	conn.enc = json.NewEncoder(queueWriter{conn})
+	conn.drained.L = &conn.qmu
+	return conn
 }
 
-// Close closes the underlying connection.
-func (c *Conn) Close() error { return c.raw.Close() }
+// Close writes any queued frames, giving a peer that stopped reading
+// closeFlushTimeout to take them, then closes the connection and waits
+// for the writer goroutine to exit. Sends after Close fail.
+func (c *Conn) Close() error {
+	// The deadline also unblocks a writer stuck on a full socket, which
+	// holds wmu.
+	_ = c.raw.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+	c.wmu.Lock()
+	c.qmu.Lock()
+	buf, failed := c.queue, c.err != nil
+	c.queue = nil
+	if c.err == nil {
+		c.err = errClosed
+	}
+	c.drained.Broadcast()
+	c.qmu.Unlock()
+	if !failed && len(buf) > 0 {
+		// Best effort: the peer is told goodbye if it is still listening.
+		_, _ = c.raw.Write(buf)
+	}
+	err := c.raw.Close()
+	c.wmu.Unlock()
+	c.writers.Wait()
+	return err
+}
 
 // RemoteAddr returns the peer address of the underlying connection.
 func (c *Conn) RemoteAddr() string { return c.raw.RemoteAddr().String() }
@@ -218,86 +295,177 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 // receiver that stops draining.
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
-// Send writes a control message with no payload.
+// Send queues a control message with no payload and returns without
+// waiting for the socket. The message is encoded before Send returns, so
+// the caller may reuse it at once. The error is the connection's sticky
+// write failure, if an earlier write failed, or an encoding error.
 func (c *Conn) Send(m *Message) error {
-	return c.SendPayload(m, nil)
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	for c.err == nil && len(c.queue) >= queueHighWater {
+		c.drained.Wait()
+	}
+	if c.err != nil {
+		return c.err
+	}
+	if err := c.encodeLocked(m, false); err != nil {
+		return err
+	}
+	if !c.writing {
+		c.writing = true
+		c.writers.Add(1)
+		go c.writeLoop()
+	}
+	return nil
+}
+
+// writeLoop writes queued frames until the queue is empty, swapping the
+// buffer out so senders keep appending while a write is in flight.
+func (c *Conn) writeLoop() {
+	defer c.writers.Done()
+	var written []byte
+	for {
+		c.wmu.Lock()
+		c.qmu.Lock()
+		c.recycleLocked(written)
+		if len(c.queue) == 0 || c.err != nil {
+			c.writing = false
+			c.qmu.Unlock()
+			c.wmu.Unlock()
+			return
+		}
+		buf := c.takeLocked()
+		c.qmu.Unlock()
+		_, err := c.raw.Write(buf)
+		c.wmu.Unlock()
+		if err != nil {
+			c.fail(err)
+			return
+		}
+		written = buf
+	}
+}
+
+// takeLocked hands the queued frames to a writer and installs the spare
+// buffer as the new queue. Caller holds wmu and qmu.
+func (c *Conn) takeLocked() []byte {
+	buf := c.queue
+	c.queue, c.spare = c.spare, nil
+	if len(buf) >= queueHighWater {
+		c.drained.Broadcast()
+	}
+	return buf
+}
+
+// recycleLocked keeps a written buffer as the spare. Caller holds qmu.
+func (c *Conn) recycleLocked(buf []byte) {
+	if buf != nil && cap(buf) <= maxSpare {
+		c.spare = buf[:0]
+	}
+}
+
+// fail records a write failure as the connection's sticky error and
+// closes the socket, so the read loop reports the peer gone.
+func (c *Conn) fail(err error) {
+	c.qmu.Lock()
+	if c.err == nil {
+		c.err = fmt.Errorf("protocol: write failed: %w", err)
+	}
+	c.drained.Broadcast()
+	c.qmu.Unlock()
+	_ = c.raw.Close()
 }
 
 // EnableBinary switches outgoing messages on this connection to binary
 // framing. Call it only after the peer has advertised ProtoBinary; the
 // receive path is unaffected (framing is detected per message).
 func (c *Conn) EnableBinary() {
-	c.wmu.Lock()
+	c.qmu.Lock()
 	c.bin = true
-	c.wmu.Unlock()
+	c.qmu.Unlock()
 }
 
 // SendsBinary reports whether outgoing messages use binary framing.
 func (c *Conn) SendsBinary() bool {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
 	return c.bin
 }
 
 // SendPayload writes a control message followed by exactly m.Size bytes
-// read from payload. The caller's message is never mutated: a payload
-// marker is set on a private copy, so one Message may be broadcast to many
-// connections concurrently.
+// read from payload, after every frame queued before it, and returns once
+// the bytes are on the socket. A nil payload makes it a Send. The caller's
+// message is never mutated: a payload marker is set on a private copy, so
+// one Message may be broadcast to many connections concurrently. A failure
+// mid-frame leaves the stream unusable, so it is sticky like a failed
+// queued write.
 func (c *Conn) SendPayload(m *Message, payload io.Reader) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if payload != nil && !m.Payload {
+	if payload == nil {
+		return c.Send(m)
+	}
+	if !m.Payload {
 		mm := *m
 		mm.Payload = true
 		m = &mm
 	}
-	if c.bin {
-		if err := c.writeBinaryHeader(m, payload != nil); err != nil {
-			return err
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.qmu.Lock()
+	err := c.err
+	if err == nil {
+		err = c.encodeLocked(m, true)
+	}
+	var buf []byte
+	if err == nil {
+		buf = c.takeLocked()
+	}
+	c.qmu.Unlock()
+	if err != nil {
+		return err
+	}
+	_, err = c.w.Write(buf)
+	c.qmu.Lock()
+	c.recycleLocked(buf)
+	c.qmu.Unlock()
+	if err == nil {
+		var n int64
+		n, err = CopyBuffer(c.w, io.LimitReader(payload, m.Size))
+		switch {
+		case err != nil:
+			err = fmt.Errorf("protocol: sending payload of %s: %w", m.CacheName, err)
+		case n != m.Size:
+			err = fmt.Errorf("protocol: short payload for %s: sent %d of %d bytes", m.CacheName, n, m.Size)
 		}
-	} else {
-		// Encode writes straight into the buffered writer and terminates
-		// the line, avoiding the per-send marshal allocation.
+	}
+	if err == nil {
+		err = c.w.Flush()
+	}
+	if err != nil {
+		c.fail(err)
+	}
+	return err
+}
+
+// encodeLocked appends m's frame to the queue in the connection's current
+// framing. An encoding error leaves the queue as it was. Caller holds qmu.
+func (c *Conn) encodeLocked(m *Message, hasPayload bool) error {
+	if !c.bin {
+		// Encode writes the whole line or, on error, nothing.
 		if err := c.enc.Encode(m); err != nil {
 			return fmt.Errorf("protocol: encoding %s: %w", m.Type, err)
 		}
+		return nil
 	}
-	if payload != nil {
-		n, err := CopyBuffer(c.w, io.LimitReader(payload, m.Size))
-		if err != nil {
-			return fmt.Errorf("protocol: sending payload of %s: %w", m.CacheName, err)
-		}
-		if n != m.Size {
-			return fmt.Errorf("protocol: short payload for %s: sent %d of %d bytes", m.CacheName, n, m.Size)
-		}
-	}
-	return c.w.Flush()
-}
-
-// writeBinaryHeader emits the frame prologue and binary-encoded header.
-// Caller holds wmu.
-func (c *Conn) writeBinaryHeader(m *Message, hasPayload bool) error {
-	hb := getEncBuf()
-	h := encodeMessage((*hb)[:0], m)
+	start := len(c.queue)
 	var prologue [framePrologueLen]byte
 	prologue[0] = frameMagic
 	prologue[1] = frameVersion
 	if hasPayload {
 		prologue[2] = frameFlagPayload
-	}
-	binary.BigEndian.PutUint32(prologue[3:7], uint32(len(h)))
-	if hasPayload {
 		binary.BigEndian.PutUint64(prologue[7:15], uint64(m.Size))
 	}
-	_, err := c.w.Write(prologue[:])
-	if err == nil {
-		_, err = c.w.Write(h)
-	}
-	*hb = h
-	putEncBuf(hb)
-	if err != nil {
-		return fmt.Errorf("protocol: writing frame for %s: %w", m.Type, err)
-	}
+	c.queue = encodeMessage(append(c.queue, prologue[:]...), m)
+	binary.BigEndian.PutUint32(c.queue[start+3:start+7], uint32(len(c.queue)-start-framePrologueLen))
 	return nil
 }
 

@@ -2,8 +2,11 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -83,6 +86,73 @@ func BenchmarkControlMessageRoundTrip(b *testing.B) { benchRoundTrip(b, true) }
 // legacy JSON line protocol, the fallback plane for old peers and netcat
 // debugging.
 func BenchmarkControlMessageRoundTripJSON(b *testing.B) { benchRoundTrip(b, false) }
+
+// countingConn counts the Write calls that reach the socket.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// BenchmarkConnBurst measures the queued write path under concurrent
+// senders: K goroutines send completion-sized control frames over one
+// loopback connection while a reader drains them. It reports frames/s,
+// counted until the last frame is read, and socket writes per frame. One
+// write per frame means no batching; bursts from concurrent senders should
+// share a write.
+func BenchmarkConnBurst(b *testing.B) {
+	for _, k := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("senders=%d", k), func(b *testing.B) {
+			a, r := loopback(b)
+			sock := &countingConn{Conn: a}
+			client, server := NewConn(sock), NewConn(r)
+			defer client.Close()
+			defer server.Close()
+			client.EnableBinary()
+			drained := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := server.Recv(); err != nil {
+						drained <- err
+						return
+					}
+				}
+				drained <- nil
+			}()
+			msg := &Message{Type: TypeComplete, WorkerID: "worker-0042", TaskID: 123456, Status: StatusOK, Result: []byte("abab")}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < k; g++ {
+				n := b.N / k
+				if g < b.N%k {
+					n++
+				}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if err := client.Send(msg); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(n)
+			}
+			wg.Wait()
+			if err := <-drained; err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+			b.ReportMetric(float64(sock.writes.Load())/float64(b.N), "writes/frame")
+		})
+	}
+}
 
 func benchPayload(b *testing.B, binary bool) {
 	const size = 4 << 20

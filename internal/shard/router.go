@@ -829,6 +829,7 @@ func (r *Router) Debug() core.DebugReport {
 		agg.Retries = append(agg.Retries, d.Retries...)
 		agg.EventsHandled += d.EventsHandled
 		agg.SchedulePasses += d.SchedulePasses
+		agg.ArchivedTasks += d.ArchivedTasks
 	}
 	return agg
 }

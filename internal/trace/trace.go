@@ -105,10 +105,17 @@ func AllKinds() []Kind {
 
 // Log is an append-only event collection, safe for concurrent use.
 type Log struct {
-	mu        sync.Mutex
-	events    []Event       // guarded by mu
+	mu sync.Mutex
+	// chunks holds the events in arrival order, logChunk to a chunk (the
+	// last may be short). Each chunk is allocated whole, so a long run's
+	// log grows a chunk at a time and never re-copies an event.
+	chunks    [][]Event     // guarded by mu
+	n         int           // guarded by mu; total events
 	observers []func(Event) // guarded by mu; appended-only, called outside mu
 }
+
+// logChunk is the number of events per chunk.
+const logChunk = 1024
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
@@ -126,7 +133,12 @@ func (l *Log) Observe(fn func(Event)) {
 // Add appends an event.
 func (l *Log) Add(e Event) {
 	l.mu.Lock()
-	l.events = append(l.events, e)
+	if k := len(l.chunks); k == 0 || len(l.chunks[k-1]) == logChunk {
+		l.chunks = append(l.chunks, make([]Event, 0, logChunk))
+	}
+	last := len(l.chunks) - 1
+	l.chunks[last] = append(l.chunks[last], e)
+	l.n++
 	obs := l.observers
 	l.mu.Unlock()
 	for _, fn := range obs {
@@ -137,8 +149,10 @@ func (l *Log) Add(e Event) {
 // Events returns a time-sorted copy of all events.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
+	out := make([]Event, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
 	l.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
@@ -148,7 +162,7 @@ func (l *Log) Events() []Event {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.events)
+	return l.n
 }
 
 // TaskInterval is one row of the task view: when a task started and

@@ -128,12 +128,14 @@ func TestCompletionSeries(t *testing.T) {
 }
 
 func TestLogConcurrentAndSorted(t *testing.T) {
+	// Enough events to fill several chunks of the log.
+	const per = 3000
 	l := NewLog()
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
-			for i := 0; i < 100; i++ {
-				l.Add(Event{Time: float64(100 - i), Kind: TaskEnd, TaskID: g*100 + i})
+			for i := 0; i < per; i++ {
+				l.Add(Event{Time: float64(per - i), Kind: TaskEnd, TaskID: g*per + i})
 			}
 			done <- struct{}{}
 		}(g)
@@ -141,14 +143,19 @@ func TestLogConcurrentAndSorted(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if l.Len() != 400 {
+	if l.Len() != 4*per {
 		t.Fatalf("len = %d", l.Len())
 	}
 	events := l.Events()
-	for i := 1; i < len(events); i++ {
-		if events[i].Time < events[i-1].Time {
+	seen := make(map[int]bool, len(events))
+	for i, e := range events {
+		if i > 0 && e.Time < events[i-1].Time {
 			t.Fatal("events not sorted by time")
 		}
+		seen[e.TaskID] = true
+	}
+	if len(events) != 4*per || len(seen) != 4*per {
+		t.Fatalf("got %d events with %d distinct IDs, want %d", len(events), len(seen), 4*per)
 	}
 }
 

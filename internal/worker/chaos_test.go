@@ -104,7 +104,7 @@ func TestChaosPeerFetchTimesOutOnWedgedPeer(t *testing.T) {
 			return
 		}
 		// Promise a megabyte, deliver ten bytes, then wedge.
-		c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
+		writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
 		nc.Write([]byte("ten bytes!"))
 		<-hold
 	}()
@@ -150,7 +150,7 @@ func TestChaosPeerDiesMidStream(t *testing.T) {
 				nc.Close()
 				continue
 			}
-			c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
+			writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
 			nc.Close() // die mid-stream
 		}

@@ -7,11 +7,13 @@ package worker
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"taskvine/internal/protocol"
 	"taskvine/internal/tardir"
@@ -64,7 +66,7 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 				nc.Close()
 				continue
 			}
-			c.Send(&protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
+			writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
 			nc.Close() // killed mid-transfer
 		}
@@ -122,7 +124,7 @@ func TestChaosDirShortTarNotCommitted(t *testing.T) {
 			}
 			// Promise more than the archive holds, then hang up: a valid
 			// end-of-archive marker arrives before the advertised size does.
-			c.Send(&protocol.Message{
+			writeHeader(nc, &protocol.Message{
 				Type: protocol.TypeData, CacheName: "short-tree",
 				Size: int64(len(blob)) + 512, Dir: true, Payload: true,
 			})
@@ -199,10 +201,16 @@ func TestChunkedFetchFromMultipleReplicas(t *testing.T) {
 	if !bytes.Equal(body, data) {
 		t.Fatalf("chunked content differs: got %d bytes, want %d", len(body), len(data))
 	}
-	// Both replicas must have carried part of the load.
-	if wa.vm.PeerServes.Value() == 0 || wb.vm.PeerServes.Value() == 0 {
-		t.Fatalf("serves: holder-a=%d holder-b=%d; want both > 0",
-			wa.vm.PeerServes.Value(), wb.vm.PeerServes.Value())
+	// Both replicas must have carried part of the load. A holder counts
+	// its serve after its last byte is on the socket, which can be after
+	// the fetcher has already committed the object, so wait for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for wa.vm.PeerServes.Value() == 0 || wb.vm.PeerServes.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("serves: holder-a=%d holder-b=%d; want both > 0",
+				wa.vm.PeerServes.Value(), wb.vm.PeerServes.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -295,5 +303,35 @@ func TestRangedServeChecksRange(t *testing.T) {
 		if m.Type != protocol.TypeError {
 			t.Fatalf("bad range %+v answered %+v", bad, m)
 		}
+	}
+}
+
+// TestPeerServeErrorArrivesBeforeEOF: a serving worker's refusal is a
+// queued frame, so hanging up must write it before closing the socket.
+// Each request gets a fresh connection; every one must read the error
+// frame, then a clean EOF.
+func TestPeerServeErrorArrivesBeforeEOF(t *testing.T) {
+	fa := startFake(t)
+	wa := startWorkerCfg(t, fa, func(c *Config) { c.ID = "refusing-holder" })
+	for i := 0; i < 50; i++ {
+		conn, err := protocol.Dial(wa.PeerAddr(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := conn.Send(&protocol.Message{Type: protocol.TypeGet, CacheName: "absent-obj"}); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("request %d: connection ended before the error frame: %v", i, err)
+		}
+		if m.Type != protocol.TypeError || m.CacheName != "absent-obj" {
+			t.Fatalf("request %d: get of an absent object answered %+v", i, m)
+		}
+		if _, _, err := conn.Recv(); err != io.EOF {
+			t.Fatalf("request %d: after the error frame: err=%v, want EOF", i, err)
+		}
+		conn.Close()
 	}
 }

@@ -991,9 +991,11 @@ func (w *Worker) servePeers() {
 		w.peerWg.Add(1)
 		go func() {
 			defer w.peerWg.Done()
-			defer nc.Close()
-			nc.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
 			conn := protocol.NewConn(nc)
+			// Close through the Conn, not the socket: it writes the queued
+			// answer (an error frame, say) before hanging up.
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
 			m, _, err := conn.Recv()
 			if err != nil || m.Type != protocol.TypeGet {
 				return
@@ -1010,7 +1012,7 @@ func (w *Worker) servePeers() {
 			if m.Total > 0 {
 				// A Total on a get marks a ranged request from a chunking
 				// fetcher.
-				w.serveRange(conn, nc, m)
+				w.serveRange(conn, m)
 				return
 			}
 			r, size, dir, sum, err := w.openObject(m.CacheName)
@@ -1021,7 +1023,7 @@ func (w *Worker) servePeers() {
 			defer r.Close()
 			// Refresh the deadline for the payload: the header deadline was
 			// sized for a request, not a multi-gigabyte object.
-			nc.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
+			conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
 			if err := conn.SendPayload(&protocol.Message{Type: protocol.TypeData, CacheName: m.CacheName, Size: size, Dir: dir, Checksum: sum}, r); err != nil {
 				w.logf("sending %s to peer %s: %v", m.CacheName, conn.RemoteAddr(), err)
 				return
@@ -1037,7 +1039,7 @@ func (w *Worker) servePeers() {
 // whose bytes are not stable across servings — which makes the requester
 // fall back to a whole-object stream. The checksum covers exactly the
 // served window so each chunk verifies independently.
-func (w *Worker) serveRange(conn *protocol.Conn, nc net.Conn, m *protocol.Message) {
+func (w *Worker) serveRange(conn *protocol.Conn, m *protocol.Message) {
 	fail := func(err error) {
 		conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
 	}
@@ -1081,7 +1083,7 @@ func (w *Worker) serveRange(conn *protocol.Conn, nc net.Conn, m *protocol.Messag
 		fail(err)
 		return
 	}
-	nc.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
+	conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
 	if err := conn.SendPayload(&protocol.Message{
 		Type: protocol.TypeData, CacheName: m.CacheName,
 		Size: m.Size, Offset: m.Offset, Total: size, Checksum: sum,

@@ -8,6 +8,7 @@ package worker
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"strings"
@@ -26,6 +27,14 @@ type fakeManager struct {
 	ln   net.Listener
 	conn *protocol.Conn
 	reg  *protocol.Message
+}
+
+// writeHeader writes a payload-announcing JSON control line straight to a
+// fake peer's socket, so the peer can follow it with a short or stalled
+// payload that a Conn would refuse to send.
+func writeHeader(nc net.Conn, m *protocol.Message) {
+	line, _ := json.Marshal(m)
+	nc.Write(append(line, '\n'))
 }
 
 func startFake(t *testing.T) *fakeManager {

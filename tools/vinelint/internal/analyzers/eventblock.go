@@ -22,8 +22,8 @@ import (
 //   - network dials, listens, and net/http calls
 //   - bulk protocol I/O: Conn.SendPayload, Conn.Recv (except the loop's
 //     own receive in the root function), and protocol.Dial. Small
-//     control-frame Sends are permitted: the connection serializes
-//     writers and the frames are bounded.
+//     control-frame Sends are permitted: they queue the frame for the
+//     connection's writer goroutine instead of waiting on the socket.
 //   - channel sends, unless the send is a select case with a default
 //     (non-blocking), or the channel arrived as a parameter of the
 //     enclosing function (reply channels are caller-supplied and sized
