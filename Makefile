@@ -73,14 +73,14 @@ cover-update:
 
 # bench runs the dispatch, scheduler-pass, sharded-dispatch, protocol, and
 # hashing benchmarks with -count=5 (enough repetitions for benchstat-style
-# comparison), plus one full 50k-task simulated workflow, and records the
-# raw test2json stream in BENCH_core.json. CI uploads the file as a
-# non-gating artifact so perf drift is visible across commits without
-# failing builds.
+# comparison), plus one full 50k-task simulated workflow with its bytes and
+# allocations per run, and records the raw test2json stream in
+# BENCH_core.json. CI uploads the file as a non-gating artifact so perf
+# drift is visible across commits without failing builds.
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
 		./internal/core ./internal/shard ./internal/protocol ./internal/hashing > BENCH_core.json
-	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 \
+	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_core.json
 
 # bench-diff re-runs the benchmark suite into BENCH_new.json and prints a
@@ -90,7 +90,7 @@ bench:
 bench-diff:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
 		./internal/core ./internal/shard ./internal/protocol ./internal/hashing > BENCH_new.json
-	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 \
+	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_new.json
 	$(GO) run ./tools/benchdiff BENCH_core.json BENCH_new.json | tee BENCH_DIFF.txt
 

@@ -246,7 +246,9 @@ func (p Plan) Stuck() bool { return len(p.Blocked) > 0 }
 func PlanTransfers(needs []FileNeed, worker string, limits Limits, v View) Plan {
 	limits = limits.withDefaults()
 	var plan Plan
-	localFrom := map[replica.Source]int{}
+	// localFrom is allocated on the first transfer picked: most plans
+	// pick none, and chooseSource reads a nil map as all zeros.
+	var localFrom map[replica.Source]int
 	localTo := 0
 	for _, n := range needs {
 		switch {
@@ -267,6 +269,9 @@ func PlanTransfers(needs []FileNeed, worker string, limits Limits, v View) Plan 
 			continue
 		}
 		plan.Transfers = append(plan.Transfers, TransferDecision{File: n.ID, Source: src})
+		if localFrom == nil {
+			localFrom = map[replica.Source]int{}
+		}
 		localFrom[src]++
 		localTo++
 	}

@@ -304,10 +304,18 @@ func randomUUID() string {
 	// RFC 4122 version 4 variant bits, for operator familiarity.
 	b[6] = (b[6] & 0x0f) | 0x40
 	b[8] = (b[8] & 0x3f) | 0x80
-	return fmt.Sprintf("%s-%s-%s-%s-%s",
-		hex.EncodeToString(b[0:4]), hex.EncodeToString(b[4:6]),
-		hex.EncodeToString(b[6:8]), hex.EncodeToString(b[8:10]),
-		hex.EncodeToString(b[10:16]))
+	// Format 8-4-4-4-12 hex digits in place: one allocation, the string.
+	var s [36]byte
+	hex.Encode(s[0:8], b[0:4])
+	s[8] = '-'
+	hex.Encode(s[9:13], b[4:6])
+	s[13] = '-'
+	hex.Encode(s[14:18], b[6:8])
+	s[18] = '-'
+	hex.Encode(s[19:23], b[8:10])
+	s[23] = '-'
+	hex.Encode(s[24:36], b[10:16])
+	return string(s[:])
 }
 
 // Start records a new transfer and returns its UUID, which the instructed

@@ -28,8 +28,10 @@ type Cluster struct {
 	vm  *metrics.VineMetrics
 
 	workload *Workload
-	reps     *replica.Table
-	trs      *replica.Transfers
+	// reps and trs wrap the replica and transfer tables so that every
+	// mutation wakes the parked tasks that need the file (park.go).
+	reps replicaTable
+	trs  transferTable
 
 	manager  *Endpoint
 	sharedFS *Endpoint
@@ -37,10 +39,30 @@ type Cluster struct {
 
 	workers map[string]*simWorker
 	tasks   map[int]*simTask
+	// waiting is the queue of state-0 tasks in dispatch order. A pass
+	// compacts it in place over the prefix it scanned.
 	waiting []int
-	// staging indexes the tasks currently in state 1, so a scheduling pass
-	// replans exactly those instead of scanning every task ever submitted.
-	staging map[int]bool
+	// replan lists the staging tasks the next pass must plan: each task
+	// that entered staging or was woken since, and each whose last plan was
+	// not parked. It may hold duplicates and tasks that have since parked
+	// or left staging; the staging loop skips those. pass is the list the
+	// running staging loop walks, passAt its position.
+	replan []int
+	pass   []int
+	passAt int
+	inPass bool
+	// wakeOn indexes parked tasks by every file their plan consulted;
+	// parkedAll holds every parking, for wakes on membership change.
+	wakeOn    map[string][]parkRef
+	parkedAll []parkRef
+	// needsBuf and needsSeen are fileNeedsScratch's reused buffer and
+	// dedup set. fixedSrc caches each URL or shared-FS file's fixed
+	// source; managerSrc is the one every manager-served need shares (the
+	// planner only reads a need's FixedSource).
+	needsBuf   []policy.FileNeed
+	needsSeen  map[string]bool
+	fixedSrc   map[string]*replica.Source
+	managerSrc replica.Source
 	// stateCount tracks the task population per lifecycle state, maintained
 	// by setState, so gauge refreshes cost O(1) instead of O(tasks).
 	stateCount [5]int
@@ -101,6 +123,10 @@ type simTask struct {
 	// epoch increments on every requeue; callbacks from a previous
 	// assignment (task-finish timers, return flows) check it and drop.
 	epoch int
+	// parked marks a staging task whose plan cannot change until one of
+	// its files does; parkGen numbers its parkings (park.go).
+	parked  bool
+	parkGen int
 }
 
 func capped(ep *Endpoint, perFlow float64) *Endpoint {
@@ -119,18 +145,21 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		limits:    limits,
 		log:       trace.NewLog(),
 		workload:  w,
-		reps:      replica.NewTable(),
-		trs:       replica.NewTransfers(),
 		manager:   capped(NewEndpoint("manager", params.ManagerBW), params.PerFlowBW),
 		urls:      capped(NewEndpoint("url", params.URLBW), params.PerFlowBW),
 		sharedFS:  capped(NewEndpoint("shared-fs", params.SharedFSBW), params.PerFlowBW),
 		workers:   make(map[string]*simWorker),
 		tasks:     make(map[int]*simTask),
-		staging:   make(map[int]bool),
+		wakeOn:    make(map[string][]parkRef),
+		needsSeen: make(map[string]bool),
+		fixedSrc:  make(map[string]*replica.Source),
 		producers: make(map[string]int),
 		libs:      make(map[string]*Library),
 		atManager: make(map[string]bool),
 	}
+	c.managerSrc = replica.Source{Kind: replica.SourceManager, ID: "manager"}
+	c.reps = replicaTable{replica.NewTable(), c}
+	c.trs = transferTable{replica.NewTransfers(), c}
 	c.reg = metrics.NewRegistry()
 	c.vm = metrics.ForRegistry(c.reg)
 	metrics.BridgeTrace(c.log, c.vm)
@@ -210,6 +239,7 @@ func (c *Cluster) workerJoin(w *simWorker) {
 	c.liveCount++
 	c.workersDirty = true
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerJoined, Worker: w.spec.ID})
+	c.wakeAll()
 	for _, fid := range w.spec.Prestaged {
 		f := c.workload.Files[fid]
 		if f == nil {
@@ -241,6 +271,7 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	c.liveCount--
 	c.workersDirty = true
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
+	c.wakeAll()
 	c.placementDropWorker(w.spec.ID)
 	affected := c.reps.DropWorker(w.spec.ID)
 	for _, tr := range c.trs.DropWorker(w.spec.ID) {
@@ -335,21 +366,20 @@ func (c *Cluster) tempNeeded(fid string) bool {
 }
 
 // setState moves a task to a new lifecycle state, maintaining the per-state
-// counters behind updateGauges and the staging index behind schedule. Every
+// counters behind updateGauges and the replan list behind schedule. Every
 // transition in the simulator goes through here.
 func (c *Cluster) setState(id int, t *simTask, s int) {
 	if t.state == s {
 		return
 	}
 	old := t.state
-	if old == 1 {
-		delete(c.staging, id)
-	}
+	// Leaving or entering staging ends any parking: its references go stale.
+	t.parked = false
 	c.stateCount[old]--
 	t.state = s
 	c.stateCount[s]++
 	if s == 1 {
-		c.staging[id] = true
+		c.replan = append(c.replan, id)
 	}
 	// Keep the placement waiter index exact: waiting and staging tasks are
 	// the lookahead's consumers, mirroring core's fileWaiters maintenance.
@@ -445,17 +475,9 @@ func (c *Cluster) schedule() {
 	// strictly after assignment and dispatch, even when the pass bails out
 	// early below with no free cores.
 	defer c.placeLookahead()
-	// Progress staging tasks first (mirrors internal/core.schedule). The
-	// staging index holds exactly the state-1 tasks, so collecting them
-	// costs O(staging), not O(every task ever submitted).
-	ids := make([]int, 0, len(c.staging))
-	for id := range c.staging { // hotpath-ok: the staging index is exactly the changed set
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c.progressStaging(id, c.tasks[id])
-	}
+	// Progress staging tasks first (mirrors internal/core.schedule), all
+	// but the parked ones, whose plans cannot have changed.
+	c.progressAllStaging()
 	// Skip the waiting scan entirely when no worker has a free core: with
 	// thousands of queued tasks this dominates simulation cost otherwise.
 	freeCores := 0
@@ -465,17 +487,22 @@ func (c *Cluster) schedule() {
 	if freeCores == 0 {
 		return
 	}
-	var still []int
+	// Tasks that stay queued are packed to the front of the scanned prefix,
+	// in order, so the pass costs what it scanned and allocates nothing.
+	kept := 0
 	for i, id := range c.waiting {
 		if freeCores <= 0 {
 			// Every request is floored at one core, so nothing further can
-			// assign this pass; keep the tail queued in order.
-			still = append(still, c.waiting[i:]...)
-			break
+			// assign this pass. Slide the kept entries up against the
+			// untouched tail rather than moving the tail down.
+			copy(c.waiting[i-kept:i], c.waiting[:kept])
+			c.waiting = c.waiting[i-kept:]
+			return
 		}
 		t := c.tasks[id]
 		if t.state != 0 || !c.tryAssign(id, t) {
-			still = append(still, id)
+			c.waiting[kept] = id
+			kept++
 			continue
 		}
 		cores := t.t.Cores
@@ -484,7 +511,7 @@ func (c *Cluster) schedule() {
 		}
 		freeCores -= cores
 	}
-	c.waiting = still
+	c.waiting = c.waiting[:kept]
 }
 
 func (c *Cluster) candidateWorkers(t *simTask) []policy.WorkerInfo {
@@ -508,48 +535,73 @@ func (c *Cluster) candidateWorkers(t *simTask) []policy.WorkerInfo {
 }
 
 // fileNeeds mirrors core.fileNeeds: fixed sources per kind, recursive
-// expansion of unmaterialized MiniTask inputs.
+// expansion of unmaterialized MiniTask inputs. The returned slice is freshly
+// allocated and safe to retain (placement keeps it across a round).
 func (c *Cluster) fileNeeds(inputs []string) []policy.FileNeed {
-	var needs []policy.FileNeed
-	seen := map[string]bool{}
-	var add func(id string)
-	add = func(id string) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		f := c.workload.Files[id]
-		if f == nil {
-			panic(fmt.Sprintf("sim: task references unknown file %s", id))
-		}
-		n := policy.FileNeed{ID: id, Size: f.Size}
-		switch f.Kind {
-		case FromURL:
-			n.FixedSource = &replica.Source{Kind: replica.SourceURL, ID: "url:" + f.SourcePath}
-		case FromSharedFS:
-			n.FixedSource = &replica.Source{Kind: replica.SourceURL, ID: "fs:" + f.SourcePath}
-		case FromManager:
-			n.FixedSource = &replica.Source{Kind: replica.SourceManager, ID: "manager"}
-		case MiniProduct:
-			if c.reps.CountReplicas(id) == 0 {
-				for _, in := range f.MiniInputs {
-					add(in)
-				}
-			}
-		case Produced:
-			// Worker replicas only — unless the object was returned to
-			// the manager (shared-storage mode), which then serves as its
-			// fixed source for consumers.
-			if c.atManager[id] {
-				n.FixedSource = &replica.Source{Kind: replica.SourceManager, ID: "manager"}
-			}
-		}
-		needs = append(needs, n)
-	}
+	return c.fileNeedsInto(nil, inputs)
+}
+
+// fileNeedsScratch is fileNeeds appending into a cluster-owned buffer: the
+// result is valid only until the next fileNeedsScratch call. Dispatch
+// (tryAssign, progressStaging, stageLibraryEnv) finishes with each slice
+// before calling back in.
+func (c *Cluster) fileNeedsScratch(inputs []string) []policy.FileNeed {
+	c.needsBuf = c.fileNeedsInto(c.needsBuf[:0], inputs)
+	return c.needsBuf
+}
+
+func (c *Cluster) fileNeedsInto(needs []policy.FileNeed, inputs []string) []policy.FileNeed {
+	clear(c.needsSeen)
 	for _, in := range inputs {
-		add(in)
+		needs = c.addNeed(needs, in)
 	}
 	return needs
+}
+
+func (c *Cluster) addNeed(needs []policy.FileNeed, id string) []policy.FileNeed {
+	if c.needsSeen[id] {
+		return needs
+	}
+	c.needsSeen[id] = true
+	f := c.workload.Files[id]
+	if f == nil {
+		panic(fmt.Sprintf("sim: task references unknown file %s", id))
+	}
+	n := policy.FileNeed{ID: id, Size: f.Size}
+	switch f.Kind {
+	case FromURL, FromSharedFS, FromManager:
+		n.FixedSource = c.fixedSource(f)
+	case MiniProduct:
+		if c.reps.CountReplicas(id) == 0 {
+			for _, in := range f.MiniInputs {
+				needs = c.addNeed(needs, in)
+			}
+		}
+	case Produced:
+		// Worker replicas only — unless the object was returned to
+		// the manager (shared-storage mode), which then serves as its
+		// fixed source for consumers.
+		if c.atManager[id] {
+			n.FixedSource = &c.managerSrc
+		}
+	}
+	return append(needs, n)
+}
+
+// fixedSource returns the file's fixed source, built once per cluster.
+func (c *Cluster) fixedSource(f *File) *replica.Source {
+	if f.Kind == FromManager {
+		return &c.managerSrc
+	}
+	if src := c.fixedSrc[f.ID]; src != nil {
+		return src
+	}
+	src := &replica.Source{Kind: replica.SourceURL, ID: "url:" + f.SourcePath}
+	if f.Kind == FromSharedFS {
+		src.ID = "fs:" + f.SourcePath
+	}
+	c.fixedSrc[f.ID] = src
+	return src
 }
 
 // depsSatisfiable: temp inputs must exist somewhere (or be in flight).
@@ -571,7 +623,7 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if len(cands) == 0 {
 		return false
 	}
-	needs := c.fileNeeds(t.t.Inputs)
+	needs := c.fileNeedsScratch(t.t.Inputs)
 	if c.params.IgnoreLocality {
 		// Placement ablation: choose a worker as if nothing were cached.
 		needs = nil
@@ -603,8 +655,11 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 
 func (c *Cluster) progressStaging(id int, t *simTask) {
 	w := c.workers[t.worker]
-	needs := c.fileNeeds(t.t.Inputs)
+	needs := c.fileNeedsScratch(t.t.Inputs)
 	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, simView{c})
+	// An idle plan starts and materializes nothing, so needs is intact
+	// below when the task parks.
+	idle := len(plan.Transfers) == 0 && len(plan.Blocked) == 0
 	for _, tr := range plan.Transfers {
 		c.startTransfer(tr.File, tr.Source, w, "")
 	}
@@ -632,6 +687,9 @@ func (c *Cluster) progressStaging(id int, t *simTask) {
 	}
 	for _, in := range t.t.Inputs {
 		if !c.reps.Has(in, w.spec.ID) {
+			if idle {
+				c.park(id, t, needs)
+			}
 			return
 		}
 	}
@@ -869,7 +927,7 @@ func (c *Cluster) stageLibraryEnv(w *simWorker, lib *Library, then func()) {
 		then()
 		return
 	}
-	needs := c.fileNeeds([]string{lib.EnvFile})
+	needs := c.fileNeedsScratch([]string{lib.EnvFile})
 	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, simView{c})
 	for _, tr := range plan.Transfers {
 		c.startTransfer(tr.File, tr.Source, w, "")
