@@ -71,15 +71,15 @@ cover-update:
 	$(GO) run ./tools/covercheck -ratchet COVERAGE.json -report COVERAGE_REPORT.json -update < COVER.out
 	rm -f COVER.out
 
-# bench runs the dispatch, scheduler-pass, sharded-dispatch, protocol, and
-# hashing benchmarks with -count=5 (enough repetitions for benchstat-style
+# bench runs the dispatch, scheduler-pass, protocol, and hashing
+# benchmarks with -count=5 (enough repetitions for benchstat-style
 # comparison), plus one full 50k-task simulated workflow with its bytes and
 # allocations per run, and records the raw test2json stream in
 # BENCH_core.json. CI uploads the file as a non-gating artifact so perf
 # drift is visible across commits without failing builds.
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
-		./internal/core ./internal/shard ./internal/protocol ./internal/hashing > BENCH_core.json
+		./internal/core ./internal/protocol ./internal/hashing > BENCH_core.json
 	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_core.json
 
@@ -89,7 +89,7 @@ bench:
 # uploads BENCH_DIFF.txt as a non-gating artifact.
 bench-diff:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
-		./internal/core ./internal/shard ./internal/protocol ./internal/hashing > BENCH_new.json
+		./internal/core ./internal/protocol ./internal/hashing > BENCH_new.json
 	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_new.json
 	$(GO) run ./tools/benchdiff BENCH_core.json BENCH_new.json | tee BENCH_DIFF.txt

@@ -7,7 +7,8 @@
 //	           fig12-topeft|fig12-colmena|fig12-bgd|fig13] ...
 //
 // -scale 1.0 runs at the paper's task and worker counts (the default 0.2
-// preserves every qualitative shape and runs in seconds). With -csv the
+// preserves every qualitative shape and runs in seconds); a scale outside
+// (0, 1] is a usage error. With -csv the
 // underlying series of each figure are written as CSV files for plotting.
 package main
 
@@ -44,6 +45,11 @@ func main() {
 	scale := flag.Float64("scale", 0.2, "fraction of the paper's task/worker counts (1.0 = paper scale)")
 	csvDir := flag.String("csv", "", "directory to write per-figure series CSVs")
 	flag.Parse()
+	if err := checkScale(*scale); err != nil {
+		fmt.Fprintf(os.Stderr, "vine-bench: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	targets := flag.Args()
 	if len(targets) == 0 || (len(targets) == 1 && targets[0] == "all") {
@@ -73,6 +79,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vine-bench: %d figure(s) did not reproduce the paper's shape\n", failed)
 		os.Exit(1)
 	}
+}
+
+// checkScale rejects scales the figures cannot honour: the experiments
+// cap every count at the paper's, so a scale above 1 would silently run
+// at 1.
+func checkScale(s float64) error {
+	if !(s > 0 && s <= 1) {
+		return fmt.Errorf("-scale %g outside (0, 1]", s)
+	}
+	return nil
 }
 
 func writeSeries(dir string, rep experiments.Report) error {

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	vine-run [-workers N] [-shards N] [-listen ADDR] workflow.json
+//	vine-run [-workers N] [-listen ADDR] workflow.json
 //
 // The workflow document declares files and tasks:
 //
@@ -34,7 +34,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"taskvine"
@@ -64,10 +63,6 @@ type taskDecl struct {
 	Disk    int64             `json:"disk,omitempty"`
 	Retries int               `json:"retries,omitempty"`
 	Repeat  int               `json:"repeat,omitempty"`
-	// Workflow labels the task's DAG for shard-affinity routing; Tenant
-	// names its fair-share bucket. Both matter only with -shards > 1.
-	Workflow string `json:"workflow,omitempty"`
-	Tenant   string `json:"tenant,omitempty"`
 }
 
 type workflowDecl struct {
@@ -81,44 +76,43 @@ func main() {
 		listen  = flag.String("listen", "", "manager listen address (default loopback)")
 		verbose = flag.Bool("v", false, "log task results as they complete")
 		status  = flag.String("status", "", "also serve the monitoring endpoint on this address (e.g. 127.0.0.1:9123)")
-		shards  = flag.Int("shards", 1, "manager event-loop shards (parallel dispatch; workers spread round-robin)")
-		quota   = flag.Int("tenant-quota", 0, "per-tenant in-flight submission quota (0 = unlimited; needs -shards > 1)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *workers, *listen, *verbose, *status, *shards, *quota); err != nil {
+	if err := run(flag.Arg(0), *workers, *listen, *verbose, *status); err != nil {
 		log.Fatalf("vine-run: %v", err)
 	}
 }
 
-func run(path string, nworkers int, listen string, verbose bool, statusAddr string, shards, quota int) error {
+// loadWorkflow reads and parses a workflow document. Keys it does not know
+// are ignored, so documents written for older versions still load.
+func loadWorkflow(path string) (*workflowDecl, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var wf workflowDecl
 	if err := json.Unmarshal(raw, &wf); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
+		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return &wf, nil
+}
+
+func run(path string, nworkers int, listen string, verbose bool, statusAddr string) error {
+	wf, err := loadWorkflow(path)
+	if err != nil {
+		return err
 	}
 
-	m, err := taskvine.NewManager(taskvine.ManagerConfig{
-		ListenAddr:  listen,
-		Shards:      shards,
-		TenantQuota: quota,
-	})
+	m, err := taskvine.NewManager(taskvine.ManagerConfig{ListenAddr: listen})
 	if err != nil {
 		return err
 	}
 	defer m.Close()
-	addrs := m.ShardAddrs()
-	if len(addrs) > 1 {
-		fmt.Printf("manager listening on %s (%d shards: %s)\n", m.Addr(), len(addrs), strings.Join(addrs, " "))
-	} else {
-		fmt.Printf("manager listening on %s\n", m.Addr())
-	}
+	fmt.Printf("manager listening on %s\n", m.Addr())
 	if statusAddr != "" {
 		addr, err := m.ServeStatus(statusAddr)
 		if err != nil {
@@ -143,7 +137,7 @@ func run(path string, nworkers int, listen string, verbose bool, statusAddr stri
 	defer os.RemoveAll(tmp)
 	for i := 0; i < nworkers; i++ {
 		w, err := taskvine.NewWorker(taskvine.WorkerConfig{
-			ManagerAddr: addrs[i%len(addrs)],
+			ManagerAddr: m.Addr(),
 			WorkDir:     filepath.Join(tmp, fmt.Sprintf("w%d", i)),
 			Capacity:    taskvine.Resources{Cores: 4, Memory: 4 * taskvine.GB, Disk: taskvine.GB},
 			ID:          fmt.Sprintf("local-%d", i),
@@ -189,12 +183,6 @@ func run(path string, nworkers int, listen string, verbose bool, statusAddr stri
 			}
 			t.SetResources(taskvine.Resources{Cores: td.Cores, Memory: td.Memory, Disk: td.Disk})
 			t.SetRetries(td.Retries)
-			if td.Workflow != "" {
-				t.SetWorkflow(td.Workflow)
-			}
-			if td.Tenant != "" {
-				t.SetTenant(td.Tenant)
-			}
 			if _, err := m.Submit(t); err != nil {
 				return err
 			}

@@ -8,7 +8,6 @@
 //	vine-status [-json] http://MANAGER-STATUS-ADDR
 //	vine-status -metrics http://MANAGER-STATUS-ADDR   # Prometheus text
 //	vine-status -debug   http://MANAGER-STATUS-ADDR   # scheduling tables
-//	vine-status -shards  http://MANAGER-STATUS-ADDR   # per-shard breakdown
 //
 // The manager exposes the endpoint via Manager.ServeStatus (the examples
 // and vine-run print it at startup when enabled). -metrics dumps the
@@ -54,7 +53,6 @@ func main() {
 	name := flag.String("name", "", "filter catalog listing by project name")
 	metricsDump := flag.Bool("metrics", false, "dump the manager's /metrics endpoint (Prometheus text format)")
 	debugDump := flag.Bool("debug", false, "render the manager's /debug/vine scheduling tables")
-	shardsDump := flag.Bool("shards", false, "render the per-shard breakdown of a sharded manager (/shards)")
 	flag.Parse()
 	if *cat != "" {
 		if err := listCatalog(*cat, *name); err != nil {
@@ -77,8 +75,6 @@ func main() {
 		err = dumpMetrics(url + "/metrics")
 	case *debugDump:
 		err = runDebug(url+"/debug/vine", *raw)
-	case *shardsDump:
-		err = runShards(url+"/shards", *raw)
 	default:
 		err = run(url+"/status", *raw)
 	}
@@ -154,37 +150,6 @@ func runDebug(url string, raw bool) error {
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%v\t%.1fs\n",
 				r.File, r.Dest, r.Attempts, r.Blocked, r.WaitSecs)
 		}
-	}
-	return tw.Flush()
-}
-
-// runShards renders the per-shard breakdown served by a sharded manager's
-// /shards endpoint: one row per event loop, so an operator can see how
-// the router's affinity hashing and lease balancer spread the cluster.
-func runShards(url string, raw bool) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s (is the manager sharded?)", url, resp.Status)
-	}
-	var sts []core.Status
-	if err := json.NewDecoder(resp.Body).Decode(&sts); err != nil {
-		return fmt.Errorf("decoding shard statuses: %w", err)
-	}
-	if raw {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(sts)
-	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tADDRESS\tWORKERS\tWAITING\tSTAGING\tRUNNING\tDONE\tFAILED")
-	for i, s := range sts {
-		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\n",
-			i, s.Addr, len(s.Workers), s.TasksWaiting, s.TasksStaging,
-			s.TasksRunning, s.TasksDone, s.TasksFailed)
 	}
 	return tw.Flush()
 }

@@ -80,6 +80,15 @@ func TestReplicateUnknownFile(t *testing.T) {
 
 func TestPublicStatus(t *testing.T) {
 	c := startCluster(t, 2, nil)
+	// startCluster does not wait for registration; the task may finish on
+	// the first worker before the second has joined.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(c.m.Status().Workers) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never registered: %+v", c.m.Status().Workers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if _, err := c.m.Submit(NewTask("echo hi")); err != nil {
 		t.Fatal(err)
 	}

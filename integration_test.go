@@ -448,7 +448,7 @@ func TestPersistentCacheSharedAcrossManagers(t *testing.T) {
 	defer srv.Close()
 	workDir := t.TempDir()
 
-	runWorkflow := func(managerLabel string) {
+	runWorkflow := func(managerLabel string, adopted bool) {
 		m, err := NewManager(ManagerConfig{})
 		if err != nil {
 			t.Fatal(err)
@@ -468,6 +468,21 @@ func TestPersistentCacheSharedAcrossManagers(t *testing.T) {
 		done := make(chan struct{})
 		go func() { defer close(done); w.Run(ctx) }()
 		defer func() { cancel(); <-done }()
+		if adopted {
+			// The worker re-reports its cache at registration, so the new
+			// manager sees the object before any task asks for it.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				ws := m.Status().Workers
+				if len(ws) == 1 && ws[0].CachedFiles > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: worker's cache not adopted at registration: %+v", managerLabel, ws)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
 
 		ds, err := m.DeclareURL(srv.URL("/ds"), CacheWorker)
 		if err != nil {
@@ -486,8 +501,8 @@ func TestPersistentCacheSharedAcrossManagers(t *testing.T) {
 			t.Fatalf("%s: result = %+v output=%q", managerLabel, r, r.Output)
 		}
 	}
-	runWorkflow("manager A")
-	runWorkflow("manager B")
+	runWorkflow("manager A", false)
+	runWorkflow("manager B", true)
 	if f := srv.Fetches("/ds"); f != 1 {
 		t.Fatalf("dataset fetched %d times across two managers; content-addressed cache not shared", f)
 	}

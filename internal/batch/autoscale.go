@@ -17,8 +17,8 @@ type AutoscaleConfig struct {
 	TasksPerWorker int
 	// Interval is the probe period of the background loop; default 1s.
 	Interval time.Duration
-	// QueueDepth reports the demand signal — typically the manager's (or
-	// the shard router's) count of waiting plus staging tasks.
+	// QueueDepth reports the demand signal — typically the manager's
+	// count of waiting plus staging tasks.
 	QueueDepth func() int
 	// ScaleDownAfter is how many consecutive probes must want a smaller
 	// pool before the autoscaler shrinks it (hysteresis against releasing
@@ -36,9 +36,9 @@ type AutoscaleConfig struct {
 // demand stays low. All decisions happen in Step, which the background
 // loop calls on a ticker and deterministic tests call directly.
 type Autoscaler struct {
-	cfg  AutoscaleConfig
-	pool *Pool
-	vm   *metrics.VineMetrics
+	cfg     AutoscaleConfig
+	pool    *Pool
+	vm      *metrics.VineMetrics
 	low     int // consecutive probes wanting a smaller pool
 	started bool
 	stop    chan struct{}

@@ -719,11 +719,11 @@ func (c *Cache) MemoryBytes(name string) ([]byte, bool) {
 
 // maybePromoteLocked lifts a hot small disk object into the memory tier
 // when the budget has free room. Promotion never spills others — it only
-// consumes slack — and never applies to directories or pinned-path users:
-// the on-disk copy is removed, so anything relying on Path must call
-// Materialize first.
+// consumes slack — and never applies to directories or pinned objects: the
+// on-disk copy is removed, and a task that pinned an input after
+// Materialize may still be about to link its Path into a sandbox.
 func (c *Cache) maybePromoteLocked(e *Entry) {
-	if c.memBudget <= 0 || e.Dir || e.Tier != TierDisk || e.uses < promoteUseThreshold {
+	if c.memBudget <= 0 || e.Dir || e.pins > 0 || e.Tier != TierDisk || e.uses < promoteUseThreshold {
 		return
 	}
 	if e.Size > c.memBudget/promoteSizeDivisor || c.memUsed+e.Size > c.memBudget {

@@ -125,6 +125,31 @@ func TestHotSmallObjectPromoted(t *testing.T) {
 	}
 }
 
+// TestPinnedObjectNotPromoted: a task pins its input and materializes it
+// before linking Path into its sandbox; a peer serve reading the same
+// object through MemoryBytes in between must not remove the disk copy.
+func TestPinnedObjectNotPromoted(t *testing.T) {
+	c := memCache(t, 1<<20, 1<<16)
+	put(t, c, "file-in", "task input", LifetimeWorkflow)
+	if err := c.Pin("file-in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Materialize("file-in"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= promoteUseThreshold; i++ {
+		c.MemoryBytes("file-in")
+	}
+	if _, err := os.Lstat(c.Path("file-in")); err != nil {
+		t.Fatalf("pinned input lost its disk copy: %v", err)
+	}
+	c.Unpin("file-in")
+	c.MemoryBytes("file-in")
+	if e, _ := c.Lookup("file-in"); e.Tier != TierMemory {
+		t.Fatalf("hot object not promoted once unpinned: %+v", e)
+	}
+}
+
 func TestLargeObjectNotPromoted(t *testing.T) {
 	c := memCache(t, 1<<20, 64) // promotion limit is budget/8 = 8 bytes
 	put(t, c, "file-large", "this is far too large", LifetimeWorkflow)

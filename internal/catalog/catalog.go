@@ -146,7 +146,7 @@ func (s *Server) List(name string) []Entry {
 
 // client is the shared HTTP client for catalog traffic. The default
 // http.Client has no timeout at all, so a hung catalog would pin an
-// advertiser goroutine (and, with many shards, many of them) forever;
+// advertiser goroutine forever;
 // catalog exchanges are tiny, so a short overall deadline is safe.
 var client = &http.Client{Timeout: 5 * time.Second}
 

@@ -50,12 +50,6 @@ type Config struct {
 	// Head fetches URL naming metadata; required only when worker-lifetime
 	// URL files are declared.
 	Head files.HeadFunc
-	// Files, when non-nil, is the file registry this manager reads
-	// declarations from instead of allocating a private one. A sharded
-	// control plane (internal/shard) passes one registry to all shards so
-	// a file declared once is resolvable on whichever shard its tasks
-	// land; the registry is internally synchronized.
-	Files *files.Registry
 	// DefaultTaskResources fills unspecified task resource requests;
 	// defaults to one core.
 	DefaultTaskResources resources.R
@@ -295,7 +289,6 @@ type event struct {
 	lib        *librarySpec
 	done       chan struct{}
 	workerID   string
-	addr       string
 	err        error
 	status     chan Status
 	debug      chan DebugReport
@@ -320,7 +313,6 @@ const (
 	evCategories
 	evInvoke
 	evCancel
-	evRedirect
 )
 
 type fetchResult struct {
@@ -437,13 +429,9 @@ func newManagerState(cfg Config) *Manager {
 	if cfg.Placement.Enabled {
 		place = newPlacementEngine(cfg.Placement)
 	}
-	reg := cfg.Files
-	if reg == nil {
-		reg = files.NewRegistry(cfg.Head)
-	}
 	return &Manager{
 		cfg:           cfg,
-		reg:           reg,
+		reg:           files.NewRegistry(cfg.Head),
 		events:        make(chan event, 1024),
 		results:       make(chan *Result, 4096),
 		tlog:          tlog,
@@ -813,31 +801,6 @@ func (m *Manager) ReplicateFile(fileID string, n int) error {
 	return nil
 }
 
-// RedirectWorker leases a connected worker to another manager: the worker
-// is sent a redirect instruction naming addr and re-registers there through
-// its normal reconnect path, keeping its cache contents. The worker leaves
-// this manager as if its connection dropped (tasks it was running are
-// requeued), so callers should prefer redirecting idle workers. It is the
-// handoff hook the sharded control plane (internal/shard) uses to migrate
-// workers from an idle shard to a backlogged one.
-func (m *Manager) RedirectWorker(workerID, addr string) error {
-	reply := make(chan int, 1)
-	select {
-	case m.events <- event{kind: evRedirect, workerID: workerID, addr: addr, replyInt: reply}:
-	case <-m.loopDone:
-		return fmt.Errorf("core: manager is shutting down")
-	}
-	select {
-	case n := <-reply:
-		if n < 0 {
-			return fmt.Errorf("core: no connected worker %s", workerID)
-		}
-		return nil
-	case <-m.loopDone:
-		return fmt.Errorf("core: manager is shutting down")
-	}
-}
-
 // EndWorkflow concludes the current workflow: workers discard all
 // ephemeral objects and the replica table forgets them. Worker-lifetime
 // objects persist for future workflows (§3.2).
@@ -1112,28 +1075,8 @@ func (m *Manager) handleEvent(ev event) bool {
 		}
 	case evCategories:
 		ev.categories <- m.buildCategories()
-	case evRedirect:
-		m.redirectWorker(ev)
 	}
 	return false
-}
-
-// redirectWorker sends a TypeRedirect to a connected worker, leasing it to
-// the manager at ev.addr. Runs inside the event loop.
-func (m *Manager) redirectWorker(ev event) {
-	w, ok := m.workers[ev.workerID]
-	if !ok || w.gone {
-		ev.replyInt <- -1
-		return
-	}
-	if err := w.conn.Send(&protocol.Message{Type: protocol.TypeRedirect, URL: ev.addr}); err != nil {
-		// A failed send means the link is dying; the reader goroutine will
-		// report workerGone shortly. The lease still "succeeded" in the
-		// sense that the worker is leaving this shard.
-		m.logf("redirect send to %s failed: %v", ev.workerID, err)
-	}
-	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerRedirected, Worker: ev.workerID, Detail: ev.addr})
-	ev.replyInt <- 0
 }
 
 // Empty reports whether all submitted tasks have finished. Like the

@@ -52,8 +52,6 @@ func (v *VineMetrics) observe(e trace.Event) {
 		v.ReplicasLost.Inc()
 	case trace.RecoveryStart:
 		v.Recoveries.Inc()
-	case trace.WorkerRedirected:
-		v.WorkerRedirects.Inc()
 	}
 }
 
@@ -93,8 +91,6 @@ func KindFamilies(k trace.Kind) []string {
 		return []string{"vine_replicas_lost_total"}
 	case trace.RecoveryStart:
 		return []string{"vine_recovery_reexecutions_total"}
-	case trace.WorkerRedirected:
-		return []string{"vine_worker_redirects_total"}
 	}
 	return nil
 }

@@ -136,17 +136,6 @@ type VineMetrics struct {
 	BatchRestarts    *Counter
 	BatchResizes     *Counter
 
-	// Sharded control plane (internal/shard). The shard label is the
-	// shard's index within the router ("0".."N-1"), so cardinality is the
-	// shard count, not the task or worker population.
-	ShardSubmissions    *CounterVec // shard
-	ShardDispatches     *CounterVec // shard
-	ShardQueueDepth     *GaugeVec   // shard
-	ShardWorkers        *GaugeVec   // shard
-	ShardLeases         *Counter
-	ShardQuotaThrottles *Counter
-	WorkerRedirects     *Counter
-
 	// Fault injection (internal/chaos).
 	ChaosInjections *CounterVec // point, action
 }
@@ -288,21 +277,6 @@ func ForRegistry(r *Registry) *VineMetrics {
 			"Batch worker jobs restarted after unexpected exits."),
 		BatchResizes: r.Counter("vine_batch_resizes_total",
 			"Autoscaler-initiated changes to the batch pool's target size."),
-
-		ShardSubmissions: r.CounterVec("vine_shard_submissions_total",
-			"Tasks routed to each manager shard, by shard index.", "shard"),
-		ShardDispatches: r.CounterVec("vine_shard_dispatches_total",
-			"Task results delivered from each manager shard, by shard index.", "shard"),
-		ShardQueueDepth: r.GaugeVec("vine_shard_queue_depth",
-			"Tasks waiting or staging on each manager shard, by shard index.", "shard"),
-		ShardWorkers: r.GaugeVec("vine_shard_workers",
-			"Workers currently registered with each manager shard, by shard index.", "shard"),
-		ShardLeases: r.Counter("vine_shard_leases_total",
-			"Worker leases moved between shards by the queue-depth balancer."),
-		ShardQuotaThrottles: r.Counter("vine_shard_quota_throttles_total",
-			"Submissions held back because their tenant was at its fair-share quota."),
-		WorkerRedirects: r.Counter("vine_worker_redirects_total",
-			"Workers told to re-register with another manager shard."),
 
 		ChaosInjections: r.CounterVec("vine_chaos_injections_total",
 			"Faults fired by the chaos injector, by point and action.", "point", "action"),

@@ -116,8 +116,8 @@ const (
 	sCategory      = 13
 	sArgsFrom      = 14
 	sResident      = 15
-	sWorkflow      = 16
-	sTenant        = 17
+	// Tags 16 and 17 carried retired routing labels; older peers may still
+	// send them (the decoder skips them), so they must not be reused.
 )
 
 const (
@@ -312,8 +312,6 @@ func appendSpec(b []byte, field int, s *taskspec.Spec) []byte {
 	if s.Resident {
 		v = appendVarintField(v, sResident, 1)
 	}
-	v = appendStringField(v, sWorkflow, s.Workflow)
-	v = appendStringField(v, sTenant, s.Tenant)
 	// A spec that encodes to nothing still marks presence with an empty
 	// nested field, so decode restores a non-nil *Spec.
 	b = appendTag(b, field, wireBytes)
@@ -594,10 +592,6 @@ func decodeSpec(b []byte) (*taskspec.Spec, error) {
 			var v int64
 			v, err = d.varint()
 			s.Resident = v != 0
-		case sWorkflow:
-			s.Workflow, err = d.str()
-		case sTenant:
-			s.Tenant, err = d.str()
 		default:
 			err = d.skip(wire)
 		}

@@ -105,6 +105,28 @@ func TestBinaryCodecSkipsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestBinaryCodecSkipsRetiredSpecTags: spec tags 16 and 17 are no longer
+// encoded, but a frame from an older peer that still carries them must
+// decode with every other spec field intact.
+func TestBinaryCodecSkipsRetiredSpecTags(t *testing.T) {
+	var v []byte
+	v = appendVarintField(v, sID, 7)
+	v = appendStringField(v, sCommand, "true")
+	v = appendStringField(v, 16, "old-label")
+	v = appendStringField(v, 17, "old-bucket")
+	v = appendStringField(v, sCategory, "c")
+	enc := encodeMessage(nil, &Message{Type: TypeTask})
+	enc = appendBytesField(enc, fSpec, v)
+	got, err := decodeMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &taskspec.Spec{ID: 7, Command: "true", Category: "c"}
+	if !reflect.DeepEqual(got.Spec, want) {
+		t.Fatalf("spec = %+v, want %+v", got.Spec, want)
+	}
+}
+
 func TestBinaryCodecDeterministicEnv(t *testing.T) {
 	m := &Message{Type: TypeTask, Spec: &taskspec.Spec{
 		Kind: taskspec.KindCommand, Command: "x",

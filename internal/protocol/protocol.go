@@ -73,10 +73,6 @@ const (
 	TypeHeartbeat = "heartbeat"
 	// TypeRelease (manager→worker) asks the worker to shut down cleanly.
 	TypeRelease = "release"
-	// TypeRedirect (manager→worker) leases the worker to another manager
-	// shard: the worker drops its current link and re-registers with the
-	// manager listening at URL, keeping its cache contents.
-	TypeRedirect = "redirect"
 	// TypeEndWorkflow (manager→worker) marks the conclusion of a workflow:
 	// the worker discards all task- and workflow-lifetime objects.
 	TypeEndWorkflow = "end-workflow"

@@ -8,17 +8,7 @@
 // a persistent library instance to a worker for serverless invocation. A
 // MiniTask is a task specification executed on demand at a worker to
 // materialize a file object (§3.1), e.g. unpacking an archive.
-//
-// # Workflow affinity
-//
-// When tasks run under a sharded control plane (internal/shard), every task
-// of one workflow DAG must land on the same manager shard so that graph
-// dependencies, placement decisions, and the replica table stay shard-local.
-// The router infers the DAG from cluster-coupled files: tasks that share a
-// Temp or Handle input, or any output, are one workflow. Tasks may also be
-// labelled explicitly with Spec.Workflow; the label overrides inference.
-// Submitting a task that would join two workflows already bound to
-// different shards is a contract error reported at Submit time.
+
 package taskspec
 
 import (
@@ -171,18 +161,6 @@ type Spec struct {
 
 	// Category groups tasks that share a resource profile, for reporting.
 	Category string `json:"category,omitempty"`
-
-	// Workflow optionally labels the workflow DAG this task belongs to.
-	// Under a sharded control plane all tasks with the same label are
-	// routed to one manager shard (see the package comment); an empty
-	// label lets the router infer the workflow from shared files.
-	Workflow string `json:"workflow,omitempty"`
-
-	// Tenant names the fair-share accounting bucket charged for this
-	// task. Empty means the default tenant. The sharded control plane
-	// throttles each tenant to its in-flight quota so one workflow
-	// cannot starve the rest.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // Clone returns a deep copy of the spec, so a caller may mutate mounts and

@@ -51,9 +51,6 @@ const (
 	// RecoveryStart marks the re-submission of a completed producer task to
 	// regenerate a lost temp file (§2.2 recovery re-execution).
 	RecoveryStart
-	// WorkerRedirected marks a worker being leased to another manager
-	// shard: it was told to re-register at the address in Detail.
-	WorkerRedirected
 )
 
 // String returns a readable name for the kind.
@@ -63,7 +60,6 @@ func (k Kind) String() string {
 		"transfer-failed", "stage-start", "stage-end", "task-start",
 		"task-end", "task-failed", "library-ready", "file-evicted",
 		"transfer-retry", "replica-lost", "recovery-start",
-		"worker-redirected",
 	}
 	if int(k) < len(names) {
 		return names[k]

@@ -14,7 +14,6 @@ import (
 	"context"
 	"crypto/md5"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -113,18 +112,14 @@ type Worker struct {
 	instances map[string]*serverless.Instance // guarded by mu
 	running   map[int]context.CancelFunc      // guarded by mu
 	libTasks  map[string]int                  // guarded by mu; library name -> deploying task ID
-	// redirect is the manager address a TypeRedirect told this worker to
-	// re-register with; consumed by Run between sessions. guarded by mu
-	redirect string
 
 	// sandboxSeq disambiguates sandbox directories: distinct executions
 	// may share a task ID (identical MiniTask specs), but never a sandbox.
 	sandboxSeq atomic.Int64
 
-	// wg tracks per-session helper goroutines (transfers, invocations);
-	// it is drained between manager sessions so no helper outlives the
-	// connection it writes to. peerWg tracks the peer transfer service,
-	// which spans sessions and is drained only when Run returns.
+	// wg tracks helper goroutines (transfers, invocations); Run drains it
+	// before returning so no helper outlives the manager session. peerWg
+	// tracks the peer transfer service, drained last.
 	wg     sync.WaitGroup
 	peerWg sync.WaitGroup
 	closed chan struct{}
@@ -235,14 +230,8 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// errRedirect is the readLoop's signal that the manager leased this worker
-// to another shard: Run tears the session down and re-registers there.
-var errRedirect = errors.New("worker: redirected to another manager")
-
 // Run connects to the manager and serves until the context is cancelled,
-// the manager releases the worker, or the connection drops. A redirect
-// message instead re-enters the loop against the new manager address,
-// keeping the cache and peer transfer service alive across the move.
+// the manager releases the worker, or the connection drops.
 func (w *Worker) Run(ctx context.Context) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -252,47 +241,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	w.peerAddr = ln.Addr().String()
 	w.peerWg.Add(1)
 	go w.servePeers()
-	runDone := make(chan struct{})
 	defer func() {
 		// Shutdown order: stop accepting peers, then wait for the accept
 		// loop and any in-flight peer serves to drain.
-		close(runDone)
-		_ = ln.Close() // double-close with the watcher goroutine is benign
+		_ = ln.Close()
 		w.peerWg.Wait()
 	}()
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-w.closed:
-		case <-runDone:
-		}
-		// Closing unblocks the peer accept loop; its error is the signal.
-		_ = ln.Close()
-	}()
 
-	addr := w.cfg.ManagerAddr
-	for {
-		err := w.serveManager(ctx, addr)
-		if err == errRedirect {
-			w.mu.Lock()
-			addr = w.redirect
-			w.redirect = ""
-			w.mu.Unlock()
-			if addr != "" {
-				continue
-			}
-		}
-		return err
-	}
-}
-
-// serveManager runs one registration session against the manager at addr:
-// dial, register, re-report adopted cache contents, then serve the read
-// loop until release, redirect, cancellation, or connection loss. All
-// session-scoped goroutines are drained before it returns so nothing
-// writes to a dead connection across a redirect.
-func (w *Worker) serveManager(ctx context.Context, addr string) error {
-	conn, err := protocol.Dial(addr, 10*time.Second)
+	conn, err := protocol.Dial(w.cfg.ManagerAddr, 10*time.Second)
 	if err != nil {
 		return err
 	}
@@ -316,8 +272,7 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 		return err
 	}
 	// Report adopted cache contents so the manager's replica table learns
-	// about persistent objects from previous workflows (or, after a
-	// redirect, from the previous shard).
+	// about persistent objects from previous workflows.
 	for _, e := range w.cache.List() {
 		if e.State == cache.StateReady {
 			conn.Send(&protocol.Message{
@@ -332,20 +287,18 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	serveDone := make(chan struct{})
 	go func() {
 		select {
 		case <-sctx.Done():
 		case <-w.closed:
-		case <-serveDone:
 		}
-		// Shutdown path: closing unblocks the read loop; its error is the
-		// signal, not this one.
+		// Shutdown path: closing unblocks the read loop and the peer
+		// accept loop; their errors are the signal, not this one.
 		_ = conn.Close()
+		_ = ln.Close()
 	}()
 
 	err = w.readLoop(sctx)
-	close(serveDone)
 	cancel()
 	w.stopInstances()
 	w.wg.Wait()
@@ -353,9 +306,6 @@ func (w *Worker) serveManager(ctx context.Context, addr string) error {
 	case <-w.closed:
 		return nil // clean release
 	default:
-	}
-	if err == errRedirect {
-		return err
 	}
 	if ctx.Err() != nil {
 		return nil
@@ -414,14 +364,6 @@ func (w *Worker) readLoop(ctx context.Context) error {
 			w.stopInstances()
 		case protocol.TypeHeartbeat:
 			w.conn.Send(&protocol.Message{Type: protocol.TypeHeartbeat, WorkerID: w.cfg.ID})
-		case protocol.TypeRedirect:
-			// The manager leased this worker to another shard. Remember the
-			// target and unwind the session; Run re-registers there with the
-			// cache intact.
-			w.mu.Lock()
-			w.redirect = m.URL
-			w.mu.Unlock()
-			return errRedirect
 		case protocol.TypeRelease:
 			close(w.closed)
 			return nil

@@ -44,7 +44,6 @@ import (
 	"taskvine/internal/policy"
 	"taskvine/internal/protocol"
 	"taskvine/internal/resources"
-	"taskvine/internal/shard"
 	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
 )
@@ -129,19 +128,6 @@ func (t *Task) SetRetries(n int) { t.spec.MaxRetries = n }
 // SetCategory labels the task for reporting.
 func (t *Task) SetCategory(c string) { t.spec.Category = c }
 
-// SetWorkflow labels the task with an explicit workflow name. With a
-// sharded manager every task carrying the same label is routed to the
-// same shard, overriding the affinity the router would otherwise infer
-// from the task's files. A task must not join two workflows already bound
-// to different shards.
-func (t *Task) SetWorkflow(name string) { t.spec.Workflow = name }
-
-// SetTenant labels the task with a tenant identity for fair-share
-// accounting: with a sharded manager and a TenantQuota configured, each
-// tenant holds at most that many in-flight tasks while the rest wait in a
-// router-side queue.
-func (t *Task) SetTenant(name string) { t.spec.Tenant = name }
-
 // SetMaxRunTime bounds the task's execution wall time at the worker;
 // exceeding it kills the task (§2.1 execution-time enforcement).
 func (t *Task) SetMaxRunTime(d time.Duration) { t.spec.MaxRunSeconds = d.Seconds() }
@@ -217,53 +203,17 @@ type ManagerConfig struct {
 	Name string
 	// CatalogAddr is a catalog server to advertise to ("host:port").
 	CatalogAddr string
-	// Shards, when greater than one, runs that many manager event loops
-	// in parallel behind a workflow-affinity router (internal/shard):
-	// each workflow's tasks stay on one shard, workers are partitioned
-	// and leased between shards by queue depth, and dispatch throughput
-	// scales with the shard count. Zero or one keeps the classic single
-	// event loop, byte-identical in behaviour.
-	Shards int
-	// TenantQuota bounds each tenant's in-flight submissions when
-	// sharding is enabled (see Task.SetTenant); 0 disables fair-share
-	// holds.
-	TenantQuota int
-}
-
-// control is the plane the facade drives: either a single core.Manager or
-// a sharded router, which implement the same surface.
-type control interface {
-	Addr() string
-	Trace() *trace.Log
-	Files() *files.Registry
-	Submit(spec *taskspec.Spec) (int, error)
-	Wait(ctx context.Context) (*core.Result, error)
-	Invoke(library, function string, args []byte) (int, error)
-	InvokeResident(library, function string, args []byte) (int, string, error)
-	InvokeChained(library, function, handleID string) (int, string, error)
-	Cancel(taskID int) error
-	Empty() bool
-	FetchFile(ctx context.Context, fileID string) ([]byte, error)
-	InstallLibrary(name string, res resources.R)
-	ReplicateFile(fileID string, n int) error
-	EndWorkflow()
-	Close()
-	Status() core.Status
-	ServeStatus(addr string) (string, error)
-	Debug() core.DebugReport
-	Metrics() *metrics.Registry
-	Categories() []core.CategoryStats
 }
 
 // Manager coordinates workers to execute a workflow (§2.2).
 type Manager struct {
-	core control
+	core *core.Manager
 	adv  *catalog.Advertiser
 }
 
 // NewManager starts a manager listening for worker connections.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
-	base := core.Config{
+	c, err := core.NewManager(core.Config{
 		ListenAddr:           cfg.ListenAddr,
 		Limits:               cfg.Limits,
 		Head:                 httpsource.Head,
@@ -272,23 +222,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		AutoSizeResources:    cfg.AutoSizeResources,
 		TraceFile:            cfg.TraceFile,
 		Placement:            cfg.Placement,
-	}
-	if cfg.Shards > 1 {
-		// The router owns catalog advertisement (one entry per shard).
-		r, err := shard.New(shard.Config{
-			Shards:      cfg.Shards,
-			Manager:     base,
-			TenantQuota: cfg.TenantQuota,
-			Name:        cfg.Name,
-			CatalogAddr: cfg.CatalogAddr,
-			Logger:      cfg.Logger,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Manager{core: r}, nil
-	}
-	c, err := core.NewManager(base)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -311,20 +245,8 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	return m, nil
 }
 
-// Addr returns the address workers should connect to. With sharding
-// enabled this is shard 0's address; use ShardAddrs to spread workers.
+// Addr returns the address workers should connect to.
 func (m *Manager) Addr() string { return m.core.Addr() }
-
-// ShardAddrs returns every shard's worker-facing address (a single
-// address without sharding). Launchers should distribute workers
-// round-robin across these; the lease balancer corrects any imbalance as
-// load shifts.
-func (m *Manager) ShardAddrs() []string {
-	if r, ok := m.core.(*shard.Router); ok {
-		return r.Addrs()
-	}
-	return []string{m.core.Addr()}
-}
 
 // Trace returns the manager's execution event log, the raw material for
 // task-view and worker-view analysis.

@@ -43,13 +43,10 @@ with // eventloop-ok: <reason>`,
 
 // eventblockRoots names the loop-body functions per package scope. The
 // manager's loop dispatches through handleBatch/handleEvent; the worker's
-// through readLoop; the shard router's result pump and lease balancer are
-// latency-critical in the same way (a blocked pump delays quota release
-// for every tenant on its shard).
+// through readLoop.
 var eventblockRoots = map[string][]string{
 	"internal/core":   {"handleEvent", "handleBatch"},
 	"internal/worker": {"readLoop"},
-	"internal/shard":  {"pump", "balanceLoop"},
 }
 
 // osBlocking is the set of os-package calls that hit the filesystem.

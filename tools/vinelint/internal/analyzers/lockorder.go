@@ -15,9 +15,8 @@ import (
 // mutexes the lockguard convention already names, and reports cycles: if
 // one code path acquires A then B while another acquires B then A, the
 // two paths can deadlock under the right interleaving even though each
-// runs correctly alone. The multi-manager sharding work on the roadmap
-// multiplies the locks in play, so the ordering discipline is enforced
-// now, while the graph is small.
+// runs correctly alone. Enforcing the ordering discipline while the graph
+// is small keeps every lock added later honest.
 //
 // Locks are identified structurally — "pkg.Type.field" for a mutex
 // struct field, "pkg.var" for a package-level mutex — which deliberately
