@@ -38,7 +38,7 @@ vet:
 race:
 	$(GO) test -race -count=2 ./...
 
-# fuzz smoke-tests the protocol codec — both framings — from the seeded
+# fuzz smoke-tests the binary frame codec and receive path from the seeded
 # corpus for a short, CI-friendly interval per target.
 fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzRecv -fuzztime $(FUZZTIME)

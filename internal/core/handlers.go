@@ -112,17 +112,6 @@ func (m *Manager) registerWorker(conn *protocol.Conn, msg *protocol.Message) {
 		libsReady:    make(map[string]bool),
 	}
 	w.lastHeard = time.Now()
-	// Framing negotiation: a worker advertising binary gets its messages in
-	// binary frames from here on, and the register ack — its first binary
-	// frame — tells it to upgrade its own sends. Workers that said nothing
-	// (or a manager configured JSON-only) stay on JSON; receive-side
-	// autodetect makes either choice safe mid-stream.
-	if msg.Proto >= protocol.ProtoBinary && !m.cfg.DisableBinaryProto {
-		conn.EnableBinary()
-		if err := conn.Send(&protocol.Message{Type: protocol.TypeRegister, Proto: protocol.ProtoBinary}); err != nil {
-			m.logf("acking registration of %s: %v", msg.WorkerID, err)
-		}
-	}
 	m.joinSeq++
 	m.workers[w.id] = w
 	m.liveCount++

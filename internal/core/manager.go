@@ -53,8 +53,6 @@ type Config struct {
 	// DefaultTaskResources fills unspecified task resource requests;
 	// defaults to one core.
 	DefaultTaskResources resources.R
-	// Trace receives execution events; nil allocates a private log.
-	Trace *trace.Log
 	// Metrics is the instrument registry the manager binds the shared
 	// TaskVine instrument set to; nil allocates a private registry. Pass one
 	// registry to an in-process manager, its workers, and a batch pool to
@@ -90,10 +88,6 @@ type Config struct {
 	// Faults is a test-only fault injector consulted by the transfer
 	// supervisor; nil (the default) disables injection.
 	Faults *chaos.Injector
-	// DisableBinaryProto keeps all connections on line-delimited JSON even
-	// when a worker advertises binary framing — for netcat debugging and
-	// cross-version tests. Default false: binary is negotiated when offered.
-	DisableBinaryProto bool
 	// Placement configures workflow-aware lookahead placement: prefetching
 	// queued tasks' inputs toward their likely workers and replicating
 	// high-fan-out files ahead of their consumers. Disabled by default.
@@ -412,10 +406,7 @@ func newManagerState(cfg Config) *Manager {
 	if (cfg.DefaultTaskResources == resources.R{}) {
 		cfg.DefaultTaskResources = resources.R{Cores: 1}
 	}
-	tlog := cfg.Trace
-	if tlog == nil {
-		tlog = trace.NewLog()
-	}
+	tlog := trace.NewLog()
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -889,8 +880,12 @@ func (m *Manager) untrackConn(conn *protocol.Conn) {
 func (m *Manager) handleConn(conn *protocol.Conn) {
 	defer m.untrackConn(conn)
 	regMsg, _, err := conn.Recv()
-	if err != nil || regMsg.Type != protocol.TypeRegister || regMsg.WorkerID == "" {
-		// Not a worker; nothing to report the close error to.
+	if err == nil && (regMsg.Type != protocol.TypeRegister || regMsg.WorkerID == "") {
+		err = fmt.Errorf("first message is %q with worker id %q, not a registration", regMsg.Type, regMsg.WorkerID)
+	}
+	if err != nil {
+		// Not a worker: there is no worker to report to, only the log.
+		m.logf("rejecting connection from %s: %v", conn.RemoteAddr(), err)
 		_ = conn.Close()
 		return
 	}

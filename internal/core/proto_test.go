@@ -1,94 +1,102 @@
 package core
 
-// Tests for the wire-framing negotiation and the manager's streaming read
-// path: every cross-version framing combination must interoperate, large
-// data payloads must travel through the disk spool rather than memory, and
-// oversized control frames must be rejected without allocation.
+// Tests for the manager's wire path: a put-execute-fetch round trip over
+// binary frames, rejection of a peer that does not speak them, large data
+// payloads travelling through the disk spool rather than memory, and
+// oversized control frames rejected without allocation.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"log"
+	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"taskvine/internal/files"
-	"taskvine/internal/httpsource"
 	"taskvine/internal/protocol"
 	"taskvine/internal/resources"
-	"taskvine/internal/worker"
 )
 
-// protoHarness starts a manager and one worker with explicit framing
-// preferences on each side.
-func protoHarness(t *testing.T, mgrJSON, wkrJSON bool) *Manager {
-	t.Helper()
-	m, err := NewManager(Config{Head: httpsource.Head, DisableBinaryProto: mgrJSON})
+// TestBinaryPutExecuteFetch runs a complete put-execute-fetch round trip
+// over the manager↔worker link.
+func TestBinaryPutExecuteFetch(t *testing.T) {
+	h := newHarness(t, 1, Config{})
+	in, err := h.m.Files().DeclareBuffer([]byte("framing matrix"), files.LifetimeWorkflow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := worker.New(worker.Config{
-		ManagerAddr:        m.Addr(),
-		WorkDir:            t.TempDir(),
-		Capacity:           resources.R{Cores: 2, Memory: resources.GB, Disk: resources.GB},
-		ID:                 "proto-worker",
-		DisableBinaryProto: wkrJSON,
-	})
+	out := h.m.Files().DeclareTemp()
+	spec := command("tr a-z A-Z < in > out")
+	spec.AddInput(in.ID, "in")
+	spec.AddOutput(out.ID, "out")
+	if _, err := h.m.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	if r := waitResult(t, h.m); !r.OK {
+		t.Fatalf("task failed: %+v", r)
+	}
+	got, err := h.m.FetchFile(context.Background(), out.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); w.Run(ctx) }()
-	t.Cleanup(func() {
-		m.Close()
-		cancel()
-		<-done
-	})
-	return m
+	if string(got) != "FRAMING MATRIX" {
+		t.Fatalf("fetched %q", got)
+	}
 }
 
-// TestProtoNegotiationMatrix runs a complete put-execute-fetch round trip
-// under every combination of manager and worker framing preference: new
-// peers settle on binary frames, while either side preferring JSON keeps
-// the whole link on JSON — the cross-version compatibility story.
-func TestProtoNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name             string
-		mgrJSON, wkrJSON bool
-	}{
-		{"binary-binary", false, false},
-		{"json-manager-binary-worker", true, false},
-		{"binary-manager-json-worker", false, true},
-		{"json-json", true, true},
+// TestNonBinaryPeerRejected writes the JSON register line a worker from
+// before binary-only framing, or a netcat session, would send. The manager
+// must close the connection promptly, log the offending first byte and
+// register nobody, and a real worker that registers afterwards must still
+// run a task.
+func TestNonBinaryPeerRejected(t *testing.T) {
+	// Buffered so the manager's log calls never wait on the test; lines
+	// beyond the buffer are dropped, and the one sought is among the first.
+	logged := make(chan string, 64)
+	h := newHarness(t, 0, Config{Logger: log.New(lineFunc(func(line string) {
+		select {
+		case logged <- line:
+		default:
+		}
+	}), "", 0)})
+	nc, err := net.DialTimeout("tcp", h.m.Addr(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := protoHarness(t, tc.mgrJSON, tc.wkrJSON)
-			in, err := m.Files().DeclareBuffer([]byte("framing matrix"), files.LifetimeWorkflow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := m.Files().DeclareTemp()
-			spec := command("tr a-z A-Z < in > out")
-			spec.AddInput(in.ID, "in")
-			spec.AddOutput(out.ID, "out")
-			if _, err := m.Submit(spec); err != nil {
-				t.Fatal(err)
-			}
-			r := waitResult(t, m)
-			if !r.OK {
-				t.Fatalf("task failed under %s: %+v", tc.name, r)
-			}
-			got, err := m.FetchFile(context.Background(), out.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != "FRAMING MATRIX" {
-				t.Fatalf("fetched %q under %s", got, tc.name)
-			}
-		})
+	defer nc.Close()
+	if _, err := nc.Write([]byte(`{"type":"register","worker_id":"legacy","capacity":{"cores":1}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); n > 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("connection still open after a JSON line: read %d bytes, err=%v", n, err)
+	}
+	deadline := time.After(5 * time.Second)
+	for found := false; !found; {
+		select {
+		case line := <-logged:
+			found = strings.Contains(line, "0x7b")
+		case <-deadline:
+			t.Fatal("manager did not log the bad first byte")
+		}
+	}
+	if ws := h.m.Status().Workers; len(ws) != 0 {
+		t.Fatalf("non-binary peer registered: %+v", ws)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h.addWorker(t, ctx, 0, t.TempDir())
+	if _, err := h.m.Submit(command("echo after legacy")); err != nil {
+		t.Fatal(err)
+	}
+	if r := waitResult(t, h.m); !r.OK || !strings.Contains(string(r.Output), "after legacy") {
+		t.Fatalf("result = %+v", r)
 	}
 }
 

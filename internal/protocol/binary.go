@@ -1,9 +1,10 @@
-// Binary framing for the TaskVine wire protocol (protocol version 2).
+// Binary framing for the TaskVine wire protocol, the only framing on
+// every link.
 //
-// A binary frame is a fixed 15-byte prologue followed by a compact
+// A frame is a fixed 15-byte prologue followed by a compact
 // tag/value-encoded header and an optional raw payload:
 //
-//	offset 0      magic byte 0xBF (never the first byte of a JSON line)
+//	offset 0      magic byte 0xBF
 //	offset 1      frame format version (currently 1)
 //	offset 2      flags: bit 0 set when a payload follows the header
 //	offset 3..6   header length, uint32 big-endian
@@ -13,16 +14,9 @@
 // The header encodes Message fields as (tag, value) pairs. A tag byte is
 // fieldID<<1 | wiretype with wiretype 0 = zigzag varint and wiretype 1 =
 // uvarint-length-prefixed bytes, so unknown fields from newer peers are
-// skippable. Zero-valued fields are omitted, mirroring the JSON codec's
-// omitempty semantics. Map fields (a task spec's environment) are encoded
-// in sorted key order so the encoding of a message is deterministic.
-//
-// Receivers never need to be told which framing a sender chose: the first
-// byte of every message distinguishes a binary frame (0xBF) from a JSON
-// line ('{'), so a single connection may carry both while the two sides
-// negotiate. Senders only switch to binary after the peer has advertised
-// ProtoBinary (in its register message or in a transfer request), which
-// keeps old JSON-only peers — and a human driving netcat — working.
+// skippable. Zero-valued fields are omitted. Map fields (a task spec's
+// environment) are encoded in sorted key order so the encoding of a
+// message is deterministic.
 package protocol
 
 import (
@@ -37,24 +31,14 @@ import (
 	"taskvine/internal/taskspec"
 )
 
-// Protocol versions carried in the Message.Proto field during negotiation.
-const (
-	// ProtoJSON is the line-delimited JSON protocol every peer speaks.
-	ProtoJSON = 1
-	// ProtoBinary adds length-prefixed binary framing; negotiated at
-	// register time (manager links) or per request (peer transfers).
-	ProtoBinary = 2
-)
-
 const (
 	frameMagic       = 0xBF
 	frameVersion     = 1
 	frameFlagPayload = 0x01
 	framePrologueLen = 15
 
-	// maxHeaderBytes bounds a frame header (and a JSON control line): a
-	// peer claiming more is malformed, not a reason to allocate without
-	// limit. Inline task results and serialized function arguments ride in
+	// maxHeaderBytes bounds a frame header: a peer claiming more is
+	// malformed, not a reason to allocate without limit. Inline task results and serialized function arguments ride in
 	// the header, so the cap is generous.
 	maxHeaderBytes = 16 << 20
 )
@@ -92,11 +76,12 @@ const (
 	fChecksum       = 21
 	fStatus         = 22
 	fError          = 23
-	fProto          = 24
-	fOffset         = 25
-	fTotal          = 26
-	fPeerAddrs      = 27
-	fTier           = 28
+	// Tag 24 carried the retired framing-negotiation version; older peers
+	// may still send it (the decoder skips it), so it must not be reused.
+	fOffset    = 25
+	fTotal     = 26
+	fPeerAddrs = 27
+	fTier      = 28
 )
 
 // Spec field IDs (nested message, its own field space).
@@ -351,7 +336,6 @@ func encodeMessage(b []byte, m *Message) []byte {
 	b = appendStringField(b, fChecksum, m.Checksum)
 	b = appendStringField(b, fStatus, m.Status)
 	b = appendStringField(b, fError, m.Error)
-	b = appendVarintField(b, fProto, int64(m.Proto))
 	b = appendVarintField(b, fOffset, m.Offset)
 	b = appendVarintField(b, fTotal, m.Total)
 	b = appendStrings(b, fPeerAddrs, m.PeerAddrs)
@@ -680,10 +664,6 @@ func decodeMessage(b []byte) (*Message, error) {
 			m.Status, err = d.str()
 		case fError:
 			m.Error, err = d.str()
-		case fProto:
-			var v int64
-			v, err = d.varint()
-			m.Proto = int(v)
 		case fOffset:
 			m.Offset, err = d.varint()
 		case fTotal:

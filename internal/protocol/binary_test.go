@@ -8,13 +8,13 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"taskvine/internal/resources"
 	"taskvine/internal/taskspec"
 )
 
-// fullMessage exercises every encodable field of the union.
+// fullMessage exercises every encodable field of the union;
+// TestFullMessageCoversEveryField keeps that claim true.
 func fullMessage() *Message {
 	spec := &taskspec.Spec{
 		ID:       42,
@@ -32,12 +32,14 @@ func fullMessage() *Message {
 		MaxRetries:    2,
 		MaxRunSeconds: 1.5,
 		Category:      "bench",
+		ArgsFrom:      "handle-7",
+		Resident:      true,
 	}
 	return &Message{
 		Type:           TypeTask,
 		WorkerID:       "w-9",
 		TransferAddr:   "10.0.0.1:4000",
-		Capacity:       &resources.R{Cores: 8, Memory: 2 << 30},
+		Capacity:       &resources.R{Cores: 8, Memory: 2 << 30, Disk: 1 << 34, GPUs: 2},
 		TaskID:         42,
 		Spec:           spec,
 		ExitCode:       -3,
@@ -51,16 +53,62 @@ func fullMessage() *Message {
 		Size:           98765,
 		Dir:            true,
 		Lifetime:       2,
+		Tier:           1,
 		URL:            "https://example.com/x",
 		PeerAddr:       "10.0.0.2:4001",
 		TransferID:     "t-77",
 		Checksum:       "deadbeef",
 		Status:         StatusOK,
 		Error:          "nope",
-		Proto:          ProtoBinary,
 		Offset:         4096,
 		Total:          1 << 24,
 		PeerAddrs:      []string{"10.0.0.3:4002", "10.0.0.4:4003"},
+	}
+}
+
+// TestFullMessageCoversEveryField fails when an exported field of a type
+// the codec carries is zero in every value fullMessage builds, so a field
+// added to the wire types without a round-trip case cannot slip past the
+// codec tests. Payload is exempt: it rides in the frame prologue's flag,
+// which the payload round-trip tests cover.
+func TestFullMessageCoversEveryField(t *testing.T) {
+	seen := map[string]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				if !f.IsExported() {
+					continue
+				}
+				if !v.Field(i).IsZero() {
+					seen[v.Type().Name()+"."+f.Name] = true
+				}
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(fullMessage()))
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(Message{}), reflect.TypeOf(taskspec.Spec{}), reflect.TypeOf(taskspec.Mount{}),
+		reflect.TypeOf(resources.R{}), reflect.TypeOf(OutputInfo{}),
+	} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := typ.Name() + "." + f.Name
+			if f.IsExported() && !seen[name] && name != "Message.Payload" {
+				t.Errorf("fullMessage leaves %s zero", name)
+			}
+		}
 	}
 }
 
@@ -157,17 +205,8 @@ func TestBinaryCodecTruncatedHeader(t *testing.T) {
 	}
 }
 
-// binaryPair returns two Conns with binary sending enabled on both ends.
-func binaryPair(t *testing.T) (*Conn, *Conn) {
-	t.Helper()
-	ca, cb := pipePair(t)
-	ca.EnableBinary()
-	cb.EnableBinary()
-	return ca, cb
-}
-
 func TestBinaryWireRoundTrip(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	want := fullMessage()
 	go func() {
 		if err := ca.Send(want); err != nil {
@@ -187,7 +226,7 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 }
 
 func TestBinaryPayloadRoundTrip(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	data := bytes.Repeat([]byte("binary-payload"), 4096)
 	go func() {
 		m := &Message{Type: TypeData, CacheName: "file-bin", Size: int64(len(data)), Checksum: "c"}
@@ -211,39 +250,10 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFramingOnOneConn verifies per-message autodetect: a JSON message
-// followed by a binary frame followed by JSON again, all on one stream.
-func TestMixedFramingOnOneConn(t *testing.T) {
-	ca, cb := pipePair(t)
-	go func() {
-		ca.Send(&Message{Type: TypeHeartbeat, WorkerID: "j1"})
-		ca.EnableBinary()
-		ca.SendPayload(&Message{Type: TypePut, CacheName: "b", Size: 4}, bytes.NewReader([]byte("DATA")))
-		// cb never enabled binary: its replies would be JSON; here we just
-		// keep sending from ca to prove interleaving decodes.
-		ca.Send(&Message{Type: TypeRelease})
-	}()
-	m1, _, err := cb.Recv()
-	if err != nil || m1.Type != TypeHeartbeat || m1.WorkerID != "j1" {
-		t.Fatalf("m1=%+v err=%v", m1, err)
-	}
-	m2, p2, err := cb.Recv()
-	if err != nil || m2.Type != TypePut || m2.Size != 4 {
-		t.Fatalf("m2=%+v err=%v", m2, err)
-	}
-	b2, _ := io.ReadAll(p2)
-	if string(b2) != "DATA" {
-		t.Fatalf("payload=%q", b2)
-	}
-	m3, _, err := cb.Recv()
-	if err != nil || m3.Type != TypeRelease {
-		t.Fatalf("m3=%+v err=%v", m3, err)
-	}
-}
-
-// TestBinaryAbandonedPayloadIsDrained mirrors the JSON drain test.
+// TestBinaryAbandonedPayloadIsDrained: the next Recv skips a payload the
+// caller never read.
 func TestBinaryAbandonedPayloadIsDrained(t *testing.T) {
-	ca, cb := binaryPair(t)
+	ca, cb := pipePair(t)
 	go func() {
 		ca.SendPayload(&Message{Type: TypePut, CacheName: "big", Size: 5000},
 			bytes.NewReader(make([]byte, 5000)))
@@ -273,35 +283,6 @@ func TestOversizedFrameHeaderRejected(t *testing.T) {
 	}()
 	if _, _, err := cb.Recv(); err == nil {
 		t.Fatal("oversized header accepted")
-	}
-}
-
-// TestOversizedJSONLineRejected caps hostile JSON control lines too.
-func TestOversizedJSONLineRejected(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	cb := NewConn(b)
-	go func() {
-		junk := bytes.Repeat([]byte{'{'}, 1<<20)
-		for i := 0; i < 20; i++ {
-			if _, err := a.Write(junk); err != nil {
-				return
-			}
-		}
-	}()
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := cb.Recv()
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("unbounded JSON line accepted")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Recv hung on unbounded line")
 	}
 }
 
@@ -341,48 +322,5 @@ func TestSendPayloadDoesNotMutateSharedMessage(t *testing.T) {
 	wg.Wait()
 	if shared.Payload {
 		t.Fatal("SendPayload mutated the caller's message")
-	}
-}
-
-// TestNegotiationMatrix exercises the three sender/receiver pairings the
-// deployment can produce. "binary" peers enable binary sends after the
-// (out-of-band, here simulated) handshake; receivers need no configuration.
-func TestNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name    string
-		aBinary bool
-		bBinary bool
-	}{
-		{"binary-binary", true, true},
-		{"binary-json", true, false},
-		{"json-json", false, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ca, cb := pipePair(t)
-			if tc.aBinary {
-				ca.EnableBinary()
-			}
-			if tc.bBinary {
-				cb.EnableBinary()
-			}
-			go func() {
-				ca.SendPayload(&Message{Type: TypePut, CacheName: "m", Size: 2}, bytes.NewReader([]byte("ab")))
-			}()
-			m, p, err := cb.Recv()
-			if err != nil || m.CacheName != "m" {
-				t.Fatalf("a->b: m=%+v err=%v", m, err)
-			}
-			if b, _ := io.ReadAll(p); string(b) != "ab" {
-				t.Fatalf("a->b payload %q", b)
-			}
-			go func() {
-				cb.Send(&Message{Type: TypeCacheUpdate, CacheName: "m", Status: StatusOK})
-			}()
-			r, _, err := ca.Recv()
-			if err != nil || r.Type != TypeCacheUpdate || r.Status != StatusOK {
-				t.Fatalf("b->a: m=%+v err=%v", r, err)
-			}
-		})
 	}
 }

@@ -2,25 +2,30 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"testing"
 	"time"
-	"unicode/utf8"
+
+	"taskvine/internal/taskspec"
 )
 
 // FuzzRecv feeds arbitrary bytes to the message decoder: it must never
 // panic or hang, only return messages or errors.
 func FuzzRecv(f *testing.F) {
-	f.Add([]byte(`{"type":"heartbeat"}` + "\n"))
-	f.Add([]byte(`{"type":"put","cache_name":"x","size":3,"payload":true}` + "\nabc"))
-	f.Add([]byte(`{"type":"put","size":-5,"payload":true}` + "\n"))
-	f.Add([]byte("not json at all\n"))
-	f.Add([]byte(`{"type":"task","spec":{"id":1,"kind":0,"command":"x"}}` + "\n"))
-	f.Add([]byte{0, 1, 2, '\n', 0xff})
-	// Binary framing seeds: well-formed frames plus truncated/corrupt ones.
+	// Well-formed frames, truncated and corrupt ones, and bytes that are
+	// not a frame at all.
 	f.Add(binaryFrame(&Message{Type: TypeHeartbeat}, nil))
 	f.Add(binaryFrame(&Message{Type: TypePut, CacheName: "x", Size: 3}, []byte("abc")))
+	f.Add(binaryFrame(&Message{Type: TypePut, Size: -5}, nil))
+	absurd := binaryFrame(&Message{Type: TypePut, CacheName: "x"}, []byte("abc"))
+	binary.BigEndian.PutUint64(absurd[7:15], 1<<63)
+	f.Add(absurd)
+	f.Add(binaryFrame(&Message{Type: TypeTask, TaskID: 1, Spec: &taskspec.Spec{ID: 1, Command: "x"}}, nil))
+	f.Add([]byte("not a frame at all\n"))
+	f.Add([]byte{0, 1, 2, '\n', 0xff})
+	f.Add(binaryFrame(&Message{Type: TypeData, CacheName: "y", Checksum: "c", Offset: 8, Total: 64}, []byte("8 bytes!")))
 	f.Add(binaryFrame(&Message{Type: TypeTask, TaskID: 5}, nil)[:7])
 	f.Add([]byte{frameMagic, frameVersion, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{frameMagic, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -83,7 +88,7 @@ func binaryFrame(m *Message, payload []byte) []byte {
 func FuzzBinaryDecode(f *testing.F) {
 	f.Add(encodeMessage(nil, &Message{Type: TypeHeartbeat}))
 	f.Add(encodeMessage(nil, &Message{Type: TypeGet, CacheName: "x", Offset: 1, Total: 2,
-		PeerAddrs: []string{"a:1", "b:2"}, Proto: ProtoBinary}))
+		PeerAddrs: []string{"a:1", "b:2"}}))
 	f.Add([]byte{0x03, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeMessage(data)
@@ -117,12 +122,6 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add("cache-update", "w2", "", int64(0), "")
 	f.Fuzz(func(t *testing.T, typ, workerID, addr string, size int64, payload string) {
 		if size < 0 || size > 1<<16 || int64(len(payload)) != size {
-			t.Skip()
-		}
-		// JSON strings cannot carry invalid UTF-8: the encoder substitutes
-		// U+FFFD, so exact round-tripping only holds for valid control
-		// fields. The payload is raw bytes and exempt.
-		if !utf8.ValidString(typ) || !utf8.ValidString(workerID) || !utf8.ValidString(addr) {
 			t.Skip()
 		}
 		a, b := net.Pipe()

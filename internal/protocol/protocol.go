@@ -2,24 +2,19 @@
 // manager and its workers, and between peer workers during supervised
 // worker-to-worker transfers (§2.2, §3.3).
 //
-// The protocol has two interchangeable framings. The baseline (ProtoJSON)
-// is a stream of newline-delimited JSON control messages over TCP; a
-// control message whose Size field is positive and whose Payload flag is
-// set is immediately followed by exactly Size raw bytes of file data. The
-// fast path (ProtoBinary, see binary.go) replaces the JSON line with a
-// length-prefixed binary frame carrying the same fields. Receivers
-// distinguish the two by the first byte of each message, so negotiation is
-// sender-side only: a peer advertises ProtoBinary in its register message
-// (or transfer request) and the other side upgrades its sends after the
-// handshake. The manager directs all policy; workers respond asynchronously
-// with cache-update and completion messages, so the connection is fully
-// bidirectional and unsynchronized.
+// Every message on every link is a binary frame (see binary.go): a fixed
+// prologue, a tag/value header carrying the Message fields, and, when the
+// prologue's payload flag is set, exactly Size raw bytes of file data.
+// There is one framing and nothing to negotiate: a connection speaks
+// frames from its first byte, and a receiver rejects any message that does
+// not start with the frame magic byte. The manager directs all policy;
+// workers respond asynchronously with cache-update and completion
+// messages, so the connection is fully bidirectional and unsynchronized.
 package protocol
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -95,7 +90,8 @@ type OutputInfo struct {
 
 // Message is the single wire message shape. Fields are a union across all
 // message types; unused fields are omitted from the encoding. A flat union
-// keeps the codec trivial and the protocol debuggable with netcat.
+// keeps the codec trivial. The JSON struct tags are not a wire format: they
+// name the fields when a test or a log dumps a message with json.Marshal.
 type Message struct {
 	Type string `json:"type"`
 
@@ -149,11 +145,6 @@ type Message struct {
 	// fetch instruction, enabling the receiving worker to fetch disjoint
 	// chunks of a large object from several sources in parallel.
 	PeerAddrs []string `json:"peer_addrs,omitempty"`
-	// Proto advertises the highest protocol version the sender speaks
-	// (ProtoJSON or ProtoBinary); carried in register messages and transfer
-	// requests to negotiate binary framing.
-	Proto int `json:"proto,omitempty"`
-
 	// Status reporting.
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`
@@ -178,9 +169,6 @@ type Conn struct {
 	// pending is the unread remainder of the previous message's payload;
 	// it must be drained before the next control message can be decoded.
 	pending int64
-	// line accumulates JSON control lines that overflow the bufio buffer,
-	// reused across Recv calls to avoid per-message allocation.
-	line []byte
 
 	// wmu is the socket lock, held by whoever writes to raw: the writer
 	// goroutine, a payload send, or Close. Lock order is wmu, then qmu.
@@ -193,15 +181,6 @@ type Conn struct {
 	// spare is the buffer the writer last emptied, reused as the next
 	// queue (guarded by qmu).
 	spare []byte
-	// enc is the JSON encoder bound to the queue, reused across sends so
-	// the hot dispatch path does not re-marshal into a fresh byte slice per
-	// message (guarded by qmu). Encode appends the '\n' the line framing
-	// requires.
-	enc *json.Encoder
-	// bin selects binary framing for outgoing messages (guarded by qmu).
-	// Incoming framing needs no state: every message self-identifies by
-	// its first byte.
-	bin bool
 	// writing is set while a writer goroutine owns the queue (guarded by
 	// qmu).
 	writing bool
@@ -229,15 +208,6 @@ const (
 
 var errClosed = fmt.Errorf("protocol: send on closed connection: %w", net.ErrClosed)
 
-// queueWriter points the JSON encoder at the conn's queue. Caller holds
-// qmu.
-type queueWriter struct{ c *Conn }
-
-func (q queueWriter) Write(p []byte) (int, error) {
-	q.c.queue = append(q.c.queue, p...)
-	return len(p), nil
-}
-
 // NewConn wraps an established network connection.
 func NewConn(c net.Conn) *Conn {
 	conn := &Conn{
@@ -245,7 +215,6 @@ func NewConn(c net.Conn) *Conn {
 		r:   bufio.NewReaderSize(c, 1<<16),
 		w:   bufio.NewWriterSize(c, 1<<16),
 	}
-	conn.enc = json.NewEncoder(queueWriter{conn})
 	conn.drained.L = &conn.qmu
 	return conn
 }
@@ -294,7 +263,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadli
 // Send queues a control message with no payload and returns without
 // waiting for the socket. The message is encoded before Send returns, so
 // the caller may reuse it at once. The error is the connection's sticky
-// write failure, if an earlier write failed, or an encoding error.
+// write failure, if an earlier write failed.
 func (c *Conn) Send(m *Message) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
@@ -304,9 +273,7 @@ func (c *Conn) Send(m *Message) error {
 	if c.err != nil {
 		return c.err
 	}
-	if err := c.encodeLocked(m, false); err != nil {
-		return err
-	}
+	c.encodeLocked(m, false)
 	if !c.writing {
 		c.writing = true
 		c.writers.Add(1)
@@ -372,21 +339,11 @@ func (c *Conn) fail(err error) {
 	_ = c.raw.Close()
 }
 
-// EnableBinary switches outgoing messages on this connection to binary
-// framing. Call it only after the peer has advertised ProtoBinary; the
-// receive path is unaffected (framing is detected per message).
-func (c *Conn) EnableBinary() {
-	c.qmu.Lock()
-	c.bin = true
-	c.qmu.Unlock()
-}
-
-// SendsBinary reports whether outgoing messages use binary framing.
-func (c *Conn) SendsBinary() bool {
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	return c.bin
-}
+// EnableBinary does nothing: every connection sends binary frames from its
+// first byte.
+//
+// Deprecated: binary framing is the only framing; callers can drop the call.
+func (c *Conn) EnableBinary() {}
 
 // SendPayload writes a control message followed by exactly m.Size bytes
 // read from payload, after every frame queued before it, and returns once
@@ -408,11 +365,9 @@ func (c *Conn) SendPayload(m *Message, payload io.Reader) error {
 	defer c.wmu.Unlock()
 	c.qmu.Lock()
 	err := c.err
-	if err == nil {
-		err = c.encodeLocked(m, true)
-	}
 	var buf []byte
 	if err == nil {
+		c.encodeLocked(m, true)
 		buf = c.takeLocked()
 	}
 	c.qmu.Unlock()
@@ -442,16 +397,8 @@ func (c *Conn) SendPayload(m *Message, payload io.Reader) error {
 	return err
 }
 
-// encodeLocked appends m's frame to the queue in the connection's current
-// framing. An encoding error leaves the queue as it was. Caller holds qmu.
-func (c *Conn) encodeLocked(m *Message, hasPayload bool) error {
-	if !c.bin {
-		// Encode writes the whole line or, on error, nothing.
-		if err := c.enc.Encode(m); err != nil {
-			return fmt.Errorf("protocol: encoding %s: %w", m.Type, err)
-		}
-		return nil
-	}
+// encodeLocked appends m's frame to the queue. Caller holds qmu.
+func (c *Conn) encodeLocked(m *Message, hasPayload bool) {
 	start := len(c.queue)
 	var prologue [framePrologueLen]byte
 	prologue[0] = frameMagic
@@ -462,14 +409,13 @@ func (c *Conn) encodeLocked(m *Message, hasPayload bool) error {
 	}
 	c.queue = encodeMessage(append(c.queue, prologue[:]...), m)
 	binary.BigEndian.PutUint32(c.queue[start+3:start+7], uint32(len(c.queue)-start-framePrologueLen))
-	return nil
 }
 
-// Recv reads the next control message, auto-detecting the framing from its
-// first byte. If the message carries a payload, the returned reader yields
-// exactly Size bytes and MUST be fully consumed (or the connection
-// abandoned) before the next call to Recv; Recv drains any unconsumed
-// remainder itself as a safety net.
+// Recv reads the next message. If the message carries a payload, the
+// returned reader yields exactly Size bytes and MUST be fully consumed (or
+// the connection abandoned) before the next call to Recv; Recv drains any
+// unconsumed remainder itself as a safety net. A message that does not
+// start with the frame magic byte is an error naming the byte found.
 func (c *Conn) Recv() (*Message, io.Reader, error) {
 	if c.pending > 0 {
 		if _, err := io.CopyN(io.Discard, c.r, c.pending); err != nil {
@@ -477,64 +423,15 @@ func (c *Conn) Recv() (*Message, io.Reader, error) {
 		}
 		c.pending = 0
 	}
-	first, err := c.r.Peek(1)
-	if err != nil {
-		return nil, nil, err
-	}
-	if first[0] == frameMagic {
-		return c.recvBinary()
-	}
-	line, err := c.readLine()
-	if err != nil {
-		return nil, nil, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, nil, fmt.Errorf("protocol: malformed message %q: %w", truncate(line, 120), err)
-	}
-	if !m.Payload {
-		return &m, nil, nil
-	}
-	if m.Size < 0 {
-		return nil, nil, fmt.Errorf("protocol: %s message with negative payload size %d", m.Type, m.Size)
-	}
-	c.pending = m.Size
-	pr := &payloadReader{c: c, r: io.LimitReader(c.r, m.Size)}
-	return &m, pr, nil
-}
-
-// readLine reads one newline-terminated JSON control line without the
-// per-call allocation of ReadBytes. Lines that fit the bufio buffer are
-// returned as a view into it (valid until the next read); longer lines are
-// accumulated into a buffer reused across calls, capped at maxHeaderBytes.
-func (c *Conn) readLine() ([]byte, error) {
-	line, err := c.r.ReadSlice('\n')
-	if err == nil {
-		return line, nil
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	c.line = append(c.line[:0], line...)
-	for {
-		line, err = c.r.ReadSlice('\n')
-		c.line = append(c.line, line...)
-		if len(c.line) > maxHeaderBytes {
-			return nil, fmt.Errorf("protocol: control line exceeds %d bytes", maxHeaderBytes)
-		}
-		if err == nil {
-			return c.line, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-// recvBinary parses one binary frame whose magic byte is already buffered.
-func (c *Conn) recvBinary() (*Message, io.Reader, error) {
 	var prologue [framePrologueLen]byte
-	if _, err := io.ReadFull(c.r, prologue[:]); err != nil {
+	if _, err := io.ReadFull(c.r, prologue[:1]); err != nil {
+		return nil, nil, err
+	}
+	if prologue[0] != frameMagic {
+		return nil, nil, fmt.Errorf("protocol: message starts with byte %#02x %q, not frame magic %#02x",
+			prologue[0], prologue[0], frameMagic)
+	}
+	if _, err := io.ReadFull(c.r, prologue[1:]); err != nil {
 		return nil, nil, fmt.Errorf("protocol: reading frame prologue: %w", err)
 	}
 	if prologue[1] != frameVersion {
@@ -584,13 +481,6 @@ func (p *payloadReader) Read(b []byte) (int, error) {
 	n, err := p.r.Read(b)
 	p.c.pending -= int64(n)
 	return n, err
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		return string(b[:n]) + "..."
-	}
-	return string(b)
 }
 
 // Dial connects to a TaskVine endpoint.

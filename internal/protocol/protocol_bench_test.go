@@ -10,11 +10,8 @@ import (
 	"testing"
 )
 
-// benchEcho dials a loopback echo server and returns the client side. When
-// binary is set, both directions use binary framing — the plane a modern
-// manager/worker pair negotiates at register time; otherwise the legacy
-// JSON line protocol.
-func benchEcho(b *testing.B, binary bool) *Conn {
+// benchEcho dials a loopback echo server and returns the client side.
+func benchEcho(b *testing.B) *Conn {
 	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -28,9 +25,6 @@ func benchEcho(b *testing.B, binary bool) *Conn {
 			return
 		}
 		c := NewConn(nc)
-		if binary {
-			c.EnableBinary()
-		}
 		close(ready)
 		for {
 			m, payload, err := c.Recv()
@@ -54,15 +48,15 @@ func benchEcho(b *testing.B, binary bool) *Conn {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { client.Close() })
-	if binary {
-		client.EnableBinary()
-	}
 	<-ready
 	return client
 }
 
-func benchRoundTrip(b *testing.B, binary bool) {
-	client := benchEcho(b, binary)
+// BenchmarkControlMessageRoundTrip measures manager↔worker control message
+// latency over a real loopback socket — the cost floor of the "millisecond
+// per task" dispatch budget discussed in §6.
+func BenchmarkControlMessageRoundTrip(b *testing.B) {
+	client := benchEcho(b)
 	msg := &Message{Type: TypeHeartbeat, WorkerID: "bench"}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -75,17 +69,6 @@ func benchRoundTrip(b *testing.B, binary bool) {
 		}
 	}
 }
-
-// BenchmarkControlMessageRoundTrip measures manager↔worker control message
-// latency over a real loopback socket — the cost floor of the "millisecond
-// per task" dispatch budget discussed in §6 — on the default (binary)
-// frame plane.
-func BenchmarkControlMessageRoundTrip(b *testing.B) { benchRoundTrip(b, true) }
-
-// BenchmarkControlMessageRoundTripJSON is the same round trip on the
-// legacy JSON line protocol, the fallback plane for old peers and netcat
-// debugging.
-func BenchmarkControlMessageRoundTripJSON(b *testing.B) { benchRoundTrip(b, false) }
 
 // countingConn counts the Write calls that reach the socket.
 type countingConn struct {
@@ -112,7 +95,6 @@ func BenchmarkConnBurst(b *testing.B) {
 			client, server := NewConn(sock), NewConn(r)
 			defer client.Close()
 			defer server.Close()
-			client.EnableBinary()
 			drained := make(chan error, 1)
 			go func() {
 				for i := 0; i < b.N; i++ {
@@ -154,10 +136,11 @@ func BenchmarkConnBurst(b *testing.B) {
 	}
 }
 
-func benchPayload(b *testing.B, binary bool) {
+// BenchmarkPayloadThroughput measures bulk object movement over loopback.
+func BenchmarkPayloadThroughput(b *testing.B) {
 	const size = 4 << 20
 	data := bytes.Repeat([]byte{0xAB}, size)
-	client := benchEcho(b, binary)
+	client := benchEcho(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -171,14 +154,6 @@ func benchPayload(b *testing.B, binary bool) {
 		}
 	}
 }
-
-// BenchmarkPayloadThroughput measures bulk object movement through the
-// default (binary) framing over loopback.
-func BenchmarkPayloadThroughput(b *testing.B) { benchPayload(b, true) }
-
-// BenchmarkPayloadThroughputJSON is the same bulk movement on the legacy
-// JSON line protocol.
-func BenchmarkPayloadThroughputJSON(b *testing.B) { benchPayload(b, false) }
 
 // BenchmarkBinaryEncode measures pure codec cost for a representative
 // control message, without socket I/O.

@@ -192,8 +192,13 @@ func TestMalformedMessage(t *testing.T) {
 	go func() {
 		a.Write([]byte("this is not json\n"))
 	}()
-	if _, _, err := cb.Recv(); err == nil {
+	_, _, err := cb.Recv()
+	if err == nil {
 		t.Fatal("malformed message accepted")
+	}
+	// The error names the offending first byte, 't'.
+	if !strings.Contains(err.Error(), "0x74") {
+		t.Fatalf("error %q does not name the first byte", err)
 	}
 }
 

@@ -43,37 +43,32 @@ func loopback(t testing.TB) (net.Conn, net.Conn) {
 }
 
 func TestCloseDeliversQueuedFrames(t *testing.T) {
-	for _, binary := range []bool{false, true} {
-		a, b := loopback(t)
-		ca, cb := NewConn(a), NewConn(b)
-		if binary {
-			ca.EnableBinary()
-		}
-		const n = 500
-		for i := 0; i < n; i++ {
-			if err := ca.Send(&Message{Type: TypeComplete, TaskID: i + 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ca.Close(); err != nil {
+	a, b := loopback(t)
+	ca, cb := NewConn(a), NewConn(b)
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := ca.Send(&Message{Type: TypeComplete, TaskID: i + 1}); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			m, _, err := cb.Recv()
-			if err != nil {
-				t.Fatalf("binary=%v: frame %d lost: %v", binary, i+1, err)
-			}
-			if m.TaskID != i+1 {
-				t.Fatalf("binary=%v: frame %d arrived as task %d", binary, i+1, m.TaskID)
-			}
+	}
+	if err := ca.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		m, _, err := cb.Recv()
+		if err != nil {
+			t.Fatalf("frame %d lost: %v", i+1, err)
 		}
-		if _, _, err := cb.Recv(); err != io.EOF {
-			t.Fatalf("after the last frame: err=%v, want EOF", err)
+		if m.TaskID != i+1 {
+			t.Fatalf("frame %d arrived as task %d", i+1, m.TaskID)
 		}
-		cb.Close()
-		if err := ca.Send(&Message{Type: TypeHeartbeat}); !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("Send after Close: err=%v, want net.ErrClosed", err)
-		}
+	}
+	if _, _, err := cb.Recv(); err != io.EOF {
+		t.Fatalf("after the last frame: err=%v, want EOF", err)
+	}
+	cb.Close()
+	if err := ca.Send(&Message{Type: TypeHeartbeat}); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("Send after Close: err=%v, want net.ErrClosed", err)
 	}
 }
 

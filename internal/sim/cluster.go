@@ -417,13 +417,6 @@ func (c *Cluster) liveWorkerList() []*simWorker {
 	return c.liveSorted
 }
 
-// framingCost is the wire-plane overhead for one message moving n payload
-// bytes: zero under the binary streaming plane (the defaults), positive
-// when Params model the legacy JSON line protocol.
-func (c *Cluster) framingCost(n float64) float64 {
-	return c.params.FramePerMessageCost + c.params.FramePerByteCost*n
-}
-
 // requestSchedule coalesces schedule passes: at most one pending pass,
 // ControlLatency after the triggering event.
 func (c *Cluster) requestSchedule() {
@@ -431,7 +424,7 @@ func (c *Cluster) requestSchedule() {
 		return
 	}
 	c.scheduled = true
-	c.eng.After(c.params.ControlLatency+c.framingCost(0), func() {
+	c.eng.After(c.params.ControlLatency, func() {
 		c.scheduled = false
 		c.schedule()
 	})
@@ -714,7 +707,7 @@ func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker,
 		File: fileID, Source: c.sourceLabel(src), Detail: detail,
 	})
 	var from *Endpoint
-	latency := c.params.TransferLatency + c.framingCost(float64(f.Size))
+	latency := c.params.TransferLatency
 	if fault.Action == chaos.Slow {
 		latency += fault.Delay.Seconds()
 	}
@@ -846,7 +839,7 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 			File: fmt.Sprintf("task-%d-outputs", id), Source: "worker:" + w.spec.ID,
 		})
 		epoch := t.epoch
-		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency+c.framingCost(float64(total)), func() {
+		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency, func() {
 			if t.epoch != epoch || !w.joined {
 				return // preempted while returning outputs
 			}

@@ -146,15 +146,6 @@ type Params struct {
 	// worker with free resources regardless of cached inputs. Used by the
 	// scheduler-placement ablation.
 	IgnoreLocality bool
-	// FramePerMessageCost charges fixed seconds per control interaction,
-	// modeling wire-framing overhead (encode, parse, copy). Zero — the
-	// default — models the binary frame plane, whose per-message cost is
-	// negligible at simulation granularity.
-	FramePerMessageCost float64
-	// FramePerByteCost charges seconds per payload byte on transfers for
-	// framing and buffer-materialization overhead; zero models the
-	// zero-copy streaming plane.
-	FramePerByteCost float64
 }
 
 // DefaultParams returns parameters matching the paper's testbed: 10 GbE
@@ -173,15 +164,4 @@ func DefaultParams() Params {
 		PerFlowBW:         25e6,
 		DefaultUnpackRate: 400e6,
 	}
-}
-
-// JSONFraming returns p with framing costs modeling the legacy JSON line
-// protocol: every payload byte is materialized in memory and re-encoded,
-// and each control message pays serialization overhead. Comparing a
-// workload under JSONFraming(DefaultParams()) against DefaultParams()
-// isolates what the binary streaming plane buys.
-func JSONFraming(p Params) Params {
-	p.FramePerMessageCost = 50e-6
-	p.FramePerByteCost = 1.0 / 400e6 // ~400 MB/s encode+copy throughput
-	return p
 }

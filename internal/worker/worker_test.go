@@ -8,7 +8,6 @@ package worker
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"strings"
@@ -29,13 +28,24 @@ type fakeManager struct {
 	reg  *protocol.Message
 }
 
-// writeHeader writes a payload-announcing JSON control line straight to a
-// fake peer's socket, so the peer can follow it with a short or stalled
-// payload that a Conn would refuse to send.
+// writeHeader writes the frame prologue and header of a payload-announcing
+// message straight to a fake peer's socket, so the peer can follow it with
+// a short or stalled payload that a Conn would refuse to send. A Conn
+// renders the whole frame onto a recording socket; the payload is cut off.
 func writeHeader(nc net.Conn, m *protocol.Message) {
-	line, _ := json.Marshal(m)
-	nc.Write(append(line, '\n'))
+	rec := &recordConn{}
+	protocol.NewConn(rec).SendPayload(m, bytes.NewReader(make([]byte, m.Size)))
+	frame := rec.buf.Bytes()
+	nc.Write(frame[:len(frame)-int(m.Size)])
 }
+
+// recordConn is a socket that only records what is written to it.
+type recordConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (r *recordConn) Write(p []byte) (int, error) { return r.buf.Write(p) }
 
 func startFake(t *testing.T) *fakeManager {
 	t.Helper()
