@@ -22,30 +22,37 @@ import (
 	"taskvine/internal/resources"
 )
 
-// TestBinaryPutExecuteFetch runs a complete put-execute-fetch round trip
-// over the manager↔worker link.
-func TestBinaryPutExecuteFetch(t *testing.T) {
-	h := newHarness(t, 1, Config{})
-	in, err := h.m.Files().DeclareBuffer([]byte("framing matrix"), files.LifetimeWorkflow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := h.m.Files().DeclareTemp()
-	spec := command("tr a-z A-Z < in > out")
-	spec.AddInput(in.ID, "in")
-	spec.AddOutput(out.ID, "out")
-	if _, err := h.m.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	if r := waitResult(t, h.m); !r.OK {
-		t.Fatalf("task failed: %+v", r)
-	}
-	got, err := h.m.FetchFile(context.Background(), out.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "FRAMING MATRIX" {
-		t.Fatalf("fetched %q", got)
+// TestProtoNegotiationMatrix runs a complete put-execute-fetch round trip
+// over the manager↔worker link for every framing pairing a manager and a
+// worker can settle on. Binary frames are the only framing left, so the
+// matrix holds one pairing; the name is kept so the round trip stays
+// tracked under the name it has always had.
+func TestProtoNegotiationMatrix(t *testing.T) {
+	for _, name := range []string{"binary-binary"} {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, 1, Config{})
+			in, err := h.m.Files().DeclareBuffer([]byte("framing matrix"), files.LifetimeWorkflow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := h.m.Files().DeclareTemp()
+			spec := command("tr a-z A-Z < in > out")
+			spec.AddInput(in.ID, "in")
+			spec.AddOutput(out.ID, "out")
+			if _, err := h.m.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			if r := waitResult(t, h.m); !r.OK {
+				t.Fatalf("task failed: %+v", r)
+			}
+			got, err := h.m.FetchFile(context.Background(), out.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != "FRAMING MATRIX" {
+				t.Fatalf("fetched %q", got)
+			}
+		})
 	}
 }
 

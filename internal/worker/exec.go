@@ -91,6 +91,13 @@ func (w *Worker) sendCompleteMeasured(spec *taskspec.Spec, release bool, exit in
 	if release {
 		w.releaseTask(spec)
 	}
+	if w.session != nil && w.session.Err() != nil {
+		// The session ended and killed the task with it. Its exit is the
+		// worker leaving, not a task failure: the manager requeues the task
+		// when it sees the connection drop, and a failure arriving first
+		// would end the task instead.
+		return
+	}
 	m := &protocol.Message{
 		Type:           protocol.TypeComplete,
 		WorkerID:       w.cfg.ID,

@@ -97,6 +97,9 @@ type Worker struct {
 	pool  *resources.Pool
 	conn  *protocol.Conn
 	vm    *metrics.VineMetrics
+	// session is the manager session's context, set by Run before the read
+	// loop starts; tasks killed because it ended report nothing.
+	session context.Context
 
 	peerLn   net.Listener
 	peerAddr string
@@ -276,6 +279,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	w.session = sctx
 	go func() {
 		select {
 		case <-sctx.Done():

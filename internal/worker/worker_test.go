@@ -8,6 +8,7 @@ package worker
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -355,6 +356,45 @@ func TestKillRunningTask(t *testing.T) {
 	})
 	if res.Status == protocol.StatusOK && res.ExitCode == 0 {
 		t.Fatalf("killed task reported clean success: %+v", res)
+	}
+}
+
+// TestSessionEndReportsNoTaskFailure checks that a task killed because the
+// worker's manager session ended is not reported as a failed task. The
+// manager requeues a departed worker's tasks when the connection drops; a
+// failure arriving first would end the task instead. A heartbeat sent after
+// the suppressed completion proves, by the link's ordering, that nothing
+// preceded it.
+func TestSessionEndReportsNoTaskFailure(t *testing.T) {
+	a, b := net.Pipe()
+	w, err := New(Config{WorkDir: t.TempDir(), Capacity: resources.R{Cores: 1}, ID: "ending"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.conn = protocol.NewConn(a)
+	mgr := protocol.NewConn(b)
+	t.Cleanup(func() {
+		w.conn.Close()
+		mgr.Close()
+	})
+	session, end := context.WithCancel(context.Background())
+	w.session = session
+	spec := &taskspec.Spec{ID: 7, Kind: taskspec.KindCommand, Command: "sleep 30"}
+
+	w.sendComplete(spec, false, 1, nil, nil, 0, 0, errors.New("exit status 1"))
+	if m, _, err := mgr.Recv(); err != nil || m.Type != protocol.TypeComplete || m.TaskID != 7 {
+		t.Fatalf("live session: got %+v, err=%v; want the task's completion", m, err)
+	}
+
+	end()
+	w.sendComplete(spec, false, -1, nil, nil, 0, 0, errors.New("exit status -1"))
+	w.conn.Send(&protocol.Message{Type: protocol.TypeHeartbeat, WorkerID: "ending"})
+	m, _, err := mgr.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Type != protocol.TypeHeartbeat {
+		t.Fatalf("ended session reported %+v; want nothing before the heartbeat", m)
 	}
 }
 
