@@ -37,52 +37,84 @@ func digestBlastEvicting() *sim.Workload {
 	return w
 }
 
+// digestCase is one simulated run whose full trace CSV is pinned by its
+// SHA-256. A zero seed runs fault-free; any other seed runs under
+// goldenChaos(seed).
+type digestCase struct {
+	name      string
+	build     func() *sim.Workload
+	seed      int64
+	placement bool
+	evicts    bool
+	wantHash  string
+}
+
+func (tc digestCase) check(t *testing.T) {
+	t.Helper()
+	w := tc.build()
+	c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
+	if tc.placement {
+		c.SetPlacement(policy.PlacementSpec{Enabled: true})
+	}
+	if tc.seed != 0 {
+		c.InjectFaults(goldenChaos(tc.seed))
+	}
+	c.Run()
+	if got, want := c.CompletedTasks(), len(w.Tasks); got != want {
+		t.Fatalf("completed %d/%d tasks", got, want)
+	}
+	events := c.Trace().Events()
+	if tc.evicts {
+		evicted := 0
+		for _, e := range events {
+			if e.Kind == trace.FileEvicted {
+				evicted++
+			}
+		}
+		if evicted == 0 {
+			t.Fatal("trace has no FileEvicted events; the case no longer exercises eviction")
+		}
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != tc.wantHash {
+		t.Fatalf("trace digest %s, want %s (%d events)", got, tc.wantHash, len(events))
+	}
+}
+
 // TestTraceDigestsAtBenchmarkScale pins the simulator's decisions at the
 // benchmark's scale, where the golden traces are too small to reach: the
 // SHA-256 of each full trace CSV must match the digest recorded for the
 // same run before the scheduling pass was made incremental. A mismatch
 // means a scheduling, transfer, or eviction decision changed.
 func TestTraceDigestsAtBenchmarkScale(t *testing.T) {
-	cases := []struct {
-		name     string
-		build    func() *sim.Workload
-		seed     int64
-		evicts   bool
-		wantHash string
-	}{
-		{"topeft2000_seed1", digestTopEFT, 1, false, "4cbbc5db14ca4d5f67d60d43a42a5264adc0535693a61df4660741c19e50d8b4"},
-		{"topeft2000_seed2", digestTopEFT, 2, false, "0a9e270a459fd23da24e29904079e3917ef125c2fc7612507a5da7e091558efe"},
-		{"blast_evicting_seed1", digestBlastEvicting, 1, true, "da900c2785085c14481857b88a1dd126681bbbf687804f1b0f737b5350135d05"},
+	for _, tc := range []digestCase{
+		{name: "topeft2000_seed1", build: digestTopEFT, seed: 1, wantHash: "4cbbc5db14ca4d5f67d60d43a42a5264adc0535693a61df4660741c19e50d8b4"},
+		{name: "topeft2000_seed2", build: digestTopEFT, seed: 2, wantHash: "0a9e270a459fd23da24e29904079e3917ef125c2fc7612507a5da7e091558efe"},
+		{name: "blast_evicting_seed1", build: digestBlastEvicting, seed: 1, evicts: true, wantHash: "da900c2785085c14481857b88a1dd126681bbbf687804f1b0f737b5350135d05"},
+	} {
+		t.Run(tc.name, tc.check)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := tc.build()
-			c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
-			c.InjectFaults(goldenChaos(tc.seed))
-			c.Run()
-			if got, want := c.CompletedTasks(), len(w.Tasks); got != want {
-				t.Fatalf("completed %d/%d tasks", got, want)
-			}
-			events := c.Trace().Events()
-			if tc.evicts {
-				evicted := 0
-				for _, e := range events {
-					if e.Kind == trace.FileEvicted {
-						evicted++
-					}
-				}
-				if evicted == 0 {
-					t.Fatal("trace has no FileEvicted events; the case no longer exercises eviction")
-				}
-			}
-			var buf bytes.Buffer
-			if err := trace.WriteCSV(&buf, events); err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(buf.Bytes())
-			if got := hex.EncodeToString(sum[:]); got != tc.wantHash {
-				t.Fatalf("trace digest %s, want %s (%d events)", got, tc.wantHash, len(events))
-			}
-		})
+}
+
+// TestPlacementTraceDigests pins lookahead placement's decisions: the same
+// trace digests for runs with default placement on, fault-free and under
+// the golden chaos mix. The golden traces and the benchmark-scale digests
+// all run with placement off, so without these nothing pins which
+// prefetches and replicas placement issues, or when.
+func TestPlacementTraceDigests(t *testing.T) {
+	for _, tc := range []digestCase{
+		{name: "blast_placement", build: placementBlast, wantHash: "8a501f0f5f01d373d504609a89dc752f0dc5e709b996b79b58fec7959d2ecf39"},
+		{name: "blast_placement_seed1", build: placementBlast, seed: 1, wantHash: "99d6e104c438c3c038f3e0a9c7ccbd6670af0d27a4cb4753cfba1a9ad8b1f640"},
+		{name: "topeft_placement", build: goldenTopEFT, wantHash: "41bb364ac43e5f42ff0d7e43ec04bba4fddc93013e7986965017c5652d81202c"},
+		{name: "topeft_placement_seed1", build: goldenTopEFT, seed: 1, wantHash: "3bfdeb5e82c7ce47c741d59eca9f878574f62456b2b8690b88b040e50d2c6556"},
+		{name: "blast_evicting_placement", build: digestBlastEvicting, evicts: true, wantHash: "acacea3f07bd8e43d2a39cad36a0c85af445d733f83272f57b2a934eb6b2a9d2"},
+		{name: "blast_evicting_placement_seed1", build: digestBlastEvicting, seed: 1, evicts: true, wantHash: "b78578380b7956b9935c56322f8de2ecc3563716930bccb0c775ff9d794c8d54"},
+	} {
+		tc.placement = true
+		t.Run(tc.name, tc.check)
 	}
 }
