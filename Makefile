@@ -57,9 +57,10 @@ chaos:
 # floors in COVERAGE.json (tools/covercheck). The full per-package report
 # lands in COVERAGE_REPORT.json — a non-gating artifact CI uploads so
 # coverage trends stay visible — while the floors (internal/core,
-# internal/sim) fail the build on regression. cover-update additionally
-# refreshes the recorded "measured" section of COVERAGE.json after an
-# intentional change.
+# internal/policy, internal/replica, internal/sim, internal/worker) fail
+# the build on regression. cover-update additionally refreshes the
+# recorded "measured" section of COVERAGE.json after an intentional
+# change.
 cover:
 	$(GO) test -cover ./... > COVER.out || { cat COVER.out; rm -f COVER.out; exit 1; }
 	cat COVER.out

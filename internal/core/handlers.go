@@ -28,7 +28,7 @@ func (m *Manager) handleMessage(ev event) {
 	case protocol.TypeCacheUpdate:
 		m.handleCacheUpdate(msg)
 	case protocol.TypeCacheInvalid:
-		m.placementGone(msg.CacheName, msg.WorkerID)
+		m.place.Gone(msg.CacheName, msg.WorkerID)
 		m.reps.Remove(msg.CacheName, msg.WorkerID)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.FileEvicted, Worker: msg.WorkerID, File: msg.CacheName})
 		// Staging tasks that counted on the evicted replica must replan.
@@ -135,7 +135,7 @@ func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
 				File: msg.CacheName, Bytes: msg.Size, Source: sourceLabel(tr.Source),
 			})
 			m.clearTransferFailure(msg.CacheName, msg.WorkerID)
-			m.placementLanded(msg.CacheName, msg.WorkerID)
+			m.place.Landed(msg.CacheName, msg.WorkerID)
 		} else if ok {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.TransferFailed, Worker: msg.WorkerID,
@@ -421,7 +421,7 @@ func (m *Manager) workerGone(workerID string) {
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
 	m.logf("worker %s left", workerID)
 
-	m.placementDropWorker(workerID)
+	m.place.DropWorker(workerID)
 	affected := m.reps.DropWorker(workerID)
 	cancelled := m.trs.DropWorker(workerID)
 	for _, tr := range cancelled {
@@ -485,14 +485,14 @@ func (m *Manager) workerGone(workerID string) {
 func (m *Manager) endWorkflow(release bool) {
 	for _, fid := range m.reg.WorkflowGarbage() {
 		for _, wid := range m.reps.Locate(fid) {
-			m.placementGone(fid, wid)
+			m.place.Gone(fid, wid)
 			m.reps.Remove(fid, wid)
 		}
 	}
 	if release {
 		// Any placement still unresolved when the run ends was moved for
 		// nothing; flush it as waste so the conservation law closes.
-		m.placementFlush()
+		m.place.Flush()
 	}
 	for _, w := range m.workers {
 		if w.gone {
@@ -572,7 +572,7 @@ func (m *Manager) handleInvoke(ev event) {
 	// the task itself holds a zero allocation (balanced by finishTask's
 	// release).
 	for _, mt := range ev.spec.Inputs {
-		m.placementUse(mt.FileID, w.id)
+		m.place.Use(mt.FileID, w.id)
 	}
 	m.setState(id, t, taskspec.StateRunning)
 	t.worker = w.id

@@ -124,19 +124,23 @@ func (m *Manager) indexInputs(id int, t *taskState) {
 			set = make(map[int]bool)
 			m.fileWaiters[in.FileID] = set
 		}
-		set[id] = true
-		m.placementIndex(in.FileID, len(set))
+		if !set[id] {
+			set[id] = true
+			m.place.Consume(in.FileID, 1)
+		}
 	}
 }
 
 func (m *Manager) unindexInputs(id int, t *taskState) {
 	for _, in := range t.spec.Inputs {
 		if set := m.fileWaiters[in.FileID]; set != nil {
-			delete(set, id)
+			if set[id] {
+				delete(set, id)
+				m.place.Consume(in.FileID, -1)
+			}
 			if len(set) == 0 {
 				delete(m.fileWaiters, in.FileID)
 			}
-			m.placementIndex(in.FileID, len(set))
 		}
 	}
 }

@@ -133,6 +133,8 @@ type Manager struct {
 	waiting []int
 	reps    *replica.Table
 	trs     *replica.Transfers
+	// view is the policy's read-only View over reps and trs.
+	view    *policy.View
 	libs    map[string]*librarySpec
 	fetches map[string][]chan fetchResult // cache name -> waiters
 	// replicaGoals maps file ID -> desired replica count, reconciled on
@@ -197,7 +199,7 @@ type Manager struct {
 	sendMsg   protocol.Message
 	// place is the lookahead placement engine; nil unless cfg.Placement is
 	// enabled. Event-loop-owned like everything above.
-	place *placementEngine
+	place *policy.Lookahead
 
 	loopDone chan struct{}
 	closing  bool
@@ -416,10 +418,7 @@ func newManagerState(cfg Config) *Manager {
 	// (queue gauges, pass durations, dispatch latency, submissions).
 	metrics.BridgeTrace(tlog, vm)
 	cfg.Faults.SetMetrics(vm.ChaosInjections)
-	var place *placementEngine
-	if cfg.Placement.Enabled {
-		place = newPlacementEngine(cfg.Placement)
-	}
+	view := &policy.View{Reps: replica.NewTable(), Trs: replica.NewTransfers()}
 	return &Manager{
 		cfg:           cfg,
 		reg:           files.NewRegistry(cfg.Head),
@@ -430,8 +429,9 @@ func newManagerState(cfg Config) *Manager {
 		start:         time.Now(),
 		workers:       make(map[string]*workerConn),
 		tasks:         make(map[int]*taskState),
-		reps:          replica.NewTable(),
-		trs:           replica.NewTransfers(),
+		reps:          view.Reps,
+		trs:           view.Trs,
+		view:          view,
 		libs:          make(map[string]*librarySpec),
 		fetches:       make(map[string][]chan fetchResult),
 		replicaGoals:  make(map[string]int),
@@ -442,7 +442,7 @@ func newManagerState(cfg Config) *Manager {
 		fileWaiters:   make(map[string]map[int]bool),
 		wakeSet:       make(map[int]bool),
 		stagingDirty:  make(map[int]bool),
-		place:         place,
+		place:         policy.NewLookahead(cfg.Placement, vm, view),
 		loopDone:      make(chan struct{}),
 		conns:         make(map[*protocol.Conn]struct{}),
 		resSig:        make(chan struct{}, 1),

@@ -1,338 +1,81 @@
 package core
 
 import (
-	"sort"
-
 	"taskvine/internal/files"
 	"taskvine/internal/policy"
 	"taskvine/internal/taskspec"
 )
 
-// placementEngine is the manager-side state of workflow-aware lookahead
-// placement (policy.PlanPlacement). It is owned by the event loop like the
-// rest of the scheduling state and runs no goroutines of its own: planning
-// happens at the tail of each scheduling pass and transfers ride the same
-// supervised machinery as demand staging, so retry, chaos injection, and
-// trace semantics come for free.
-//
-// Every issued placement transfer is tracked in records until it resolves
-// exactly once:
-//
-//   - hit: a task (or MiniTask materialization) consuming the file is
-//     dispatched to the destination worker;
-//   - failure: the transfer fails before the object lands;
-//   - waste: the landed object is evicted, deleted, lost with its worker,
-//     or still unconsumed when the workflow ends.
-//
-// The conservation law issued == hits + failures + wastes (once the run
-// drains) is pinned by the chaos suites.
-type placementEngine struct {
-	spec policy.PlacementSpec
-	// hot tracks files whose waiting-consumer fan-out (len(fileWaiters))
-	// reached spec.FanoutThreshold; maintained O(1) per index change.
-	hot map[string]bool
-	// records holds one entry per unresolved placement transfer.
-	records map[transferKey]*placementRecord
-	// placed accounts bytes charged to each worker's placement budget by
-	// unresolved records.
-	placed map[string]int64
-	// scratch reused across passes.
-	taskBuf []policy.PlacementTask
-	hotBuf  []policy.HotFile
-}
+// placementHost is the manager's policy.Substrate: lookahead placement
+// (m.place, a policy.Lookahead) runs at the tail of each scheduling pass,
+// owned by the event loop like the rest of the scheduling state, and its
+// transfers ride the same supervised machinery as demand staging, so
+// retry, chaos injection, and trace semantics come for free.
+type placementHost struct{ m *Manager }
 
-type placementRecord struct {
-	kind policy.PlacementKind
-	// charged is the byte amount held against the destination's budget
-	// (zero when the size was unknown at issue time).
-	charged int64
-	// landed flips when the object commits at the destination; it decides
-	// whether an unconsumed loss counts as waste (moved bytes thrown away)
-	// or failure (never arrived).
-	landed bool
-}
-
-func newPlacementEngine(spec policy.PlacementSpec) *placementEngine {
-	return &placementEngine{
-		spec:    spec.WithDefaults(),
-		hot:     map[string]bool{},
-		records: map[transferKey]*placementRecord{},
-		placed:  map[string]int64{},
+// placeLookahead runs one lookahead placement pass unless placement is off
+// or the manager is closing.
+func (m *Manager) placeLookahead() {
+	if m.place != nil && !m.closing {
+		m.place.Pass(placementHost{m}, m.workerInfos(""), m.waiting, m.cfg.Limits)
 	}
 }
 
-// placementIndex keeps the hot set in step with the file→waiting-tasks
-// index; called from indexInputs/unindexInputs with the new waiter count.
-func (m *Manager) placementIndex(fileID string, waiters int) {
-	e := m.place
-	if e == nil {
-		return
+func (h placementHost) QueuedNeeds(id int) []policy.FileNeed {
+	t := h.m.tasks[id]
+	if t == nil || t.state != taskspec.StateWaiting {
+		return nil
 	}
-	if waiters >= e.spec.FanoutThreshold {
-		e.hot[fileID] = true
-	} else {
-		delete(e.hot, fileID)
-	}
+	return h.needs(t.spec.Inputs)
 }
 
-// placementBudget returns the bytes still available for placement at a
-// worker: DiskFraction of its disk capacity minus unresolved placements.
-// Workers reporting no disk capacity are unlimited.
-func (m *Manager) placementBudget(workerID string) int64 {
-	e := m.place
-	w := m.workers[workerID]
-	if w == nil || w.capacity.Disk <= 0 {
-		return -1
-	}
-	b := int64(e.spec.DiskFraction*float64(w.capacity.Disk)) - e.placed[workerID]
-	if b < 0 {
-		b = 0
-	}
-	return b
+func (h placementHost) FileNeeds(fileID string) []policy.FileNeed {
+	return h.needs([]taskspec.Mount{{FileID: fileID}})
 }
 
-// placementNeeds builds gather needs for a task's inputs, dropping handles:
-// a resident handle is pinned to its holder and chained calls route there,
-// so copying it speculatively would fight the affinity that makes handles
-// cheap.
-func (m *Manager) placementNeeds(mounts []taskspec.Mount) []policy.FileNeed {
-	needs := m.fileNeeds(mounts)
+// needs builds placement needs for mounts, dropping handles: a resident
+// handle is pinned to its holder and chained calls route there, so copying
+// it speculatively would fight the affinity that makes handles cheap.
+func (h placementHost) needs(mounts []taskspec.Mount) []policy.FileNeed {
+	needs := h.m.fileNeeds(mounts)
 	kept := needs[:0]
 	for _, n := range needs {
-		if f, ok := m.reg.Lookup(n.ID); ok && f.Type == files.Handle {
+		if f, ok := h.m.reg.Lookup(n.ID); ok && f.Type == files.Handle {
 			continue
 		}
 		kept = append(kept, n)
 	}
-	m.placementBorn(kept)
 	return kept
 }
 
-// placementBorn fills FileNeed.BornAt for inputs that do not exist yet but
-// whose producer is already assigned to a worker — the gather planner aims
-// fan-in siblings at that worker.
-func (m *Manager) placementBorn(needs []policy.FileNeed) {
-	for i := range needs {
-		n := &needs[i]
-		if n.FixedSource != nil || m.reps.CountReplicas(n.ID) > 0 {
-			continue
-		}
-		prodID, ok := m.reg.Producer(n.ID)
-		if !ok {
-			continue
-		}
-		t := m.taskByID(prodID)
-		if t == nil || t.worker == "" {
-			continue
-		}
-		if t.state == taskspec.StateStaging || t.state == taskspec.StateRunning {
-			n.BornAt = t.worker
-		}
+func (h placementHost) ProducerWorker(fileID string) string {
+	prodID, ok := h.m.reg.Producer(fileID)
+	if !ok {
+		return ""
 	}
+	t := h.m.taskByID(prodID)
+	if t == nil || (t.state != taskspec.StateStaging && t.state != taskspec.StateRunning) {
+		return ""
+	}
+	return t.worker
 }
 
-// placeLookahead plans and issues this pass's speculative transfers. It
-// runs at the tail of schedule(), after assignment, and touches a bounded
-// prefix of the waiting queue plus the hot set — O(lookahead), not
-// O(waiting).
-func (m *Manager) placeLookahead() {
-	e := m.place
-	if e == nil || m.closing || m.liveCount == 0 {
-		return
+func (h placementHost) DiskCapacity(workerID string) int64 {
+	if w := h.m.workers[workerID]; w != nil {
+		return w.capacity.Disk
 	}
-	workers := m.workerInfos("")
-	if len(workers) == 0 {
-		return
-	}
-	// Queue-front tasks, in queue order. The scan cap bounds pass cost; the
-	// periodic full tick re-offers anything beyond it once the front drains.
-	scanCap := e.spec.LookaheadPerWorker * len(workers) * 4
-	if scanCap < 16 {
-		scanCap = 16
-	}
-	tasks := e.taskBuf[:0]
-	for _, id := range m.waiting {
-		if scanCap == 0 {
-			break
-		}
-		scanCap--
-		t := m.tasks[id]
-		if t == nil || t.state != taskspec.StateWaiting {
-			continue
-		}
-		needs := m.placementNeeds(t.spec.Inputs)
-		if len(needs) == 0 {
-			continue
-		}
-		tasks = append(tasks, policy.PlacementTask{ID: id, Needs: needs})
-	}
-	e.taskBuf = tasks
-	// Hot files sorted by ID for deterministic planning.
-	hot := e.hotBuf[:0]
-	hotIDs := make([]string, 0, len(e.hot))
-	for fid := range e.hot { // hotpath-ok: bounded by files currently above the fan-out threshold
-		hotIDs = append(hotIDs, fid)
-	}
-	sort.Strings(hotIDs)
-	for _, fid := range hotIDs {
-		needs := m.placementNeeds([]taskspec.Mount{{FileID: fid, Name: "x"}})
-		if len(needs) != 1 || needs[0].ID != fid {
-			continue // handle, or unregistered
-		}
-		hot = append(hot, policy.HotFile{Need: needs[0], Consumers: len(m.fileWaiters[fid])})
-	}
-	e.hotBuf = hot
-
-	actions := policy.PlanPlacement(e.spec, tasks, hot, workers, m.cfg.Limits,
-		m.placementBudget, view{m})
-	for _, a := range actions {
-		w := m.workers[a.Dest]
-		if w == nil || w.gone || m.transferBlocked(a.File, a.Dest) {
-			continue
-		}
-		m.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())
-		if !m.trs.Pending(a.File, a.Dest) {
-			// The transfer failed to start (send error, injected fault): its
-			// failure path already ran and no placement was issued.
-			continue
-		}
-		charged := a.Size
-		if charged < 0 {
-			charged = 0
-		}
-		e.records[transferKey{file: a.File, dest: a.Dest}] = &placementRecord{
-			kind: a.Kind, charged: charged,
-		}
-		e.placed[a.Dest] += charged
-		if a.Kind == policy.PlaceReplicate {
-			m.vm.PlacementReplicas.Inc()
-		} else {
-			m.vm.PlacementPrefetches.Inc()
-		}
-	}
+	return 0
 }
 
-// placementResolve removes a record and releases its budget charge.
-func (e *placementEngine) resolve(k transferKey) *placementRecord {
-	rec := e.records[k]
-	if rec == nil {
-		return nil
+// StartPlacement skips destinations inside their transfer backoff window;
+// a transfer that fails to start (send error, injected fault) has already
+// run its failure path and is not pending.
+func (h placementHost) StartPlacement(a policy.PlacementAction) bool {
+	m := h.m
+	w := m.workers[a.Dest]
+	if w == nil || w.gone || m.transferBlocked(a.File, a.Dest) {
+		return false
 	}
-	delete(e.records, k)
-	e.placed[k.dest] -= rec.charged
-	if e.placed[k.dest] <= 0 {
-		delete(e.placed, k.dest)
-	}
-	return rec
-}
-
-// placementUse resolves a placement as a hit: a consumer of the file was
-// dispatched to the worker the placement targeted.
-func (m *Manager) placementUse(fileID, workerID string) {
-	e := m.place
-	if e == nil {
-		return
-	}
-	rec := e.resolve(transferKey{file: fileID, dest: workerID})
-	if rec == nil {
-		return
-	}
-	if rec.kind == policy.PlaceReplicate {
-		m.vm.PlacementReplicaHits.Inc()
-	} else {
-		m.vm.PlacementPrefetchHits.Inc()
-	}
-}
-
-// placementLanded marks a placement's object as committed at its
-// destination.
-func (m *Manager) placementLanded(fileID, workerID string) {
-	e := m.place
-	if e == nil {
-		return
-	}
-	if rec := e.records[transferKey{file: fileID, dest: workerID}]; rec != nil {
-		rec.landed = true
-	}
-}
-
-// placementTransferFailed resolves a placement whose transfer failed before
-// landing.
-func (m *Manager) placementTransferFailed(fileID, workerID string) {
-	e := m.place
-	if e == nil {
-		return
-	}
-	k := transferKey{file: fileID, dest: workerID}
-	if rec := e.records[k]; rec != nil && !rec.landed {
-		e.resolve(k)
-		m.vm.PlacementFailures.Inc()
-	}
-}
-
-// placementGone resolves a placement whose landed object disappeared
-// unconsumed (evicted, deleted, or garbage-collected) as waste. Un-landed
-// records fall back to the failure path: the transfer itself will report.
-func (m *Manager) placementGone(fileID, workerID string) {
-	e := m.place
-	if e == nil {
-		return
-	}
-	k := transferKey{file: fileID, dest: workerID}
-	rec := e.records[k]
-	if rec == nil {
-		return
-	}
-	e.resolve(k)
-	if rec.landed {
-		m.vm.PlacementWastes.Inc()
-		m.vm.PlacementWasteBytes.Add(rec.charged)
-	} else {
-		m.vm.PlacementFailures.Inc()
-	}
-}
-
-// placementDropWorker resolves every record targeting a departed worker:
-// landed objects are wasted bytes, in-flight ones failures.
-func (m *Manager) placementDropWorker(workerID string) {
-	e := m.place
-	if e == nil {
-		return
-	}
-	for k := range e.records {
-		if k.dest != workerID {
-			continue
-		}
-		rec := e.resolve(k)
-		if rec.landed {
-			m.vm.PlacementWastes.Inc()
-			m.vm.PlacementWasteBytes.Add(rec.charged)
-		} else {
-			m.vm.PlacementFailures.Inc()
-		}
-	}
-}
-
-// placementFlush resolves every outstanding record as waste; called when
-// the workflow ends so the conservation law closes.
-func (m *Manager) placementFlush() {
-	e := m.place
-	if e == nil {
-		return
-	}
-	for k := range e.records {
-		rec := e.resolve(k)
-		m.vm.PlacementWastes.Inc()
-		if rec.landed {
-			m.vm.PlacementWasteBytes.Add(rec.charged)
-		}
-	}
-}
-
-// PlacementOutstanding reports unresolved placement records; test hook.
-func (m *Manager) placementOutstanding() int {
-	if m.place == nil {
-		return 0
-	}
-	return len(m.place.records)
+	m.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())
+	return m.trs.Pending(a.File, a.Dest)
 }

@@ -55,7 +55,7 @@ func tallyCorePlacement(m *Manager) corePlacementTally {
 		replicaHits:  m.vm.PlacementReplicaHits.Value(),
 		wastes:       m.vm.PlacementWastes.Value(),
 		failures:     m.vm.PlacementFailures.Value(),
-		outstanding:  m.placementOutstanding(),
+		outstanding:  m.place.Outstanding(),
 	}
 }
 

@@ -18,26 +18,6 @@ import (
 	"taskvine/internal/trace"
 )
 
-// view adapts the manager's tables to the policy.View interface.
-type view struct{ m *Manager }
-
-func (v view) HasReplica(f, w string) bool       { return v.m.reps.Has(f, w) }
-func (v view) Replicas(f string) []string        { return v.m.reps.Locate(f) }
-func (v view) InFlightFrom(s replica.Source) int { return v.m.trs.InFlightFrom(s) }
-func (v view) InFlightTo(w string) int           { return v.m.trs.InFlightTo(w) }
-
-// TransferPending treats both supervised network transfers and in-progress
-// MiniTask materializations (pending replica entries without a transfer
-// UUID) as "already on the way", so the planner never double-instructs a
-// worker for the same object.
-func (v view) TransferPending(f, w string) bool {
-	if v.m.trs.Pending(f, w) {
-		return true
-	}
-	return v.m.reps.HasAny(f, w) && !v.m.reps.Has(f, w)
-}
-func (v view) InFlightOf(f string) int { return v.m.trs.InFlightOf(f) }
-
 // schedule is the manager's main decision pass, run after every event
 // batch: the objective is to replicate and place data first, and then
 // schedule tasks within the constraints of available data (§2.1).
@@ -197,13 +177,7 @@ func (m *Manager) tryAssign(id int, t *taskState) bool {
 		return false
 	}
 	needs := m.fileNeedsScratch(t.spec.Inputs)
-	pick := policy.BestWorker
-	if m.place != nil {
-		// Placement-aware dispatch: honor bytes the lookahead engine already
-		// has in flight toward a worker.
-		pick = policy.BestWorkerArrivalAware
-	}
-	chosen, ok := pick(needs, t.spec.Resources, candidates, view{m})
+	chosen, ok := m.place.Pick(needs, t.spec.Resources, candidates, m.view)
 	if !ok {
 		return false
 	}
@@ -301,7 +275,7 @@ func (m *Manager) progressStaging(id int, t *taskState) {
 		return
 	}
 	needs := m.fileNeedsScratch(t.spec.Inputs)
-	plan := policy.PlanTransfers(needs, w.id, m.cfg.Limits, view{m})
+	plan := policy.PlanTransfers(needs, w.id, m.cfg.Limits, m.view)
 	for _, tr := range plan.Transfers {
 		m.startTransfer(tr.File, tr.Source, w, "")
 	}
@@ -464,7 +438,7 @@ func (m *Manager) sendPut(w *workerConn, f *files.File, transferID string) error
 // cache-update (with no transfer UUID) commits it.
 func (m *Manager) materializeMini(f *files.File, w *workerConn) {
 	for _, in := range f.MiniTask.Inputs {
-		m.placementUse(in.FileID, w.id)
+		m.place.Use(in.FileID, w.id)
 	}
 	m.reps.Add(f.ID, w.id, replica.Pending)
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.StageStart, Worker: w.id, File: f.ID})
@@ -482,7 +456,7 @@ func (m *Manager) materializeMini(f *files.File, w *workerConn) {
 // dispatch sends a fully staged task to its worker.
 func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
 	for _, mt := range t.spec.Inputs {
-		m.placementUse(mt.FileID, w.id)
+		m.place.Use(mt.FileID, w.id)
 	}
 	m.setState(id, t, taskspec.StateRunning)
 	m.vm.DispatchLatency.Observe(m.now() - t.submitTime)
@@ -569,7 +543,7 @@ func (m *Manager) finishTask(id int, t *taskState, res *Result) {
 // deleteEverywhere removes an object from every worker holding it.
 func (m *Manager) deleteEverywhere(fileID string) {
 	for _, wid := range m.reps.Locate(fileID) {
-		m.placementGone(fileID, wid)
+		m.place.Gone(fileID, wid)
 		if w := m.workers[wid]; w != nil && !w.gone {
 			if err := w.conn.Send(&protocol.Message{Type: protocol.TypeUnlink, CacheName: fileID}); err != nil {
 				m.logf("unlinking %s at %s: %v", fileID, wid, err)
@@ -620,10 +594,10 @@ func (m *Manager) reconcileReplication() {
 		if need <= 0 {
 			continue
 		}
-		targets := policy.ChooseReplicationTargets(fileID, need, workers, view{m})
+		targets := policy.ChooseReplicationTargets(fileID, need, workers, m.view)
 		needs := m.fileNeeds([]taskspec.Mount{{FileID: fileID, Name: "x"}})
 		for _, target := range targets {
-			plan := policy.PlanTransfers(needs, target, m.cfg.Limits, view{m})
+			plan := policy.PlanTransfers(needs, target, m.cfg.Limits, m.view)
 			for _, tr := range plan.Transfers {
 				if tr.File == fileID {
 					if w := m.workers[target]; w != nil {

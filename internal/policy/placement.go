@@ -23,8 +23,9 @@ import (
 // The planner is pure and deterministic: same snapshot, same actions. All
 // safety is expressed here — per-worker placement byte budgets, source and
 // destination concurrency caps shared with demand staging, a per-pass
-// action cap — so both substrates (core and sim) inherit identical
-// behaviour by construction.
+// action cap. Lookahead (lookahead.go) is the one stateful engine around
+// it, so both substrates (core and sim) inherit identical behaviour by
+// construction.
 
 // PlacementSpec configures the lookahead placement engine. The zero value
 // is disabled; WithDefaults fills unset knobs.
@@ -121,7 +122,7 @@ type BudgetFunc func(workerID string) int64
 type placePlan struct {
 	spec      PlacementSpec
 	limits    Limits
-	v         View
+	v         *View
 	budget    BudgetFunc
 	actions   []PlacementAction
 	localFrom map[replica.Source]int
@@ -141,7 +142,7 @@ type placeKey struct{ file, dest string }
 // Planning mutates nothing. The caller issues the actions through its
 // transfer supervisor and records what actually started.
 func PlanPlacement(spec PlacementSpec, tasks []PlacementTask, hot []HotFile,
-	workers []WorkerInfo, limits Limits, budget BudgetFunc, v View) []PlacementAction {
+	workers []WorkerInfo, limits Limits, budget BudgetFunc, v *View) []PlacementAction {
 	spec = spec.WithDefaults()
 	if !spec.Enabled || len(workers) == 0 {
 		return nil
@@ -165,7 +166,7 @@ func PlanPlacement(spec PlacementSpec, tasks []PlacementTask, hot []HotFile,
 // for the worker.
 func (p *placePlan) pendingAt(file, worker string) bool {
 	return p.localHas[placeKey{file, worker}] ||
-		p.v.HasReplica(file, worker) || p.v.TransferPending(file, worker)
+		p.v.Reps.Has(file, worker) || p.v.TransferPending(file, worker)
 }
 
 // availableAt extends pendingAt with birth sites: an input still being
@@ -193,7 +194,7 @@ func (p *placePlan) issue(kind PlacementKind, need FileNeed, dest string) bool {
 	if len(p.actions) >= p.spec.MaxTransfersPerPass {
 		return false
 	}
-	if p.v.InFlightTo(dest)+p.localTo[dest] >= p.limits.destCap() {
+	if p.v.Trs.InFlightTo(dest)+p.localTo[dest] >= p.limits.destCap() {
 		return false
 	}
 	if !p.budgetAllows(dest, need.Size) {
@@ -250,8 +251,8 @@ func (p *placePlan) planReplication(hot []HotFile, workers []WorkerInfo) {
 		// same preference as ChooseReplicationTargets, but aware of this
 		// plan's own placements.
 		sort.Slice(cands, func(i, j int) bool {
-			li := p.v.InFlightTo(cands[i].ID) + p.localTo[cands[i].ID]
-			lj := p.v.InFlightTo(cands[j].ID) + p.localTo[cands[j].ID]
+			li := p.v.Trs.InFlightTo(cands[i].ID) + p.localTo[cands[i].ID]
+			lj := p.v.Trs.InFlightTo(cands[j].ID) + p.localTo[cands[j].ID]
 			if li != lj {
 				return li < lj
 			}

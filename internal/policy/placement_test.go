@@ -31,7 +31,7 @@ type placeSnapshot struct {
 	workers []WorkerInfo
 	limits  Limits
 	budgets map[string]int64
-	v       *tableView
+	v       *View
 }
 
 func genSnapshot(seed uint64) *placeSnapshot {
@@ -71,7 +71,7 @@ func genSnapshot(seed uint64) *placeSnapshot {
 		default:
 			// Worker-held: commit replicas at 1..2 random workers.
 			for n := 1 + r.intn(2); n > 0; n-- {
-				s.v.reps.Commit(files[i].ID, s.workers[r.intn(nWorkers)].ID)
+				s.v.Reps.Commit(files[i].ID, s.workers[r.intn(nWorkers)].ID)
 			}
 		}
 		if r.intn(5) == 0 {
@@ -81,7 +81,7 @@ func genSnapshot(seed uint64) *placeSnapshot {
 	// Some pre-existing in-flight transfers so InFlightTo/From are nonzero.
 	for n := r.intn(4); n > 0; n-- {
 		f := files[r.intn(nFiles)]
-		s.v.trs.Start(f.ID, replica.Source{Kind: replica.SourceManager, ID: "manager"},
+		s.v.Trs.Start(f.ID, replica.Source{Kind: replica.SourceManager, ID: "manager"},
 			s.workers[r.intn(nWorkers)].ID)
 	}
 	nTasks := 1 + r.intn(6)
@@ -131,13 +131,13 @@ func TestPlanPlacementProperties(t *testing.T) {
 				t.Fatalf("seed %d: duplicate action for %s -> %s", seed, a.File, a.Dest)
 			}
 			seen[k] = true
-			if s.v.HasReplica(a.File, a.Dest) {
+			if s.v.Reps.Has(a.File, a.Dest) {
 				t.Fatalf("seed %d: planned %s -> %s but dest already holds it", seed, a.File, a.Dest)
 			}
 			if s.v.TransferPending(a.File, a.Dest) {
 				t.Fatalf("seed %d: planned %s -> %s but a transfer is already pending", seed, a.File, a.Dest)
 			}
-			if a.Source.Kind == replica.SourceWorker && !s.v.HasReplica(a.File, a.Source.ID) {
+			if a.Source.Kind == replica.SourceWorker && !s.v.Reps.Has(a.File, a.Source.ID) {
 				t.Fatalf("seed %d: source worker %s does not hold %s", seed, a.Source.ID, a.File)
 			}
 			plannedTo[a.Dest]++
@@ -149,9 +149,9 @@ func TestPlanPlacementProperties(t *testing.T) {
 			}
 		}
 		for dest, n := range plannedTo {
-			if s.v.InFlightTo(dest)+n > limits.destCap() {
+			if s.v.Trs.InFlightTo(dest)+n > limits.destCap() {
 				t.Fatalf("seed %d: dest %s gets %d in-flight + %d planned > cap %d",
-					seed, dest, s.v.InFlightTo(dest), n, limits.destCap())
+					seed, dest, s.v.Trs.InFlightTo(dest), n, limits.destCap())
 			}
 		}
 		for dest, bytes := range chargedTo {
@@ -193,8 +193,8 @@ func TestPlanPlacementGathersTowardAffinity(t *testing.T) {
 	// w1 holds the big input; the small one should be prefetched to w1, not
 	// to the emptier w0.
 	v := newView()
-	v.reps.Commit("big", "w1")
-	v.reps.Commit("small", "w2")
+	v.Reps.Commit("big", "w1")
+	v.Reps.Commit("small", "w2")
 	tasks := []PlacementTask{{ID: 1, Needs: []FileNeed{
 		{ID: "big", Size: 500e6},
 		{ID: "small", Size: 1e6},
@@ -216,7 +216,7 @@ func TestPlanPlacementGathersTowardAffinity(t *testing.T) {
 
 func TestPlanPlacementReplicatesHotFile(t *testing.T) {
 	v := newView()
-	v.reps.Commit("hotfile", "w0")
+	v.Reps.Commit("hotfile", "w0")
 	hot := []HotFile{{Need: FileNeed{ID: "hotfile", Size: 10e6}, Consumers: 6}}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1), worker("w2", 4, 2)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true, FanoutThreshold: 4, MaxReplicas: 3},
@@ -241,8 +241,8 @@ func TestPlanPlacementSkipsServedTask(t *testing.T) {
 	// Every input of the task is already at w1: gathering anywhere else
 	// would duplicate data, so the planner must do nothing.
 	v := newView()
-	v.reps.Commit("a", "w1")
-	v.reps.Commit("b", "w1")
+	v.Reps.Commit("a", "w1")
+	v.Reps.Commit("b", "w1")
 	tasks := []PlacementTask{{ID: 1, Needs: []FileNeed{{ID: "a", Size: 1e6}, {ID: "b", Size: 1e6}}}}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true}, tasks, nil, workers,
@@ -256,7 +256,7 @@ func TestPlanPlacementRespectsLookaheadWindow(t *testing.T) {
 	// Three tasks all drawn to the same worker; LookaheadPerWorker 1 must
 	// gather for only the first.
 	v := newView()
-	v.reps.Commit("anchor", "w0")
+	v.Reps.Commit("anchor", "w0")
 	mk := func(id int, extra string) PlacementTask {
 		return PlacementTask{ID: id, Needs: []FileNeed{
 			{ID: "anchor", Size: 100e6},

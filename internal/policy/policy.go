@@ -1,5 +1,6 @@
 // Package policy implements TaskVine's conservative scheduling strategy
-// (§3.3) as a pure, deterministic library over state snapshots.
+// (§3.3) as a pure, deterministic library over state snapshots, plus the
+// one stateful engine of lookahead placement (Lookahead).
 //
 // Both the production manager (internal/core) and the discrete-event
 // simulator (internal/sim) drive this package, so simulated experiments
@@ -129,22 +130,22 @@ type FileNeed struct {
 	BornAt string
 }
 
-// View is the read-only cluster state the policy consults. Both the real
-// manager and the simulator implement it over their own tables.
-type View interface {
-	// HasReplica reports whether worker holds a ready replica of file.
-	HasReplica(file, worker string) bool
-	// Replicas returns workers holding ready replicas of file.
-	Replicas(file string) []string
-	// InFlightFrom returns the source's current concurrent transfer count.
-	InFlightFrom(src replica.Source) int
-	// InFlightTo returns the worker's current incoming transfer count.
-	InFlightTo(worker string) int
-	// TransferPending reports whether file is already on its way to worker.
-	TransferPending(file, worker string) bool
-	// InFlightOf returns how many transfers of file are in flight to any
-	// worker.
-	InFlightOf(file string) int
+// View is the read-only cluster state the policy consults: the replica
+// and transfer tables of the real manager or of the simulator.
+type View struct {
+	Reps *replica.Table
+	Trs  *replica.Transfers
+}
+
+// TransferPending treats both supervised network transfers and in-progress
+// MiniTask materializations (pending replica entries without a transfer)
+// as "already on the way", so the planner never double-instructs a worker
+// for the same object.
+func (v *View) TransferPending(f, w string) bool {
+	if v.Trs.Pending(f, w) {
+		return true
+	}
+	return v.Reps.HasAny(f, w) && !v.Reps.Has(f, w)
 }
 
 // BestWorker picks the worker for a task: among workers whose free
@@ -152,21 +153,11 @@ type View interface {
 // (ties: fewer running tasks, then join order). Returns false if no worker
 // fits. This is the "schedule tasks to match the cached files present at
 // each worker" rule.
-func BestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v View) (WorkerInfo, bool) {
+func BestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v *View) (WorkerInfo, bool) {
 	return bestWorker(needs, req, workers, v, false)
 }
 
-// BestWorkerArrivalAware is BestWorker with one extension: input bytes
-// already on their way to a worker count toward locality like bytes landed.
-// Lookahead placement moves inputs ahead of dispatch, so dispatch must
-// credit those arrivals — otherwise it races the speculative transfers it
-// asked for and strands them. Callers use it only when placement is
-// enabled, leaving baseline scheduling decisions untouched.
-func BestWorkerArrivalAware(needs []FileNeed, req resources.R, workers []WorkerInfo, v View) (WorkerInfo, bool) {
-	return bestWorker(needs, req, workers, v, true)
-}
-
-func bestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v View, arrivals bool) (WorkerInfo, bool) {
+func bestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v *View, arrivals bool) (WorkerInfo, bool) {
 	best := -1
 	var bestBytes int64 = -1
 	for i, w := range workers {
@@ -175,7 +166,7 @@ func bestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v View,
 		}
 		var cached int64
 		for _, n := range needs {
-			if v.HasReplica(n.ID, w.ID) || (arrivals && v.TransferPending(n.ID, w.ID)) {
+			if v.Reps.Has(n.ID, w.ID) || (arrivals && v.TransferPending(n.ID, w.ID)) {
 				if n.Size > 0 {
 					cached += n.Size
 				} else {
@@ -243,7 +234,7 @@ func (p Plan) Stuck() bool { return len(p.Blocked) > 0 }
 // transfers so subsequent InFlightFrom calls observe them. Decisions within
 // one plan do account for each other through the local counts map, so a
 // single plan never overloads a source by itself.
-func PlanTransfers(needs []FileNeed, worker string, limits Limits, v View) Plan {
+func PlanTransfers(needs []FileNeed, worker string, limits Limits, v *View) Plan {
 	limits = limits.withDefaults()
 	var plan Plan
 	// localFrom is allocated on the first transfer picked: most plans
@@ -252,14 +243,14 @@ func PlanTransfers(needs []FileNeed, worker string, limits Limits, v View) Plan 
 	localTo := 0
 	for _, n := range needs {
 		switch {
-		case v.HasReplica(n.ID, worker):
+		case v.Reps.Has(n.ID, worker):
 			plan.Ready = append(plan.Ready, n.ID)
 			continue
 		case v.TransferPending(n.ID, worker):
 			plan.InFlight = append(plan.InFlight, n.ID)
 			continue
 		}
-		if v.InFlightTo(worker)+localTo >= limits.destCap() {
+		if v.Trs.InFlightTo(worker)+localTo >= limits.destCap() {
 			plan.Blocked = append(plan.Blocked, n.ID)
 			continue
 		}
@@ -289,8 +280,8 @@ func PlanTransfers(needs []FileNeed, worker string, limits Limits, v View) Plan 
 // the fixed source; the transfer waits for a peer slot instead. This is
 // what keeps archive/shared-FS load at a handful of fetches no matter how
 // many workers need the object (the 108 → 3 observation of §4.2).
-func chooseSource(n FileNeed, dest string, limits Limits, v View, local map[replica.Source]int) (replica.Source, bool) {
-	holders := v.Replicas(n.ID)
+func chooseSource(n FileNeed, dest string, limits Limits, v *View, local map[replica.Source]int) (replica.Source, bool) {
+	holders := v.Reps.Locate(n.ID)
 	sort.Strings(holders) // determinism
 	bestLoad := -1
 	inCluster := 0
@@ -301,7 +292,7 @@ func chooseSource(n FileNeed, dest string, limits Limits, v View, local map[repl
 		}
 		inCluster++
 		src := replica.Source{Kind: replica.SourceWorker, ID: h}
-		load := v.InFlightFrom(src) + local[src]
+		load := v.Trs.InFlightFrom(src) + local[src]
 		if load >= limits.sourceCap(replica.SourceWorker) {
 			continue
 		}
@@ -324,7 +315,7 @@ func chooseSource(n FileNeed, dest string, limits Limits, v View, local map[repl
 	}
 	if n.FixedSource != nil {
 		src := *n.FixedSource
-		if v.InFlightFrom(src)+local[src] < limits.sourceCap(src.Kind) {
+		if v.Trs.InFlightFrom(src)+local[src] < limits.sourceCap(src.Kind) {
 			return src, true
 		}
 	}
@@ -335,7 +326,7 @@ func chooseSource(n FileNeed, dest string, limits Limits, v View, local map[repl
 // extra replica of a hot file, preferring workers that do not yet hold it
 // and are receiving the fewest transfers. Used to pre-stage widely shared
 // inputs (software packages) ahead of task demand.
-func ChooseReplicationTargets(file string, n int, workers []WorkerInfo, v View) []string {
+func ChooseReplicationTargets(file string, n int, workers []WorkerInfo, v *View) []string {
 	type cand struct {
 		id   string
 		load int
@@ -343,10 +334,10 @@ func ChooseReplicationTargets(file string, n int, workers []WorkerInfo, v View) 
 	}
 	var cands []cand
 	for _, w := range workers {
-		if v.HasReplica(file, w.ID) || v.TransferPending(file, w.ID) {
+		if v.Reps.Has(file, w.ID) || v.TransferPending(file, w.ID) {
 			continue
 		}
-		cands = append(cands, cand{w.ID, v.InFlightTo(w.ID), w.JoinOrder})
+		cands = append(cands, cand{w.ID, v.Trs.InFlightTo(w.ID), w.JoinOrder})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {

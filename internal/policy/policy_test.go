@@ -8,25 +8,9 @@ import (
 	"taskvine/internal/resources"
 )
 
-// tableView adapts the real replica tables to the policy View, exactly as
-// the manager does.
-type tableView struct {
-	reps *replica.Table
-	trs  *replica.Transfers
+func newView() *View {
+	return &View{Reps: replica.NewTable(), Trs: replica.NewTransfers()}
 }
-
-func newView() *tableView {
-	return &tableView{reps: replica.NewTable(), trs: replica.NewTransfers()}
-}
-
-func (v *tableView) HasReplica(f, w string) bool { return v.reps.Has(f, w) }
-func (v *tableView) Replicas(f string) []string  { return v.reps.Locate(f) }
-func (v *tableView) InFlightFrom(s replica.Source) int {
-	return v.trs.InFlightFrom(s)
-}
-func (v *tableView) InFlightTo(w string) int          { return v.trs.InFlightTo(w) }
-func (v *tableView) TransferPending(f, w string) bool { return v.trs.Pending(f, w) }
-func (v *tableView) InFlightOf(f string) int          { return v.trs.InFlightOf(f) }
 
 func worker(id string, cores, join int) WorkerInfo {
 	return WorkerInfo{ID: id, Free: resources.R{Cores: cores, Memory: 64 * resources.GB, Disk: 100 * resources.GB}, JoinOrder: join}
@@ -38,7 +22,7 @@ func urlSource(u string) *replica.Source {
 
 func TestBestWorkerPrefersCachedBytes(t *testing.T) {
 	v := newView()
-	v.reps.Commit("url-db", "w2") // w2 holds the big database
+	v.Reps.Commit("url-db", "w2") // w2 holds the big database
 	needs := []FileNeed{
 		{ID: "url-db", Size: 500 * resources.MB, FixedSource: urlSource("http://x/db")},
 		{ID: "buffer-q", Size: 100, FixedSource: &replica.Source{Kind: replica.SourceManager, ID: "manager"}},
@@ -52,7 +36,7 @@ func TestBestWorkerPrefersCachedBytes(t *testing.T) {
 
 func TestBestWorkerRespectsResources(t *testing.T) {
 	v := newView()
-	v.reps.Commit("f", "w1")
+	v.Reps.Commit("f", "w1")
 	workers := []WorkerInfo{
 		{ID: "w1", Free: resources.R{Cores: 1}, JoinOrder: 0}, // has data but no cores
 		worker("w2", 8, 1),
@@ -84,7 +68,7 @@ func TestBestWorkerTieBreaks(t *testing.T) {
 
 func TestBestWorkerUnknownSizeCountsForLocality(t *testing.T) {
 	v := newView()
-	v.reps.Commit("temp-x", "w2")
+	v.Reps.Commit("temp-x", "w2")
 	needs := []FileNeed{{ID: "temp-x", Size: -1}}
 	got, ok := BestWorker(needs, resources.R{Cores: 1},
 		[]WorkerInfo{worker("w1", 4, 0), worker("w2", 4, 1)}, v)
@@ -95,8 +79,8 @@ func TestBestWorkerUnknownSizeCountsForLocality(t *testing.T) {
 
 func TestPlanReadyAndInFlight(t *testing.T) {
 	v := newView()
-	v.reps.Commit("a", "w1")
-	v.trs.Start("b", replica.Source{Kind: replica.SourceManager, ID: "manager"}, "w1")
+	v.Reps.Commit("a", "w1")
+	v.Trs.Start("b", replica.Source{Kind: replica.SourceManager, ID: "manager"}, "w1")
 	needs := []FileNeed{
 		{ID: "a", Size: 10},
 		{ID: "b", Size: 10, FixedSource: &replica.Source{Kind: replica.SourceManager, ID: "manager"}},
@@ -115,7 +99,7 @@ func TestPlanReadyAndInFlight(t *testing.T) {
 
 func TestPlanPrefersWorkerOverFixedSource(t *testing.T) {
 	v := newView()
-	v.reps.Commit("url-db", "w9")
+	v.Reps.Commit("url-db", "w9")
 	needs := []FileNeed{{ID: "url-db", Size: 100, FixedSource: urlSource("http://x/db")}}
 	p := PlanTransfers(needs, "w1", Limits{}, v)
 	if len(p.Transfers) != 1 {
@@ -131,11 +115,11 @@ func TestPlanWaitsForPeersOnceFileIsInCluster(t *testing.T) {
 	// fall back to the fixed source: the transfer waits for a peer slot
 	// (this is what keeps archive load at a handful of fetches, §4.2).
 	v := newView()
-	v.reps.Commit("url-db", "w9")
+	v.Reps.Commit("url-db", "w9")
 	src := replica.Source{Kind: replica.SourceWorker, ID: "w9"}
 	limits := Limits{WorkerSource: 3}
 	for i := 0; i < 3; i++ {
-		v.trs.Start("url-db", src, "other")
+		v.Trs.Start("url-db", src, "other")
 	}
 	needs := []FileNeed{{ID: "url-db", Size: 100, FixedSource: urlSource("http://x/db")}}
 	p := PlanTransfers(needs, "w1", limits, v)
@@ -151,15 +135,15 @@ func TestPlanFixedSourceServesUpToItsLimitWhileEntering(t *testing.T) {
 	// shared-FS fetches before peers take over (§4.2).
 	v := newView()
 	usrc := *urlSource("http://x/db")
-	v.trs.Start("url-db", usrc, "w9")
+	v.Trs.Start("url-db", usrc, "w9")
 	needs := []FileNeed{{ID: "url-db", Size: 100, FixedSource: &usrc}}
 	p := PlanTransfers(needs, "w1", Limits{URLSource: 3}, v)
 	if len(p.Transfers) != 1 || p.Transfers[0].Source.Kind != replica.SourceURL {
 		t.Fatalf("plan = %+v, want URL transfer (1 of 3 in flight)", p)
 	}
 	// At the fixed source's limit, later workers wait.
-	v.trs.Start("url-db", usrc, "w8")
-	v.trs.Start("url-db", usrc, "w7")
+	v.Trs.Start("url-db", usrc, "w8")
+	v.Trs.Start("url-db", usrc, "w7")
 	p = PlanTransfers(needs, "w1", Limits{URLSource: 3}, v)
 	if !p.Stuck() {
 		t.Fatalf("plan = %+v, want blocked at URL limit", p)
@@ -178,14 +162,14 @@ func TestPlanFallsBackToFixedWhenFileNotInCluster(t *testing.T) {
 
 func TestPlanBlocksWhenAllSourcesSaturated(t *testing.T) {
 	v := newView()
-	v.reps.Commit("url-db", "w9")
+	v.Reps.Commit("url-db", "w9")
 	wsrc := replica.Source{Kind: replica.SourceWorker, ID: "w9"}
 	usrc := *urlSource("http://x/db")
 	for i := 0; i < 3; i++ {
-		v.trs.Start("url-db", wsrc, "o")
+		v.Trs.Start("url-db", wsrc, "o")
 	}
 	for i := 0; i < 8; i++ {
-		v.trs.Start("url-db", usrc, "o")
+		v.Trs.Start("url-db", usrc, "o")
 	}
 	needs := []FileNeed{{ID: "url-db", Size: 100, FixedSource: &usrc}}
 	p := PlanTransfers(needs, "w1", Limits{}, v)
@@ -206,12 +190,12 @@ func TestPlanBlocksFilesWithNoSourceYet(t *testing.T) {
 
 func TestPlanSpreadsAcrossReplicaHolders(t *testing.T) {
 	v := newView()
-	v.reps.Commit("f", "w8")
-	v.reps.Commit("f", "w9")
+	v.Reps.Commit("f", "w8")
+	v.Reps.Commit("f", "w9")
 	// w8 already serving 2, w9 serving 0: choose w9.
 	src8 := replica.Source{Kind: replica.SourceWorker, ID: "w8"}
-	v.trs.Start("f", src8, "o1")
-	v.trs.Start("f", src8, "o2")
+	v.Trs.Start("f", src8, "o1")
+	v.Trs.Start("f", src8, "o2")
 	p := PlanTransfers([]FileNeed{{ID: "f", Size: 1}}, "w1", Limits{}, v)
 	if len(p.Transfers) != 1 || p.Transfers[0].Source.ID != "w9" {
 		t.Fatalf("plan = %+v, want w9 (least loaded)", p)
@@ -223,7 +207,7 @@ func TestPlanLocalCountsPreventSelfOverload(t *testing.T) {
 	// plan itself must not schedule 4 concurrent transfers from w9.
 	v := newView()
 	for _, f := range []string{"a", "b", "c", "d"} {
-		v.reps.Commit(f, "w9")
+		v.Reps.Commit(f, "w9")
 	}
 	needs := []FileNeed{{ID: "a", Size: 1}, {ID: "b", Size: 1}, {ID: "c", Size: 1}, {ID: "d", Size: 1}}
 	p := PlanTransfers(needs, "w1", Limits{WorkerSource: 3, WorkerDest: 16}, v)
@@ -235,7 +219,7 @@ func TestPlanLocalCountsPreventSelfOverload(t *testing.T) {
 func TestPlanRespectsDestLimit(t *testing.T) {
 	v := newView()
 	for _, f := range []string{"a", "b", "c"} {
-		v.reps.Commit(f, "w9")
+		v.Reps.Commit(f, "w9")
 	}
 	needs := []FileNeed{{ID: "a", Size: 1}, {ID: "b", Size: 1}, {ID: "c", Size: 1}}
 	p := PlanTransfers(needs, "w1", Limits{WorkerDest: 2, WorkerSource: 16}, v)
@@ -246,12 +230,12 @@ func TestPlanRespectsDestLimit(t *testing.T) {
 
 func TestPlanNeverSourcesFromDestItself(t *testing.T) {
 	v := newView()
-	v.reps.Commit("f", "w1") // stale: planner asked for w1 anyway
-	// HasReplica(w1) is true so it is Ready, not transferred. But test the
+	v.Reps.Commit("f", "w1") // stale: planner asked for w1 anyway
+	// Reps.Has(w1) is true so it is Ready, not transferred. But test the
 	// chooseSource path with a pending state: replica at w1 is pending so
 	// not Ready; the only ready holder is the dest itself.
 	v2 := newView()
-	v2.reps.Add("f", "w1", replica.Pending)
+	v2.Reps.Add("f", "w1", replica.Pending)
 	p := PlanTransfers([]FileNeed{{ID: "f", Size: 1}}, "w1", Limits{}, v2)
 	if len(p.Transfers) != 0 {
 		t.Fatalf("plan sourced file from its own destination: %+v", p)
@@ -262,10 +246,10 @@ func TestUnlimitedSources(t *testing.T) {
 	// Negative limit = unlimited: reproduces the unsupervised case of
 	// Figure 11b.
 	v := newView()
-	v.reps.Commit("f", "w9")
+	v.Reps.Commit("f", "w9")
 	src := replica.Source{Kind: replica.SourceWorker, ID: "w9"}
 	for i := 0; i < 100; i++ {
-		v.trs.Start("f", src, "o")
+		v.Trs.Start("f", src, "o")
 	}
 	p := PlanTransfers([]FileNeed{{ID: "f", Size: 1}}, "w1",
 		Limits{WorkerSource: -1, WorkerDest: -1}, v)
@@ -276,8 +260,8 @@ func TestUnlimitedSources(t *testing.T) {
 
 func TestChooseReplicationTargets(t *testing.T) {
 	v := newView()
-	v.reps.Commit("f", "w1")
-	v.trs.Start("f", replica.Source{Kind: replica.SourceWorker, ID: "w1"}, "w2")
+	v.Reps.Commit("f", "w1")
+	v.Trs.Start("f", replica.Source{Kind: replica.SourceWorker, ID: "w1"}, "w2")
 	workers := []WorkerInfo{worker("w1", 4, 0), worker("w2", 4, 1), worker("w3", 4, 2), worker("w4", 4, 3)}
 	got := ChooseReplicationTargets("f", 2, workers, v)
 	if len(got) != 2 || got[0] != "w3" || got[1] != "w4" {
@@ -308,12 +292,12 @@ func TestQuickSourceLimitNeverExceeded(t *testing.T) {
 		needs := make([]FileNeed, n)
 		for i := 0; i < n; i++ {
 			id := "f" + string(rune('0'+i))
-			v.reps.Commit(id, "w9")
+			v.Reps.Commit(id, "w9")
 			needs[i] = FileNeed{ID: id, Size: 1}
 		}
 		pre := int(preload % 6)
 		for i := 0; i < pre; i++ {
-			v.trs.Start("other", src, "o")
+			v.Trs.Start("other", src, "o")
 		}
 		p := PlanTransfers(needs, "w1", Limits{WorkerSource: lim, WorkerDest: 100}, v)
 		planned := 0

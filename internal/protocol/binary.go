@@ -110,6 +110,52 @@ const (
 	wireBytes  = 1
 )
 
+// fieldWire names a known header field and the wire type it travels as.
+// The decoders reject a known field sent with the other wire type rather
+// than read it as garbage; tags with no entry (unknown, or retired:
+// message 24, spec 16 and 17) are skipped.
+type fieldWire struct {
+	name string
+	wire int
+}
+
+var messageFields = [...]fieldWire{
+	fType: {"Type", wireBytes}, fWorkerID: {"WorkerID", wireBytes}, fTransferAddr: {"TransferAddr", wireBytes},
+	fCapacity: {"Capacity", wireBytes}, fTaskID: {"TaskID", wireVarint}, fSpec: {"Spec", wireBytes},
+	fExitCode: {"ExitCode", wireVarint}, fResult: {"Result", wireBytes}, fOutputs: {"Outputs", wireBytes},
+	fTimeStagedMS: {"TimeStagedMS", wireVarint}, fTimeRunMS: {"TimeRunMS", wireVarint},
+	fMeasuredDisk: {"MeasuredDisk", wireVarint}, fMeasuredMemory: {"MeasuredMemory", wireVarint},
+	fCacheName: {"CacheName", wireBytes}, fSize: {"Size", wireVarint}, fDir: {"Dir", wireVarint},
+	fLifetime: {"Lifetime", wireVarint}, fURL: {"URL", wireBytes}, fPeerAddr: {"PeerAddr", wireBytes},
+	fTransferID: {"TransferID", wireBytes}, fChecksum: {"Checksum", wireBytes}, fStatus: {"Status", wireBytes},
+	fError: {"Error", wireBytes}, fOffset: {"Offset", wireVarint}, fTotal: {"Total", wireVarint},
+	fPeerAddrs: {"PeerAddrs", wireBytes}, fTier: {"Tier", wireVarint},
+}
+
+var specFields = [...]fieldWire{
+	sID: {"ID", wireVarint}, sKind: {"Kind", wireVarint}, sCommand: {"Command", wireBytes},
+	sLibrary: {"Library", wireBytes}, sFunction: {"Function", wireBytes}, sArgs: {"Args", wireBytes},
+	sInputs: {"Inputs", wireBytes}, sOutputs: {"Outputs", wireBytes}, sEnv: {"Env", wireBytes},
+	sResources: {"Resources", wireBytes}, sMaxRetries: {"MaxRetries", wireVarint},
+	sMaxRunSeconds: {"MaxRunSeconds", wireVarint}, sCategory: {"Category", wireBytes},
+	sArgsFrom: {"ArgsFrom", wireBytes}, sResident: {"Resident", wireVarint},
+}
+
+func wireName(wire int) string {
+	if wire == wireVarint {
+		return "varint"
+	}
+	return "bytes"
+}
+
+// checkWire fails when field is known with a wire type other than wire.
+func checkWire(fields []fieldWire, field, wire int) error {
+	if field < len(fields) && fields[field].name != "" && fields[field].wire != wire {
+		return fmt.Errorf("%s sent as %s, want %s", fields[field].name, wireName(wire), wireName(fields[field].wire))
+	}
+	return nil
+}
+
 // encBufPool recycles header encode/decode scratch. Buffers that grew past
 // a frame-header-sized payload are dropped rather than pinned forever.
 var encBufPool = sync.Pool{
@@ -520,6 +566,9 @@ func decodeSpec(b []byte) (*taskspec.Spec, error) {
 		tag := d.b[d.off]
 		d.off++
 		field, wire := int(tag>>1), int(tag&1)
+		if err := checkWire(specFields[:], field, wire); err != nil {
+			return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
+		}
 		var err error
 		switch field {
 		case sID:
@@ -594,6 +643,9 @@ func decodeMessage(b []byte) (*Message, error) {
 		tag := d.b[d.off]
 		d.off++
 		field, wire := int(tag>>1), int(tag&1)
+		if err := checkWire(messageFields[:], field, wire); err != nil {
+			return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
+		}
 		var err error
 		switch field {
 		case fType:

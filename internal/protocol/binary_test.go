@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -175,6 +176,41 @@ func TestBinaryCodecSkipsRetiredSpecTags(t *testing.T) {
 	}
 }
 
+// TestBinaryCodecRejectsWrongWireType: a known field sent with the other
+// wire type is an error naming the field and both wire types, not a value
+// read as garbage; unknown and retired tags still skip with either type.
+func TestBinaryCodecRejectsWrongWireType(t *testing.T) {
+	head := encodeMessage(nil, &Message{Type: TypeTask})
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+		want string
+	}{
+		// Read as a string, varint 1 would swallow the TaskID field after it.
+		{"type_as_varint", appendVarintField(appendVarintField(nil, fType, 1), fTaskID, 7),
+			"field 1: Type sent as varint, want bytes"},
+		// Read as a varint, the empty bytes value would decode as TaskID 0.
+		{"taskid_as_bytes", append(append([]byte(nil), head...), fTaskID<<1|wireBytes, 0),
+			"field 5: TaskID sent as bytes, want varint"},
+		{"spec_kind_as_bytes", appendBytesField(append([]byte(nil), head...), fSpec,
+			appendBytesField(nil, sKind, []byte("command"))), "spec field 2: Kind sent as bytes, want varint"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := decodeMessage(tc.enc)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decoded %+v, err %v; want an error containing %q", m, err, tc.want)
+			}
+		})
+	}
+	enc := appendVarintField(append([]byte(nil), head...), 24, 2)
+	enc = appendBytesField(enc, 24, []byte("v2"))
+	enc = appendStringField(enc, fCacheName, "x")
+	m, err := decodeMessage(enc)
+	if err != nil || m.Type != TypeTask || m.CacheName != "x" {
+		t.Fatalf("retired tag 24 not skipped: %+v, %v", m, err)
+	}
+}
+
 func TestBinaryCodecDeterministicEnv(t *testing.T) {
 	m := &Message{Type: TypeTask, Spec: &taskspec.Spec{
 		Kind: taskspec.KindCommand, Command: "x",
@@ -222,49 +258,6 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("wire mismatch:\n got  %+v\n want %+v", got, want)
-	}
-}
-
-func TestBinaryPayloadRoundTrip(t *testing.T) {
-	ca, cb := pipePair(t)
-	data := bytes.Repeat([]byte("binary-payload"), 4096)
-	go func() {
-		m := &Message{Type: TypeData, CacheName: "file-bin", Size: int64(len(data)), Checksum: "c"}
-		if err := ca.SendPayload(m, bytes.NewReader(data)); err != nil {
-			t.Error(err)
-		}
-	}()
-	got, payload, err := cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != TypeData || !got.Payload || got.Size != int64(len(data)) || got.Checksum != "c" {
-		t.Fatalf("header = %+v", got)
-	}
-	body, err := io.ReadAll(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, data) {
-		t.Fatalf("payload corrupted: got %d bytes", len(body))
-	}
-}
-
-// TestBinaryAbandonedPayloadIsDrained: the next Recv skips a payload the
-// caller never read.
-func TestBinaryAbandonedPayloadIsDrained(t *testing.T) {
-	ca, cb := pipePair(t)
-	go func() {
-		ca.SendPayload(&Message{Type: TypePut, CacheName: "big", Size: 5000},
-			bytes.NewReader(make([]byte, 5000)))
-		ca.Send(&Message{Type: TypeHeartbeat})
-	}()
-	if _, _, err := cb.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := cb.Recv()
-	if err != nil || m.Type != TypeHeartbeat {
-		t.Fatalf("m=%+v err=%v", m, err)
 	}
 }
 

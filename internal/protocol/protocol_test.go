@@ -46,28 +46,43 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadRoundTrip: a frame's header, including an optional checksum,
+// and its payload arrive intact.
 func TestPayloadRoundTrip(t *testing.T) {
-	ca, cb := pipePair(t)
-	data := bytes.Repeat([]byte("0123456789"), 1000)
-	go func() {
-		m := &Message{Type: TypePut, CacheName: "file-abc", Size: int64(len(data))}
-		if err := ca.SendPayload(m, bytes.NewReader(data)); err != nil {
-			t.Error(err)
-		}
-	}()
-	got, payload, err := cb.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != TypePut || !got.Payload || got.Size != int64(len(data)) {
-		t.Fatalf("header = %+v", got)
-	}
-	body, err := io.ReadAll(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, data) {
-		t.Fatalf("payload corrupted: got %d bytes", len(body))
+	for _, tc := range []struct {
+		name string
+		sent Message
+		data []byte
+	}{
+		{"put", Message{Type: TypePut, CacheName: "file-abc"}, bytes.Repeat([]byte("0123456789"), 1000)},
+		{"data_with_checksum", Message{Type: TypeData, CacheName: "file-bin", Checksum: "c"},
+			bytes.Repeat([]byte("binary-payload"), 4096)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ca, cb := pipePair(t)
+			go func() {
+				m := tc.sent
+				m.Size = int64(len(tc.data))
+				if err := ca.SendPayload(&m, bytes.NewReader(tc.data)); err != nil {
+					t.Error(err)
+				}
+			}()
+			got, payload, err := cb.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Type != tc.sent.Type || got.CacheName != tc.sent.CacheName || !got.Payload ||
+				got.Size != int64(len(tc.data)) || got.Checksum != tc.sent.Checksum {
+				t.Fatalf("header = %+v", got)
+			}
+			body, err := io.ReadAll(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, tc.data) {
+				t.Fatalf("payload corrupted: got %d bytes", len(body))
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ type Cluster struct {
 	liveSorted   []*simWorker
 	workersDirty bool
 	liveCount    int
-	// winfoBuf is scratch for candidateWorkers, reused across calls so the
+	// winfoBuf is scratch for workerInfos, reused across calls so the
 	// per-task candidate build allocates nothing in steady state.
 	winfoBuf []policy.WorkerInfo
 	// producers maps produced file ID -> producing task ID, for recovery
@@ -88,9 +88,10 @@ type Cluster struct {
 	scheduled bool // a schedule pass is queued
 	completed int
 
-	// place is the lookahead placement engine; nil unless SetPlacement
-	// enabled it. Mirrors core.Manager.place.
-	place *simPlacement
+	// view is the policy's read-only View over reps and trs; place is the
+	// lookahead placement engine, nil unless SetPlacement enabled it.
+	view  *policy.View
+	place *policy.Lookahead
 
 	// faults is the seeded fault injector; nil disables injection. Because
 	// the injector's decisions depend only on its seed and each site's
@@ -160,6 +161,7 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 	c.managerSrc = replica.Source{Kind: replica.SourceManager, ID: "manager"}
 	c.reps = replicaTable{replica.NewTable(), c}
 	c.trs = transferTable{replica.NewTransfers(), c}
+	c.view = &policy.View{Reps: c.reps.Table, Trs: c.trs.Transfers}
 	c.reg = metrics.NewRegistry()
 	c.vm = metrics.ForRegistry(c.reg)
 	metrics.BridgeTrace(c.log, c.vm)
@@ -231,7 +233,11 @@ func (c *Cluster) CompletedTasks() int { return c.completed }
 // returns the makespan in virtual seconds.
 func (c *Cluster) Run() float64 {
 	c.requestSchedule()
-	return c.eng.Run(0)
+	span := c.eng.Run(0)
+	// The workflow has ended: a placement still unresolved was moved for
+	// nothing.
+	c.place.Flush()
+	return span
 }
 
 func (c *Cluster) workerJoin(w *simWorker) {
@@ -272,7 +278,7 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	c.workersDirty = true
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
 	c.wakeAll()
-	c.placementDropWorker(w.spec.ID)
+	c.place.DropWorker(w.spec.ID)
 	affected := c.reps.DropWorker(w.spec.ID)
 	for _, tr := range c.trs.DropWorker(w.spec.ID) {
 		if tr.Dest != w.spec.ID {
@@ -381,20 +387,14 @@ func (c *Cluster) setState(id int, t *simTask, s int) {
 	if s == 1 {
 		c.replan = append(c.replan, id)
 	}
-	// Keep the placement waiter index exact: waiting and staging tasks are
-	// the lookahead's consumers, mirroring core's fileWaiters maintenance.
-	if c.place != nil {
-		wasWaiter := old == 0 || old == 1
-		isWaiter := s == 0 || s == 1
-		if wasWaiter != isWaiter {
-			delta := -1
-			if isWaiter {
-				delta = 1
-			}
-			for _, in := range t.t.Inputs {
-				c.placementWaiters(in, delta)
-			}
+	// Waiting and staging tasks are the lookahead's consumers, as they are
+	// the fileWaiters index in core.
+	if c.place != nil && (old <= 1) != (s <= 1) {
+		delta := 1
+		if s > 1 {
+			delta = -1
 		}
+		c.consume(t, delta)
 	}
 }
 
@@ -443,24 +443,6 @@ func (c *Cluster) updateGauges() {
 	c.vm.TransfersInflight.Set(float64(c.trs.Len()))
 }
 
-// view adapts the tables to policy.View.
-type simView struct{ c *Cluster }
-
-func (v simView) HasReplica(f, w string) bool       { return v.c.reps.Has(f, w) }
-func (v simView) Replicas(f string) []string        { return v.c.reps.Locate(f) }
-func (v simView) InFlightFrom(s replica.Source) int { return v.c.trs.InFlightFrom(s) }
-func (v simView) InFlightTo(w string) int           { return v.c.trs.InFlightTo(w) }
-
-// TransferPending mirrors the production manager: materializations in
-// progress count as pending so the planner never double-instructs.
-func (v simView) TransferPending(f, w string) bool {
-	if v.c.trs.Pending(f, w) {
-		return true
-	}
-	return v.c.reps.HasAny(f, w) && !v.c.reps.Has(f, w)
-}
-func (v simView) InFlightOf(f string) int { return v.c.trs.InFlightOf(f) }
-
 func (c *Cluster) schedule() {
 	c.vm.SchedulePasses.Inc()
 	defer c.updateGauges()
@@ -507,13 +489,15 @@ func (c *Cluster) schedule() {
 	c.waiting = c.waiting[:kept]
 }
 
-func (c *Cluster) candidateWorkers(t *simTask) []policy.WorkerInfo {
-	// The cached live list is already in join order, so candidates come out
-	// sorted without a per-task sort. The scratch buffer is refilled every
-	// call because Free and RunningTasks change within a single pass.
+// workerInfos snapshots the live workers, only those with needLib ready
+// when it is set. The cached live list is already in join order, so the
+// snapshot comes out sorted without a per-task sort. The scratch buffer is
+// refilled every call because Free and RunningTasks change within a single
+// pass.
+func (c *Cluster) workerInfos(needLib string) []policy.WorkerInfo {
 	out := c.winfoBuf[:0]
 	for _, w := range c.liveWorkerList() {
-		if t.t.Library != "" && !w.libReady[t.t.Library] {
+		if needLib != "" && !w.libReady[needLib] {
 			continue
 		}
 		out = append(out, policy.WorkerInfo{
@@ -527,15 +511,8 @@ func (c *Cluster) candidateWorkers(t *simTask) []policy.WorkerInfo {
 	return out
 }
 
-// fileNeeds mirrors core.fileNeeds: fixed sources per kind, recursive
-// expansion of unmaterialized MiniTask inputs. The returned slice is freshly
-// allocated and safe to retain (placement keeps it across a round).
-func (c *Cluster) fileNeeds(inputs []string) []policy.FileNeed {
-	return c.fileNeedsInto(nil, inputs)
-}
-
-// fileNeedsScratch is fileNeeds appending into a cluster-owned buffer: the
-// result is valid only until the next fileNeedsScratch call. Dispatch
+// fileNeedsScratch is fileNeedsInto appending into a cluster-owned buffer:
+// the result is valid only until the next fileNeedsScratch call. Dispatch
 // (tryAssign, progressStaging, stageLibraryEnv) finishes with each slice
 // before calling back in.
 func (c *Cluster) fileNeedsScratch(inputs []string) []policy.FileNeed {
@@ -543,6 +520,8 @@ func (c *Cluster) fileNeedsScratch(inputs []string) []policy.FileNeed {
 	return c.needsBuf
 }
 
+// fileNeedsInto mirrors core.fileNeeds: fixed sources per kind, recursive
+// expansion of unmaterialized MiniTask inputs.
 func (c *Cluster) fileNeedsInto(needs []policy.FileNeed, inputs []string) []policy.FileNeed {
 	clear(c.needsSeen)
 	for _, in := range inputs {
@@ -612,7 +591,7 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if !c.depsSatisfiable(t) {
 		return false
 	}
-	cands := c.candidateWorkers(t)
+	cands := c.workerInfos(t.t.Library)
 	if len(cands) == 0 {
 		return false
 	}
@@ -625,13 +604,7 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if req.Cores == 0 {
 		req.Cores = 1
 	}
-	pick := policy.BestWorker
-	if c.place != nil {
-		// Placement-aware dispatch: honor bytes the lookahead engine already
-		// has in flight toward a worker.
-		pick = policy.BestWorkerArrivalAware
-	}
-	chosen, ok := pick(needs, req, cands, simView{c})
+	chosen, ok := c.place.Pick(needs, req, cands, c.view)
 	if !ok {
 		return false
 	}
@@ -649,7 +622,7 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 func (c *Cluster) progressStaging(id int, t *simTask) {
 	w := c.workers[t.worker]
 	needs := c.fileNeedsScratch(t.t.Inputs)
-	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, simView{c})
+	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, c.view)
 	// An idle plan starts and materializes nothing, so needs is intact
 	// below when the task parks.
 	idle := len(plan.Transfers) == 0 && len(plan.Blocked) == 0
@@ -731,7 +704,7 @@ func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker,
 			return // worker preempted while the transfer was in flight
 		}
 		if fault.Action != chaos.None && fault.Action != chaos.Slow {
-			c.placementFailed(fileID, w.spec.ID)
+			c.place.Failed(fileID, w.spec.ID)
 			c.reps.Remove(fileID, w.spec.ID)
 			c.log.Add(trace.Event{
 				Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
@@ -770,7 +743,7 @@ func (c *Cluster) materialize(f *File, w *simWorker) {
 		return
 	}
 	for _, in := range f.MiniInputs {
-		c.placementUse(in, w.spec.ID)
+		c.place.Use(in, w.spec.ID)
 	}
 	w.materializing[f.ID] = true
 	c.reps.Add(f.ID, w.spec.ID, replica.Pending)
@@ -802,7 +775,7 @@ func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
 		return
 	}
 	for _, in := range t.t.Inputs {
-		c.placementUse(in, w.spec.ID)
+		c.place.Use(in, w.spec.ID)
 	}
 	c.setState(id, t, 2)
 	t.started = c.eng.Now()
@@ -921,7 +894,7 @@ func (c *Cluster) stageLibraryEnv(w *simWorker, lib *Library, then func()) {
 		return
 	}
 	needs := c.fileNeedsScratch([]string{lib.EnvFile})
-	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, simView{c})
+	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, c.view)
 	for _, tr := range plan.Transfers {
 		c.startTransfer(tr.File, tr.Source, w, "")
 	}

@@ -13,7 +13,7 @@ import (
 // A staging task is parked when its plan neither starts a transfer nor has
 // a blocked input, yet the task cannot start: every input is ready at its
 // worker or on its way there. For such needs policy.PlanTransfers decides
-// on HasReplica and TransferPending alone, before it looks at slot counts
+// on Reps.Has and TransferPending alone, before it looks at slot counts
 // or sources, and fileNeeds expands a MiniTask product only on its
 // CountReplicas. All of these change only through a replica-table or
 // transfer-table mutation on that very file. So a parked task's plan is

@@ -1,327 +1,87 @@
 package sim
 
 import (
-	"sort"
+	"slices"
 
 	"taskvine/internal/policy"
 )
 
-// Lookahead placement, mirroring internal/core: the same pure planner
-// (policy.PlanPlacement) fed the same way — queue-front tasks in order, hot
-// files sorted by ID, live workers in join order — so a simulated run and a
-// real run of one workflow make identical placement decisions. Default off;
-// golden traces are unchanged unless SetPlacement is called.
-
-type simPlacement struct {
-	spec policy.PlacementSpec
-	// waiters counts waiting/staging consumers per input file, the sim's
-	// mirror of the manager's fileWaiters index; hot holds the files at or
-	// above the fan-out threshold.
-	waiters map[string]int
-	hot     map[string]bool
-	// records tracks unresolved placement transfers; placed accounts their
-	// budget charges per worker.
-	records map[simPlaceKey]*simPlaceRecord
-	placed  map[string]int64
-	// probe, when set, observes every budget charge (tests).
-	probe   func(worker string, placed, budget int64)
-	taskBuf []policy.PlacementTask
-	hotBuf  []policy.HotFile
-}
-
-type simPlaceKey struct{ file, dest string }
-
-type simPlaceRecord struct {
-	kind    policy.PlacementKind
-	charged int64
-	landed  bool
-}
+// placementHost is the simulator's policy.Substrate. Lookahead placement
+// (c.place, a policy.Lookahead) is the same engine the real manager runs,
+// fed the same way — queue-front tasks in order, hot files sorted by ID,
+// live workers in join order — so a simulated run and a real run of one
+// workflow make identical placement decisions. Default off; golden traces
+// are unchanged unless SetPlacement is called.
+type placementHost struct{ c *Cluster }
 
 // SetPlacement enables lookahead placement. Call before Run; a disabled
 // spec leaves the cluster exactly as constructed.
 func (c *Cluster) SetPlacement(spec policy.PlacementSpec) {
-	if !spec.Enabled {
-		c.place = nil
-		return
-	}
-	p := &simPlacement{
-		spec:    spec.WithDefaults(),
-		waiters: map[string]int{},
-		hot:     map[string]bool{},
-		records: map[simPlaceKey]*simPlaceRecord{},
-		placed:  map[string]int64{},
-	}
-	c.place = p
-	ids := make([]int, 0, len(c.tasks))
-	for id := range c.tasks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		t := c.tasks[id]
-		if t.state == 0 || t.state == 1 {
-			for _, in := range t.t.Inputs {
-				c.placementWaiters(in, 1)
-			}
-		}
-	}
-}
-
-// SetPlacementProbe installs an observer called on every placement budget
-// charge with the destination, its charged total, and its budget; tests use
-// it to pin the never-exceeds-budget property at issue time.
-func (c *Cluster) SetPlacementProbe(fn func(worker string, placed, budget int64)) {
-	if c.place != nil {
-		c.place.probe = fn
-	}
-}
-
-// PlacementOutstanding reports placement transfers not yet resolved as a
-// hit, waste, or failure — the balancing term of the conservation law while
-// a run is still holding placed-but-unconsumed objects.
-func (c *Cluster) PlacementOutstanding() int {
+	c.place = policy.NewLookahead(spec, c.vm, c.view)
 	if c.place == nil {
-		return 0
-	}
-	return len(c.place.records)
-}
-
-// placementWaiters adjusts one file's waiting-consumer count and keeps the
-// hot set exact.
-func (c *Cluster) placementWaiters(fileID string, delta int) {
-	p := c.place
-	n := p.waiters[fileID] + delta
-	if n <= 0 {
-		delete(p.waiters, fileID)
-		n = 0
-	} else {
-		p.waiters[fileID] = n
-	}
-	if n >= p.spec.FanoutThreshold {
-		p.hot[fileID] = true
-	} else {
-		delete(p.hot, fileID)
-	}
-}
-
-// placementBorn fills FileNeed.BornAt for inputs that do not exist yet but
-// whose producer is already assigned to a worker — the gather planner aims
-// fan-in siblings at that worker.
-func (c *Cluster) placementBorn(needs []policy.FileNeed) {
-	for i := range needs {
-		n := &needs[i]
-		if n.FixedSource != nil || c.reps.CountReplicas(n.ID) > 0 {
-			continue
-		}
-		prodID, ok := c.producers[n.ID]
-		if !ok {
-			continue
-		}
-		if t := c.tasks[prodID]; t != nil && (t.state == 1 || t.state == 2) && t.worker != "" {
-			n.BornAt = t.worker
-		}
-	}
-}
-
-// placementBudgetFor returns the total placement byte budget of a worker
-// (negative: unlimited).
-func (c *Cluster) placementBudgetFor(w *simWorker) int64 {
-	if w.spec.Disk <= 0 {
-		return -1
-	}
-	return int64(c.place.spec.DiskFraction * float64(w.spec.Disk))
-}
-
-// placeLookahead plans and issues this pass's speculative transfers; runs
-// at the tail of every scheduling pass, mirroring core.placeLookahead.
-func (c *Cluster) placeLookahead() {
-	p := c.place
-	if p == nil || c.liveCount == 0 {
 		return
 	}
-	live := c.liveWorkerList()
-	workers := make([]policy.WorkerInfo, 0, len(live))
-	for _, w := range live {
-		workers = append(workers, policy.WorkerInfo{
-			ID:           w.spec.ID,
-			Free:         w.pool.Free(),
-			RunningTasks: len(w.running),
-			JoinOrder:    w.joinOrder,
-		})
-	}
-	scanCap := p.spec.LookaheadPerWorker * len(workers) * 4
-	if scanCap < 16 {
-		scanCap = 16
-	}
-	tasks := p.taskBuf[:0]
-	for _, id := range c.waiting {
-		if scanCap == 0 {
-			break
-		}
-		scanCap--
-		t := c.tasks[id]
-		if t == nil || t.state != 0 || len(t.t.Inputs) == 0 {
-			continue
-		}
-		needs := c.fileNeeds(t.t.Inputs)
-		c.placementBorn(needs)
-		tasks = append(tasks, policy.PlacementTask{ID: id, Needs: needs})
-	}
-	p.taskBuf = tasks
-	hot := p.hotBuf[:0]
-	hotIDs := make([]string, 0, len(p.hot))
-	for fid := range p.hot { // hotpath-ok: bounded by files currently above the fan-out threshold
-		hotIDs = append(hotIDs, fid)
-	}
-	sort.Strings(hotIDs)
-	for _, fid := range hotIDs {
-		needs := c.fileNeeds([]string{fid})
-		if len(needs) != 1 || needs[0].ID != fid {
-			continue // unmaterialized MiniProduct; mirror core's skip
-		}
-		hot = append(hot, policy.HotFile{Need: needs[0], Consumers: p.waiters[fid]})
-	}
-	p.hotBuf = hot
-
-	budget := func(workerID string) int64 {
-		w := c.workers[workerID]
-		if w == nil {
-			return 0
-		}
-		b := c.placementBudgetFor(w)
-		if b < 0 {
-			return -1
-		}
-		b -= p.placed[workerID]
-		if b < 0 {
-			b = 0
-		}
-		return b
-	}
-	actions := policy.PlanPlacement(p.spec, tasks, hot, workers, c.limits, budget, simView{c})
-	for _, a := range actions {
-		w := c.workers[a.Dest]
-		if w == nil || !w.joined {
-			continue
-		}
-		c.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())
-		if !c.trs.Pending(a.File, a.Dest) {
-			continue // admission refused (disk full or injected fault); nothing issued
-		}
-		charged := a.Size
-		if charged < 0 {
-			charged = 0
-		}
-		p.records[simPlaceKey{a.File, a.Dest}] = &simPlaceRecord{kind: a.Kind, charged: charged}
-		p.placed[a.Dest] += charged
-		if p.probe != nil {
-			p.probe(a.Dest, p.placed[a.Dest], c.placementBudgetFor(w))
-		}
-		if a.Kind == policy.PlaceReplicate {
-			c.vm.PlacementReplicas.Inc()
-		} else {
-			c.vm.PlacementPrefetches.Inc()
+	for _, task := range c.workload.Tasks {
+		if t := c.tasks[task.ID]; t.state == 0 || t.state == 1 {
+			c.consume(t, 1)
 		}
 	}
 }
 
-func (p *simPlacement) resolve(k simPlaceKey) *simPlaceRecord {
-	rec := p.records[k]
-	if rec == nil {
+// consume counts a task in or out of its inputs' consumer counts, once per
+// distinct file.
+func (c *Cluster) consume(t *simTask, delta int) {
+	for i, in := range t.t.Inputs {
+		if !slices.Contains(t.t.Inputs[:i], in) {
+			c.place.Consume(in, delta)
+		}
+	}
+}
+
+// placeLookahead runs one lookahead placement pass unless placement is off.
+func (c *Cluster) placeLookahead() {
+	if c.place != nil {
+		c.place.Pass(placementHost{c}, c.workerInfos(""), c.waiting, c.limits)
+	}
+}
+
+func (h placementHost) QueuedNeeds(id int) []policy.FileNeed {
+	t := h.c.tasks[id]
+	if t == nil || t.state != 0 || len(t.t.Inputs) == 0 {
 		return nil
 	}
-	delete(p.records, k)
-	p.placed[k.dest] -= rec.charged
-	if p.placed[k.dest] <= 0 {
-		delete(p.placed, k.dest)
-	}
-	return rec
+	return h.c.fileNeedsInto(nil, t.t.Inputs) // fresh: the pass keeps it
 }
 
-// placementUse resolves a placement as a hit when a consumer runs at (or
-// materializes on) the destination.
-func (c *Cluster) placementUse(fileID, workerID string) {
-	p := c.place
-	if p == nil {
-		return
-	}
-	rec := p.resolve(simPlaceKey{fileID, workerID})
-	if rec == nil {
-		return
-	}
-	if rec.kind == policy.PlaceReplicate {
-		c.vm.PlacementReplicaHits.Inc()
-	} else {
-		c.vm.PlacementPrefetchHits.Inc()
-	}
+func (h placementHost) FileNeeds(fileID string) []policy.FileNeed {
+	return h.c.fileNeedsScratch([]string{fileID})
 }
 
-// placementLanded marks a placement's object as stored at the destination.
-func (c *Cluster) placementLanded(fileID, workerID string) {
-	p := c.place
-	if p == nil {
-		return
+func (h placementHost) ProducerWorker(fileID string) string {
+	prodID, ok := h.c.producers[fileID]
+	if !ok {
+		return ""
 	}
-	if rec := p.records[simPlaceKey{fileID, workerID}]; rec != nil {
-		rec.landed = true
+	if t := h.c.tasks[prodID]; t != nil && (t.state == 1 || t.state == 2) {
+		return t.worker
 	}
+	return ""
 }
 
-// placementFailed resolves a placement whose transfer failed in flight.
-func (c *Cluster) placementFailed(fileID, workerID string) {
-	p := c.place
-	if p == nil {
-		return
+func (h placementHost) DiskCapacity(workerID string) int64 {
+	if w := h.c.workers[workerID]; w != nil {
+		return w.spec.Disk
 	}
-	k := simPlaceKey{fileID, workerID}
-	if rec := p.records[k]; rec != nil && !rec.landed {
-		p.resolve(k)
-		c.vm.PlacementFailures.Inc()
-	}
+	return 0
 }
 
-// placementGone resolves a landed placement whose object disappeared
-// unconsumed (eviction) as waste.
-func (c *Cluster) placementGone(fileID, workerID string) {
-	p := c.place
-	if p == nil {
-		return
+// StartPlacement reports false when admission refused the transfer (disk
+// full) or the destination has left.
+func (h placementHost) StartPlacement(a policy.PlacementAction) bool {
+	w := h.c.workers[a.Dest]
+	if w == nil || !w.joined {
+		return false
 	}
-	k := simPlaceKey{fileID, workerID}
-	rec := p.records[k]
-	if rec == nil {
-		return
-	}
-	p.resolve(k)
-	if rec.landed {
-		c.vm.PlacementWastes.Inc()
-		c.vm.PlacementWasteBytes.Add(rec.charged)
-	} else {
-		c.vm.PlacementFailures.Inc()
-	}
-}
-
-// placementDropWorker resolves every record targeting a departed worker:
-// landed objects as waste, in-flight ones as failures.
-func (c *Cluster) placementDropWorker(workerID string) {
-	p := c.place
-	if p == nil {
-		return
-	}
-	var gone []string
-	for k := range p.records { // hotpath-ok: runs only on worker loss, bounded by unresolved placements
-		if k.dest == workerID {
-			gone = append(gone, k.file)
-		}
-	}
-	sort.Strings(gone)
-	for _, file := range gone {
-		rec := p.resolve(simPlaceKey{file, workerID})
-		if rec.landed {
-			c.vm.PlacementWastes.Inc()
-			c.vm.PlacementWasteBytes.Add(rec.charged)
-		} else {
-			c.vm.PlacementFailures.Inc()
-		}
-	}
+	h.c.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())
+	return h.c.trs.Pending(a.File, a.Dest)
 }

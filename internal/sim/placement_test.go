@@ -69,7 +69,7 @@ func tallyPlacement(c *Cluster) placementTally {
 		replicaHits:  c.vm.PlacementReplicaHits.Value(),
 		wastes:       c.vm.PlacementWastes.Value(),
 		failures:     c.vm.PlacementFailures.Value(),
-		outstanding:  c.PlacementOutstanding(),
+		outstanding:  c.place.Outstanding(),
 	}
 }
 
@@ -173,29 +173,44 @@ func TestSimPlacementNothingToMoveIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSimPlacementBudgetNeverExceeded: every budget charge, observed at
-// issue time through the probe, stays within DiskFraction of the worker's
-// disk.
+// TestSimPlacementBudgetNeverExceeded: the bytes unresolved placements
+// hold against each worker stay within DiskFraction of its disk. The check
+// runs every 10 ms of virtual time for the whole run; a charge lasts at
+// least one transfer (seconds here), so no over-budget state slips between
+// checks.
 func TestSimPlacementBudgetNeverExceeded(t *testing.T) {
+	const disk = 200e6 // budget: 100e6, fits one replica at a time
 	w := fanoutWorkload(8, 3, 60e6)
 	for i := range w.Workers {
-		w.Workers[i].Disk = 200e6 // budget: 100e6, fits one replica at a time
+		w.Workers[i].Disk = disk
 	}
 	c := NewCluster(w, DefaultParams(), policy.Limits{})
 	c.SetPlacement(policy.PlacementSpec{Enabled: true})
-	charges := 0
-	c.SetPlacementProbe(func(worker string, placed, budget int64) {
-		charges++
-		if budget >= 0 && placed > budget {
-			t.Fatalf("worker %s charged %d > budget %d", worker, placed, budget)
+	budget := int64(policy.PlacementSpec{}.WithDefaults().DiskFraction * disk)
+	want := fanoutTasks(8, 3)
+	charged := 0
+	var check func()
+	check = func() {
+		for _, ws := range w.Workers {
+			got := c.place.Charged(ws.ID)
+			if got > budget {
+				t.Fatalf("t=%.2fs: worker %s charged %d > budget %d", c.eng.Now(), ws.ID, got, budget)
+			}
+			if got > 0 {
+				charged++
+			}
 		}
-	})
+		if c.CompletedTasks() < want && c.eng.Now() < 1000 {
+			c.eng.After(0.01, check)
+		}
+	}
+	c.eng.At(0, check)
 	c.Run()
-	if want := fanoutTasks(8, 3); c.CompletedTasks() != want {
+	if c.CompletedTasks() != want {
 		t.Fatalf("completed %d/%d tasks", c.CompletedTasks(), want)
 	}
-	if charges == 0 {
-		t.Fatal("probe never fired; test is vacuous")
+	if charged == 0 {
+		t.Fatal("no check saw a budget charge; test is vacuous")
 	}
 	checkConservation(t, c)
 }

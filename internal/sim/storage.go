@@ -110,7 +110,7 @@ func (c *Cluster) store(w *simWorker, fileID string, size int64) {
 	c.vm.CacheInserts.Inc()
 	c.vm.CacheInsertBytes.Add(size)
 	c.reps.Commit(fileID, w.spec.ID)
-	c.placementLanded(fileID, w.spec.ID)
+	c.place.Landed(fileID, w.spec.ID)
 }
 
 // storeOutput records a task output, preferring the memory tier when the
@@ -192,7 +192,7 @@ func (c *Cluster) evict(w *simWorker, fileID string) {
 	} else {
 		w.cacheUsed -= obj.size
 	}
-	c.placementGone(fileID, w.spec.ID)
+	c.place.Gone(fileID, w.spec.ID)
 	c.reps.Remove(fileID, w.spec.ID)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.FileEvicted, Worker: w.spec.ID, File: fileID,

@@ -9,6 +9,7 @@ package worker
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"os"
 	"strconv"
@@ -104,7 +105,7 @@ func TestChaosPeerFetchTimesOutOnWedgedPeer(t *testing.T) {
 			return
 		}
 		// Promise a megabyte, deliver ten bytes, then wedge.
-		writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
+		writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: "wedge-obj", Size: 1 << 20, Payload: true})
 		nc.Write([]byte("ten bytes!"))
 		<-hold
 	}()
@@ -122,8 +123,10 @@ func TestChaosPeerFetchTimesOutOnWedgedPeer(t *testing.T) {
 	up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
 		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "wedge-obj"
 	})
-	if up.Status != protocol.StatusFailed {
-		t.Fatalf("wedged fetch reported %+v", up)
+	// The served header decodes (writeHeader checks it), so the only read
+	// that can time out is the stalled payload's.
+	if up.Status != protocol.StatusFailed || !strings.Contains(up.Error, "i/o timeout") {
+		t.Fatalf("wedged fetch reported %+v, want an i/o timeout", up)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("wedged fetch took %v; idle deadline did not trip", elapsed)
@@ -150,7 +153,7 @@ func TestChaosPeerDiesMidStream(t *testing.T) {
 				nc.Close()
 				continue
 			}
-			writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
+			writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: "cut-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
 			nc.Close() // die mid-stream
 		}
@@ -167,8 +170,10 @@ func TestChaosPeerDiesMidStream(t *testing.T) {
 	up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
 		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "cut-obj"
 	})
-	if up.Status != protocol.StatusFailed || up.Error == "" {
-		t.Fatalf("mid-stream death reported %+v", up)
+	// The advertised size in the error comes from the served header.
+	want := fmt.Sprintf("worker: peer sent %d of %d bytes", len(payload)/2, len(payload))
+	if up.Status != protocol.StatusFailed || up.Error != want {
+		t.Fatalf("mid-stream death reported %+v, want error %q", up, want)
 	}
 }
 

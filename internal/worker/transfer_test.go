@@ -7,6 +7,7 @@ package worker
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -66,7 +67,7 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 				nc.Close()
 				continue
 			}
-			writeHeader(nc, &protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
+			writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
 			nc.Write(payload[:len(payload)/2])
 			nc.Close() // killed mid-transfer
 		}
@@ -83,8 +84,9 @@ func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
 	up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
 		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "killed-obj"
 	})
-	if up.Status != protocol.StatusFailed {
-		t.Fatalf("killed fetch reported %+v", up)
+	want := fmt.Sprintf("worker: peer sent %d of %d bytes", len(payload)/2, len(payload))
+	if up.Status != protocol.StatusFailed || up.Error != want {
+		t.Fatalf("killed fetch reported %+v, want error %q", up, want)
 	}
 	if _, err := os.Stat(w.cache.Path("killed-obj")); !os.IsNotExist(err) {
 		t.Fatalf("killed fetch left a file at the final cache path (stat err=%v)", err)
@@ -124,7 +126,7 @@ func TestChaosDirShortTarNotCommitted(t *testing.T) {
 			}
 			// Promise more than the archive holds, then hang up: a valid
 			// end-of-archive marker arrives before the advertised size does.
-			writeHeader(nc, &protocol.Message{
+			writeHeader(t, nc, &protocol.Message{
 				Type: protocol.TypeData, CacheName: "short-tree",
 				Size: int64(len(blob)) + 512, Dir: true, Payload: true,
 			})

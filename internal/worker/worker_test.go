@@ -33,20 +33,29 @@ type fakeManager struct {
 // message straight to a fake peer's socket, so the peer can follow it with
 // a short or stalled payload that a Conn would refuse to send. A Conn
 // renders the whole frame onto a recording socket; the payload is cut off.
-func writeHeader(nc net.Conn, m *protocol.Message) {
+// The rendered frame is read back first: a header that does not decode to
+// m would fail the fetch before the payload the test means to exercise.
+func writeHeader(t *testing.T, nc net.Conn, m *protocol.Message) {
 	rec := &recordConn{}
 	protocol.NewConn(rec).SendPayload(m, bytes.NewReader(make([]byte, m.Size)))
-	frame := rec.buf.Bytes()
+	frame := bytes.Clone(rec.buf.Bytes())
+	got, _, err := protocol.NewConn(rec).Recv()
+	if err != nil || got.Type != m.Type || got.CacheName != m.CacheName ||
+		got.Size != m.Size || got.Dir != m.Dir || !got.Payload {
+		t.Errorf("served header reads back as %+v, %v; want %+v", got, err, m)
+	}
 	nc.Write(frame[:len(frame)-int(m.Size)])
 }
 
-// recordConn is a socket that only records what is written to it.
+// recordConn is a socket that records what is written to it and replays it
+// to reads.
 type recordConn struct {
 	net.Conn
 	buf bytes.Buffer
 }
 
 func (r *recordConn) Write(p []byte) (int, error) { return r.buf.Write(p) }
+func (r *recordConn) Read(p []byte) (int, error)  { return r.buf.Read(p) }
 
 func startFake(t *testing.T) *fakeManager {
 	t.Helper()

@@ -7,25 +7,41 @@ package workloads
 // must remain byte-identical to the golden scheduler.
 
 import (
+	"math"
 	"testing"
 
 	"taskvine/internal/policy"
 	"taskvine/internal/sim"
 )
 
-// runSpan simulates a workload and returns the makespan, with or without
-// default-tuned lookahead placement.
-func runSpan(t *testing.T, w *sim.Workload, placement bool) float64 {
+// gatherOnly is default placement with replication out of reach: no
+// file's fan-out reaches the threshold, so only the gather move runs.
+var gatherOnly = policy.PlacementSpec{Enabled: true, FanoutThreshold: math.MaxInt}
+
+// runSpan simulates a workload under a placement spec and returns the
+// makespan.
+func runSpan(t *testing.T, w *sim.Workload, spec policy.PlacementSpec) float64 {
 	t.Helper()
 	c := sim.NewCluster(w, sim.DefaultParams(), policy.Limits{})
-	if placement {
-		c.SetPlacement(policy.PlacementSpec{Enabled: true})
-	}
+	c.SetPlacement(spec)
 	span := c.Run()
 	if c.CompletedTasks() != len(w.Tasks) {
-		t.Fatalf("completed %d/%d tasks (placement=%v)", c.CompletedTasks(), len(w.Tasks), placement)
+		t.Fatalf("completed %d/%d tasks (placement %+v)", c.CompletedTasks(), len(w.Tasks), spec)
 	}
 	return span
+}
+
+// checkPlacementGain logs the makespan with placement off, on, and
+// gathering only, and requires default placement to beat off.
+func checkPlacementGain(t *testing.T, name string, build func() *sim.Workload) {
+	off := runSpan(t, build(), policy.PlacementSpec{})
+	on := runSpan(t, build(), policy.PlacementSpec{Enabled: true})
+	gather := runSpan(t, build(), gatherOnly)
+	t.Logf("%s makespan: off=%.2fs on=%.2fs (%.1f%%) gather-only=%.2fs (%.1f%%)",
+		name, off, on, 100*(off-on)/off, gather, 100*(off-gather)/off)
+	if on >= off {
+		t.Fatalf("placement did not improve %s makespan: %.3fs on vs %.3fs off", name, on, off)
+	}
 }
 
 // placementBlast is the BLAST shape the tentpole targets: sequence-heavy
@@ -42,19 +58,9 @@ func placementBlast() *sim.Workload {
 }
 
 func TestPlacementImprovesBlastMakespan(t *testing.T) {
-	off := runSpan(t, placementBlast(), false)
-	on := runSpan(t, placementBlast(), true)
-	t.Logf("blast makespan: off=%.1fs on=%.1fs (%.1f%%)", off, on, 100*(off-on)/off)
-	if on >= off {
-		t.Fatalf("placement did not improve BLAST makespan: %.3fs on vs %.3fs off", on, off)
-	}
+	checkPlacementGain(t, "blast", placementBlast)
 }
 
 func TestPlacementImprovesTopEFTMakespan(t *testing.T) {
-	off := runSpan(t, goldenTopEFT(), false)
-	on := runSpan(t, goldenTopEFT(), true)
-	t.Logf("topeft makespan: off=%.1fs on=%.1fs (%.1f%%)", off, on, 100*(off-on)/off)
-	if on >= off {
-		t.Fatalf("placement did not improve TopEFT makespan: %.3fs on vs %.3fs off", on, off)
-	}
+	checkPlacementGain(t, "topeft", goldenTopEFT)
 }
