@@ -261,6 +261,31 @@ func TestBinaryWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryAbandonedPayloadIsDrained: the next Recv skips a payload the
+// caller never read, even one larger than the read buffer, and the payload
+// frame after it arrives intact.
+func TestBinaryAbandonedPayloadIsDrained(t *testing.T) {
+	ca, cb := pipePair(t)
+	next := bytes.Repeat([]byte("after-drain"), 100)
+	go func() {
+		ca.SendPayload(&Message{Type: TypePut, CacheName: "big", Size: 1 << 17},
+			bytes.NewReader(make([]byte, 1<<17)))
+		ca.SendPayload(&Message{Type: TypeData, CacheName: "next", Size: int64(len(next))},
+			bytes.NewReader(next))
+	}()
+	if _, _, err := cb.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	m, p, err := cb.Recv()
+	if err != nil || m.Type != TypeData || m.CacheName != "next" {
+		t.Fatalf("m=%+v err=%v", m, err)
+	}
+	body, err := io.ReadAll(p)
+	if err != nil || !bytes.Equal(body, next) {
+		t.Fatalf("payload after drain: %d bytes, err %v", len(body), err)
+	}
+}
+
 // TestOversizedFrameHeaderRejected feeds a prologue claiming a huge header.
 func TestOversizedFrameHeaderRejected(t *testing.T) {
 	a, b := net.Pipe()
