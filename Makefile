@@ -18,15 +18,17 @@ build:
 test:
 	$(GO) test ./...
 
-# lint is the single static-analysis gate: go vet plus the
-# domain-specific analyzer suite (tools/vinelint) — simulator determinism,
-# lock discipline and ordering, wire-protocol completeness, finalization
-# error handling, event-loop blocking, goroutine lifecycles, and metric
-# parity. Diagnostics are also written to VINELINT.json for CI
-# annotations; set LINTFLAGS="-format github" to emit inline workflow
-# annotations.
+# lint is the single static-analysis gate: gofmt (every Go file outside
+# dot directories must be formatted), go vet, and the domain-specific
+# analyzer suite (tools/vinelint) — simulator determinism, lock discipline
+# and ordering, wire-protocol completeness, finalization error handling,
+# event-loop blocking, goroutine lifecycles, and metric parity.
+# Diagnostics are also written to VINELINT.json for CI annotations; set
+# LINTFLAGS="-format github" to emit inline workflow annotations.
 LINTFLAGS ?=
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path '*/.*')); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./tools/vinelint -json-file VINELINT.json $(LINTFLAGS) ./...
 

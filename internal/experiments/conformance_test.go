@@ -167,7 +167,7 @@ func conformanceReal(t *testing.T, enabled bool) (decisions []string, producerWo
 	submit(command("sleep 2.5")) // filler 1: pins w0
 	prod := command("sleep 0.3; head -c 400000 /dev/zero > out")
 	prod.AddOutput(temp.ID, "out")
-	prodID := submit(prod) // producer: runs on w1 while w0 is pinned
+	prodID := submit(prod)       // producer: runs on w1 while w0 is pinned
 	submit(command("sleep 2.0")) // filler 2: re-pins the producer's worker
 	for i := 0; i < 4; i++ {
 		var spec *taskspec.Spec

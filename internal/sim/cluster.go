@@ -51,10 +51,17 @@ type Cluster struct {
 	pass   []int
 	passAt int
 	inPass bool
-	// wakeOn indexes parked tasks by every file their plan consulted;
-	// parkedAll holds every parking, for wakes on membership change.
-	wakeOn    map[string][]parkRef
-	parkedAll []parkRef
+	// wakeOn indexes parked tasks by every file their plan consulted,
+	// wakeDest by the worker whose destination slot a blocked input waits
+	// on, and wakeSrc by the sources whose slots it waits on (park.go).
+	wakeOn   map[string][]parkRef
+	wakeDest map[string][]parkRef
+	wakeSrc  map[replica.Source][]parkRef
+	// evictions counts cache evictions, so a staging task can tell whether
+	// starting its transfers evicted anything.
+	evictions int
+	// plans counts progressStaging calls, for tests of the pass cost.
+	plans int
 	// needsBuf and needsSeen are fileNeedsScratch's reused buffer and
 	// dedup set. fixedSrc caches each URL or shared-FS file's fixed
 	// source; managerSrc is the one every manager-served need shares (the
@@ -71,6 +78,9 @@ type Cluster struct {
 	liveSorted   []*simWorker
 	workersDirty bool
 	liveCount    int
+	// freeCores is the free cores of the joined workers' pools, kept by
+	// every join, leave, Alloc and Release, so a pass need not sum them.
+	freeCores int
 	// winfoBuf is scratch for workerInfos, reused across calls so the
 	// per-task candidate build allocates nothing in steady state.
 	winfoBuf []policy.WorkerInfo
@@ -152,6 +162,8 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		workers:   make(map[string]*simWorker),
 		tasks:     make(map[int]*simTask),
 		wakeOn:    make(map[string][]parkRef),
+		wakeDest:  make(map[string][]parkRef),
+		wakeSrc:   make(map[replica.Source][]parkRef),
 		needsSeen: make(map[string]bool),
 		fixedSrc:  make(map[string]*replica.Source),
 		producers: make(map[string]int),
@@ -243,9 +255,9 @@ func (c *Cluster) Run() float64 {
 func (c *Cluster) workerJoin(w *simWorker) {
 	w.joined = true
 	c.liveCount++
+	c.freeCores += w.pool.Free().Cores
 	c.workersDirty = true
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerJoined, Worker: w.spec.ID})
-	c.wakeAll()
 	for _, fid := range w.spec.Prestaged {
 		f := c.workload.Files[fid]
 		if f == nil {
@@ -275,9 +287,9 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	}
 	w.joined = false
 	c.liveCount--
+	c.freeCores -= w.pool.Free().Cores
 	c.workersDirty = true
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
-	c.wakeAll()
 	c.place.DropWorker(w.spec.ID)
 	affected := c.reps.DropWorker(w.spec.ID)
 	for _, tr := range c.trs.DropWorker(w.spec.ID) {
@@ -455,10 +467,7 @@ func (c *Cluster) schedule() {
 	c.progressAllStaging()
 	// Skip the waiting scan entirely when no worker has a free core: with
 	// thousands of queued tasks this dominates simulation cost otherwise.
-	freeCores := 0
-	for _, w := range c.liveWorkerList() {
-		freeCores += w.pool.Free().Cores
-	}
+	freeCores := c.freeCores
 	if freeCores == 0 {
 		return
 	}
@@ -612,6 +621,7 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if !w.pool.Alloc(req) {
 		return false
 	}
+	c.freeCores -= req.Cores
 	t.worker = w.spec.ID
 	c.setState(id, t, 1)
 	w.running[id] = true
@@ -620,14 +630,15 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 }
 
 func (c *Cluster) progressStaging(id int, t *simTask) {
+	c.plans++
 	w := c.workers[t.worker]
 	needs := c.fileNeedsScratch(t.t.Inputs)
 	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, c.view)
-	// An idle plan starts and materializes nothing, so needs is intact
-	// below when the task parks.
-	idle := len(plan.Transfers) == 0 && len(plan.Blocked) == 0
+	// Once its plan has started, a task that cannot run parks (park.go),
+	// unless an admission on the way refused or evicted anything.
+	settled, evictions := true, c.evictions
 	for _, tr := range plan.Transfers {
-		c.startTransfer(tr.File, tr.Source, w, "")
+		settled = c.startTransfer(tr.File, tr.Source, w, "") && settled
 	}
 	for _, blockedID := range plan.Blocked {
 		f := c.workload.Files[blockedID]
@@ -648,13 +659,13 @@ func (c *Cluster) progressStaging(id int, t *simTask) {
 			}
 		}
 		if ready {
-			c.materialize(f, w)
+			settled = c.materialize(f, w) && settled
 		}
 	}
 	for _, in := range t.t.Inputs {
 		if !c.reps.Has(in, w.spec.ID) {
-			if idle {
-				c.park(id, t, needs)
+			if settled && c.evictions == evictions {
+				c.park(id, t, w.spec.ID, needs, plan.Blocked)
 			}
 			return
 		}
@@ -662,12 +673,13 @@ func (c *Cluster) progressStaging(id int, t *simTask) {
 	c.startRun(id, t, w)
 }
 
-func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker, detail string) {
+// startTransfer reports false when admission refused the object.
+func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker, detail string) bool {
 	f := c.workload.Files[fileID]
 	if !c.admit(w, f) {
 		// The object cannot fit even after eviction; the consumer stays
 		// staged and is retried when space frees up.
-		return
+		return false
 	}
 	// One fault decision per transfer attempt: Slow stretches the flow's
 	// latency, anything else fails the transfer on arrival — modeling a
@@ -720,6 +732,7 @@ func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker,
 		})
 		c.requestSchedule()
 	})
+	return true
 }
 
 func (c *Cluster) sourceLabel(src replica.Source) string {
@@ -737,10 +750,11 @@ func (c *Cluster) sourceLabel(src replica.Source) string {
 }
 
 // materialize models MiniTask execution at the worker: unpack work
-// proportional to the product size.
-func (c *Cluster) materialize(f *File, w *simWorker) {
+// proportional to the product size. It reports false when admission
+// refused the product.
+func (c *Cluster) materialize(f *File, w *simWorker) bool {
 	if !c.admit(w, f) {
-		return
+		return false
 	}
 	for _, in := range f.MiniInputs {
 		c.place.Use(in, w.spec.ID)
@@ -764,6 +778,7 @@ func (c *Cluster) materialize(f *File, w *simWorker) {
 		})
 		c.requestSchedule()
 	})
+	return true
 }
 
 func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
@@ -844,6 +859,7 @@ func (c *Cluster) completeTask(id int, t *simTask, w *simWorker) {
 		req.Cores = 1
 	}
 	w.pool.Release(req)
+	c.freeCores += req.Cores
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskEnd, Worker: w.spec.ID,
 		TaskID: id, Detail: t.t.Category,
@@ -864,6 +880,7 @@ func (c *Cluster) deployLibrary(w *simWorker, lib *Library) {
 	if !w.pool.Alloc(resources.R{Cores: cores}) {
 		return
 	}
+	c.freeCores -= cores
 	w.libBoot[lib.Name] = true
 	boot := func() {
 		c.eng.After(lib.BootTime, func() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"taskvine/internal/chaos"
 	"taskvine/internal/files"
 	"taskvine/internal/policy"
 	"taskvine/internal/trace"
@@ -347,5 +348,50 @@ func TestPreemptionLosesReplicasAndRecovers(t *testing.T) {
 	}
 	if recoveries != 1 {
 		t.Fatalf("RecoveryStart events = %d, want 1", recoveries)
+	}
+}
+
+// The cluster's free-core count must equal the sum over the joined
+// workers' pools at every trace event, through library deploys, crashes,
+// preemption and requeues.
+func TestFreeCoresMatchesPools(t *testing.T) {
+	lib := simpleWorkload(12, 3, 10e6, 4)
+	lib.Files["url-libenv"] = &File{ID: "url-libenv", Size: 89e6, Kind: FromURL, SourcePath: "/libenv"}
+	lib.Libraries = []*Library{{Name: "bgd", EnvFile: "url-libenv", BootTime: 5, Cores: 1}}
+	for _, task := range lib.Tasks[:6] {
+		task.Library = "bgd"
+	}
+	lib.Workers[1].LeaveTime = 15
+	for name, tc := range map[string]struct {
+		w   *Workload
+		inj *chaos.Injector
+	}{
+		"chaos":   {simpleWorkload(24, 4, 500e6, 1.0), chaosRules(1)},
+		"library": {lib, nil},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCluster(tc.w, DefaultParams(), policy.DefaultLimits())
+			if tc.inj != nil {
+				c.InjectFaults(tc.inj)
+			}
+			checked := 0
+			c.Trace().Observe(func(e trace.Event) {
+				sum := 0
+				for _, w := range c.workers {
+					if w.joined {
+						sum += w.pool.Free().Cores
+					}
+				}
+				if c.freeCores != sum {
+					t.Fatalf("%s at %.3f: freeCores %d, pools hold %d free", e.Kind, e.Time, c.freeCores, sum)
+				}
+				checked++
+			})
+			c.Run()
+			requireDone(t, c, tc.w)
+			if checked == 0 {
+				t.Fatal("no trace event checked")
+			}
+		})
 	}
 }

@@ -56,16 +56,19 @@ func (t *Timer) Cancel() {
 
 // Run processes events until the queue is empty or the virtual clock would
 // pass limit (<=0 means no limit). It returns the final virtual time.
+// Events past the limit stay queued for a later Run.
 func (e *Engine) Run(limit float64) float64 {
 	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*simEvent)
+		ev := e.queue[0]
 		if ev.cancelled {
+			heap.Pop(&e.queue)
 			continue
 		}
 		if limit > 0 && ev.t > limit {
 			e.now = limit
 			return e.now
 		}
+		heap.Pop(&e.queue)
 		e.now = ev.t
 		ev.fn()
 	}

@@ -58,6 +58,23 @@ func TestEngineRunLimit(t *testing.T) {
 	}
 }
 
+// An event past the limit stays queued: a later Run fires it.
+func TestEngineRunLimitKeepsLaterEvents(t *testing.T) {
+	e := NewEngine()
+	var fired []float64
+	e.At(5, func() { fired = append(fired, e.Now()) })
+	e.At(20, func() { fired = append(fired, e.Now()) })
+	if end := e.Run(10); end != 10 {
+		t.Fatalf("Run(10) ended at %v", end)
+	}
+	if end := e.Run(0); end != 20 {
+		t.Fatalf("Run(0) ended at %v", end)
+	}
+	if len(fired) != 2 || fired[0] != 5 || fired[1] != 20 {
+		t.Fatalf("fired at %v, want [5 20]", fired)
+	}
+}
+
 func TestEnginePastEventClamps(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1

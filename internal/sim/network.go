@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Endpoint is one attachment point in the simulated network: a worker NIC,
@@ -26,22 +26,36 @@ type Endpoint struct {
 	PerFlowBW float64
 
 	out, in int // live flow counts
-	// flows indexes every live flow touching this endpoint (as source or
+	// flows lists every live flow touching this endpoint (as source or
 	// destination). A flow's rate depends only on its two endpoints' flow
-	// counts, so when the flow set changes, these sets name exactly the
+	// counts, so when the flow set changes, these lists name exactly the
 	// flows whose rates can differ — the rest keep bit-identical rates.
-	flows map[int]*Flow
+	flows []*Flow
 }
 
-func (ep *Endpoint) attach(f *Flow) {
-	if ep.flows == nil {
-		ep.flows = make(map[int]*Flow)
+// attach appends f to the endpoint's list and returns its position there.
+func (ep *Endpoint) attach(f *Flow) int {
+	ep.flows = append(ep.flows, f)
+	return len(ep.flows) - 1
+}
+
+// detach swap-removes the flow at position i, fixing the position the
+// moved flow stores for this endpoint.
+func (ep *Endpoint) detach(i int) {
+	last := len(ep.flows) - 1
+	if i != last {
+		m := ep.flows[last]
+		ep.flows[i] = m
+		// A flow from an endpoint to itself sits in the list twice; the
+		// position that pointed at the last slot is the one that moved.
+		if m.src == ep && m.srcPos == last {
+			m.srcPos = i
+		} else {
+			m.dstPos = i
+		}
 	}
-	ep.flows[f.id] = f
-}
-
-func (ep *Endpoint) detach(f *Flow) {
-	delete(ep.flows, f.id)
+	ep.flows[last] = nil
+	ep.flows = ep.flows[:last]
 }
 
 // Flow is one in-progress transfer.
@@ -50,9 +64,10 @@ type Flow struct {
 	remaining float64
 	rate      float64
 	onDone    func()
-	// extraLatency is a fixed startup delay (metadata ops, connection
-	// setup) already charged before bytes move.
-	id int
+	id        int
+	// pos, srcPos and dstPos are the flow's positions in Network.flows,
+	// src.flows and dst.flows; pos is -1 once the flow completed.
+	pos, srcPos, dstPos int
 }
 
 // Network simulates point-to-point transfers with max-min fair sharing at
@@ -61,7 +76,7 @@ type Flow struct {
 // measure: source saturation, fan-out trees, and contention overheads.
 type Network struct {
 	eng    *Engine
-	flows  map[int]*Flow
+	flows  []*Flow
 	nextID int
 	// timer fires at the earliest flow completion; rescheduled on change.
 	timer      *Timer
@@ -70,7 +85,7 @@ type Network struct {
 
 // NewNetwork creates a network on the given engine.
 func NewNetwork(eng *Engine) *Network {
-	return &Network{eng: eng, flows: make(map[int]*Flow)}
+	return &Network{eng: eng}
 }
 
 // NewEndpoint creates an endpoint with symmetric bandwidth.
@@ -95,12 +110,12 @@ func (n *Network) StartFlow(src, dst *Endpoint, size float64, latency float64, o
 		}
 		n.advance()
 		n.nextID++
-		f := &Flow{src: src, dst: dst, remaining: size, onDone: onDone, id: n.nextID}
-		n.flows[f.id] = f
+		f := &Flow{src: src, dst: dst, remaining: size, onDone: onDone, id: n.nextID, pos: len(n.flows)}
+		n.flows = append(n.flows, f)
 		src.out++
 		dst.in++
-		src.attach(f)
-		dst.attach(f)
+		f.srcPos = src.attach(f)
+		f.dstPos = dst.attach(f)
 		n.reschedule(f)
 	})
 }
@@ -110,7 +125,7 @@ func (n *Network) advance() {
 	now := n.eng.Now()
 	dt := now - n.lastUpdate
 	if dt > 0 {
-		for _, f := range n.flows { // hotpath-ok: every live flow must accrue progress; bounded by transfer limits
+		for _, f := range n.flows {
 			f.remaining -= f.rate * dt
 			if f.remaining < 0 {
 				f.remaining = 0
@@ -169,37 +184,42 @@ func (n *Network) reschedule(changed *Flow) {
 		return
 	}
 	if changed != nil {
-		for _, f := range changed.src.flows { // hotpath-ok: the changed flow's neighbourhood //vinelint:ignore simdeterminism per-flow rates are pure functions of endpoint counts, order cannot matter
+		for _, f := range changed.src.flows {
 			recomputeFlow(f)
 		}
-		for _, f := range changed.dst.flows { // hotpath-ok: the changed flow's neighbourhood //vinelint:ignore simdeterminism per-flow rates are pure functions of endpoint counts, order cannot matter
+		for _, f := range changed.dst.flows {
 			recomputeFlow(f)
 		}
 	}
 	var first *Flow
 	var firstT float64
-	for _, f := range n.flows { // hotpath-ok: bit-exact timer arming needs fresh remaining/rate over live flows
+	for _, f := range n.flows {
 		t := f.remaining / f.rate
 		if first == nil || t < firstT || (t == firstT && f.id < first.id) {
 			first, firstT = f, t
 		}
 	}
-	id := first.id
-	n.timer = n.eng.After(firstT, func() { n.complete(id) })
+	n.timer = n.eng.After(firstT, func() { n.complete(first) })
 }
 
-func (n *Network) complete(id int) {
+func (n *Network) complete(f *Flow) {
 	n.advance()
-	f, ok := n.flows[id]
-	if !ok {
+	if f.pos < 0 {
 		n.reschedule(nil)
 		return
 	}
-	delete(n.flows, id)
+	last := len(n.flows) - 1
+	if f.pos != last {
+		n.flows[f.pos] = n.flows[last]
+		n.flows[f.pos].pos = f.pos
+	}
+	n.flows[last] = nil
+	n.flows = n.flows[:last]
+	f.pos = -1
 	f.src.out--
 	f.dst.in--
-	f.src.detach(f)
-	f.dst.detach(f)
+	f.src.detach(f.srcPos)
+	f.dst.detach(f.dstPos)
 	done := f.onDone
 	n.reschedule(f)
 	if done != nil {
@@ -209,15 +229,11 @@ func (n *Network) complete(id int) {
 
 // Snapshot renders current flows for debugging.
 func (n *Network) Snapshot() string {
-	ids := make([]int, 0, len(n.flows))
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	flows := slices.Clone(n.flows)
+	slices.SortFunc(flows, func(a, b *Flow) int { return a.id - b.id })
 	s := ""
-	for _, id := range ids {
-		f := n.flows[id]
-		s += fmt.Sprintf("flow %d %s->%s %.0fB @%.0fB/s\n", id, f.src.Name, f.dst.Name, f.remaining, f.rate)
+	for _, f := range flows {
+		s += fmt.Sprintf("flow %d %s->%s %.0fB @%.0fB/s\n", f.id, f.src.Name, f.dst.Name, f.remaining, f.rate)
 	}
 	return s
 }

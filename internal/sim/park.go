@@ -10,17 +10,33 @@ import (
 // Parking: a scheduling pass replans only the staging tasks whose plan can
 // have changed.
 //
-// A staging task is parked when its plan neither starts a transfer nor has
-// a blocked input, yet the task cannot start: every input is ready at its
-// worker or on its way there. For such needs policy.PlanTransfers decides
-// on Reps.Has and TransferPending alone, before it looks at slot counts
-// or sources, and fileNeeds expands a MiniTask product only on its
-// CountReplicas. All of these change only through a replica-table or
-// transfer-table mutation on that very file. So a parked task's plan is
-// fixed until one of its files is mutated, and replanning it earlier would
-// be a call with no effect. Every mutation goes through the two table
-// wrappers below, which wake the parked tasks that need the file; worker
-// joins and departures wake every parked task.
+// A staging task is parked after any plan that leaves it unable to start,
+// once the plan's transfers and MiniTask unpacks have begun. Replanning it
+// then would give a plan that starts nothing: each input is ready at its
+// worker, on its way there, or blocked on a transfer slot. Such a plan
+// depends on exactly three things:
+//
+//   - mutations of its files (its inputs and, while a MiniTask product has
+//     no ready replica, the product's inputs): policy.PlanTransfers reads
+//     Reps.Has, TransferPending and the holder list, and fileNeeds expands
+//     a product on its CountReplicas;
+//   - its destination slot, the transfers in flight to its worker;
+//   - its sources' slots, for each blocked input: the transfers in flight
+//     from each worker holding it and from its fixed source.
+//
+// Only a slot freeing can unblock an input: with no transfer in the plan,
+// a fuller slot keeps every blocked input blocked. So the task is indexed
+// under its files and, if an input is blocked, under those slots, and the
+// table wrappers below wake it on a file mutation (every one goes through
+// them) or on a transfer completing or being dropped with a worker. A join
+// adds no replica but through store, and a leave drops replicas and
+// transfers through the wrappers, so membership changes need no wake of
+// their own.
+//
+// A plan is not a fixed point, and the task stays on the replan list, when
+// admission refused one of its transfers or unpacks (the retry waits on
+// disk space, not on a table) or when admission evicted anything while it
+// started them (an evicted input must be fetched again).
 //
 // A woken task is replanned where a pass replanning every staging task in
 // ID order would have replanned it, so decisions match such a pass exactly:
@@ -79,7 +95,7 @@ func (t transferTable) Start(file string, src replica.Source, dest string) repli
 func (t transferTable) Complete(id string) (replica.Transfer, bool) {
 	tr, ok := t.Transfers.Complete(id)
 	if ok {
-		t.c.wakeFile(tr.File)
+		t.c.wakeTransfer(tr)
 	}
 	return tr, ok
 }
@@ -87,21 +103,42 @@ func (t transferTable) Complete(id string) (replica.Transfer, bool) {
 func (t transferTable) DropWorker(worker string) []replica.Transfer {
 	cancelled := t.Transfers.DropWorker(worker)
 	for _, tr := range cancelled {
-		t.c.wakeFile(tr.File)
+		t.c.wakeTransfer(tr)
 	}
 	return cancelled
 }
 
-// park sets a staging task aside until one of its needs changes, indexing
-// it under every file its plan consulted (MiniTask inputs included).
-func (c *Cluster) park(id int, t *simTask, needs []policy.FileNeed) {
+// park sets a staging task on worker w aside until one of its files
+// changes or, when an input is blocked, a slot it waits on frees. needs and
+// blocked are the plan's: starting its transfers and unpacks adds only
+// pending replicas, and fileNeeds expands a product on its ready ones, so
+// the next plan would read the same needs. blocked lists its files in the
+// order of needs, and may name a product whose unpack has since begun.
+func (c *Cluster) park(id int, t *simTask, w string, needs []policy.FileNeed, blocked []string) {
 	t.parked = true
 	t.parkGen++
 	ref := parkRef{id, t.parkGen}
+	destIndexed := false
 	for _, n := range needs {
 		c.wakeOn[n.ID] = c.addPark(c.wakeOn[n.ID], ref)
+		if len(blocked) == 0 || blocked[0] != n.ID {
+			continue
+		}
+		blocked = blocked[1:]
+		if !destIndexed {
+			c.wakeDest[w] = c.addPark(c.wakeDest[w], ref)
+			destIndexed = true
+		}
+		for _, h := range c.reps.Locate(n.ID) {
+			if h != w {
+				src := replica.Source{Kind: replica.SourceWorker, ID: h}
+				c.wakeSrc[src] = c.addPark(c.wakeSrc[src], ref)
+			}
+		}
+		if n.FixedSource != nil {
+			c.wakeSrc[*n.FixedSource] = c.addPark(c.wakeSrc[*n.FixedSource], ref)
+		}
 	}
-	c.parkedAll = c.addPark(c.parkedAll, ref)
 }
 
 // addPark appends a reference, first dropping stale ones when the list is
@@ -132,23 +169,26 @@ func (c *Cluster) parkLive(r parkRef) bool {
 }
 
 // wakeFile wakes every task parked on the file.
-func (c *Cluster) wakeFile(fileID string) {
-	refs := c.wakeOn[fileID]
+func (c *Cluster) wakeFile(fileID string) { wakeKey(c, c.wakeOn, fileID) }
+
+// wakeTransfer wakes every task parked on what a finished or dropped
+// transfer frees: its file and the slots it held at both ends.
+func (c *Cluster) wakeTransfer(tr replica.Transfer) {
+	wakeKey(c, c.wakeOn, tr.File)
+	wakeKey(c, c.wakeDest, tr.Dest)
+	wakeKey(c, c.wakeSrc, tr.Source)
+}
+
+// wakeKey wakes every task parked under key k of index m.
+func wakeKey[K comparable](c *Cluster, m map[K][]parkRef, k K) {
+	refs := m[k]
 	if len(refs) == 0 {
 		return
 	}
 	for _, r := range refs {
 		c.wake(r)
 	}
-	c.wakeOn[fileID] = refs[:0]
-}
-
-// wakeAll wakes every parked task: worker membership changed.
-func (c *Cluster) wakeAll() {
-	for _, r := range c.parkedAll {
-		c.wake(r)
-	}
-	c.parkedAll = c.parkedAll[:0]
+	m[k] = refs[:0]
 }
 
 // wake unparks a task and queues it for replanning: into the running

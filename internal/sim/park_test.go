@@ -9,10 +9,13 @@ import (
 	"taskvine/internal/trace"
 )
 
-// Each wake path of the parking rule: a staging task parked on its inputs
-// must be replanned when one of them changes. Every test checks, with a
-// probe event, that the task really was parked, then that the run
-// completes with the transfers only a replan would start.
+// Each wake path of the parking rule: a parked staging task must be
+// replanned when one of its inputs changes or a slot it waits on frees.
+// The file-wake tests check, with a probe event, that the task really was
+// parked, then that the run completes with the transfers only a replan
+// would start. The slot-wake tests check that the task is replanned in the
+// pass after the slot freed, as a pass replanning every staging task
+// would replan it.
 
 // parkedAt records whether task id is parked at virtual time at.
 func parkedAt(c *Cluster, id int, at float64) *bool {
@@ -241,5 +244,219 @@ func TestParkedTaskWokenMidPassReplansInSamePass(t *testing.T) {
 	}
 	if got := len(transferStarts(c, "")); got != 4 {
 		t.Fatalf("TransferStart = %d, want 4 (b, z, d, and a again)", got)
+	}
+}
+
+// transferStart returns the one TransferStart event of a file.
+func transferStart(t *testing.T, c *Cluster, file string) trace.Event {
+	t.Helper()
+	starts := transferStarts(c, file)
+	if len(starts) != 1 {
+		t.Fatalf("%s transferred %d times, want once: %v", file, len(starts), starts)
+	}
+	return starts[0]
+}
+
+// requireStartsInPassAfter fails unless the event came from the pass that
+// the end of the other transfer requested.
+func requireStartsInPassAfter(t *testing.T, c *Cluster, e trace.Event, endFile string) {
+	t.Helper()
+	end, ok := lastEvent(c, trace.TransferEnd, endFile)
+	if !ok {
+		t.Fatalf("%s never landed", endFile)
+	}
+	if want := end.Time + DefaultParams().ControlLatency; !almostEqual(e.Time, want) {
+		t.Fatalf("%s started at %.6f, want %.6f: the pass after %s landed", e.File, e.Time, want, endFile)
+	}
+}
+
+// The parked task waits for a peer slot at the only holder of its input,
+// which is busy serving another file; that serve completing must wake it,
+// though its own input never changes.
+func TestSlotBlockedTaskWakesOnPeerServeCompleting(t *testing.T) {
+	w := &Workload{
+		Files: map[string]*File{
+			"x": urlFile("x", 10e6, files.LifetimeWorkflow),
+			"y": urlFile("y", 100e6, files.LifetimeWorkflow),
+		},
+		Tasks: []*Task{
+			// Fills w0, the holder of x and y, so tasks 2 and 3 go to peers.
+			{ID: 1, Runtime: 30, Cores: 1},
+			// Fetches y from w0, taking its only serving slot.
+			{ID: 2, Inputs: []string{"y"}, Runtime: 1, Cores: 1},
+			// x is in the cluster, so the task waits for w0's slot.
+			{ID: 3, Inputs: []string{"x"}, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{
+			{ID: "w0", Cores: 1, Disk: 1e9, Prestaged: []string{"x", "y"}},
+			{ID: "w1", Cores: 1, Disk: 1e9},
+			{ID: "w2", Cores: 1, Disk: 1e9},
+		},
+	}
+	c := NewCluster(w, DefaultParams(), policy.Limits{WorkerSource: 1})
+	c.Run()
+	requireDone(t, c, w)
+	x := transferStart(t, c, "x")
+	if x.Source != "worker:w0" || x.Worker != "w2" {
+		t.Fatalf("x fetched by %s from %s, want by w2 from worker:w0", x.Worker, x.Source)
+	}
+	requireStartsInPassAfter(t, c, x, "y")
+}
+
+// The parked task waits for a destination slot at its own worker, which is
+// receiving another task's input; that transfer completing must wake it.
+func TestSlotBlockedTaskWakesOnDestSlotFreeing(t *testing.T) {
+	w := &Workload{
+		Files: map[string]*File{
+			"a": urlFile("a", 100e6, files.LifetimeWorkflow),
+			"b": urlFile("b", 10e6, files.LifetimeWorkflow),
+		},
+		Tasks: []*Task{
+			{ID: 1, Inputs: []string{"a"}, Runtime: 1, Cores: 1},
+			// w0 takes one incoming transfer at a time: b waits for a.
+			{ID: 2, Inputs: []string{"b"}, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{{ID: "w0", Cores: 2, Disk: 1e9}},
+	}
+	c := NewCluster(w, DefaultParams(), policy.Limits{WorkerDest: 1})
+	c.Run()
+	requireDone(t, c, w)
+	requireStartsInPassAfter(t, c, transferStart(t, c, "b"), "a")
+}
+
+// The parked task waits for a peer slot at the only holder of its input;
+// when that holder leaves, the task must be replanned onto the input's
+// fixed source at once.
+func TestSlotBlockedTaskReplansWhenHolderLeaves(t *testing.T) {
+	const leave = 2.0
+	w := &Workload{
+		Files: map[string]*File{
+			"x": urlFile("x", 10e6, files.LifetimeWorkflow),
+			"y": urlFile("y", 100e6, files.LifetimeWorkflow),
+		},
+		Tasks: []*Task{
+			{ID: 1, Runtime: 30, Cores: 1},
+			// Its fetch of y from w0 is still in flight when w0 leaves.
+			{ID: 2, Inputs: []string{"y"}, Runtime: 1, Cores: 1},
+			{ID: 3, Inputs: []string{"x"}, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{
+			{ID: "w0", Cores: 1, Disk: 1e9, Prestaged: []string{"x", "y"}, LeaveTime: leave},
+			{ID: "w1", Cores: 1, Disk: 1e9},
+			{ID: "w2", Cores: 1, Disk: 1e9},
+		},
+	}
+	c := NewCluster(w, DefaultParams(), policy.Limits{WorkerSource: 1})
+	c.Run()
+	requireDone(t, c, w)
+	x := transferStart(t, c, "x")
+	if want := leave + DefaultParams().ControlLatency; x.Source != "url" || !almostEqual(x.Time, want) {
+		t.Fatalf("x fetched from %s at %.6f, want from url at %.6f", x.Source, x.Time, want)
+	}
+}
+
+// A task whose first plan starts its transfers is parked by the very pass
+// that dispatched it: its next plan could only find them in flight.
+func TestTaskParksInItsDispatchingPass(t *testing.T) {
+	w := &Workload{
+		Files: map[string]*File{
+			"a": urlFile("a", 100e6, files.LifetimeWorkflow),
+			"b": urlFile("b", 100e6, files.LifetimeWorkflow),
+		},
+		Tasks: []*Task{
+			{ID: 1, Inputs: []string{"a", "b"}, Runtime: 1, Cores: 1},
+			// Slot-blocked: task 1's fetches hold both URLs' only slots.
+			{ID: 2, Inputs: []string{"a", "b"}, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{{ID: "w0", Cores: 1, Disk: 1e9}, {ID: "w1", Cores: 1, Disk: 1e9}},
+	}
+	c := NewCluster(w, DefaultParams(), policy.Limits{URLSource: 1})
+	// The workers join at 0, and the pass they request runs at
+	// ControlLatency; nothing lands for seconds after.
+	at := 2 * DefaultParams().ControlLatency
+	parked1, parked2 := parkedAt(c, 1, at), parkedAt(c, 2, at)
+	c.Run()
+	requireDone(t, c, w)
+	if !*parked1 || !*parked2 {
+		t.Fatalf("after the dispatching pass, parked = %v (transfers started), %v (slot-blocked); want both",
+			*parked1, *parked2)
+	}
+}
+
+// A plan whose admission was refused is retried by the next pass, not
+// parked: the retry waits on disk space, which no table mutation signals.
+// Task 2 finishing requests that pass.
+func TestRefusedAdmissionIsRetriedNextPass(t *testing.T) {
+	for _, tc := range []struct {
+		name, refused string
+		retry         trace.Kind
+	}{
+		{"transfer", "in", trace.TransferStart},
+		{"unpack", "env", trace.StageStart},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &Workload{
+				Files: map[string]*File{
+					"in":      urlFile("in", 10e6, files.LifetimeWorkflow),
+					"env.tar": urlFile("env.tar", 10e6, files.LifetimeWorker),
+					"env": {ID: "env", Size: 100e6, Kind: MiniProduct, MiniInputs: []string{"env.tar"},
+						Lifetime: files.LifetimeWorker},
+				},
+				Tasks: []*Task{
+					{ID: 1, Inputs: []string{"in"}, Runtime: 1, Cores: 1},
+					{ID: 2, Runtime: 1, Cores: 1},
+				},
+				Workers: []WorkerSpec{{ID: "w0", Cores: 2, Disk: 1e9}},
+			}
+			if tc.refused == "env" {
+				w.Tasks[0].Inputs = []string{"env"}
+			}
+			c := NewCluster(w, DefaultParams(), policy.DefaultLimits())
+			c.InjectFaults(chaos.New(1).Add(chaos.Rule{Point: chaos.CacheInsert, Action: chaos.Fail, File: tc.refused, Count: 1}))
+			c.Run()
+			requireDone(t, c, w)
+			retry, ok := lastEvent(c, tc.retry, tc.refused)
+			if !ok {
+				t.Fatalf("%s never started", tc.refused)
+			}
+			var end2 trace.Event
+			for _, e := range c.Trace().Events() {
+				if e.Kind == trace.TaskEnd && e.TaskID == 2 {
+					end2 = e
+				}
+			}
+			if want := end2.Time + DefaultParams().ControlLatency; !almostEqual(retry.Time, want) {
+				t.Fatalf("%s started at %.6f, want %.6f: the pass after task 2 ended", tc.refused, retry.Time, want)
+			}
+		})
+	}
+}
+
+// Admitting the task's own input evicts its other, ready input. The plan
+// then needs that input fetched again, so the task is not parked: the
+// next pass, which task 2 finishing requests, refetches it while the first
+// transfer is still in flight.
+func TestSelfEvictingPlanIsRetriedNextPass(t *testing.T) {
+	w := &Workload{
+		Files: map[string]*File{
+			"a": urlFile("a", 100e6, files.LifetimeTask),
+			"b": urlFile("b", 100e6, files.LifetimeWorkflow),
+		},
+		Tasks: []*Task{
+			{ID: 1, Inputs: []string{"a", "b"}, Runtime: 1, Cores: 1},
+			{ID: 2, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{{ID: "w0", Cores: 2, Disk: 150e6, Prestaged: []string{"a"}}},
+	}
+	c := NewCluster(w, DefaultParams(), policy.DefaultLimits())
+	c.Run()
+	requireDone(t, c, w)
+	if _, ok := lastEvent(c, trace.FileEvicted, "a"); !ok {
+		t.Fatal("a was never evicted; the case does not exercise eviction")
+	}
+	a := transferStart(t, c, "a")
+	bEnd, _ := lastEvent(c, trace.TransferEnd, "b")
+	if want := 1 + 2*DefaultParams().ControlLatency; !almostEqual(a.Time, want) || a.Time >= bEnd.Time {
+		t.Fatalf("a refetched at %.6f, want %.6f, before b landed at %.6f", a.Time, want, bEnd.Time)
 	}
 }

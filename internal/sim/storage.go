@@ -186,6 +186,7 @@ func (c *Cluster) evict(w *simWorker, fileID string) {
 		return
 	}
 	delete(cache, fileID)
+	c.evictions++
 	if obj.tier == tierMemory {
 		w.memUsed -= obj.size
 		c.vm.CacheMemUsedBytes.Add(-float64(obj.size))

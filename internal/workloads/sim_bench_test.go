@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"taskvine/internal/policy"
@@ -77,6 +78,34 @@ func BenchmarkSimPlacementCost(b *testing.B) {
 					b.Fatalf("completed %d/%d tasks", got, len(w.Tasks))
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSimTopEFTPaperScale runs TopEFT at the paper's task count,
+// 27,000 process tasks (30,378 tasks in all), on 1,000 and 5,000 four-core
+// workers: the pool sizes the paper's 20K-core claim needs. It reports the
+// virtual makespan next to the wall time. One run takes seconds to tens of
+// seconds, so run it with -benchtime 1x.
+func BenchmarkSimTopEFTPaperScale(b *testing.B) {
+	for _, workers := range []int{1_000, 5_000} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := DefaultTopEFT(false)
+			cfg.ProcessTasks = 27_000
+			cfg.Workers = workers
+			cfg.CoresPerWorker = 4
+			var makespan float64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := TopEFT(cfg)
+				c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
+				b.StartTimer()
+				makespan = c.Run()
+				if got := c.CompletedTasks(); got != len(w.Tasks) {
+					b.Fatalf("completed %d/%d tasks", got, len(w.Tasks))
+				}
+			}
+			b.ReportMetric(makespan, "virtual-makespan-s")
 		})
 	}
 }
