@@ -53,6 +53,17 @@ func countKind(m *Manager, k trace.Kind, file string) int {
 	return n
 }
 
+// readyHolders returns the workers holding a ready replica of the file,
+// sorted, read through the event loop that owns the replica table.
+func readyHolders(m *Manager, fileID string) []string {
+	for _, fr := range m.Debug().Replicas {
+		if fr.File == fileID {
+			return fr.Ready
+		}
+	}
+	return nil
+}
+
 // startChaosWorker launches a worker with its own cancel so tests can kill
 // it independently of the harness workers.
 func startChaosWorker(t *testing.T, h *harness, id string, cap resources.R, faults *chaos.Injector) (cancel context.CancelFunc, done chan struct{}) {
@@ -302,16 +313,16 @@ func TestReplicaRepairAfterHolderLoss(t *testing.T) {
 	waitReplicas := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
-		for h.m.reps.CountReplicas(buf.ID) < n {
+		for len(readyHolders(h.m, buf.ID)) < n {
 			if time.Now().After(deadline) {
-				t.Fatalf("replicas = %d, want >= %d", h.m.reps.CountReplicas(buf.ID), n)
+				t.Fatalf("replicas = %d, want >= %d", len(readyHolders(h.m, buf.ID)), n)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	waitReplicas(2)
 
-	victim := h.m.reps.Locate(buf.ID)[0]
+	victim := readyHolders(h.m, buf.ID)[0]
 	cancels[victim]()
 	<-dones[victim]
 	// Wait for the manager to register the departure (so the later replica
@@ -327,7 +338,7 @@ func TestReplicaRepairAfterHolderLoss(t *testing.T) {
 	if got := countKind(h.m, trace.ReplicaLost, buf.ID); got < 1 {
 		t.Fatalf("ReplicaLost events = %d, want >= 1", got)
 	}
-	for _, holder := range h.m.reps.Locate(buf.ID) {
+	for _, holder := range readyHolders(h.m, buf.ID) {
 		if holder == victim {
 			t.Fatalf("dead worker %s still listed as a holder", victim)
 		}
@@ -414,7 +425,7 @@ func TestFetchFileRestartsOnHolderLoss(t *testing.T) {
 	a := announceHolder(t, h.m, "fh-a", temp.ID, content)
 	b := announceHolder(t, h.m, "fh-b", temp.ID, content)
 	deadline := time.Now().Add(10 * time.Second)
-	for h.m.reps.CountReplicas(temp.ID) != 2 {
+	for len(readyHolders(h.m, temp.ID)) != 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("replicas never announced")
 		}
@@ -457,7 +468,7 @@ func TestFetchFileFailsWhenLastHolderDies(t *testing.T) {
 	temp := h.m.Files().DeclareTemp()
 	a := announceHolder(t, h.m, "fh-only", temp.ID, []byte("doomed"))
 	deadline := time.Now().Add(10 * time.Second)
-	for h.m.reps.CountReplicas(temp.ID) != 1 {
+	for len(readyHolders(h.m, temp.ID)) != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("replica never announced")
 		}

@@ -9,6 +9,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,6 @@ import (
 	"taskvine/internal/files"
 	"taskvine/internal/httpsource"
 	"taskvine/internal/policy"
-	"taskvine/internal/replica"
 	"taskvine/internal/resources"
 	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
@@ -327,7 +327,7 @@ func TestGarbageCollectionOfTaskLifetimeInputs(t *testing.T) {
 	// The input's replicas must disappear (unlink sent, table cleaned).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if h.m.reps.CountReplicas(buf.ID) == 0 {
+		if len(readyHolders(h.m, buf.ID)) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -357,7 +357,12 @@ func TestTransferLimitsEnforcedOnWire(t *testing.T) {
 	go func() {
 		max := 0
 		for i := 0; i < 200; i++ {
-			n := h.m.trs.InFlightFrom(replica.Source{Kind: replica.SourceManager, ID: "manager"})
+			n := 0
+			for _, tr := range h.m.Debug().Transfers {
+				if tr.Source == "manager" {
+					n++
+				}
+			}
 			if n > max {
 				max = n
 			}
@@ -420,5 +425,22 @@ func TestManagerLoggerAndSilence(t *testing.T) {
 	waitResult(t, h.m)
 	if !strings.Contains(buf.String(), "worker w0 joined") {
 		t.Fatalf("log = %q", buf.String())
+	}
+}
+
+// TestTransferUUIDsUnique: each supervised transfer carries a fresh
+// version 4 UUID on the wire.
+func TestTransferUUIDsUnique(t *testing.T) {
+	re := regexp.MustCompile(`^[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}$`)
+	seen := map[string]bool{}
+	for i := 0; i < 200; i++ {
+		id := randomUUID()
+		if seen[id] {
+			t.Fatal("duplicate transfer UUID")
+		}
+		if !re.MatchString(id) {
+			t.Fatalf("malformed UUID %q", id)
+		}
+		seen[id] = true
 	}
 }

@@ -107,7 +107,7 @@ func (m *Manager) buildDebug() DebugReport {
 		}
 		if t.state == taskspec.StateStaging {
 			for _, in := range t.spec.Inputs {
-				if !m.reps.Has(in.FileID, t.worker) {
+				if !m.reps.Has(m.fh(in.FileID), m.wh(t.worker)) {
 					td.MissingInputs = append(td.MissingInputs, in.FileID)
 				}
 			}
@@ -117,7 +117,8 @@ func (m *Manager) buildDebug() DebugReport {
 	r.Replicas = m.reps.Snapshot()
 	for _, tr := range m.trs.All() {
 		r.Transfers = append(r.Transfers, TransferDebug{
-			ID: tr.ID, File: tr.File, Source: sourceLabel(tr.Source), Dest: tr.Dest,
+			ID: m.transferUUID(tr), File: m.fileID(tr.File), Source: sourceLabel(m.names, tr.Source),
+			Dest: m.names.Workers.Name(tr.Dest),
 		})
 	}
 	keys := make([]transferKey, 0, len(m.transferRetry))

@@ -43,7 +43,7 @@ func (m *Manager) transferBlocked(fileID, dest string) bool {
 // scheduling a backed-off retry or, past the limit, abandoning the
 // placement so the scheduler picks a different worker.
 func (m *Manager) noteTransferFailure(fileID, dest string) {
-	m.place.Failed(fileID, dest)
+	m.place.Failed(m.fh(fileID), m.wh(dest))
 	key := transferKey{file: fileID, dest: dest}
 	rs := m.transferRetry[key]
 	if rs == nil {
@@ -103,14 +103,14 @@ func (m *Manager) abandonPlacement(fileID, dest string) {
 func (m *Manager) repairReplicas(workerID string, affected []string) {
 	sort.Strings(affected)
 	for _, fid := range affected {
-		left := m.reps.CountReplicas(fid)
+		left := m.reps.CountReplicas(m.fh(fid))
 		if goal := m.replicaGoals[fid]; goal > 1 && left < goal {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.ReplicaLost, Worker: workerID, File: fid,
 				Detail: fmt.Sprintf("%d/%d", left, goal),
 			})
 		}
-		if left > 0 || m.trs.InFlightOf(fid) > 0 {
+		if left > 0 || m.trs.InFlightOf(m.fh(fid)) > 0 {
 			continue
 		}
 		f, ok := m.reg.Lookup(fid)
@@ -175,8 +175,8 @@ func (m *Manager) reconcileLibraries() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for _, w := range m.liveWorkerList() {
-			m.deployLibraryTo(w, m.libs[name])
+		for _, wi := range m.live {
+			m.deployLibraryTo(m.workerAt(wi.ID), m.libs[name])
 		}
 	}
 }

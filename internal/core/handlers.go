@@ -28,8 +28,9 @@ func (m *Manager) handleMessage(ev event) {
 	case protocol.TypeCacheUpdate:
 		m.handleCacheUpdate(msg)
 	case protocol.TypeCacheInvalid:
-		m.place.Gone(msg.CacheName, msg.WorkerID)
-		m.reps.Remove(msg.CacheName, msg.WorkerID)
+		f, w := m.fh(msg.CacheName), m.wh(msg.WorkerID)
+		m.place.Gone(f, w)
+		m.reps.Remove(f, w)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.FileEvicted, Worker: msg.WorkerID, File: msg.CacheName})
 		// Staging tasks that counted on the evicted replica must replan.
 		m.wakeFile(msg.CacheName)
@@ -113,9 +114,7 @@ func (m *Manager) registerWorker(conn *protocol.Conn, msg *protocol.Message) {
 	}
 	w.lastHeard = time.Now()
 	m.joinSeq++
-	m.workers[w.id] = w
-	m.liveCount++
-	m.workersDirty = true
+	m.join(w)
 	m.needFull = true
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerJoined, Worker: w.id})
 	m.logf("worker %s joined with %v", w.id, cap)
@@ -128,18 +127,19 @@ func (m *Manager) registerWorker(conn *protocol.Conn, msg *protocol.Message) {
 // handleCacheUpdate processes the asynchronous report that an object became
 // (or failed to become) present at a worker (§2.3, §3.3).
 func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
+	f, w := m.fh(msg.CacheName), m.wh(msg.WorkerID)
 	if msg.TransferID != "" {
-		if tr, ok := m.trs.Complete(msg.TransferID); ok && msg.Status == protocol.StatusOK {
+		if tr, ok := m.completeTr(msg.TransferID); ok && msg.Status == protocol.StatusOK {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.TransferEnd, Worker: msg.WorkerID,
-				File: msg.CacheName, Bytes: msg.Size, Source: sourceLabel(tr.Source),
+				File: msg.CacheName, Bytes: msg.Size, Source: sourceLabel(m.names, tr.Source),
 			})
 			m.clearTransferFailure(msg.CacheName, msg.WorkerID)
-			m.place.Landed(msg.CacheName, msg.WorkerID)
+			m.place.Landed(f, w)
 		} else if ok {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.TransferFailed, Worker: msg.WorkerID,
-				File: msg.CacheName, Source: sourceLabel(tr.Source), Detail: msg.Error,
+				File: msg.CacheName, Source: sourceLabel(m.names, tr.Source), Detail: msg.Error,
 			})
 			m.noteTransferFailure(msg.CacheName, msg.WorkerID)
 		}
@@ -153,11 +153,11 @@ func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
 		}
 	}
 	if msg.Status == protocol.StatusOK {
-		m.reps.Commit(msg.CacheName, msg.WorkerID)
+		m.reps.Commit(f, w)
 		m.reg.SetSize(msg.CacheName, msg.Size)
 	} else {
 		m.logf("object %s failed at %s: %s", msg.CacheName, msg.WorkerID, msg.Error)
-		m.reps.Remove(msg.CacheName, msg.WorkerID)
+		m.reps.Remove(f, w)
 	}
 	// Retry exactly the tasks this object could unblock; a finished (or
 	// failed) supervised transfer also changes per-source slot accounting,
@@ -226,7 +226,7 @@ func (m *Manager) handleComplete(workerID string, msg *protocol.Message) {
 	})
 	// Record produced objects in the replica table and wake their consumers.
 	for _, out := range msg.Outputs {
-		m.reps.Commit(out.CacheName, workerID)
+		m.reps.Commit(m.fh(out.CacheName), m.wh(workerID))
 		m.reg.SetSize(out.CacheName, out.Size)
 		m.wakeFile(out.CacheName)
 	}
@@ -311,14 +311,13 @@ func (m *Manager) startFetch(fileID string, reply chan fetchResult) {
 		reply <- fetchResult{err: fmt.Errorf("core: unknown file %s", fileID)}
 		return
 	}
-	holders := m.reps.Locate(fileID)
-	sort.Strings(holders)
 	var live []*workerConn
-	for _, h := range holders {
-		if w := m.workers[h]; w != nil && !w.gone {
+	for _, h := range m.reps.Locate(m.fh(fileID)) {
+		if w := m.workerAt(h); w != nil && !w.gone {
 			live = append(live, w)
 		}
 	}
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
 	if len(live) == 0 {
 		// No cluster replica: local files can be read from the manager's
 		// own filesystem. The disk read happens off the event loop; the
@@ -401,6 +400,7 @@ func (m *Manager) deployLibraryTo(w *workerConn, lib *librarySpec) {
 		w.pool.Release(lib.res)
 		m.dropTask(id, t)
 	}
+	m.refresh(w)
 }
 
 // workerGone handles the departure of a worker: replicas are dropped,
@@ -412,8 +412,7 @@ func (m *Manager) workerGone(workerID string) {
 		return
 	}
 	w.gone = true
-	m.liveCount--
-	m.workersDirty = true
+	m.leave(w)
 	m.needFull = true
 	m.stagingAll = true
 	// The connection is usually already broken by the time we get here.
@@ -421,11 +420,12 @@ func (m *Manager) workerGone(workerID string) {
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
 	m.logf("worker %s left", workerID)
 
-	m.place.DropWorker(workerID)
-	affected := m.reps.DropWorker(workerID)
-	cancelled := m.trs.DropWorker(workerID)
+	m.place.DropWorker(w.h)
+	affected := m.reps.DropWorker(w.h)
+	cancelled := m.trs.DropWorker(w.h)
 	for _, tr := range cancelled {
-		if tr.Dest != workerID {
+		delete(m.transferIDs, m.transferUUID(tr))
+		if tr.Dest != w.h {
 			// A receiver was fetching from the departed worker; its fetch
 			// will fail and report via cache-update, but drop the pending
 			// replica now so planning can pick a new source immediately.
@@ -461,7 +461,11 @@ func (m *Manager) workerGone(workerID string) {
 	delete(m.workers, workerID)
 	// Repair what the departure broke: top up under-replicated files and
 	// re-execute producers of temp files that lost their last replica.
-	m.repairReplicas(workerID, affected)
+	lost := make([]string, len(affected))
+	for i, f := range affected {
+		lost[i] = m.fileID(f)
+	}
+	m.repairReplicas(workerID, lost)
 	// Pending manager fetches served by this worker must be restarted
 	// against a surviving holder. Snapshot-and-reset first: startFetch
 	// re-registers waiters in m.fetches, and mutating a map mid-range can
@@ -484,9 +488,10 @@ func (m *Manager) workerGone(workerID string) {
 // shut down entirely (manager closing).
 func (m *Manager) endWorkflow(release bool) {
 	for _, fid := range m.reg.WorkflowGarbage() {
-		for _, wid := range m.reps.Locate(fid) {
-			m.place.Gone(fid, wid)
-			m.reps.Remove(fid, wid)
+		f := m.fh(fid)
+		for _, wid := range m.reps.Locate(f) {
+			m.place.Gone(f, wid)
+			m.reps.Remove(f, wid)
 		}
 	}
 	if release {
@@ -571,13 +576,16 @@ func (m *Manager) handleInvoke(ev event) {
 	// Direct route: the instance's static allocation covers execution, so
 	// the task itself holds a zero allocation (balanced by finishTask's
 	// release).
-	for _, mt := range ev.spec.Inputs {
-		m.place.Use(mt.FileID, w.id)
+	if m.place != nil {
+		for _, mt := range ev.spec.Inputs {
+			m.place.Use(m.fh(mt.FileID), w.h)
+		}
 	}
 	m.setState(id, t, taskspec.StateRunning)
 	t.worker = w.id
 	w.running[id] = true
 	w.pool.Alloc(resources.R{})
+	m.refresh(w)
 	m.vm.DispatchLatency.Observe(m.now() - t.submitTime)
 	m.tlog.Add(trace.Event{
 		Time: m.now(), Kind: trace.TaskStart, Worker: w.id, TaskID: id,
@@ -624,7 +632,7 @@ func (m *Manager) readyLibraryWorkerFor(spec *taskspec.Spec) *workerConn {
 		}
 		holdsAll := true
 		for _, mt := range spec.Inputs {
-			if !m.reps.Has(mt.FileID, w.id) {
+			if !m.reps.Has(m.fh(mt.FileID), w.h) {
 				holdsAll = false
 				break
 			}

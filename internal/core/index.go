@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"taskvine/internal/intern"
 	"taskvine/internal/policy"
 	"taskvine/internal/taskspec"
 )
@@ -10,7 +11,8 @@ import (
 // This file holds the bookkeeping behind the incremental scheduler: every
 // task-state transition flows through setState so the per-state counters,
 // the staging set, and the file→waiting-tasks index stay exact, and the
-// live-worker list is cached so candidate selection never re-sorts per task.
+// live workers' policy view is kept in place so candidate selection never
+// rebuilds it per task.
 
 // waitsOnFiles reports whether a task in the given state belongs in the
 // fileWaiters index: waiting tasks can be unblocked by a replica appearing
@@ -126,7 +128,9 @@ func (m *Manager) indexInputs(id int, t *taskState) {
 		}
 		if !set[id] {
 			set[id] = true
-			m.place.Consume(in.FileID, 1)
+			if m.place != nil {
+				m.place.Consume(m.fh(in.FileID), 1)
+			}
 		}
 	}
 }
@@ -136,7 +140,9 @@ func (m *Manager) unindexInputs(id int, t *taskState) {
 		if set := m.fileWaiters[in.FileID]; set != nil {
 			if set[id] {
 				delete(set, id)
-				m.place.Consume(in.FileID, -1)
+				if m.place != nil {
+					m.place.Consume(m.fh(in.FileID), -1)
+				}
 			}
 			if len(set) == 0 {
 				delete(m.fileWaiters, in.FileID)
@@ -164,42 +170,60 @@ func (m *Manager) wakeFile(fileID string) {
 	}
 }
 
-// liveWorkerList returns the live workers sorted by join order. The slice
-// is cached and rebuilt only when membership changes, so per-task candidate
-// selection stops allocating and sorting.
-func (m *Manager) liveWorkerList() []*workerConn {
-	if m.workersDirty {
-		m.liveWorkers = m.liveWorkers[:0]
-		for _, w := range m.workers { // hotpath-ok: runs only after join/leave
-			if !w.gone {
-				m.liveWorkers = append(m.liveWorkers, w)
-			}
-		}
-		ws := m.liveWorkers
-		// hotpath-ok: rebuild is amortized over membership changes, not per task
-		sort.Slice(ws, func(i, j int) bool { return ws[i].joinOrder < ws[j].joinOrder })
-		m.workersDirty = false
-	}
-	return m.liveWorkers
+// join registers a worker under its handle and inserts it into the live
+// view at its join-order position.
+func (m *Manager) join(w *workerConn) {
+	w.h = m.names.Workers.Intern(w.id)
+	m.byHandle = intern.Grow(m.byHandle, w.h)
+	m.byHandle[w.h] = w
+	m.workers[w.id] = w
+	at := sort.Search(len(m.live), func(i int) bool { return m.live[i].JoinOrder > w.joinOrder })
+	m.live = append(m.live, policy.WorkerInfo{})
+	copy(m.live[at+1:], m.live[at:])
+	m.live[at] = policy.WorkerInfo{ID: w.h, JoinOrder: w.joinOrder}
+	m.renumberLive(at)
+	m.refresh(w)
 }
 
-// workerInfos fills the reusable scratch slice with a policy view of the
-// live workers (already join-ordered), optionally filtered to those with a
-// ready instance of a library. Resource vectors are read fresh on every
-// call: allocations earlier in the same pass must be visible.
-func (m *Manager) workerInfos(needLib string) []policy.WorkerInfo {
-	buf := m.workerInfoBuf[:0]
-	for _, w := range m.liveWorkerList() {
-		if needLib != "" && !w.libsReady[needLib] {
-			continue
-		}
-		buf = append(buf, policy.WorkerInfo{
-			ID:           w.id,
-			Free:         w.pool.Free(),
-			RunningTasks: len(w.running),
-			JoinOrder:    w.joinOrder,
-		})
+// leave removes a departed worker from the live view.
+func (m *Manager) leave(w *workerConn) {
+	at := w.livePos
+	m.live = append(m.live[:at], m.live[at+1:]...)
+	w.livePos = -1
+	m.renumberLive(at)
+}
+
+func (m *Manager) renumberLive(from int) {
+	for i := from; i < len(m.live); i++ {
+		m.byHandle[m.live[i].ID].livePos = i
 	}
-	m.workerInfoBuf = buf
+}
+
+// refresh copies a live worker's free resources and task count into its
+// entry of the live view; every Alloc, Release and running-set change
+// calls it.
+func (m *Manager) refresh(w *workerConn) {
+	if w.livePos >= 0 {
+		wi := &m.live[w.livePos]
+		wi.Free = w.pool.Free()
+		wi.RunningTasks = len(w.running)
+	}
+}
+
+// workerInfos returns the live workers in join order, only those with a
+// ready instance of needLib when it is set. The unfiltered list is the
+// live view itself; callers must not keep either past the next pool
+// change.
+func (m *Manager) workerInfos(needLib string) []policy.WorkerInfo {
+	if needLib == "" {
+		return m.live
+	}
+	buf := m.libBuf[:0]
+	for _, wi := range m.live {
+		if m.byHandle[wi.ID].libsReady[needLib] {
+			buf = append(buf, wi)
+		}
+	}
+	m.libBuf = buf
 	return buf
 }

@@ -131,12 +131,21 @@ type Manager struct {
 	joinSeq int
 	tasks   map[int]*taskState
 	waiting []int
-	reps    *replica.Table
-	trs     *replica.Transfers
+	// names interns file and worker IDs to the handles reps, trs and the
+	// policy are keyed on: a worker at registration, a file when a task or
+	// a worker's report first names it. byHandle finds a worker by handle.
+	names    *replica.Names
+	byHandle []*workerConn
+	reps     *replica.Table
+	trs      *replica.Transfers
 	// view is the policy's read-only View over reps and trs.
-	view    *policy.View
-	libs    map[string]*librarySpec
-	fetches map[string][]chan fetchResult // cache name -> waiters
+	view *policy.View
+	// transferIDs maps the UUID each supervised transfer carries on the
+	// wire to its entry in trs; transferUUIDs is the reverse, by slot.
+	transferIDs   map[string]replica.TransferID
+	transferUUIDs []string
+	libs          map[string]*librarySpec
+	fetches       map[string][]chan fetchResult // cache name -> waiters
 	// replicaGoals maps file ID -> desired replica count, reconciled on
 	// every scheduling pass (§2.2: "duplicating items for reliability").
 	replicaGoals map[string]int
@@ -171,13 +180,12 @@ type Manager struct {
 	stagingDirty map[int]bool
 	needFull     bool
 	stagingAll   bool
-	// liveWorkers caches the live workers sorted by join order, rebuilt
-	// only when membership changes; workerInfoBuf is the reusable
-	// policy.WorkerInfo scratch filled from it per scheduling decision.
-	liveWorkers   []*workerConn
-	workersDirty  bool
-	liveCount     int
-	workerInfoBuf []policy.WorkerInfo
+	// live is the policy's view of the live workers in join order,
+	// updated in place at every registration, departure, Alloc and
+	// Release, so a candidate list costs nothing to build; libBuf is
+	// scratch for the library-filtered list.
+	live   []policy.WorkerInfo
+	libBuf []policy.WorkerInfo
 	// stateCount mirrors the task population per lifecycle state (library
 	// deployments included, finished tasks still counted — the gauges'
 	// historical semantics); appStateCount excludes library tasks and feeds
@@ -190,12 +198,14 @@ type Manager struct {
 	// invariant surfaced through DebugReport.
 	eventsHandled int64
 	passes        int64
-	// needsBuf and needsSeen are fileNeedsScratch's reusable buffers, and
-	// sendMsg is the reusable outgoing message for event-loop-owned hot
-	// sends (dispatch): Send serializes synchronously, so the scratch may
-	// be overwritten as soon as the call returns. All event-loop-owned.
+	// needsBuf and needsSeen are fileNeedsScratch's reusable buffers, plan
+	// is the reused transfer plan, and sendMsg is the reusable outgoing
+	// message for event-loop-owned hot sends (dispatch): Send serializes
+	// synchronously, so the scratch may be overwritten as soon as the call
+	// returns. All event-loop-owned.
 	needsBuf  []policy.FileNeed
 	needsSeen map[string]bool
+	plan      policy.Plan
 	sendMsg   protocol.Message
 	// place is the lookahead placement engine; nil unless cfg.Placement is
 	// enabled. Event-loop-owned like everything above.
@@ -232,16 +242,19 @@ type Manager struct {
 
 type workerConn struct {
 	id           string
+	h            replica.WorkerH
 	conn         *protocol.Conn
 	transferAddr string
 	capacity     resources.R
 	pool         *resources.Pool
 	running      map[int]bool
 	joinOrder    int
-	libsReady    map[string]bool
-	gone         bool
-	lastHeard    time.Time
-	lastPinged   time.Time
+	// livePos is the worker's position in Manager.live, -1 once gone.
+	livePos    int
+	libsReady  map[string]bool
+	gone       bool
+	lastHeard  time.Time
+	lastPinged time.Time
 }
 
 type taskState struct {
@@ -418,7 +431,8 @@ func newManagerState(cfg Config) *Manager {
 	// (queue gauges, pass durations, dispatch latency, submissions).
 	metrics.BridgeTrace(tlog, vm)
 	cfg.Faults.SetMetrics(vm.ChaosInjections)
-	view := &policy.View{Reps: replica.NewTable(), Trs: replica.NewTransfers()}
+	names := replica.NewNames()
+	view := policy.NewView(names)
 	return &Manager{
 		cfg:           cfg,
 		reg:           files.NewRegistry(cfg.Head),
@@ -429,9 +443,11 @@ func newManagerState(cfg Config) *Manager {
 		start:         time.Now(),
 		workers:       make(map[string]*workerConn),
 		tasks:         make(map[int]*taskState),
+		names:         names,
 		reps:          view.Reps,
 		trs:           view.Trs,
 		view:          view,
+		transferIDs:   make(map[string]replica.TransferID),
 		libs:          make(map[string]*librarySpec),
 		fetches:       make(map[string][]chan fetchResult),
 		replicaGoals:  make(map[string]int),

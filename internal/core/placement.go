@@ -3,6 +3,7 @@ package core
 import (
 	"taskvine/internal/files"
 	"taskvine/internal/policy"
+	"taskvine/internal/replica"
 	"taskvine/internal/taskspec"
 )
 
@@ -29,8 +30,8 @@ func (h placementHost) QueuedNeeds(id int) []policy.FileNeed {
 	return h.needs(t.spec.Inputs)
 }
 
-func (h placementHost) FileNeeds(fileID string) []policy.FileNeed {
-	return h.needs([]taskspec.Mount{{FileID: fileID}})
+func (h placementHost) FileNeeds(f replica.FileH) []policy.FileNeed {
+	return h.needs([]taskspec.Mount{{FileID: h.m.fileID(f)}})
 }
 
 // needs builds placement needs for mounts, dropping handles: a resident
@@ -40,7 +41,7 @@ func (h placementHost) needs(mounts []taskspec.Mount) []policy.FileNeed {
 	needs := h.m.fileNeeds(mounts)
 	kept := needs[:0]
 	for _, n := range needs {
-		if f, ok := h.m.reg.Lookup(n.ID); ok && f.Type == files.Handle {
+		if f, ok := h.m.reg.Lookup(h.m.fileID(n.ID)); ok && f.Type == files.Handle {
 			continue
 		}
 		kept = append(kept, n)
@@ -48,20 +49,20 @@ func (h placementHost) needs(mounts []taskspec.Mount) []policy.FileNeed {
 	return kept
 }
 
-func (h placementHost) ProducerWorker(fileID string) string {
-	prodID, ok := h.m.reg.Producer(fileID)
+func (h placementHost) ProducerWorker(f replica.FileH) replica.WorkerH {
+	prodID, ok := h.m.reg.Producer(h.m.fileID(f))
 	if !ok {
-		return ""
+		return 0
 	}
 	t := h.m.taskByID(prodID)
 	if t == nil || (t.state != taskspec.StateStaging && t.state != taskspec.StateRunning) {
-		return ""
+		return 0
 	}
-	return t.worker
+	return h.m.wh(t.worker)
 }
 
-func (h placementHost) DiskCapacity(workerID string) int64 {
-	if w := h.m.workers[workerID]; w != nil {
+func (h placementHost) DiskCapacity(w replica.WorkerH) int64 {
+	if w := h.m.workerAt(w); w != nil {
 		return w.capacity.Disk
 	}
 	return 0
@@ -72,10 +73,10 @@ func (h placementHost) DiskCapacity(workerID string) int64 {
 // run its failure path and is not pending.
 func (h placementHost) StartPlacement(a policy.PlacementAction) bool {
 	m := h.m
-	w := m.workers[a.Dest]
-	if w == nil || w.gone || m.transferBlocked(a.File, a.Dest) {
+	w := m.workerAt(a.Dest)
+	if w == nil || w.gone || m.transferBlocked(m.fileID(a.File), w.id) {
 		return false
 	}
-	m.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())
+	m.startTransfer(m.fileID(a.File), a.Source, w, "placement:"+a.Kind.String())
 	return m.trs.Pending(a.File, a.Dest)
 }

@@ -26,9 +26,7 @@ func benchManager(b *testing.B, workers, waiting, done int) *Manager {
 		if !w.pool.Alloc(resources.R{Cores: 8}) {
 			b.Fatal("could not saturate bench worker")
 		}
-		m.workers[w.id] = w
-		m.liveCount++
-		m.workersDirty = true
+		m.join(w)
 	}
 	mkTask := func() *taskState {
 		return &taskState{

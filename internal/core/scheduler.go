@@ -82,8 +82,8 @@ func (m *Manager) schedulePass() {
 	// walk. This is what keeps a pass O(changed) while the cluster is
 	// saturated, the common state of a high-throughput run.
 	freeCores := 0
-	for _, w := range m.liveWorkerList() {
-		freeCores += w.pool.Free().Cores
+	for _, wi := range m.live {
+		freeCores += wi.Free.Cores
 	}
 	if freeCores == 0 && m.waitingZeroCore == 0 {
 		clear(m.wakeSet)
@@ -124,7 +124,7 @@ func (m *Manager) updateGauges() {
 	for s, n := range m.stateCount {
 		m.vm.TasksByState.With(taskspec.State(s).String()).Set(float64(n))
 	}
-	m.vm.WorkersConnected.Set(float64(m.liveCount))
+	m.vm.WorkersConnected.Set(float64(len(m.live)))
 	m.vm.TransfersInflight.Set(float64(m.trs.Len()))
 }
 
@@ -139,10 +139,11 @@ func (m *Manager) depsSatisfiable(t *taskState) bool {
 		}
 		switch f.Type {
 		case files.Temp, files.Handle:
-			if m.reps.CountReplicas(f.ID) > 0 {
+			fh := m.fh(f.ID)
+			if m.reps.CountReplicas(fh) > 0 {
 				continue
 			}
-			if m.trs.InFlightOf(f.ID) > 0 {
+			if m.trs.InFlightOf(fh) > 0 {
 				return false // on its way somewhere
 			}
 			// No replica anywhere: the producer must (re-)run. For a
@@ -181,13 +182,14 @@ func (m *Manager) tryAssign(id int, t *taskState) bool {
 	if !ok {
 		return false
 	}
-	w := m.workers[chosen.ID]
+	w := m.workerAt(chosen.ID)
 	if w == nil || !w.pool.Alloc(t.spec.Resources) {
 		return false
 	}
 	t.worker = w.id
 	m.setState(id, t, taskspec.StateStaging)
 	w.running[id] = true
+	m.refresh(w)
 	m.progressStaging(id, t)
 	return true
 }
@@ -238,17 +240,17 @@ func (m *Manager) fileNeedsInto(needs []policy.FileNeed, mounts []taskspec.Mount
 		if !ok {
 			return
 		}
-		n := policy.FileNeed{ID: f.ID, Size: f.Size}
+		n := policy.FileNeed{ID: m.fh(f.ID), Size: f.Size}
 		switch f.Type {
 		case files.Local, files.Buffer:
-			n.FixedSource = &replica.Source{Kind: replica.SourceManager, ID: "manager"}
+			n.FixedSource = m.names.FixedSource(replica.SourceManager, "manager")
 		case files.URL:
-			n.FixedSource = &replica.Source{Kind: replica.SourceURL, ID: f.Source}
+			n.FixedSource = m.names.FixedSource(replica.SourceURL, f.Source)
 		case files.Mini:
 			// No fixed network source; if no replica exists anywhere the
 			// product must be materialized, which requires the MiniTask's
 			// own inputs (recursively).
-			if m.reps.CountReplicas(f.ID) == 0 {
+			if m.reps.CountReplicas(n.ID) == 0 {
 				for _, in := range f.MiniTask.Inputs {
 					add(in.FileID)
 				}
@@ -275,25 +277,26 @@ func (m *Manager) progressStaging(id int, t *taskState) {
 		return
 	}
 	needs := m.fileNeedsScratch(t.spec.Inputs)
-	plan := policy.PlanTransfers(needs, w.id, m.cfg.Limits, m.view)
+	plan := &m.plan
+	policy.PlanTransfers(plan, needs, w.h, m.cfg.Limits, m.view)
 	for _, tr := range plan.Transfers {
-		m.startTransfer(tr.File, tr.Source, w, "")
+		m.startTransfer(m.fileID(tr.File), tr.Source, w, "")
 	}
 	// Materialize MiniTask products whose inputs are now fully present.
-	for _, blockedID := range plan.Blocked {
-		f, ok := m.reg.Lookup(blockedID)
+	for _, blocked := range plan.Blocked {
+		f, ok := m.reg.Lookup(m.fileID(blocked))
 		if !ok || f.Type != files.Mini {
 			continue
 		}
-		if m.reps.HasAny(f.ID, w.id) {
+		if m.reps.HasAny(blocked, w.h) {
 			continue // already materializing here
 		}
-		if m.reps.CountReplicas(f.ID) > 0 {
+		if m.reps.CountReplicas(blocked) > 0 {
 			continue // exists elsewhere; peer transfer will be planned when a slot opens
 		}
 		ready := true
 		for _, in := range f.MiniTask.Inputs {
-			if !m.reps.Has(in.FileID, w.id) {
+			if !m.reps.Has(m.fh(in.FileID), w.h) {
 				ready = false
 				break
 			}
@@ -304,7 +307,7 @@ func (m *Manager) progressStaging(id int, t *taskState) {
 	}
 	// Dispatch when all direct inputs are ready.
 	for _, mt := range t.spec.Inputs {
-		if !m.reps.Has(mt.FileID, w.id) {
+		if !m.reps.Has(m.fh(mt.FileID), w.h) {
 			return
 		}
 	}
@@ -324,11 +327,12 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 	if m.transferBlocked(fileID, w.id) {
 		return
 	}
-	tr := m.trs.Start(fileID, src, w.id)
-	m.reps.Add(fileID, w.id, replica.Pending)
+	fh := m.fh(fileID)
+	tr, tid := m.startTr(fh, src, w)
+	m.reps.Add(fh, w.h, replica.Pending)
 	m.tlog.Add(trace.Event{
 		Time: m.now(), Kind: trace.TransferStart, Worker: w.id, File: fileID,
-		Source: sourceLabel(src), Detail: detail,
+		Source: sourceLabel(m.names, src), Detail: detail,
 	})
 	var err error
 	if fault := m.cfg.Faults.At(chaos.Transfer, w.id, fileID); fault.Action != chaos.None {
@@ -338,22 +342,22 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 		case replica.SourceURL:
 			err = w.conn.Send(&protocol.Message{
 				Type: protocol.TypeFetchURL, CacheName: fileID, URL: f.Source,
-				Size: f.Size, Lifetime: int(f.Lifetime), TransferID: tr.ID,
+				Size: f.Size, Lifetime: int(f.Lifetime), TransferID: tid,
 			})
 		case replica.SourceWorker:
-			peer := m.workers[src.ID]
+			peer := m.workerAt(src.Worker())
 			if peer == nil || peer.gone {
-				err = fmt.Errorf("peer %s is gone", src.ID)
+				err = fmt.Errorf("peer %s is gone", m.names.SourceName(src))
 			} else {
 				// List the other live holders so the destination can fetch
 				// disjoint chunks of a large object from several replicas in
 				// parallel; the chosen source stays the primary.
 				var extras []string
-				for _, wid := range m.reps.Locate(fileID) {
-					if wid == src.ID || wid == w.id {
+				for _, wid := range m.reps.Locate(fh) {
+					if wid == src.Worker() || wid == w.h {
 						continue
 					}
-					if pw := m.workers[wid]; pw != nil && !pw.gone && pw.transferAddr != "" {
+					if pw := m.workerAt(wid); pw != nil && !pw.gone && pw.transferAddr != "" {
 						extras = append(extras, pw.transferAddr)
 					}
 				}
@@ -361,7 +365,7 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 				err = w.conn.Send(&protocol.Message{
 					Type: protocol.TypeFetchPeer, CacheName: fileID, PeerAddr: peer.transferAddr,
 					PeerAddrs: extras, Total: f.Size,
-					Size: f.Size, Lifetime: int(f.Lifetime), TransferID: tr.ID,
+					Size: f.Size, Lifetime: int(f.Lifetime), TransferID: tid,
 				})
 			}
 		case replica.SourceManager:
@@ -371,7 +375,6 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 			// goroutine; protocol.Conn serializes concurrent writers. A
 			// failure comes back as a synthetic failed cache-update, which
 			// funnels into the same retry path as a worker-reported one.
-			tid := tr.ID
 			m.goBG(func() {
 				perr := m.sendPut(w, f, tid)
 				if perr == nil {
@@ -389,9 +392,9 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 	}
 	if err != nil {
 		m.logf("transfer of %s to %s failed to start: %v", fileID, w.id, err)
-		m.trs.Complete(tr.ID)
-		m.reps.Remove(fileID, w.id)
-		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.TransferFailed, Worker: w.id, File: fileID, Source: sourceLabel(src), Detail: err.Error()})
+		m.endTr(tr)
+		m.reps.Remove(fh, w.h)
+		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.TransferFailed, Worker: w.id, File: fileID, Source: sourceLabel(m.names, src), Detail: err.Error()})
 		m.noteTransferFailure(fileID, w.id)
 	}
 }
@@ -438,9 +441,9 @@ func (m *Manager) sendPut(w *workerConn, f *files.File, transferID string) error
 // cache-update (with no transfer UUID) commits it.
 func (m *Manager) materializeMini(f *files.File, w *workerConn) {
 	for _, in := range f.MiniTask.Inputs {
-		m.place.Use(in.FileID, w.id)
+		m.place.Use(m.fh(in.FileID), w.h)
 	}
-	m.reps.Add(f.ID, w.id, replica.Pending)
+	m.reps.Add(m.fh(f.ID), w.h, replica.Pending)
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.StageStart, Worker: w.id, File: f.ID})
 	err := w.conn.Send(&protocol.Message{
 		Type: protocol.TypeMini, CacheName: f.ID, Spec: f.MiniTask,
@@ -449,14 +452,16 @@ func (m *Manager) materializeMini(f *files.File, w *workerConn) {
 	if err != nil {
 		m.logf("materializing %s at %s: %v", f.ID, w.id, err)
 		m.vm.SendErrors.With("mini").Inc()
-		m.reps.Remove(f.ID, w.id)
+		m.reps.Remove(m.fh(f.ID), w.h)
 	}
 }
 
 // dispatch sends a fully staged task to its worker.
 func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
-	for _, mt := range t.spec.Inputs {
-		m.place.Use(mt.FileID, w.id)
+	if m.place != nil {
+		for _, mt := range t.spec.Inputs {
+			m.place.Use(m.fh(mt.FileID), w.h)
+		}
 	}
 	m.setState(id, t, taskspec.StateRunning)
 	m.vm.DispatchLatency.Observe(m.now() - t.submitTime)
@@ -483,6 +488,7 @@ func (m *Manager) requeue(id int, t *taskState, countRetry bool) {
 		if !w.gone {
 			w.pool.Release(t.spec.Resources)
 		}
+		m.refresh(w)
 	}
 	t.worker = ""
 	if countRetry {
@@ -516,6 +522,7 @@ func (m *Manager) finishTask(id int, t *taskState, res *Result) {
 		if !w.gone {
 			w.pool.Release(t.spec.Resources)
 		}
+		m.refresh(w)
 	}
 	if res.OK {
 		m.setState(id, t, taskspec.StateDone)
@@ -542,26 +549,27 @@ func (m *Manager) finishTask(id int, t *taskState, res *Result) {
 
 // deleteEverywhere removes an object from every worker holding it.
 func (m *Manager) deleteEverywhere(fileID string) {
-	for _, wid := range m.reps.Locate(fileID) {
-		m.place.Gone(fileID, wid)
-		if w := m.workers[wid]; w != nil && !w.gone {
+	fh := m.fh(fileID)
+	for _, wid := range m.reps.Locate(fh) {
+		m.place.Gone(fh, wid)
+		if w := m.workerAt(wid); w != nil && !w.gone {
 			if err := w.conn.Send(&protocol.Message{Type: protocol.TypeUnlink, CacheName: fileID}); err != nil {
-				m.logf("unlinking %s at %s: %v", fileID, wid, err)
+				m.logf("unlinking %s at %s: %v", fileID, w.id, err)
 				m.vm.SendErrors.With("unlink").Inc()
 			}
 		}
-		m.reps.Remove(fileID, wid)
+		m.reps.Remove(fh, wid)
 	}
 }
 
-func sourceLabel(src replica.Source) string {
+func sourceLabel(names *replica.Names, src replica.Source) string {
 	switch src.Kind {
 	case replica.SourceURL:
 		return "url"
 	case replica.SourceManager:
 		return "manager"
 	default:
-		return "worker:" + src.ID
+		return "worker:" + names.SourceName(src)
 	}
 }
 
@@ -583,10 +591,11 @@ func (m *Manager) reconcileReplication() {
 			delete(m.replicaGoals, fileID)
 			continue
 		}
-		have := m.reps.CountReplicas(fileID)
+		fh := m.fh(fileID)
+		have := m.reps.CountReplicas(fh)
 		pending := 0
 		for _, w := range workers {
-			if m.reps.HasAny(fileID, w.ID) && !m.reps.Has(fileID, w.ID) {
+			if s, ok := m.reps.State(fh, w.ID); ok && s == replica.Pending {
 				pending++
 			}
 		}
@@ -594,13 +603,14 @@ func (m *Manager) reconcileReplication() {
 		if need <= 0 {
 			continue
 		}
-		targets := policy.ChooseReplicationTargets(fileID, need, workers, m.view)
+		targets := policy.ChooseReplicationTargets(fh, need, workers, m.view)
 		needs := m.fileNeeds([]taskspec.Mount{{FileID: fileID, Name: "x"}})
+		plan := &m.plan
 		for _, target := range targets {
-			plan := policy.PlanTransfers(needs, target, m.cfg.Limits, m.view)
+			policy.PlanTransfers(plan, needs, target, m.cfg.Limits, m.view)
 			for _, tr := range plan.Transfers {
-				if tr.File == fileID {
-					if w := m.workers[target]; w != nil {
+				if tr.File == fh {
+					if w := m.workerAt(target); w != nil {
 						m.startTransfer(fileID, tr.Source, w, "")
 					}
 				}

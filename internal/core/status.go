@@ -78,7 +78,7 @@ func (m *Manager) buildStatus() Status {
 			Capacity:     w.capacity,
 			Committed:    w.pool.Committed(),
 			RunningTasks: len(w.running),
-			CachedFiles:  m.reps.ReadyFilesOn(w.id),
+			CachedFiles:  m.reps.ReadyFilesOn(w.h),
 			JoinOrder:    w.joinOrder,
 		}
 		for lib := range w.libsReady {

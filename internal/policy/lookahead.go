@@ -3,7 +3,9 @@ package policy
 import (
 	"sort"
 
+	"taskvine/internal/intern"
 	"taskvine/internal/metrics"
+	"taskvine/internal/replica"
 	"taskvine/internal/resources"
 )
 
@@ -28,13 +30,15 @@ type Lookahead struct {
 	vm   *metrics.VineMetrics
 	view *View
 	// consumers counts the waiting and staging tasks listing each file as
-	// an input; hot holds the files at or above spec.FanoutThreshold.
-	consumers map[string]int
-	hot       map[string]bool
+	// an input, by file handle; hot holds the files at or above
+	// spec.FanoutThreshold, kept sorted by file ID so planning order does
+	// not depend on handle order.
+	consumers []int32
+	hot       []replica.FileH
 	// records holds one entry per unresolved placement transfer; charged
-	// sums their budget charges per destination worker.
+	// sums their budget charges per destination worker handle.
 	records map[placeKey]*placeRecord
-	charged map[string]int64
+	charged []int64
 	// scratch reused across passes.
 	taskBuf []PlacementTask
 	hotBuf  []HotFile
@@ -59,13 +63,13 @@ type Substrate interface {
 	QueuedNeeds(id int) []FileNeed
 	// FileNeeds returns one file's needs as the substrate's demand staging
 	// would expand them, leaving out what placement must not copy.
-	FileNeeds(fileID string) []FileNeed
+	FileNeeds(f replica.FileH) []FileNeed
 	// ProducerWorker returns the worker assigned the task that produces
-	// fileID while that task is staging or running, and "" otherwise.
-	ProducerWorker(fileID string) string
+	// f while that task is staging or running, and zero otherwise.
+	ProducerWorker(f replica.FileH) replica.WorkerH
 	// DiskCapacity returns a worker's disk bytes; zero or less means the
 	// worker reports none and its placement budget is unlimited.
-	DiskCapacity(workerID string) int64
+	DiskCapacity(w replica.WorkerH) int64
 	// StartPlacement issues one planned transfer through the substrate's
 	// supervised transfer path and reports whether it is now in flight.
 	StartPlacement(a PlacementAction) bool
@@ -78,13 +82,10 @@ func NewLookahead(spec PlacementSpec, vm *metrics.VineMetrics, view *View) *Look
 		return nil
 	}
 	return &Lookahead{
-		spec:      spec.WithDefaults(),
-		vm:        vm,
-		view:      view,
-		consumers: map[string]int{},
-		hot:       map[string]bool{},
-		records:   map[placeKey]*placeRecord{},
-		charged:   map[string]int64{},
+		spec:    spec.WithDefaults(),
+		vm:      vm,
+		view:    view,
+		records: map[placeKey]*placeRecord{},
 	}
 }
 
@@ -97,22 +98,26 @@ func (l *Lookahead) Pick(needs []FileNeed, req resources.R, workers []WorkerInfo
 	return bestWorker(needs, req, workers, v, l != nil)
 }
 
-// Consume moves one consumer task in (delta +1) or out (-1) of fileID's
+// Consume moves one consumer task in (delta +1) or out (-1) of f's
 // count and keeps the hot set exact. Callers count a task once per file,
 // however many times it lists the file.
-func (l *Lookahead) Consume(fileID string, delta int) {
+func (l *Lookahead) Consume(f replica.FileH, delta int) {
 	if l == nil {
 		return
 	}
-	l.consumers[fileID] += delta
-	n := l.consumers[fileID]
-	if n <= 0 {
-		delete(l.consumers, fileID)
-	}
-	if n >= l.spec.FanoutThreshold {
-		l.hot[fileID] = true
-	} else {
-		delete(l.hot, fileID)
+	l.consumers = intern.Grow(l.consumers, f)
+	l.consumers[f] += int32(delta)
+	hot := int(l.consumers[f]) >= l.spec.FanoutThreshold
+	files := &l.view.Reps.Names().Files
+	name := files.Name(f)
+	i := sort.Search(len(l.hot), func(i int) bool { return files.Name(l.hot[i]) >= name })
+	switch was := i < len(l.hot) && l.hot[i] == f; {
+	case hot && !was:
+		l.hot = append(l.hot, 0)
+		copy(l.hot[i+1:], l.hot[i:])
+		l.hot[i] = f
+	case !hot && was:
+		l.hot = append(l.hot[:i], l.hot[i+1:]...)
 	}
 }
 
@@ -139,35 +144,30 @@ func (l *Lookahead) Pass(s Substrate, workers []WorkerInfo, waiting []int, limit
 		// there.
 		for i := range needs {
 			n := &needs[i]
-			if n.FixedSource == nil && l.view.Reps.CountReplicas(n.ID) == 0 {
+			if n.FixedSource.IsZero() && l.view.Reps.CountReplicas(n.ID) == 0 {
 				n.BornAt = s.ProducerWorker(n.ID)
 			}
 		}
 		tasks = append(tasks, PlacementTask{ID: id, Needs: needs})
 	}
 	l.taskBuf = tasks
-	// Hot files sorted by ID for deterministic planning.
-	ids := make([]string, 0, len(l.hot))
-	for fid := range l.hot {
-		ids = append(ids, fid)
-	}
-	sort.Strings(ids)
+	// Hot files in ID order, for deterministic planning.
 	hot := l.hotBuf[:0]
-	for _, fid := range ids {
-		needs := s.FileNeeds(fid)
-		if len(needs) != 1 || needs[0].ID != fid {
+	for _, f := range l.hot {
+		needs := s.FileNeeds(f)
+		if len(needs) != 1 || needs[0].ID != f {
 			continue // left out by the substrate, or an unmaterialized MiniTask product
 		}
-		hot = append(hot, HotFile{Need: needs[0], Consumers: l.consumers[fid]})
+		hot = append(hot, HotFile{Need: needs[0], Consumers: int(l.consumers[f])})
 	}
 	l.hotBuf = hot
 
-	budget := func(workerID string) int64 {
-		disk := s.DiskCapacity(workerID)
+	budget := func(w replica.WorkerH) int64 {
+		disk := s.DiskCapacity(w)
 		if disk <= 0 {
 			return -1
 		}
-		return max(int64(l.spec.DiskFraction*float64(disk))-l.charged[workerID], 0)
+		return max(int64(l.spec.DiskFraction*float64(disk))-l.Charged(w), 0)
 	}
 	for _, a := range PlanPlacement(l.spec, tasks, hot, workers, limits, budget, l.view) {
 		if !s.StartPlacement(a) {
@@ -175,6 +175,7 @@ func (l *Lookahead) Pass(s Substrate, workers []WorkerInfo, waiting []int, limit
 		}
 		charged := max(a.Size, 0)
 		l.records[placeKey{a.File, a.Dest}] = &placeRecord{kind: a.Kind, charged: charged}
+		l.charged = intern.Grow(l.charged, a.Dest)
 		l.charged[a.Dest] += charged
 		if a.Kind == PlaceReplicate {
 			l.vm.PlacementReplicas.Inc()
@@ -184,33 +185,30 @@ func (l *Lookahead) Pass(s Substrate, workers []WorkerInfo, waiting []int, limit
 	}
 }
 
-// record returns the unresolved placement of fileID toward workerID, or
-// nil.
-func (l *Lookahead) record(fileID, workerID string) *placeRecord {
-	if l == nil {
+// record returns the unresolved placement of f toward w, or nil.
+func (l *Lookahead) record(f replica.FileH, w replica.WorkerH) *placeRecord {
+	if l == nil || len(l.records) == 0 {
 		return nil
 	}
-	return l.records[placeKey{fileID, workerID}]
+	return l.records[placeKey{f, w}]
 }
 
 // take removes a placement's record, if any, and releases its budget
 // charge.
-func (l *Lookahead) take(fileID, workerID string) *placeRecord {
-	rec := l.record(fileID, workerID)
+func (l *Lookahead) take(f replica.FileH, w replica.WorkerH) *placeRecord {
+	rec := l.record(f, w)
 	if rec == nil {
 		return nil
 	}
-	delete(l.records, placeKey{fileID, workerID})
-	if l.charged[workerID] -= rec.charged; l.charged[workerID] <= 0 {
-		delete(l.charged, workerID)
-	}
+	delete(l.records, placeKey{f, w})
+	l.charged[w] -= rec.charged
 	return rec
 }
 
 // Use resolves a placement as a hit: a consumer of the file was dispatched
 // to (or materializes a MiniTask product on) the worker it targeted.
-func (l *Lookahead) Use(fileID, workerID string) {
-	switch rec := l.take(fileID, workerID); {
+func (l *Lookahead) Use(f replica.FileH, w replica.WorkerH) {
+	switch rec := l.take(f, w); {
 	case rec == nil:
 	case rec.kind == PlaceReplicate:
 		l.vm.PlacementReplicaHits.Inc()
@@ -220,16 +218,16 @@ func (l *Lookahead) Use(fileID, workerID string) {
 }
 
 // Landed marks a placement's object as committed at its destination.
-func (l *Lookahead) Landed(fileID, workerID string) {
-	if rec := l.record(fileID, workerID); rec != nil {
+func (l *Lookahead) Landed(f replica.FileH, w replica.WorkerH) {
+	if rec := l.record(f, w); rec != nil {
 		rec.landed = true
 	}
 }
 
 // Failed resolves a placement whose transfer failed before landing.
-func (l *Lookahead) Failed(fileID, workerID string) {
-	if rec := l.record(fileID, workerID); rec != nil && !rec.landed {
-		l.take(fileID, workerID)
+func (l *Lookahead) Failed(f replica.FileH, w replica.WorkerH) {
+	if rec := l.record(f, w); rec != nil && !rec.landed {
+		l.take(f, w)
 		l.vm.PlacementFailures.Inc()
 	}
 }
@@ -237,8 +235,8 @@ func (l *Lookahead) Failed(fileID, workerID string) {
 // Gone resolves a placement whose object disappeared unconsumed (evicted,
 // deleted, garbage-collected, or lost with its worker): landed objects are
 // wasted bytes, un-landed ones failures.
-func (l *Lookahead) Gone(fileID, workerID string) {
-	switch rec := l.take(fileID, workerID); {
+func (l *Lookahead) Gone(f replica.FileH, w replica.WorkerH) {
+	switch rec := l.take(f, w); {
 	case rec == nil:
 	case rec.landed:
 		l.waste(rec)
@@ -258,12 +256,12 @@ func (l *Lookahead) waste(rec *placeRecord) {
 // DropWorker resolves every record targeting a departed worker as Gone.
 // Records resolve independently into commuting counters, so map order is
 // as good as any.
-func (l *Lookahead) DropWorker(workerID string) {
+func (l *Lookahead) DropWorker(w replica.WorkerH) {
 	if l == nil {
 		return
 	}
 	for k := range l.records {
-		if k.dest == workerID {
+		if k.dest == w {
 			l.Gone(k.file, k.dest)
 		}
 	}
@@ -292,9 +290,9 @@ func (l *Lookahead) Outstanding() int {
 
 // Charged reports the bytes unresolved placements hold against a worker's
 // budget.
-func (l *Lookahead) Charged(workerID string) int64 {
-	if l == nil {
+func (l *Lookahead) Charged(w replica.WorkerH) int64 {
+	if l == nil || int(w) >= len(l.charged) {
 		return 0
 	}
-	return l.charged[workerID]
+	return l.charged[w]
 }

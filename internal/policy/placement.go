@@ -106,32 +106,45 @@ type HotFile struct {
 // PlacementAction is one transfer the planner wants issued.
 type PlacementAction struct {
 	Kind   PlacementKind
-	File   string
+	File   replica.FileH
 	Size   int64 // -1 if unknown
 	Source replica.Source
-	Dest   string
+	Dest   replica.WorkerH
 }
 
 // BudgetFunc returns the placement bytes still available at a worker;
 // negative means unlimited.
-type BudgetFunc func(workerID string) int64
+type BudgetFunc func(w replica.WorkerH) int64
 
 // placePlan accumulates in-plan accounting so one pass never overloads a
 // source, destination, or budget by itself — the same local-counts idiom as
-// PlanTransfers.
+// PlanTransfers. A pass issues at most MaxTransfersPerPass actions, so the
+// per-destination accounting scans them rather than keeping maps.
 type placePlan struct {
 	spec      PlacementSpec
 	limits    Limits
 	v         *View
 	budget    BudgetFunc
 	actions   []PlacementAction
-	localFrom map[replica.Source]int
-	localTo   map[string]int
-	localHas  map[placeKey]bool
-	charged   map[string]int64
+	localFrom sourceCounts
 }
 
-type placeKey struct{ file, dest string }
+type placeKey struct {
+	file replica.FileH
+	dest replica.WorkerH
+}
+
+// localTo counts this plan's actions toward a worker and the bytes they
+// charge its budget.
+func (p *placePlan) localTo(w replica.WorkerH) (n int, charged int64) {
+	for _, a := range p.actions {
+		if a.Dest == w {
+			n++
+			charged += max(a.Size, 0)
+		}
+	}
+	return n, charged
+}
 
 // PlanPlacement computes this pass's speculative transfers from a cluster
 // snapshot: replication of high-fan-out files first (they unblock the most
@@ -148,14 +161,10 @@ func PlanPlacement(spec PlacementSpec, tasks []PlacementTask, hot []HotFile,
 		return nil
 	}
 	p := &placePlan{
-		spec:      spec,
-		limits:    limits.withDefaults(),
-		v:         v,
-		budget:    budget,
-		localFrom: map[replica.Source]int{},
-		localTo:   map[string]int{},
-		localHas:  map[placeKey]bool{},
-		charged:   map[string]int64{},
+		spec:   spec,
+		limits: limits.withDefaults(),
+		v:      v,
+		budget: budget,
 	}
 	p.planReplication(hot, workers)
 	p.planGather(tasks, workers)
@@ -164,37 +173,42 @@ func PlanPlacement(spec PlacementSpec, tasks []PlacementTask, hot []HotFile,
 
 // pendingAt reports whether the file is ready at, arriving at, or planned
 // for the worker.
-func (p *placePlan) pendingAt(file, worker string) bool {
-	return p.localHas[placeKey{file, worker}] ||
-		p.v.Reps.Has(file, worker) || p.v.TransferPending(file, worker)
+func (p *placePlan) pendingAt(file replica.FileH, worker replica.WorkerH) bool {
+	if p.v.Reps.HasAny(file, worker) || p.v.Trs.Pending(file, worker) {
+		return true
+	}
+	for _, a := range p.actions {
+		if a.File == file && a.Dest == worker {
+			return true
+		}
+	}
+	return false
 }
 
 // availableAt extends pendingAt with birth sites: an input still being
 // computed counts as present at the worker computing it.
-func (p *placePlan) availableAt(n FileNeed, worker string) bool {
-	return p.pendingAt(n.ID, worker) || (n.BornAt != "" && n.BornAt == worker)
+func (p *placePlan) availableAt(n FileNeed, worker replica.WorkerH) bool {
+	return p.pendingAt(n.ID, worker) || (n.BornAt != 0 && n.BornAt == worker)
 }
 
 // budgetAllows reports whether charging size more bytes to the worker stays
 // inside its placement budget, counting this plan's earlier charges.
-func (p *placePlan) budgetAllows(worker string, size int64) bool {
+func (p *placePlan) budgetAllows(worker replica.WorkerH, size int64) bool {
 	b := p.budget(worker)
 	if b < 0 {
 		return true
 	}
-	if size < 0 {
-		size = 0
-	}
-	return p.charged[worker]+size <= b
+	_, charged := p.localTo(worker)
+	return charged+max(size, 0) <= b
 }
 
 // issue plans one transfer if the destination cap, the budget, and some
 // source allow it.
-func (p *placePlan) issue(kind PlacementKind, need FileNeed, dest string) bool {
+func (p *placePlan) issue(kind PlacementKind, need FileNeed, dest replica.WorkerH) bool {
 	if len(p.actions) >= p.spec.MaxTransfersPerPass {
 		return false
 	}
-	if p.v.Trs.InFlightTo(dest)+p.localTo[dest] >= p.limits.destCap() {
+	if to, _ := p.localTo(dest); p.v.Trs.InFlightTo(dest)+to >= p.limits.destCap() {
 		return false
 	}
 	if !p.budgetAllows(dest, need.Size) {
@@ -207,12 +221,7 @@ func (p *placePlan) issue(kind PlacementKind, need FileNeed, dest string) bool {
 	p.actions = append(p.actions, PlacementAction{
 		Kind: kind, File: need.ID, Size: need.Size, Source: src, Dest: dest,
 	})
-	p.localFrom[src]++
-	p.localTo[dest]++
-	p.localHas[placeKey{need.ID, dest}] = true
-	if need.Size > 0 {
-		p.charged[dest] += need.Size
-	}
+	p.localFrom.add(src)
 	return true
 }
 
@@ -250,9 +259,12 @@ func (p *placePlan) planReplication(hot []HotFile, workers []WorkerInfo) {
 		// Least incoming load first, join order as the tie-break — the
 		// same preference as ChooseReplicationTargets, but aware of this
 		// plan's own placements.
+		load := func(w replica.WorkerH) int {
+			n, _ := p.localTo(w)
+			return p.v.Trs.InFlightTo(w) + n
+		}
 		sort.Slice(cands, func(i, j int) bool {
-			li := p.v.Trs.InFlightTo(cands[i].ID) + p.localTo[cands[i].ID]
-			lj := p.v.Trs.InFlightTo(cands[j].ID) + p.localTo[cands[j].ID]
+			li, lj := load(cands[i].ID), load(cands[j].ID)
 			if li != lj {
 				return li < lj
 			}
@@ -274,7 +286,7 @@ func (p *placePlan) planReplication(hot []HotFile, workers []WorkerInfo) {
 // input bytes. A worker gathers for at most LookaheadPerWorker tasks at a
 // time; a task fully served somewhere is skipped without consuming a slot.
 func (p *placePlan) planGather(tasks []PlacementTask, workers []WorkerInfo) {
-	slots := map[string]int{}
+	slots := map[replica.WorkerH]int{}
 	for _, task := range tasks {
 		if len(p.actions) >= p.spec.MaxTransfersPerPass {
 			return
@@ -287,7 +299,7 @@ func (p *placePlan) planGather(tasks []PlacementTask, workers []WorkerInfo) {
 		// duplicate data. The served task still occupies the serving
 		// worker's lookahead slot — it IS that worker's next-up work — so
 		// consecutive passes don't pile unbounded gathers onto one worker.
-		served := ""
+		var served replica.WorkerH
 		for _, w := range workers {
 			all := true
 			for _, n := range task.Needs {
@@ -301,7 +313,7 @@ func (p *placePlan) planGather(tasks []PlacementTask, workers []WorkerInfo) {
 				break
 			}
 		}
-		if served != "" {
+		if served != 0 {
 			slots[served]++
 			continue
 		}

@@ -30,7 +30,7 @@ type placeSnapshot struct {
 	hot     []HotFile
 	workers []WorkerInfo
 	limits  Limits
-	budgets map[string]int64
+	budgets map[replica.WorkerH]int64
 	v       *View
 }
 
@@ -46,28 +46,28 @@ func genSnapshot(seed uint64) *placeSnapshot {
 			MaxTransfersPerPass: 1 + r.intn(10),
 		},
 		limits:  Limits{},
-		budgets: map[string]int64{},
+		budgets: map[replica.WorkerH]int64{},
 		v:       newView(),
 	}
 	nWorkers := 2 + r.intn(5)
 	for i := 0; i < nWorkers; i++ {
-		id := fmt.Sprintf("w%d", i)
-		s.workers = append(s.workers, worker(id, 4, i))
+		w := worker(fmt.Sprintf("w%d", i), 4, i)
+		s.workers = append(s.workers, w)
 		if r.intn(3) == 0 {
-			s.budgets[id] = -1 // unlimited
+			s.budgets[w.ID] = -1 // unlimited
 		} else {
-			s.budgets[id] = int64(r.intn(400)) * 1e6
+			s.budgets[w.ID] = int64(r.intn(400)) * 1e6
 		}
 	}
 	nFiles := 3 + r.intn(8)
 	files := make([]FileNeed, nFiles)
 	for i := range files {
-		files[i] = FileNeed{ID: fmt.Sprintf("f%d", i), Size: int64(1+r.intn(200)) * 1e6}
+		files[i] = FileNeed{ID: fh(fmt.Sprintf("f%d", i)), Size: int64(1+r.intn(200)) * 1e6}
 		switch r.intn(4) {
 		case 0:
-			files[i].FixedSource = &replica.Source{Kind: replica.SourceManager, ID: "manager"}
+			files[i].FixedSource = managerSource()
 		case 1:
-			files[i].FixedSource = urlSource("http://x/" + files[i].ID)
+			files[i].FixedSource = urlSource(fmt.Sprintf("http://x/f%d", i))
 		default:
 			// Worker-held: commit replicas at 1..2 random workers.
 			for n := 1 + r.intn(2); n > 0; n-- {
@@ -81,7 +81,7 @@ func genSnapshot(seed uint64) *placeSnapshot {
 	// Some pre-existing in-flight transfers so InFlightTo/From are nonzero.
 	for n := r.intn(4); n > 0; n-- {
 		f := files[r.intn(nFiles)]
-		s.v.Trs.Start(f.ID, replica.Source{Kind: replica.SourceManager, ID: "manager"},
+		s.v.Trs.Start(f.ID, managerSource(),
 			s.workers[r.intn(nWorkers)].ID)
 	}
 	nTasks := 1 + r.intn(6)
@@ -102,7 +102,7 @@ func genSnapshot(seed uint64) *placeSnapshot {
 	return s
 }
 
-func (s *placeSnapshot) budget(workerID string) int64 {
+func (s *placeSnapshot) budget(workerID replica.WorkerH) int64 {
 	b, ok := s.budgets[workerID]
 	if !ok {
 		return 0
@@ -122,23 +122,23 @@ func TestPlanPlacementProperties(t *testing.T) {
 				seed, len(actions), spec.MaxTransfersPerPass)
 		}
 		seen := map[placeKey]bool{}
-		plannedTo := map[string]int{}
-		chargedTo := map[string]int64{}
-		replicasOf := map[string]int{}
+		plannedTo := map[replica.WorkerH]int{}
+		chargedTo := map[replica.WorkerH]int64{}
+		replicasOf := map[replica.FileH]int{}
 		for _, a := range actions {
 			k := placeKey{a.File, a.Dest}
 			if seen[k] {
-				t.Fatalf("seed %d: duplicate action for %s -> %s", seed, a.File, a.Dest)
+				t.Fatalf("seed %d: duplicate action for %v -> %v", seed, a.File, a.Dest)
 			}
 			seen[k] = true
 			if s.v.Reps.Has(a.File, a.Dest) {
-				t.Fatalf("seed %d: planned %s -> %s but dest already holds it", seed, a.File, a.Dest)
+				t.Fatalf("seed %d: planned %v -> %v but dest already holds it", seed, a.File, a.Dest)
 			}
 			if s.v.TransferPending(a.File, a.Dest) {
-				t.Fatalf("seed %d: planned %s -> %s but a transfer is already pending", seed, a.File, a.Dest)
+				t.Fatalf("seed %d: planned %v -> %v but a transfer is already pending", seed, a.File, a.Dest)
 			}
-			if a.Source.Kind == replica.SourceWorker && !s.v.Reps.Has(a.File, a.Source.ID) {
-				t.Fatalf("seed %d: source worker %s does not hold %s", seed, a.Source.ID, a.File)
+			if a.Source.Kind == replica.SourceWorker && !s.v.Reps.Has(a.File, a.Source.Worker()) {
+				t.Fatalf("seed %d: source worker %v does not hold %v", seed, a.Source.ID, a.File)
 			}
 			plannedTo[a.Dest]++
 			if a.Size > 0 {
@@ -150,13 +150,13 @@ func TestPlanPlacementProperties(t *testing.T) {
 		}
 		for dest, n := range plannedTo {
 			if s.v.Trs.InFlightTo(dest)+n > limits.destCap() {
-				t.Fatalf("seed %d: dest %s gets %d in-flight + %d planned > cap %d",
+				t.Fatalf("seed %d: dest %v gets %d in-flight + %d planned > cap %d",
 					seed, dest, s.v.Trs.InFlightTo(dest), n, limits.destCap())
 			}
 		}
 		for dest, bytes := range chargedTo {
 			if b := s.budget(dest); b >= 0 && bytes > b {
-				t.Fatalf("seed %d: dest %s charged %d > budget %d", seed, dest, bytes, b)
+				t.Fatalf("seed %d: dest %v charged %d > budget %d", seed, dest, bytes, b)
 			}
 		}
 		for _, hf := range s.hot {
@@ -165,7 +165,7 @@ func TestPlanPlacementProperties(t *testing.T) {
 				max = hf.Consumers
 			}
 			if n := replicasOf[hf.Need.ID]; n > max {
-				t.Fatalf("seed %d: %d speculative replicas of %s > min(MaxReplicas, consumers) %d",
+				t.Fatalf("seed %d: %d speculative replicas of %v > min(MaxReplicas, consumers) %d",
 					seed, n, hf.Need.ID, max)
 			}
 		}
@@ -193,46 +193,46 @@ func TestPlanPlacementGathersTowardAffinity(t *testing.T) {
 	// w1 holds the big input; the small one should be prefetched to w1, not
 	// to the emptier w0.
 	v := newView()
-	v.Reps.Commit("big", "w1")
-	v.Reps.Commit("small", "w2")
+	v.Reps.Commit(fh("big"), wh("w1"))
+	v.Reps.Commit(fh("small"), wh("w2"))
 	tasks := []PlacementTask{{ID: 1, Needs: []FileNeed{
-		{ID: "big", Size: 500e6},
-		{ID: "small", Size: 1e6},
+		{ID: fh("big"), Size: 500e6},
+		{ID: fh("small"), Size: 1e6},
 	}}}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1), worker("w2", 4, 2)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true}, tasks, nil, workers,
-		Limits{}, func(string) int64 { return -1 }, v)
+		Limits{}, func(replica.WorkerH) int64 { return -1 }, v)
 	if len(actions) != 1 {
 		t.Fatalf("actions = %+v, want exactly one prefetch", actions)
 	}
 	a := actions[0]
-	if a.Kind != PlacePrefetch || a.File != "small" || a.Dest != "w1" {
+	if a.Kind != PlacePrefetch || a.File != fh("small") || a.Dest != wh("w1") {
 		t.Fatalf("action = %+v, want prefetch of small toward w1", a)
 	}
-	if a.Source.Kind != replica.SourceWorker || a.Source.ID != "w2" {
+	if a.Source.Kind != replica.SourceWorker || a.Source.Worker() != wh("w2") {
 		t.Fatalf("source = %+v, want worker w2", a.Source)
 	}
 }
 
 func TestPlanPlacementReplicatesHotFile(t *testing.T) {
 	v := newView()
-	v.Reps.Commit("hotfile", "w0")
-	hot := []HotFile{{Need: FileNeed{ID: "hotfile", Size: 10e6}, Consumers: 6}}
+	v.Reps.Commit(fh("hotfile"), wh("w0"))
+	hot := []HotFile{{Need: FileNeed{ID: fh("hotfile"), Size: 10e6}, Consumers: 6}}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1), worker("w2", 4, 2)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true, FanoutThreshold: 4, MaxReplicas: 3},
-		nil, hot, workers, Limits{}, func(string) int64 { return -1 }, v)
+		nil, hot, workers, Limits{}, func(replica.WorkerH) int64 { return -1 }, v)
 	// One replica exists at w0; MaxReplicas 3 wants two more.
 	if len(actions) != 2 {
 		t.Fatalf("actions = %+v, want two replications", actions)
 	}
-	dests := map[string]bool{}
+	dests := map[replica.WorkerH]bool{}
 	for _, a := range actions {
-		if a.Kind != PlaceReplicate || a.File != "hotfile" {
+		if a.Kind != PlaceReplicate || a.File != fh("hotfile") {
 			t.Fatalf("action = %+v, want replicate of hotfile", a)
 		}
 		dests[a.Dest] = true
 	}
-	if !dests["w1"] || !dests["w2"] {
+	if !dests[wh("w1")] || !dests[wh("w2")] {
 		t.Fatalf("replicated to %v, want w1 and w2", dests)
 	}
 }
@@ -241,12 +241,12 @@ func TestPlanPlacementSkipsServedTask(t *testing.T) {
 	// Every input of the task is already at w1: gathering anywhere else
 	// would duplicate data, so the planner must do nothing.
 	v := newView()
-	v.Reps.Commit("a", "w1")
-	v.Reps.Commit("b", "w1")
-	tasks := []PlacementTask{{ID: 1, Needs: []FileNeed{{ID: "a", Size: 1e6}, {ID: "b", Size: 1e6}}}}
+	v.Reps.Commit(fh("a"), wh("w1"))
+	v.Reps.Commit(fh("b"), wh("w1"))
+	tasks := []PlacementTask{{ID: 1, Needs: []FileNeed{{ID: fh("a"), Size: 1e6}, {ID: fh("b"), Size: 1e6}}}}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true}, tasks, nil, workers,
-		Limits{}, func(string) int64 { return -1 }, v)
+		Limits{}, func(replica.WorkerH) int64 { return -1 }, v)
 	if len(actions) != 0 {
 		t.Fatalf("served task still produced actions: %+v", actions)
 	}
@@ -256,18 +256,18 @@ func TestPlanPlacementRespectsLookaheadWindow(t *testing.T) {
 	// Three tasks all drawn to the same worker; LookaheadPerWorker 1 must
 	// gather for only the first.
 	v := newView()
-	v.Reps.Commit("anchor", "w0")
+	v.Reps.Commit(fh("anchor"), wh("w0"))
 	mk := func(id int, extra string) PlacementTask {
 		return PlacementTask{ID: id, Needs: []FileNeed{
-			{ID: "anchor", Size: 100e6},
-			{ID: extra, Size: 1e6, FixedSource: &replica.Source{Kind: replica.SourceManager, ID: "manager"}},
+			{ID: fh("anchor"), Size: 100e6},
+			{ID: fh(extra), Size: 1e6, FixedSource: managerSource()},
 		}}
 	}
 	tasks := []PlacementTask{mk(1, "x1"), mk(2, "x2"), mk(3, "x3")}
 	workers := []WorkerInfo{worker("w0", 4, 0), worker("w1", 4, 1)}
 	actions := PlanPlacement(PlacementSpec{Enabled: true, LookaheadPerWorker: 1},
-		tasks, nil, workers, Limits{}, func(string) int64 { return -1 }, v)
-	if len(actions) != 1 || actions[0].File != "x1" || actions[0].Dest != "w0" {
+		tasks, nil, workers, Limits{}, func(replica.WorkerH) int64 { return -1 }, v)
+	if len(actions) != 1 || actions[0].File != fh("x1") || actions[0].Dest != wh("w0") {
 		t.Fatalf("actions = %+v, want only x1 -> w0", actions)
 	}
 }

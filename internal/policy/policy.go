@@ -102,7 +102,7 @@ func (l Limits) destCap() int {
 
 // WorkerInfo is a scheduling snapshot of one worker.
 type WorkerInfo struct {
-	ID string
+	ID replica.WorkerH
 	// Free is the worker's uncommitted resource vector.
 	Free resources.R
 	// RunningTasks counts tasks currently executing, for tie-breaking.
@@ -113,13 +113,13 @@ type WorkerInfo struct {
 
 // FileNeed describes one input a task requires.
 type FileNeed struct {
-	ID   string
+	ID   replica.FileH
 	Size int64 // -1 if unknown
 	// FixedSource is where the bytes originate if no worker has a replica:
-	// a URL for URLFiles, the manager for local/buffer files. Nil for
+	// a URL for URLFiles, the manager for local/buffer files. Zero for
 	// files that can only be produced in-cluster (temps, minitask
 	// products), which have no fallback.
-	FixedSource *replica.Source
+	FixedSource replica.Source
 	// BornAt names the worker currently assigned the task producing this
 	// not-yet-existing file, if any. Lookahead placement treats the file as
 	// if it were already there: a fan-in task becomes ready the moment its
@@ -127,25 +127,34 @@ type FileNeed struct {
 	// gathering siblings toward it is the placement most likely to be
 	// honored by dispatch. Only the placement path fills this; demand
 	// staging ignores it.
-	BornAt string
+	BornAt replica.WorkerH
 }
 
 // View is the read-only cluster state the policy consults: the replica
-// and transfer tables of the real manager or of the simulator.
+// and transfer tables of the real manager or of the simulator. Its owner
+// is single-threaded, so the View keeps the policy's scratch buffers.
 type View struct {
 	Reps *replica.Table
 	Trs  *replica.Transfers
+	// holders is chooseSource's scratch.
+	holders []replica.WorkerH
+}
+
+// NewView returns a view over fresh tables sharing names.
+func NewView(names *replica.Names) *View {
+	return &View{Reps: replica.NewTable(names), Trs: replica.NewTransfers(names)}
 }
 
 // TransferPending treats both supervised network transfers and in-progress
 // MiniTask materializations (pending replica entries without a transfer)
 // as "already on the way", so the planner never double-instructs a worker
 // for the same object.
-func (v *View) TransferPending(f, w string) bool {
+func (v *View) TransferPending(f replica.FileH, w replica.WorkerH) bool {
 	if v.Trs.Pending(f, w) {
 		return true
 	}
-	return v.Reps.HasAny(f, w) && !v.Reps.Has(f, w)
+	s, ok := v.Reps.State(f, w)
+	return ok && s == replica.Pending
 }
 
 // BestWorker picks the worker for a task: among workers whose free
@@ -195,83 +204,99 @@ func less(a, b WorkerInfo) bool {
 
 // TransferDecision is the planned action for one missing input.
 type TransferDecision struct {
-	File string
+	File replica.FileH
 	// Source supplies the bytes.
 	Source replica.Source
 }
 
 // Plan is the outcome of transfer planning for one task on one worker.
+// Callers keep one Plan and refill it: planning reuses its slices, so it
+// allocates nothing in steady state.
 type Plan struct {
-	// Ready lists inputs already present at the worker.
-	Ready []string
+	// Ready counts inputs already present at the worker.
+	Ready int
+	// InFlight counts inputs already on their way to the worker.
+	InFlight int
 	// Transfers are the movements to start now.
 	Transfers []TransferDecision
-	// InFlight lists inputs already on their way to the worker.
-	InFlight []string
 	// Blocked lists inputs that cannot start now: every candidate source
 	// is at its concurrency limit, or no source exists yet. The task must
 	// wait and be re-planned on the next scheduling round.
-	Blocked []string
+	Blocked []replica.FileH
+	// local counts this plan's transfers per source.
+	local sourceCounts
 }
 
-// Complete reports whether every input is ready at the worker.
-func (p Plan) Complete() bool {
-	return len(p.Transfers) == 0 && len(p.InFlight) == 0 && len(p.Blocked) == 0
+// sourceCounts counts planned transfers per source. A plan picks few
+// distinct sources, so a scan beats a map.
+type sourceCounts []sourceCount
+
+type sourceCount struct {
+	src replica.Source
+	n   int
 }
 
-// Stuck reports whether progress is impossible right now (at least one
-// blocked input and nothing in flight for it).
-func (p Plan) Stuck() bool { return len(p.Blocked) > 0 }
+func (c sourceCounts) of(src replica.Source) int {
+	for _, sc := range c {
+		if sc.src == src {
+			return sc.n
+		}
+	}
+	return 0
+}
+
+func (c *sourceCounts) add(src replica.Source) {
+	for i := range *c {
+		if (*c)[i].src == src {
+			(*c)[i].n++
+			return
+		}
+	}
+	*c = append(*c, sourceCount{src, 1})
+}
 
 // PlanTransfers decides, for every input a task needs at a target worker,
 // whether it is present, in flight, transferable now (and from where), or
-// blocked. The conservative strategy always prioritizes worker-to-worker
-// transfers over the original fixed source; only when no replica-holding
-// worker is under its limit does the fixed source get consulted, and it too
-// must be under its limit (§3.3).
+// blocked, and writes the outcome into plan. The conservative strategy
+// always prioritizes worker-to-worker transfers over the original fixed
+// source; only when no replica-holding worker is under its limit does the
+// fixed source get consulted, and it too must be under its limit (§3.3).
 //
-// Planning mutates nothing; the caller is responsible for recording started
-// transfers so subsequent InFlightFrom calls observe them. Decisions within
-// one plan do account for each other through the local counts map, so a
-// single plan never overloads a source by itself.
-func PlanTransfers(needs []FileNeed, worker string, limits Limits, v *View) Plan {
+// Planning mutates no table; the caller is responsible for recording
+// started transfers so subsequent InFlightFrom calls observe them.
+// Decisions within one plan do account for each other through the plan's
+// local counts, so a single plan never overloads a source by itself.
+func PlanTransfers(plan *Plan, needs []FileNeed, worker replica.WorkerH, limits Limits, v *View) {
 	limits = limits.withDefaults()
-	var plan Plan
-	// localFrom is allocated on the first transfer picked: most plans
-	// pick none, and chooseSource reads a nil map as all zeros.
-	var localFrom map[replica.Source]int
-	localTo := 0
+	plan.Ready, plan.InFlight = 0, 0
+	plan.Transfers, plan.Blocked, plan.local = plan.Transfers[:0], plan.Blocked[:0], plan.local[:0]
 	for _, n := range needs {
 		switch {
 		case v.Reps.Has(n.ID, worker):
-			plan.Ready = append(plan.Ready, n.ID)
+			plan.Ready++
 			continue
 		case v.TransferPending(n.ID, worker):
-			plan.InFlight = append(plan.InFlight, n.ID)
+			plan.InFlight++
 			continue
 		}
-		if v.Trs.InFlightTo(worker)+localTo >= limits.destCap() {
+		if v.Trs.InFlightTo(worker)+len(plan.Transfers) >= limits.destCap() {
 			plan.Blocked = append(plan.Blocked, n.ID)
 			continue
 		}
-		src, ok := chooseSource(n, worker, limits, v, localFrom)
+		src, ok := chooseSource(n, worker, limits, v, plan.local)
 		if !ok {
 			plan.Blocked = append(plan.Blocked, n.ID)
 			continue
 		}
 		plan.Transfers = append(plan.Transfers, TransferDecision{File: n.ID, Source: src})
-		if localFrom == nil {
-			localFrom = map[replica.Source]int{}
-		}
-		localFrom[src]++
-		localTo++
+		plan.local.add(src)
 	}
-	return plan
 }
 
 // chooseSource returns the best available source for a file: a
 // replica-holding worker under its limit (preferring the least-loaded to
-// spread fan-out), otherwise the fixed source if it is under its limit.
+// spread fan-out, then the lexically least worker ID), otherwise the fixed
+// source if it is under its limit.
 //
 // The conservative strategy always prioritizes worker transfers over the
 // original fixed source (§3.3). That preference extends in time: once the
@@ -280,23 +305,26 @@ func PlanTransfers(needs []FileNeed, worker string, limits Limits, v *View) Plan
 // the fixed source; the transfer waits for a peer slot instead. This is
 // what keeps archive/shared-FS load at a handful of fetches no matter how
 // many workers need the object (the 108 → 3 observation of §4.2).
-func chooseSource(n FileNeed, dest string, limits Limits, v *View, local map[replica.Source]int) (replica.Source, bool) {
-	holders := v.Reps.Locate(n.ID)
-	sort.Strings(holders) // determinism
+func chooseSource(n FileNeed, dest replica.WorkerH, limits Limits, v *View, local sourceCounts) (replica.Source, bool) {
+	v.holders = v.Reps.AppendLocate(v.holders[:0], n.ID)
+	workers := &v.Reps.Names().Workers
 	bestLoad := -1
 	inCluster := 0
 	var best replica.Source
-	for _, h := range holders {
+	for _, h := range v.holders {
 		if h == dest {
 			continue
 		}
 		inCluster++
-		src := replica.Source{Kind: replica.SourceWorker, ID: h}
-		load := v.Trs.InFlightFrom(src) + local[src]
+		src := replica.WorkerSource(h)
+		load := v.Trs.InFlightFrom(src) + local.of(src)
 		if load >= limits.sourceCap(replica.SourceWorker) {
 			continue
 		}
-		if bestLoad < 0 || load < bestLoad {
+		// Holders come in handle (join) order; ties go to the lexically
+		// least worker ID, as they would over a name-sorted holder list.
+		if bestLoad < 0 || load < bestLoad ||
+			(load == bestLoad && workers.Name(h) < workers.Name(best.Worker())) {
 			bestLoad = load
 			best = src
 		}
@@ -313,9 +341,8 @@ func chooseSource(n FileNeed, dest string, limits Limits, v *View, local map[rep
 		// exactly limit-many (3) shared-FS fetches before peers take over.
 		return replica.Source{}, false
 	}
-	if n.FixedSource != nil {
-		src := *n.FixedSource
-		if v.Trs.InFlightFrom(src)+local[src] < limits.sourceCap(src.Kind) {
+	if src := n.FixedSource; !src.IsZero() {
+		if v.Trs.InFlightFrom(src)+local.of(src) < limits.sourceCap(src.Kind) {
 			return src, true
 		}
 	}
@@ -326,9 +353,9 @@ func chooseSource(n FileNeed, dest string, limits Limits, v *View, local map[rep
 // extra replica of a hot file, preferring workers that do not yet hold it
 // and are receiving the fewest transfers. Used to pre-stage widely shared
 // inputs (software packages) ahead of task demand.
-func ChooseReplicationTargets(file string, n int, workers []WorkerInfo, v *View) []string {
+func ChooseReplicationTargets(file replica.FileH, n int, workers []WorkerInfo, v *View) []replica.WorkerH {
 	type cand struct {
-		id   string
+		id   replica.WorkerH
 		load int
 		join int
 	}
@@ -348,7 +375,7 @@ func ChooseReplicationTargets(file string, n int, workers []WorkerInfo, v *View)
 	if len(cands) > n {
 		cands = cands[:n]
 	}
-	out := make([]string, len(cands))
+	out := make([]replica.WorkerH, len(cands))
 	for i, c := range cands {
 		out[i] = c.id
 	}

@@ -1,25 +1,58 @@
 // Package replica implements the manager's two coordination tables (§3.3):
+// the File Replica Table, which workers hold (or are acquiring) each data
+// object, and the Current Transfer Table, every in-flight transfer and how
+// many each source serves, so the scheduler can place tasks near their
+// data without creating network hotspots.
 //
-// The File Replica Table presents a unified view of cluster storage — which
-// workers hold (or are acquiring) each data object — so the scheduler can
-// locate files and place tasks near their data.
-//
-// The Current Transfer Table tracks every in-flight transfer under a UUID
-// that the worker echoes back in its cache-update message. By observing how
-// many concurrent connections each source is serving, the scheduler can
-// enforce limits that prevent network hotspots.
+// Both are keyed on dense handles that a Names interns once at the boundary,
+// so every query indexes a slice. Each table has one owner, the manager's
+// event loop or the simulator, and takes no lock.
 package replica
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
+
+	"taskvine/internal/intern"
 )
 
+// FileH is a file's dense handle; WorkerH is a worker's. Handles count
+// from 1 in the order names were first interned, so the zero handle names
+// nothing, and a worker that re-registers under the same ID keeps its
+// handle.
+type (
+	FileH   int32
+	WorkerH int32
+)
+
+// Names holds the interners one owner's tables share.
+type Names struct {
+	Files   intern.Table[FileH]
+	Workers intern.Table[WorkerH]
+	// Sources interns fixed sources (URLs, shared-filesystem paths, the
+	// manager) by name.
+	Sources intern.Table[int32]
+}
+
+// NewNames returns empty interners.
+func NewNames() *Names { return &Names{} }
+
+// FixedSource returns the fixed source of the given kind and name.
+func (n *Names) FixedSource(kind SourceKind, name string) Source {
+	return Source{Kind: kind, ID: n.Sources.Intern(name)}
+}
+
+// SourceName returns a source's worker ID or fixed-source name.
+func (n *Names) SourceName(s Source) string {
+	if s.Kind == SourceWorker {
+		return n.Workers.Name(WorkerH(s.ID))
+	}
+	return n.Sources.Name(s.ID)
+}
+
 // ReplicaState tracks one worker's possession of one object.
-type ReplicaState int
+type ReplicaState uint8
 
 const (
 	// Pending means a transfer or MiniTask is materializing the object at
@@ -29,147 +62,171 @@ const (
 	Ready
 )
 
-// Table is the File Replica Table. All methods are safe for concurrent use.
-type Table struct {
-	mu sync.Mutex
-	// byFile maps cache name -> worker ID -> state.
-	byFile map[string]map[string]ReplicaState // guarded by mu
-	// byWorker maps worker ID -> set of cache names (any state).
-	byWorker map[string]map[string]bool // guarded by mu
+// holder is one worker's replica in a file's row.
+type holder struct {
+	w     WorkerH
+	state ReplicaState
 }
 
-// NewTable returns an empty replica table.
-func NewTable() *Table {
-	return &Table{
-		byFile:   make(map[string]map[string]ReplicaState),
-		byWorker: make(map[string]map[string]bool),
+// row is one file's replicas, sorted by worker handle, and its ready count.
+type row struct {
+	holders []holder
+	ready   int32
+}
+
+// find returns where worker w is, or would be inserted, in the row.
+func (r *row) find(w WorkerH) (int, bool) {
+	lo, hi := 0, len(r.holders)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.holders[m].w < w {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(r.holders) && r.holders[lo].w == w
+}
+
+// Table is the File Replica Table: one row per file handle, so every
+// per-input query is a slice index and a search of that file's holders.
+type Table struct {
+	names   *Names
+	rows    []row   // by FileH
+	readyOn []int32 // ready replicas per WorkerH
+}
+
+// NewTable returns an empty replica table over the given names.
+func NewTable(names *Names) *Table { return &Table{names: names} }
+
+// Names returns the interners the table's handles come from.
+func (t *Table) Names() *Names { return t.names }
+
+func (t *Table) row(f FileH) *row {
+	if int(f) >= len(t.rows) {
+		return nil
+	}
+	return &t.rows[f]
 }
 
 // Add records that worker is acquiring (state Pending) or holds (Ready)
 // the object.
-func (t *Table) Add(file, worker string, state ReplicaState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.byFile[file] == nil {
-		t.byFile[file] = make(map[string]ReplicaState)
+func (t *Table) Add(f FileH, w WorkerH, state ReplicaState) {
+	t.rows = intern.Grow(t.rows, f)
+	t.readyOn = intern.Grow(t.readyOn, w)
+	r := &t.rows[f]
+	i, ok := r.find(w)
+	if !ok {
+		r.holders = append(r.holders, holder{})
+		copy(r.holders[i+1:], r.holders[i:])
+		r.holders[i] = holder{w: w, state: Pending}
 	}
-	t.byFile[file][worker] = state
-	if t.byWorker[worker] == nil {
-		t.byWorker[worker] = make(map[string]bool)
+	if h := &r.holders[i]; h.state != state {
+		d := int32(1)
+		if state != Ready {
+			d = -1
+		}
+		h.state = state
+		r.ready += d
+		t.readyOn[w] += d
 	}
-	t.byWorker[worker][file] = true
 }
 
 // Commit promotes a pending replica to ready, typically on receipt of a
 // cache-update message. Committing an unknown replica records it ready:
 // workers may acquire objects the manager did not direct (e.g. adopted
 // from a previous workflow's persistent cache).
-func (t *Table) Commit(file, worker string) {
-	t.Add(file, worker, Ready)
-}
+func (t *Table) Commit(f FileH, w WorkerH) { t.Add(f, w, Ready) }
 
 // Remove deletes one worker's replica of an object (deletion, eviction, or
 // failed transfer).
-func (t *Table) Remove(file, worker string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if m := t.byFile[file]; m != nil {
-		delete(m, worker)
-		if len(m) == 0 {
-			delete(t.byFile, file)
-		}
+func (t *Table) Remove(f FileH, w WorkerH) {
+	if r := t.row(f); r != nil {
+		t.remove(r, w)
 	}
-	if m := t.byWorker[worker]; m != nil {
-		delete(m, file)
+}
+
+func (t *Table) remove(r *row, w WorkerH) bool {
+	i, ok := r.find(w)
+	if !ok {
+		return false
 	}
+	if r.holders[i].state == Ready {
+		r.ready--
+		t.readyOn[w]--
+	}
+	r.holders = append(r.holders[:i], r.holders[i+1:]...)
+	return true
 }
 
 // DropWorker removes every replica held by a departed worker and returns
-// the affected cache names, so the manager can re-create files that lost
-// their last replica.
-func (t *Table) DropWorker(worker string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var affected []string
-	for file := range t.byWorker[worker] {
-		affected = append(affected, file)
-		if m := t.byFile[file]; m != nil {
-			delete(m, worker)
-			if len(m) == 0 {
-				delete(t.byFile, file)
-			}
+// the affected files in handle order, so the manager can re-create files
+// that lost their last replica. It scans every file: departures are rare.
+func (t *Table) DropWorker(w WorkerH) []FileH {
+	var affected []FileH
+	for f := range t.rows {
+		if t.remove(&t.rows[f], w) {
+			affected = append(affected, FileH(f))
 		}
 	}
-	delete(t.byWorker, worker)
 	return affected
 }
 
+// State returns the worker's replica state for the file, and whether it
+// has one at all.
+func (t *Table) State(f FileH, w WorkerH) (ReplicaState, bool) {
+	if r := t.row(f); r != nil {
+		if i, ok := r.find(w); ok {
+			return r.holders[i].state, true
+		}
+	}
+	return Pending, false
+}
+
 // Has reports whether worker holds a ready replica of file.
-func (t *Table) Has(file, worker string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// A missing key yields the zero value Pending, which is not Ready.
-	return t.byFile[file][worker] == Ready
+func (t *Table) Has(f FileH, w WorkerH) bool {
+	s, ok := t.State(f, w)
+	return ok && s == Ready
 }
 
 // HasAny reports whether worker holds or is acquiring the file.
-func (t *Table) HasAny(file, worker string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.byFile[file][worker]
+func (t *Table) HasAny(f FileH, w WorkerH) bool {
+	_, ok := t.State(f, w)
 	return ok
 }
 
-// Locate returns the workers holding ready replicas of file.
-func (t *Table) Locate(file string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []string
-	for w, s := range t.byFile[file] {
-		if s == Ready {
-			out = append(out, w)
+// Locate returns the workers holding ready replicas of file, in handle
+// order.
+func (t *Table) Locate(f FileH) []WorkerH { return t.AppendLocate(nil, f) }
+
+// AppendLocate appends Locate's result to dst, so a hot caller can reuse
+// one buffer.
+func (t *Table) AppendLocate(dst []WorkerH, f FileH) []WorkerH {
+	if r := t.row(f); r != nil {
+		for _, h := range r.holders {
+			if h.state == Ready {
+				dst = append(dst, h.w)
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // CountReplicas returns the number of ready replicas of file.
-func (t *Table) CountReplicas(file string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, s := range t.byFile[file] {
-		if s == Ready {
-			n++
-		}
+func (t *Table) CountReplicas(f FileH) int {
+	if r := t.row(f); r != nil {
+		return int(r.ready)
 	}
-	return n
-}
-
-// FilesOn returns every cache name recorded at the worker (any state).
-func (t *Table) FilesOn(worker string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []string
-	for f := range t.byWorker[worker] {
-		out = append(out, f)
-	}
-	return out
+	return 0
 }
 
 // ReadyFilesOn counts the worker's ready replicas (excluding pending
 // transfers and materializations).
-func (t *Table) ReadyFilesOn(worker string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for f := range t.byWorker[worker] {
-		if t.byFile[f][worker] == Ready {
-			n++
-		}
+func (t *Table) ReadyFilesOn(w WorkerH) int {
+	if int(w) >= len(t.readyOn) {
+		return 0
 	}
-	return n
+	return int(t.readyOn[w])
 }
 
 // FileReplicas is one file's row in a full-table snapshot.
@@ -183,16 +240,19 @@ type FileReplicas struct {
 // ready and pending holders sorted — the operator-facing dump behind the
 // manager's /debug/vine endpoint.
 func (t *Table) Snapshot() []FileReplicas {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]FileReplicas, 0, len(t.byFile))
-	for file, holders := range t.byFile {
-		fr := FileReplicas{File: file}
-		for w, s := range holders {
-			if s == Ready {
-				fr.Ready = append(fr.Ready, w)
+	var out []FileReplicas
+	for f := range t.rows {
+		r := &t.rows[f]
+		if len(r.holders) == 0 {
+			continue
+		}
+		fr := FileReplicas{File: t.names.Files.Name(FileH(f))}
+		for _, h := range r.holders {
+			name := t.names.Workers.Name(h.w)
+			if h.state == Ready {
+				fr.Ready = append(fr.Ready, name)
 			} else {
-				fr.Pending = append(fr.Pending, w)
+				fr.Pending = append(fr.Pending, name)
 			}
 		}
 		sort.Strings(fr.Ready)
@@ -230,179 +290,182 @@ func (k SourceKind) String() string {
 }
 
 // Source identifies one endpoint that can supply bytes: a URL, the manager,
-// or a specific worker.
+// or a specific worker. The zero Source is no source.
 type Source struct {
 	Kind SourceKind
-	// ID is the URL string, "manager", or the worker ID.
-	ID string
+	// ID is the worker's handle for SourceWorker, else the fixed source's
+	// handle in Names.Sources.
+	ID int32
 }
+
+// WorkerSource returns the source that is worker w's cache.
+func WorkerSource(w WorkerH) Source { return Source{Kind: SourceWorker, ID: int32(w)} }
+
+// Worker returns a worker source's handle, zero for a fixed source.
+func (s Source) Worker() WorkerH {
+	if s.Kind != SourceWorker {
+		return 0
+	}
+	return WorkerH(s.ID)
+}
+
+// IsZero reports whether s is no source.
+func (s Source) IsZero() bool { return s.ID == 0 }
+
+// TransferID names one transfer for its lifetime: its slot in the table in
+// the low 32 bits and a sequence number above, so an ID that outlives its
+// transfer never resolves to the slot's next occupant.
+type TransferID uint64
 
 // Transfer is one in-flight, manager-supervised movement of an object.
 type Transfer struct {
-	ID     string
-	File   string
+	ID     TransferID
+	File   FileH
 	Source Source
-	Dest   string // worker ID
+	Dest   WorkerH
 }
 
 // Transfers is the Current Transfer Table.
 type Transfers struct {
-	mu       sync.Mutex
-	inflight map[string]Transfer // guarded by mu
-	bySource map[Source]int      // guarded by mu
-	byDest   map[string]int      // guarded by mu
-	// byFileDest indexes in-flight transfer counts per (file, destination)
-	// so Pending is a lookup, not a scan over every transfer; byFile keeps
-	// the per-file total for InFlightOf. Both are hot-path queries: the
-	// scheduler consults them for every input of every task it plans.
-	byFileDest map[fileDest]int // guarded by mu
-	byFile     map[string]int   // guarded by mu
-	nextID     func() string    // guarded by mu
+	names *Names
+	// slots holds the in-flight transfers; a zero ID marks a free slot,
+	// and free lists them for reuse. seq numbers the transfers started.
+	slots []Transfer
+	free  []int32
+	seq   uint32
+	n     int
+	// Per-handle counts. byFile lists each in-flight transfer's destination
+	// under its file, so Pending and InFlightOf scan only that file's
+	// transfers: the scheduler consults them for every input it plans.
+	fromWorker []int32    // by WorkerH
+	fromFixed  [2][]int32 // by kind (URL, manager), then source handle
+	toWorker   []int32    // by WorkerH
+	byFile     [][]WorkerH
 }
 
-type fileDest struct{ file, dest string }
-
-// NewTransfers returns an empty transfer table.
-func NewTransfers() *Transfers {
-	return &Transfers{
-		inflight:   make(map[string]Transfer),
-		bySource:   make(map[Source]int),
-		byDest:     make(map[string]int),
-		byFileDest: make(map[fileDest]int),
-		byFile:     make(map[string]int),
-		nextID:     randomUUID,
-	}
-}
+// NewTransfers returns an empty transfer table over the given names.
+func NewTransfers(names *Names) *Transfers { return &Transfers{names: names} }
 
 // track adjusts every index for one transfer by delta (+1 start, -1 end).
-// The caller holds t.mu.
-func (t *Transfers) track(tr Transfer, delta int) {
-	t.bySource[tr.Source] += delta
-	if t.bySource[tr.Source] <= 0 {
-		delete(t.bySource, tr.Source)
-	}
-	t.byDest[tr.Dest] += delta
-	if t.byDest[tr.Dest] <= 0 {
-		delete(t.byDest, tr.Dest)
-	}
-	fd := fileDest{tr.File, tr.Dest}
-	t.byFileDest[fd] += delta
-	if t.byFileDest[fd] <= 0 {
-		delete(t.byFileDest, fd)
-	}
-	t.byFile[tr.File] += delta
-	if t.byFile[tr.File] <= 0 {
-		delete(t.byFile, tr.File)
+func (t *Transfers) track(tr Transfer, delta int32) {
+	from := t.fromCounts(tr.Source)
+	*from = intern.Grow(*from, tr.Source.ID)
+	(*from)[tr.Source.ID] += delta
+	t.toWorker = intern.Grow(t.toWorker, tr.Dest)
+	t.toWorker[tr.Dest] += delta
+	t.byFile = intern.Grow(t.byFile, tr.File)
+	dests := t.byFile[tr.File]
+	if delta > 0 {
+		t.byFile[tr.File] = append(dests, tr.Dest)
+	} else {
+		i := slices.Index(dests, tr.Dest)
+		t.byFile[tr.File] = slices.Delete(dests, i, i+1)
 	}
 }
 
-func randomUUID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("replica: crypto/rand unavailable: " + err.Error())
+// Start records a new transfer and returns it; its ID resolves the
+// instructed worker's report back to this record.
+func (t *Transfers) Start(f FileH, src Source, dest WorkerH) Transfer {
+	slot := int32(len(t.slots))
+	if n := len(t.free); n > 0 {
+		slot, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		t.slots = append(t.slots, Transfer{})
 	}
-	// RFC 4122 version 4 variant bits, for operator familiarity.
-	b[6] = (b[6] & 0x0f) | 0x40
-	b[8] = (b[8] & 0x3f) | 0x80
-	// Format 8-4-4-4-12 hex digits in place: one allocation, the string.
-	var s [36]byte
-	hex.Encode(s[0:8], b[0:4])
-	s[8] = '-'
-	hex.Encode(s[9:13], b[4:6])
-	s[13] = '-'
-	hex.Encode(s[14:18], b[6:8])
-	s[18] = '-'
-	hex.Encode(s[19:23], b[8:10])
-	s[23] = '-'
-	hex.Encode(s[24:36], b[10:16])
-	return string(s[:])
-}
-
-// Start records a new transfer and returns its UUID, which the instructed
-// worker must echo in its cache-update message.
-func (t *Transfers) Start(file string, src Source, dest string) Transfer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr := Transfer{ID: t.nextID(), File: file, Source: src, Dest: dest}
-	t.inflight[tr.ID] = tr
+	t.seq++
+	tr := Transfer{ID: TransferID(t.seq)<<32 | TransferID(slot), File: f, Source: src, Dest: dest}
+	t.slots[slot] = tr
+	t.n++
 	t.track(tr, 1)
 	return tr
 }
 
-// Complete removes a finished transfer by UUID, returning its record.
-func (t *Transfers) Complete(id string) (Transfer, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.inflight[id]
-	if !ok {
+// Complete removes a finished transfer by ID, returning its record.
+func (t *Transfers) Complete(id TransferID) (Transfer, bool) {
+	slot := int(uint32(id))
+	if id == 0 || slot >= len(t.slots) || t.slots[slot].ID != id {
 		return Transfer{}, false
 	}
-	delete(t.inflight, id)
-	t.track(tr, -1)
+	tr := t.slots[slot]
+	t.end(slot)
 	return tr, true
+}
+
+func (t *Transfers) end(slot int) {
+	t.track(t.slots[slot], -1)
+	t.slots[slot] = Transfer{}
+	t.free = append(t.free, int32(slot))
+	t.n--
+}
+
+func (t *Transfers) fromCounts(src Source) *[]int32 {
+	if src.Kind == SourceWorker {
+		return &t.fromWorker
+	}
+	return &t.fromFixed[min(int(src.Kind), 1)]
 }
 
 // InFlightFrom returns how many concurrent transfers the source is serving.
 func (t *Transfers) InFlightFrom(src Source) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.bySource[src]
+	counts := *t.fromCounts(src)
+	if int(src.ID) >= len(counts) {
+		return 0
+	}
+	return int(counts[src.ID])
 }
 
 // InFlightTo returns how many concurrent transfers the worker is receiving.
-func (t *Transfers) InFlightTo(dest string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byDest[dest]
+func (t *Transfers) InFlightTo(dest WorkerH) int {
+	if int(dest) >= len(t.toWorker) {
+		return 0
+	}
+	return int(t.toWorker[dest])
 }
 
 // Pending reports whether a transfer of file to dest is already in flight,
-// so the scheduler does not issue duplicates. O(1) via the per-file index.
-func (t *Transfers) Pending(file, dest string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byFileDest[fileDest{file, dest}] > 0
+// so the scheduler does not issue duplicates.
+func (t *Transfers) Pending(f FileH, dest WorkerH) bool {
+	return int(f) < len(t.byFile) && slices.Contains(t.byFile[f], dest)
 }
 
 // InFlightOf returns how many transfers of the file are in flight to any
-// destination. O(1) via the per-file index.
-func (t *Transfers) InFlightOf(file string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.byFile[file]
+// destination.
+func (t *Transfers) InFlightOf(f FileH) int {
+	if int(f) >= len(t.byFile) {
+		return 0
+	}
+	return len(t.byFile[f])
 }
 
 // DropWorker cancels all transfers to or from a departed worker, returning
-// the cancelled records so the manager can repair state.
-func (t *Transfers) DropWorker(worker string) []Transfer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// the cancelled records in slot order so the manager can repair state.
+func (t *Transfers) DropWorker(w WorkerH) []Transfer {
 	var cancelled []Transfer
-	for id, tr := range t.inflight {
-		if tr.Dest == worker || (tr.Source.Kind == SourceWorker && tr.Source.ID == worker) {
+	for slot, tr := range t.slots {
+		if tr.ID != 0 && (tr.Dest == w || tr.Source.Worker() == w) {
 			cancelled = append(cancelled, tr)
-			delete(t.inflight, id)
-			t.track(tr, -1)
+			t.end(slot)
 		}
 	}
 	return cancelled
 }
 
-// All returns every in-flight transfer, sorted by (file, destination, ID)
-// for stable display.
+// All returns every in-flight transfer, sorted by (file name, destination
+// name, ID) for stable display.
 func (t *Transfers) All() []Transfer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Transfer, 0, len(t.inflight))
-	for _, tr := range t.inflight {
-		out = append(out, tr)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
+	out := make([]Transfer, 0, t.n)
+	for _, tr := range t.slots {
+		if tr.ID != 0 {
+			out = append(out, tr)
 		}
-		if out[i].Dest != out[j].Dest {
-			return out[i].Dest < out[j].Dest
+	}
+	files, workers := &t.names.Files, &t.names.Workers
+	sort.Slice(out, func(i, j int) bool {
+		if fi, fj := files.Name(out[i].File), files.Name(out[j].File); fi != fj {
+			return fi < fj
+		}
+		if di, dj := workers.Name(out[i].Dest), workers.Name(out[j].Dest); di != dj {
+			return di < dj
 		}
 		return out[i].ID < out[j].ID
 	})
@@ -410,8 +473,4 @@ func (t *Transfers) All() []Transfer {
 }
 
 // Len returns the number of in-flight transfers.
-func (t *Transfers) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.inflight)
-}
+func (t *Transfers) Len() int { return t.n }

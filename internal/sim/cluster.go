@@ -28,6 +28,11 @@ type Cluster struct {
 	vm  *metrics.VineMetrics
 
 	workload *Workload
+	// names interns the workload's file and worker IDs once, in NewCluster;
+	// the scheduling pass works on the handles and reads a name only to
+	// trace, to inject a fault, or to break a tie the way a name-keyed
+	// implementation would.
+	names *replica.Names
 	// reps and trs wrap the replica and transfer tables so that every
 	// mutation wakes the parked tasks that need the file (park.go).
 	reps replicaTable
@@ -37,10 +42,14 @@ type Cluster struct {
 	sharedFS *Endpoint
 	urls     *Endpoint
 
-	workers map[string]*simWorker
-	tasks   map[int]*simTask
-	// waiting is the queue of state-0 tasks in dispatch order. A pass
-	// compacts it in place over the prefix it scanned.
+	// files is indexed by file handle, workers by worker handle less one
+	// (handles follow w.Workers, which is join order), and tasks by task
+	// index: position in ID order, so that ordering indices orders IDs.
+	files   []simFile
+	workers []*simWorker
+	tasks   []*simTask
+	// waiting is the queue of state-0 task indices in dispatch order. A
+	// pass compacts it in place over the prefix it scanned.
 	waiting []int
 	// replan lists the staging tasks the next pass must plan: each task
 	// that entered staging or was woken since, and each whose last plan was
@@ -51,49 +60,38 @@ type Cluster struct {
 	pass   []int
 	passAt int
 	inPass bool
-	// wakeOn indexes parked tasks by every file their plan consulted,
-	// wakeDest by the worker whose destination slot a blocked input waits
-	// on, and wakeSrc by the sources whose slots it waits on (park.go).
-	wakeOn   map[string][]parkRef
-	wakeDest map[string][]parkRef
-	wakeSrc  map[replica.Source][]parkRef
+	// wakeFixed indexes parked tasks by the fixed sources whose slots they
+	// wait on; files and workers carry their own wake lists (park.go).
+	wakeFixed [][]parkRef
 	// evictions counts cache evictions, so a staging task can tell whether
 	// starting its transfers evicted anything.
 	evictions int
 	// plans counts progressStaging calls, for tests of the pass cost.
 	plans int
-	// needsBuf and needsSeen are fileNeedsScratch's reused buffer and
-	// dedup set. fixedSrc caches each URL or shared-FS file's fixed
-	// source; managerSrc is the one every manager-served need shares (the
-	// planner only reads a need's FixedSource).
+	// needsBuf is fileNeedsScratch's reused buffer; needGen stamps the
+	// files one expansion has seen. plan is the reused transfer plan and
+	// holders park's scratch. managerSrc is the manager's fixed source.
 	needsBuf   []policy.FileNeed
-	needsSeen  map[string]bool
-	fixedSrc   map[string]*replica.Source
+	needGen    uint32
+	plan       policy.Plan
+	holders    []replica.WorkerH
 	managerSrc replica.Source
 	// stateCount tracks the task population per lifecycle state, maintained
 	// by setState, so gauge refreshes cost O(1) instead of O(tasks).
 	stateCount [5]int
-	// liveSorted caches the joined workers in join order; workersDirty marks
-	// it stale after a membership change. liveCount mirrors len(liveSorted).
-	liveSorted   []*simWorker
-	workersDirty bool
-	liveCount    int
+	// live is the policy's view of the joined workers in join order,
+	// updated in place at every join, leave, Alloc and Release, so a
+	// candidate list costs nothing to build. libBuf is scratch for the
+	// library-filtered list.
+	live   []policy.WorkerInfo
+	libBuf []policy.WorkerInfo
 	// freeCores is the free cores of the joined workers' pools, kept by
 	// every join, leave, Alloc and Release, so a pass need not sum them.
 	freeCores int
-	// winfoBuf is scratch for workerInfos, reused across calls so the
-	// per-task candidate build allocates nothing in steady state.
-	winfoBuf []policy.WorkerInfo
-	// producers maps produced file ID -> producing task ID, for recovery
-	// re-execution when a temp loses its last replica.
-	producers map[string]int
 
-	// libraries to deploy per worker.
-	libs map[string]*Library
-
-	// atManager records produced objects that were returned to the
-	// manager (shared-storage mode): consumers re-fetch them from there.
-	atManager map[string]bool
+	// libs are the libraries to deploy on every worker, in name order;
+	// tasks and workers refer to them by position.
+	libs []*Library
 
 	scheduled bool // a schedule pass is queued
 	completed int
@@ -109,27 +107,66 @@ type Cluster struct {
 	faults *chaos.Injector
 }
 
+// simFile is one file's interned state. File is nil for a name the
+// workload references without describing.
+type simFile struct {
+	*File
+	// mini lists a MiniProduct's inputs; fixed is a URL, shared-FS or
+	// manager file's fixed source, interned on its first need.
+	mini  []replica.FileH
+	fixed replica.Source
+	// producer is the index of the task producing the file, plus one.
+	producer int
+	// atManager records a produced object returned to the manager
+	// (shared-storage mode): consumers re-fetch it from there.
+	atManager bool
+	// seen stamps the needs expansion that last visited the file; wakeOn
+	// lists the tasks parked on it (park.go).
+	seen   uint32
+	wakeOn []parkRef
+}
+
 type simWorker struct {
-	spec      WorkerSpec
+	spec WorkerSpec
+	h    replica.WorkerH
+	// label names the worker as a transfer source in the trace.
+	label     string
 	ep        *Endpoint
 	pool      *resources.Pool
 	cacheUsed int64
 	memUsed   int64
-	running   map[int]bool
+	// running lists the indices of the tasks staged or running here; each
+	// task's runAt is its position.
+	running   []int
 	joinOrder int
 	joined    bool
-	libReady  map[string]bool
-	libBoot   map[string]bool // deploy in progress
+	// livePos is the worker's position in Cluster.live while joined.
+	livePos int
+	// libReady and libBoot mark, by library position, the instances
+	// ready and the deployments in progress here.
+	libReady []bool
+	libBoot  []bool
 	// materializing tracks in-progress MiniTask unpacks.
-	materializing map[string]bool
+	materializing map[replica.FileH]bool
 	// cache tracks resident objects for disk accounting and eviction.
-	cache map[string]*cachedObject
+	cache map[replica.FileH]*cachedObject
+	// wakeDest and wakeSrc list the tasks parked on the worker's
+	// destination slot and on its source slot (park.go).
+	wakeDest []parkRef
+	wakeSrc  []parkRef
 }
 
 type simTask struct {
-	t       *Task
+	t *Task
+	// inputs and outputs are t.Inputs' and t.Outputs' handles; lib is the
+	// position of t.Library plus one, zero for none and -1 for a library
+	// the workload does not deploy.
+	inputs  []replica.FileH
+	outputs []replica.FileH
+	lib     int
 	state   int // 0 waiting, 1 staging, 2 running, 3 returning, 4 done
-	worker  string
+	worker  *simWorker
+	runAt   int
 	started float64
 	// epoch increments on every requeue; callbacks from a previous
 	// assignment (task-finish timers, return flows) check it and drop.
@@ -150,36 +187,35 @@ func capped(ep *Endpoint, perFlow float64) *Endpoint {
 func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 	eng := NewEngine()
 	c := &Cluster{
-		eng:       eng,
-		net:       NewNetwork(eng),
-		params:    params,
-		limits:    limits,
-		log:       trace.NewLog(),
-		workload:  w,
-		manager:   capped(NewEndpoint("manager", params.ManagerBW), params.PerFlowBW),
-		urls:      capped(NewEndpoint("url", params.URLBW), params.PerFlowBW),
-		sharedFS:  capped(NewEndpoint("shared-fs", params.SharedFSBW), params.PerFlowBW),
-		workers:   make(map[string]*simWorker),
-		tasks:     make(map[int]*simTask),
-		wakeOn:    make(map[string][]parkRef),
-		wakeDest:  make(map[string][]parkRef),
-		wakeSrc:   make(map[replica.Source][]parkRef),
-		needsSeen: make(map[string]bool),
-		fixedSrc:  make(map[string]*replica.Source),
-		producers: make(map[string]int),
-		libs:      make(map[string]*Library),
-		atManager: make(map[string]bool),
+		eng:      eng,
+		net:      NewNetwork(eng),
+		params:   params,
+		limits:   limits,
+		log:      trace.NewLog(),
+		workload: w,
+		names:    replica.NewNames(),
+		manager:  capped(NewEndpoint("manager", params.ManagerBW), params.PerFlowBW),
+		urls:     capped(NewEndpoint("url", params.URLBW), params.PerFlowBW),
+		sharedFS: capped(NewEndpoint("shared-fs", params.SharedFSBW), params.PerFlowBW),
 	}
-	c.managerSrc = replica.Source{Kind: replica.SourceManager, ID: "manager"}
-	c.reps = replicaTable{replica.NewTable(), c}
-	c.trs = transferTable{replica.NewTransfers(), c}
-	c.view = &policy.View{Reps: c.reps.Table, Trs: c.trs.Transfers}
+	c.view = policy.NewView(c.names)
+	c.managerSrc = c.names.FixedSource(replica.SourceManager, "manager")
+	c.reps = replicaTable{c.view.Reps, c}
+	c.trs = transferTable{c.view.Trs, c}
 	c.reg = metrics.NewRegistry()
 	c.vm = metrics.ForRegistry(c.reg)
 	metrics.BridgeTrace(c.log, c.vm)
+	// Deploy order is name order: deployLibrary consumes cores, so the
+	// order in which libraries land must not depend on the workload's.
+	byName := map[string]*Library{}
 	for _, lib := range w.Libraries {
-		c.libs[lib.Name] = lib
+		byName[lib.Name] = lib
 	}
+	for _, lib := range byName {
+		c.libs = append(c.libs, lib)
+	}
+	sort.Slice(c.libs, func(i, j int) bool { return c.libs[i].Name < c.libs[j].Name })
+	c.names.Workers.Reserve(len(w.Workers))
 	for i, ws := range w.Workers {
 		bw := ws.BW
 		if bw == 0 {
@@ -187,38 +223,115 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		}
 		sw := &simWorker{
 			spec:          ws,
+			h:             c.names.Workers.Intern(ws.ID),
+			label:         "worker:" + ws.ID,
 			ep:            NewEndpoint(ws.ID, bw),
 			pool:          resources.NewPool(resources.R{Cores: ws.Cores, Disk: ws.Disk, Memory: resources.TB}),
-			running:       make(map[int]bool),
 			joinOrder:     i,
-			libReady:      make(map[string]bool),
-			libBoot:       make(map[string]bool),
-			materializing: make(map[string]bool),
+			livePos:       -1,
+			libReady:      make([]bool, len(c.libs)),
+			libBoot:       make([]bool, len(c.libs)),
+			materializing: make(map[replica.FileH]bool),
 		}
 		sw.ep.OverheadPerFlow = params.OverheadPerFlow
 		sw.ep.PerFlowBW = params.PerFlowBW
 		if params.WorkerUpBW > 0 {
 			sw.ep.UpBW = params.WorkerUpBW
 		}
-		c.workers[ws.ID] = sw
+		c.workers = append(c.workers, sw)
 		join := ws.JoinTime
 		eng.At(join, func() { c.workerJoin(sw) })
 		if ws.LeaveTime > 0 {
 			eng.At(ws.LeaveTime, func() { c.workerLeave(sw) })
 		}
 	}
-	for _, t := range w.Tasks {
-		c.tasks[t.ID] = &simTask{t: t}
-		c.waiting = append(c.waiting, t.ID)
-		c.stateCount[0]++
-		c.vm.TasksSubmitted.Inc()
+	// Tasks in ID order, so that a task's index orders like its ID.
+	order := w.Tasks
+	if !sort.SliceIsSorted(order, func(i, j int) bool { return order[i].ID < order[j].ID }) {
+		order = append([]*Task(nil), order...)
+		sort.SliceStable(order, func(i, j int) bool { return order[i].ID < order[j].ID })
+	}
+	c.names.Files.Reserve(len(w.Files))
+	c.files = make([]simFile, 1, len(w.Files)+1)
+	// One allocation each for the tasks and for all their file handles.
+	nFiles := 0
+	for _, t := range order {
+		nFiles += len(t.Inputs) + len(t.Outputs)
+	}
+	handles := make([]replica.FileH, 0, nFiles)
+	tasks := make([]simTask, len(order))
+	c.tasks = make([]*simTask, len(order))
+	c.waiting = make([]int, len(order))
+	for i, t := range order {
+		st := &tasks[i]
+		st.t, st.lib = t, c.libIndex(t.Library)
+		for _, in := range t.Inputs {
+			handles = append(handles, c.internFile(in))
+		}
+		st.inputs = handles[len(handles)-len(t.Inputs) : len(handles) : len(handles)]
+		c.tasks[i] = st
+		c.waiting[i] = i
+	}
+	// Producers in submission order: a later producer of the same file
+	// takes over, as with any name-keyed index.
+	for i, t := range w.Tasks {
+		if len(order) > 0 && &order[0] != &w.Tasks[0] {
+			i = sort.Search(len(order), func(i int) bool { return order[i].ID >= t.ID })
+		}
+		st := c.tasks[i]
 		for _, out := range t.Outputs {
-			c.producers[out.ID] = t.ID
+			h := c.internFile(out.ID)
+			handles = append(handles, h)
+			c.files[h].producer = i + 1
+		}
+		st.outputs = handles[len(handles)-len(t.Outputs) : len(handles) : len(handles)]
+	}
+	// Intern every other name a run can reach, so c.files never grows (and
+	// never moves) once the run starts.
+	for _, lib := range w.Libraries {
+		if lib.EnvFile != "" {
+			c.internFile(lib.EnvFile)
 		}
 	}
-	sort.Ints(c.waiting)
+	for _, ws := range w.Workers {
+		for _, fid := range ws.Prestaged {
+			c.internFile(fid)
+		}
+	}
+	c.stateCount[0] = len(order)
+	c.vm.TasksSubmitted.Add(int64(len(order)))
 	return c
 }
+
+// internFile returns a file's handle, building its simFile on first sight.
+func (c *Cluster) internFile(id string) replica.FileH {
+	h := c.names.Files.Intern(id)
+	if int(h) < len(c.files) {
+		return h
+	}
+	c.files = append(c.files, simFile{File: c.workload.Files[id]})
+	f := &c.files[h]
+	if f.File == nil {
+		return h
+	}
+	switch f.Kind {
+	case FromManager:
+		f.fixed = c.managerSrc
+	case MiniProduct:
+		mini := make([]replica.FileH, len(f.MiniInputs))
+		for i, in := range f.MiniInputs {
+			mini[i] = c.internFile(in) // may move c.files
+		}
+		c.files[h].mini = mini
+	}
+	return h
+}
+
+// fileName returns the ID a file handle was interned from.
+func (c *Cluster) fileName(h replica.FileH) string { return c.names.Files.Name(h) }
+
+// worker returns the worker with handle h.
+func (c *Cluster) worker(h replica.WorkerH) *simWorker { return c.workers[h-1] }
 
 // InjectFaults arms the cluster with a seeded fault injector. Call before
 // Run; a nil injector leaves the simulation fault-free.
@@ -254,28 +367,55 @@ func (c *Cluster) Run() float64 {
 
 func (c *Cluster) workerJoin(w *simWorker) {
 	w.joined = true
-	c.liveCount++
 	c.freeCores += w.pool.Free().Cores
-	c.workersDirty = true
+	// Insert the worker at its join-order position in the live view.
+	at := sort.Search(len(c.live), func(i int) bool { return c.live[i].JoinOrder > w.joinOrder })
+	c.live = append(c.live, policy.WorkerInfo{})
+	copy(c.live[at+1:], c.live[at:])
+	c.live[at] = policy.WorkerInfo{ID: w.h, JoinOrder: w.joinOrder}
+	for i := at; i < len(c.live); i++ {
+		c.worker(c.live[i].ID).livePos = i
+	}
+	c.refresh(w)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerJoined, Worker: w.spec.ID})
 	for _, fid := range w.spec.Prestaged {
-		f := c.workload.Files[fid]
+		h := c.internFile(fid)
+		f := c.files[h].File
 		if f == nil {
 			panic(fmt.Sprintf("sim: prestaged unknown file %s", fid))
 		}
-		c.store(w, fid, f.Size)
+		c.store(w, h, f.Size)
 	}
-	// Deploy in name order: deployLibrary consumes cores, so the order in
-	// which libraries land must not depend on map iteration.
-	names := make([]string, 0, len(c.libs))
-	for name := range c.libs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c.deployLibrary(w, c.libs[name])
+	for i := range c.libs {
+		c.deployLibrary(w, i)
 	}
 	c.requestSchedule()
+}
+
+// refresh copies a joined worker's free resources and task count into its
+// entry of the live view; every Alloc, Release and running-list change
+// calls it.
+func (c *Cluster) refresh(w *simWorker) {
+	if w.joined {
+		wi := &c.live[w.livePos]
+		wi.Free = w.pool.Free()
+		wi.RunningTasks = len(w.running)
+	}
+}
+
+// addRunning and dropRunning keep a worker's running list and its tasks'
+// positions in it.
+func (w *simWorker) addRunning(id int, t *simTask) {
+	t.runAt = len(w.running)
+	w.running = append(w.running, id)
+}
+
+func (c *Cluster) dropRunning(w *simWorker, t *simTask) {
+	last := len(w.running) - 1
+	moved := w.running[last]
+	w.running[t.runAt] = moved
+	c.tasks[moved].runAt = t.runAt
+	w.running = w.running[:last]
 }
 
 // workerLeave preempts a worker: every replica it held is dropped, its
@@ -286,32 +426,29 @@ func (c *Cluster) workerLeave(w *simWorker) {
 		return
 	}
 	w.joined = false
-	c.liveCount--
 	c.freeCores -= w.pool.Free().Cores
-	c.workersDirty = true
+	c.live = append(c.live[:w.livePos], c.live[w.livePos+1:]...)
+	for i := w.livePos; i < len(c.live); i++ {
+		c.worker(c.live[i].ID).livePos = i
+	}
+	w.livePos = -1
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
-	c.place.DropWorker(w.spec.ID)
-	affected := c.reps.DropWorker(w.spec.ID)
-	for _, tr := range c.trs.DropWorker(w.spec.ID) {
-		if tr.Dest != w.spec.ID {
+	c.place.DropWorker(w.h)
+	affected := c.reps.DropWorker(w.h)
+	for _, tr := range c.trs.DropWorker(w.h) {
+		if tr.Dest != w.h {
 			c.reps.Remove(tr.File, tr.Dest)
 		}
 	}
 	c.recoverLostTemps(w.spec.ID, affected)
-	running := make([]int, 0, len(w.running))
-	for id := range w.running { // hotpath-ok: bounded by one worker's running tasks
-		running = append(running, id)
-	}
+	running := w.running
+	w.running = nil
 	sort.Ints(running)
 	for _, id := range running {
 		t := c.tasks[id]
-		if t == nil {
-			continue
-		}
-		delete(w.running, id)
 		if t.state == 1 || t.state == 2 || t.state == 3 {
 			c.setState(id, t, 0)
-			t.worker = ""
+			t.worker = nil
 			t.epoch++
 			c.waiting = append(c.waiting, id)
 			c.vm.TasksRequeued.Inc()
@@ -323,9 +460,9 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	c.vm.CacheMemUsedBytes.Add(-float64(w.memUsed))
 	w.memUsed = 0
 	w.cache = nil
-	w.materializing = make(map[string]bool)
-	w.libReady = make(map[string]bool)
-	w.libBoot = make(map[string]bool)
+	w.materializing = make(map[replica.FileH]bool)
+	clear(w.libReady)
+	clear(w.libBoot)
 	sort.Ints(c.waiting)
 	c.requestSchedule()
 }
@@ -334,29 +471,29 @@ func (c *Cluster) workerLeave(w *simWorker) {
 // produced file whose last replica left with a worker is regenerated by
 // requeueing its completed producer, provided some unfinished task still
 // consumes it (§2.2). The producer's completion counter entry is returned
-// so re-completion does not double-count.
-func (c *Cluster) recoverLostTemps(workerID string, affected []string) {
-	sort.Strings(affected)
+// so re-completion does not double-count. affected comes sorted by file
+// ID (replicaTable.DropWorker).
+func (c *Cluster) recoverLostTemps(workerID string, affected []replica.FileH) {
 	requeued := false
-	for _, fid := range affected {
-		f := c.workload.Files[fid]
-		if f == nil || f.Kind != Produced || c.atManager[fid] || c.reps.CountReplicas(fid) > 0 {
+	for _, fh := range affected {
+		f := &c.files[fh]
+		if f.File == nil || f.Kind != Produced || f.atManager || c.reps.CountReplicas(fh) > 0 {
 			continue
 		}
-		prodID, ok := c.producers[fid]
-		if !ok {
+		if f.producer == 0 {
 			continue
 		}
+		prodID := f.producer - 1
 		p := c.tasks[prodID]
-		if p == nil || p.state != 4 || !c.tempNeeded(fid) {
+		if p.state != 4 || !c.tempNeeded(fh) {
 			continue
 		}
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.RecoveryStart, Worker: workerID,
-			File: fid, TaskID: prodID, Detail: "temp lost with worker; re-executing producer",
+			File: f.ID, TaskID: p.t.ID, Detail: "temp lost with worker; re-executing producer",
 		})
 		c.setState(prodID, p, 0)
-		p.worker = ""
+		p.worker = nil
 		p.epoch++
 		c.completed--
 		c.waiting = append(c.waiting, prodID)
@@ -369,13 +506,13 @@ func (c *Cluster) recoverLostTemps(workerID string, affected []string) {
 }
 
 // tempNeeded reports whether any unfinished task consumes the file.
-func (c *Cluster) tempNeeded(fid string) bool {
+func (c *Cluster) tempNeeded(fh replica.FileH) bool {
 	for _, t := range c.tasks { // hotpath-ok: runs only on worker loss with lost temp replicas
 		if t.state == 4 {
 			continue
 		}
-		for _, in := range t.t.Inputs {
-			if in == fid {
+		for _, in := range t.inputs {
+			if in == fh {
 				return true
 			}
 		}
@@ -410,25 +547,6 @@ func (c *Cluster) setState(id int, t *simTask, s int) {
 	}
 }
 
-// liveWorkerList returns the joined workers in join order. The slice is
-// cached and rebuilt only after a membership change, so per-pass and
-// per-task consumers stop re-sorting the whole worker map.
-func (c *Cluster) liveWorkerList() []*simWorker {
-	if c.workersDirty {
-		c.liveSorted = c.liveSorted[:0]
-		for _, w := range c.workers { // hotpath-ok: rebuilt only on membership change
-			if w.joined {
-				c.liveSorted = append(c.liveSorted, w)
-			}
-		}
-		sort.Slice(c.liveSorted, func(i, j int) bool { // hotpath-ok: rebuilt only on membership change
-			return c.liveSorted[i].joinOrder < c.liveSorted[j].joinOrder
-		})
-		c.workersDirty = false
-	}
-	return c.liveSorted
-}
-
 // requestSchedule coalesces schedule passes: at most one pending pass,
 // ControlLatency after the triggering event.
 func (c *Cluster) requestSchedule() {
@@ -451,7 +569,7 @@ func (c *Cluster) updateGauges() {
 	c.vm.TasksByState.With("staging").Set(float64(c.stateCount[1]))
 	c.vm.TasksByState.With("running").Set(float64(c.stateCount[2] + c.stateCount[3]))
 	c.vm.TasksByState.With("done").Set(float64(c.stateCount[4]))
-	c.vm.WorkersConnected.Set(float64(c.liveCount))
+	c.vm.WorkersConnected.Set(float64(len(c.live)))
 	c.vm.TransfersInflight.Set(float64(c.trs.Len()))
 }
 
@@ -498,25 +616,36 @@ func (c *Cluster) schedule() {
 	c.waiting = c.waiting[:kept]
 }
 
-// workerInfos snapshots the live workers, only those with needLib ready
-// when it is set. The cached live list is already in join order, so the
-// snapshot comes out sorted without a per-task sort. The scratch buffer is
-// refilled every call because Free and RunningTasks change within a single
-// pass.
-func (c *Cluster) workerInfos(needLib string) []policy.WorkerInfo {
-	out := c.winfoBuf[:0]
-	for _, w := range c.liveWorkerList() {
-		if needLib != "" && !w.libReady[needLib] {
-			continue
-		}
-		out = append(out, policy.WorkerInfo{
-			ID:           w.spec.ID,
-			Free:         w.pool.Free(),
-			RunningTasks: len(w.running),
-			JoinOrder:    w.joinOrder,
-		})
+// libIndex returns a library's position plus one: zero for no library,
+// -1 for one the workload does not deploy.
+func (c *Cluster) libIndex(name string) int {
+	if name == "" {
+		return 0
 	}
-	c.winfoBuf = out
+	i := sort.Search(len(c.libs), func(i int) bool { return c.libs[i].Name >= name })
+	if i == len(c.libs) || c.libs[i].Name != name {
+		return -1
+	}
+	return i + 1
+}
+
+// candidates returns the live workers in join order that can run t: all of
+// them, or those with its library ready. The unfiltered list is the live
+// view itself; callers must not keep either past the next pool change.
+func (c *Cluster) candidates(t *simTask) []policy.WorkerInfo {
+	switch {
+	case t.lib == 0:
+		return c.live
+	case t.lib < 0:
+		return nil
+	}
+	out := c.libBuf[:0]
+	for _, wi := range c.live {
+		if c.worker(wi.ID).libReady[t.lib-1] {
+			out = append(out, wi)
+		}
+	}
+	c.libBuf = out
 	return out
 }
 
@@ -524,37 +653,44 @@ func (c *Cluster) workerInfos(needLib string) []policy.WorkerInfo {
 // the result is valid only until the next fileNeedsScratch call. Dispatch
 // (tryAssign, progressStaging, stageLibraryEnv) finishes with each slice
 // before calling back in.
-func (c *Cluster) fileNeedsScratch(inputs []string) []policy.FileNeed {
+func (c *Cluster) fileNeedsScratch(inputs []replica.FileH) []policy.FileNeed {
 	c.needsBuf = c.fileNeedsInto(c.needsBuf[:0], inputs)
 	return c.needsBuf
 }
 
 // fileNeedsInto mirrors core.fileNeeds: fixed sources per kind, recursive
 // expansion of unmaterialized MiniTask inputs.
-func (c *Cluster) fileNeedsInto(needs []policy.FileNeed, inputs []string) []policy.FileNeed {
-	clear(c.needsSeen)
+func (c *Cluster) fileNeedsInto(needs []policy.FileNeed, inputs []replica.FileH) []policy.FileNeed {
+	c.needGen++
 	for _, in := range inputs {
 		needs = c.addNeed(needs, in)
 	}
 	return needs
 }
 
-func (c *Cluster) addNeed(needs []policy.FileNeed, id string) []policy.FileNeed {
-	if c.needsSeen[id] {
+func (c *Cluster) addNeed(needs []policy.FileNeed, h replica.FileH) []policy.FileNeed {
+	f := &c.files[h]
+	if f.seen == c.needGen {
 		return needs
 	}
-	c.needsSeen[id] = true
-	f := c.workload.Files[id]
-	if f == nil {
-		panic(fmt.Sprintf("sim: task references unknown file %s", id))
+	f.seen = c.needGen
+	if f.File == nil {
+		panic(fmt.Sprintf("sim: task references unknown file %s", c.fileName(h)))
 	}
-	n := policy.FileNeed{ID: id, Size: f.Size}
+	n := policy.FileNeed{ID: h, Size: f.Size, FixedSource: f.fixed}
 	switch f.Kind {
-	case FromURL, FromSharedFS, FromManager:
-		n.FixedSource = c.fixedSource(f)
+	case FromURL, FromSharedFS:
+		if n.FixedSource.IsZero() {
+			prefix := "url:"
+			if f.Kind == FromSharedFS {
+				prefix = "fs:"
+			}
+			f.fixed = c.names.FixedSource(replica.SourceURL, prefix+f.SourcePath)
+			n.FixedSource = f.fixed
+		}
 	case MiniProduct:
-		if c.reps.CountReplicas(id) == 0 {
-			for _, in := range f.MiniInputs {
+		if c.reps.CountReplicas(h) == 0 {
+			for _, in := range f.mini {
 				needs = c.addNeed(needs, in)
 			}
 		}
@@ -562,34 +698,18 @@ func (c *Cluster) addNeed(needs []policy.FileNeed, id string) []policy.FileNeed 
 		// Worker replicas only — unless the object was returned to
 		// the manager (shared-storage mode), which then serves as its
 		// fixed source for consumers.
-		if c.atManager[id] {
-			n.FixedSource = &c.managerSrc
+		if f.atManager {
+			n.FixedSource = c.managerSrc
 		}
 	}
 	return append(needs, n)
 }
 
-// fixedSource returns the file's fixed source, built once per cluster.
-func (c *Cluster) fixedSource(f *File) *replica.Source {
-	if f.Kind == FromManager {
-		return &c.managerSrc
-	}
-	if src := c.fixedSrc[f.ID]; src != nil {
-		return src
-	}
-	src := &replica.Source{Kind: replica.SourceURL, ID: "url:" + f.SourcePath}
-	if f.Kind == FromSharedFS {
-		src.ID = "fs:" + f.SourcePath
-	}
-	c.fixedSrc[f.ID] = src
-	return src
-}
-
 // depsSatisfiable: temp inputs must exist somewhere (or be in flight).
 func (c *Cluster) depsSatisfiable(t *simTask) bool {
-	for _, in := range t.t.Inputs {
-		f := c.workload.Files[in]
-		if f != nil && f.Kind == Produced && c.reps.CountReplicas(in) == 0 && !c.atManager[in] {
+	for _, in := range t.inputs {
+		f := &c.files[in]
+		if f.File != nil && f.Kind == Produced && c.reps.CountReplicas(in) == 0 && !f.atManager {
 			return false
 		}
 	}
@@ -600,11 +720,11 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if !c.depsSatisfiable(t) {
 		return false
 	}
-	cands := c.workerInfos(t.t.Library)
+	cands := c.candidates(t)
 	if len(cands) == 0 {
 		return false
 	}
-	needs := c.fileNeedsScratch(t.t.Inputs)
+	needs := c.fileNeedsScratch(t.inputs)
 	if c.params.IgnoreLocality {
 		// Placement ablation: choose a worker as if nothing were cached.
 		needs = nil
@@ -617,55 +737,40 @@ func (c *Cluster) tryAssign(id int, t *simTask) bool {
 	if !ok {
 		return false
 	}
-	w := c.workers[chosen.ID]
+	w := c.worker(chosen.ID)
 	if !w.pool.Alloc(req) {
 		return false
 	}
 	c.freeCores -= req.Cores
-	t.worker = w.spec.ID
+	t.worker = w
 	c.setState(id, t, 1)
-	w.running[id] = true
+	w.addRunning(id, t)
+	c.refresh(w)
 	c.progressStaging(id, t)
 	return true
 }
 
 func (c *Cluster) progressStaging(id int, t *simTask) {
 	c.plans++
-	w := c.workers[t.worker]
-	needs := c.fileNeedsScratch(t.t.Inputs)
-	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, c.view)
+	w := t.worker
+	needs := c.fileNeedsScratch(t.inputs)
+	plan := &c.plan
+	policy.PlanTransfers(plan, needs, w.h, c.limits, c.view)
 	// Once its plan has started, a task that cannot run parks (park.go),
 	// unless an admission on the way refused or evicted anything.
 	settled, evictions := true, c.evictions
 	for _, tr := range plan.Transfers {
 		settled = c.startTransfer(tr.File, tr.Source, w, "") && settled
 	}
-	for _, blockedID := range plan.Blocked {
-		f := c.workload.Files[blockedID]
-		if f == nil || f.Kind != MiniProduct {
-			continue
-		}
-		if c.reps.HasAny(blockedID, w.spec.ID) || w.materializing[blockedID] {
-			continue
-		}
-		if c.reps.CountReplicas(blockedID) > 0 {
-			continue
-		}
-		ready := true
-		for _, in := range f.MiniInputs {
-			if !c.reps.Has(in, w.spec.ID) {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			settled = c.materialize(f, w) && settled
+	for _, blocked := range plan.Blocked {
+		if c.materializable(blocked, w) {
+			settled = c.materialize(blocked, w) && settled
 		}
 	}
-	for _, in := range t.t.Inputs {
-		if !c.reps.Has(in, w.spec.ID) {
+	for _, in := range t.inputs {
+		if !c.reps.Has(in, w.h) {
 			if settled && c.evictions == evictions {
-				c.park(id, t, w.spec.ID, needs, plan.Blocked)
+				c.park(id, t, w, needs, plan.Blocked)
 			}
 			return
 		}
@@ -673,10 +778,27 @@ func (c *Cluster) progressStaging(id int, t *simTask) {
 	c.startRun(id, t, w)
 }
 
+// materializable reports whether a blocked input is a MiniTask product to
+// unpack at w now: none exists or is on its way anywhere, and its inputs
+// are ready at w.
+func (c *Cluster) materializable(h replica.FileH, w *simWorker) bool {
+	f := &c.files[h]
+	if f.File == nil || f.Kind != MiniProduct || w.materializing[h] ||
+		c.reps.HasAny(h, w.h) || c.reps.CountReplicas(h) > 0 {
+		return false
+	}
+	for _, in := range f.mini {
+		if !c.reps.Has(in, w.h) {
+			return false
+		}
+	}
+	return true
+}
+
 // startTransfer reports false when admission refused the object.
-func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker, detail string) bool {
-	f := c.workload.Files[fileID]
-	if !c.admit(w, f) {
+func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWorker, detail string) bool {
+	f := &c.files[fh]
+	if !c.admit(w, fh) {
 		// The object cannot fit even after eviction; the consumer stays
 		// staged and is retried when space frees up.
 		return false
@@ -684,51 +806,49 @@ func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker,
 	// One fault decision per transfer attempt: Slow stretches the flow's
 	// latency, anything else fails the transfer on arrival — modeling a
 	// mid-stream reset or corrupted payload detected at the receiver.
-	fault := c.faults.At(chaos.Transfer, w.spec.ID, fileID)
-	tr := c.trs.Start(fileID, src, w.spec.ID)
-	c.reps.Add(fileID, w.spec.ID, replica.Pending)
+	fault := c.faults.At(chaos.Transfer, w.spec.ID, f.ID)
+	tr := c.trs.Start(fh, src, w.h)
+	c.reps.Add(fh, w.h, replica.Pending)
+	label := c.sourceLabel(src)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TransferStart, Worker: w.spec.ID,
-		File: fileID, Source: c.sourceLabel(src), Detail: detail,
+		File: f.ID, Source: label, Detail: detail,
 	})
 	var from *Endpoint
 	latency := c.params.TransferLatency
 	if fault.Action == chaos.Slow {
 		latency += fault.Delay.Seconds()
 	}
-	switch src.Kind {
-	case replica.SourceURL:
-		if len(src.ID) > 3 && src.ID[:3] == "fs:" {
-			from = c.sharedFS
-			latency += c.params.SharedFSOpLatency
-		} else {
-			from = c.urls
-		}
-	case replica.SourceManager:
+	switch {
+	case label == "shared-fs":
+		from = c.sharedFS
+		latency += c.params.SharedFSOpLatency
+	case src.Kind == replica.SourceURL:
+		from = c.urls
+	case src.Kind == replica.SourceManager:
 		from = c.manager
-	case replica.SourceWorker:
-		from = c.workers[src.ID].ep
+	default:
+		from = c.worker(src.Worker()).ep
 	}
-	srcCopy := src
 	c.net.StartFlow(from, w.ep, float64(f.Size), latency, func() {
 		c.trs.Complete(tr.ID)
 		if !w.joined {
 			return // worker preempted while the transfer was in flight
 		}
 		if fault.Action != chaos.None && fault.Action != chaos.Slow {
-			c.place.Failed(fileID, w.spec.ID)
-			c.reps.Remove(fileID, w.spec.ID)
+			c.place.Failed(fh, w.h)
+			c.reps.Remove(fh, w.h)
 			c.log.Add(trace.Event{
 				Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
-				File: fileID, Source: c.sourceLabel(srcCopy), Detail: "chaos: " + fault.Action.String(),
+				File: f.ID, Source: label, Detail: "chaos: " + fault.Action.String(),
 			})
 			c.requestSchedule()
 			return
 		}
-		c.store(w, fileID, f.Size)
+		c.store(w, fh, f.Size)
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
-			File: fileID, Bytes: f.Size, Source: c.sourceLabel(srcCopy),
+			File: f.ID, Bytes: f.Size, Source: label,
 		})
 		c.requestSchedule()
 	})
@@ -738,40 +858,41 @@ func (c *Cluster) startTransfer(fileID string, src replica.Source, w *simWorker,
 func (c *Cluster) sourceLabel(src replica.Source) string {
 	switch src.Kind {
 	case replica.SourceURL:
-		if len(src.ID) > 3 && src.ID[:3] == "fs:" {
+		if id := c.names.SourceName(src); len(id) > 3 && id[:3] == "fs:" {
 			return "shared-fs"
 		}
 		return "url"
 	case replica.SourceManager:
 		return "manager"
 	default:
-		return "worker:" + src.ID
+		return c.worker(src.Worker()).label
 	}
 }
 
 // materialize models MiniTask execution at the worker: unpack work
 // proportional to the product size. It reports false when admission
 // refused the product.
-func (c *Cluster) materialize(f *File, w *simWorker) bool {
-	if !c.admit(w, f) {
+func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
+	if !c.admit(w, fh) {
 		return false
 	}
-	for _, in := range f.MiniInputs {
-		c.place.Use(in, w.spec.ID)
+	f := &c.files[fh]
+	for _, in := range f.mini {
+		c.place.Use(in, w.h)
 	}
-	w.materializing[f.ID] = true
-	c.reps.Add(f.ID, w.spec.ID, replica.Pending)
+	w.materializing[fh] = true
+	c.reps.Add(fh, w.h, replica.Pending)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.StageStart, Worker: w.spec.ID, File: f.ID})
 	rate := f.UnpackRate
 	if rate == 0 {
 		rate = c.params.DefaultUnpackRate
 	}
 	c.eng.After(float64(f.Size)/rate, func() {
-		delete(w.materializing, f.ID)
+		delete(w.materializing, fh)
 		if !w.joined {
 			return
 		}
-		c.store(w, f.ID, f.Size)
+		c.store(w, fh, f.Size)
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.StageEnd, Worker: w.spec.ID,
 			File: f.ID, Bytes: f.Size,
@@ -789,18 +910,18 @@ func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
 		c.eng.After(0, func() { c.workerLeave(w) })
 		return
 	}
-	for _, in := range t.t.Inputs {
-		c.place.Use(in, w.spec.ID)
+	for _, in := range t.inputs {
+		c.place.Use(in, w.h)
 	}
 	c.setState(id, t, 2)
 	t.started = c.eng.Now()
 	// All simulated tasks are submitted at virtual time zero, so the start
 	// time IS the submit-to-dispatch latency (virtual seconds).
 	c.vm.DispatchLatency.Observe(c.eng.Now())
-	c.pin(w, t.t.Inputs)
+	c.pin(w, t.inputs)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskStart, Worker: w.spec.ID,
-		TaskID: id, Detail: t.t.Category,
+		TaskID: t.t.ID, Detail: t.t.Category,
 	})
 	epoch := t.epoch
 	c.eng.After(t.t.Runtime, func() {
@@ -824,7 +945,7 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 		}
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.TransferStart, Worker: w.spec.ID,
-			File: fmt.Sprintf("task-%d-outputs", id), Source: "worker:" + w.spec.ID,
+			File: fmt.Sprintf("task-%d-outputs", t.t.ID), Source: w.label,
 		})
 		epoch := t.epoch
 		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency, func() {
@@ -833,44 +954,46 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 			}
 			c.log.Add(trace.Event{
 				Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
-				File: fmt.Sprintf("task-%d-outputs", id), Bytes: total, Source: "worker:" + w.spec.ID,
+				File: fmt.Sprintf("task-%d-outputs", t.t.ID), Bytes: total, Source: w.label,
 			})
-			for _, out := range t.t.Outputs {
-				c.atManager[out.ID] = true
+			for _, out := range t.outputs {
+				c.files[out].atManager = true
 			}
 			c.completeTask(id, t, w)
 		})
 		return
 	}
 	// In-cluster mode: outputs appear in the worker's cache as temps.
-	for _, out := range t.t.Outputs {
-		c.storeOutput(w, out.ID, out.Size)
+	for i, out := range t.t.Outputs {
+		c.storeOutput(w, t.outputs[i], out.Size)
 	}
 	c.completeTask(id, t, w)
 }
 
 func (c *Cluster) completeTask(id int, t *simTask, w *simWorker) {
-	c.unpin(w, t.t.Inputs)
+	c.unpin(w, t.inputs)
 	c.setState(id, t, 4)
 	c.completed++
-	delete(w.running, id)
+	c.dropRunning(w, t)
 	req := resources.R{Cores: t.t.Cores}
 	if req.Cores == 0 {
 		req.Cores = 1
 	}
 	w.pool.Release(req)
 	c.freeCores += req.Cores
+	c.refresh(w)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskEnd, Worker: w.spec.ID,
-		TaskID: id, Detail: t.t.Category,
+		TaskID: t.t.ID, Detail: t.t.Category,
 	})
 	c.requestSchedule()
 }
 
 // deployLibrary stages the library environment to the worker, boots an
 // instance, and marks the worker serverless-ready (§3.4).
-func (c *Cluster) deployLibrary(w *simWorker, lib *Library) {
-	if w.libReady[lib.Name] || w.libBoot[lib.Name] {
+func (c *Cluster) deployLibrary(w *simWorker, li int) {
+	lib := c.libs[li]
+	if w.libReady[li] || w.libBoot[li] {
 		return
 	}
 	cores := lib.Cores
@@ -881,56 +1004,47 @@ func (c *Cluster) deployLibrary(w *simWorker, lib *Library) {
 		return
 	}
 	c.freeCores -= cores
-	w.libBoot[lib.Name] = true
+	c.refresh(w)
+	w.libBoot[li] = true
 	boot := func() {
 		c.eng.After(lib.BootTime, func() {
 			if !w.joined {
 				return
 			}
-			delete(w.libBoot, lib.Name)
-			w.libReady[lib.Name] = true
+			w.libBoot[li] = false
+			w.libReady[li] = true
 			c.log.Add(trace.Event{
 				Time: c.eng.Now(), Kind: trace.LibraryReady, Worker: w.spec.ID, Detail: lib.Name,
 			})
 			c.requestSchedule()
 		})
 	}
-	if lib.EnvFile == "" || c.reps.Has(lib.EnvFile, w.spec.ID) {
+	if lib.EnvFile == "" || c.reps.Has(c.internFile(lib.EnvFile), w.h) {
 		boot()
 		return
 	}
 	// Stage the environment first: plan it like any other need so the
 	// environment rides worker-to-worker distribution.
-	c.stageLibraryEnv(w, lib, boot)
+	c.stageLibraryEnv(w, c.internFile(lib.EnvFile), boot)
 }
 
 // stageLibraryEnv repeatedly tries to plan the env transfer until it lands.
-func (c *Cluster) stageLibraryEnv(w *simWorker, lib *Library, then func()) {
-	if c.reps.Has(lib.EnvFile, w.spec.ID) {
+func (c *Cluster) stageLibraryEnv(w *simWorker, env replica.FileH, then func()) {
+	if c.reps.Has(env, w.h) {
 		then()
 		return
 	}
-	needs := c.fileNeedsScratch([]string{lib.EnvFile})
-	plan := policy.PlanTransfers(needs, w.spec.ID, c.limits, c.view)
+	needs := c.fileNeedsScratch([]replica.FileH{env})
+	plan := &c.plan
+	policy.PlanTransfers(plan, needs, w.h, c.limits, c.view)
 	for _, tr := range plan.Transfers {
 		c.startTransfer(tr.File, tr.Source, w, "")
 	}
 	// MiniProduct environments may need materialization.
-	for _, blockedID := range plan.Blocked {
-		f := c.workload.Files[blockedID]
-		if f != nil && f.Kind == MiniProduct && !w.materializing[blockedID] &&
-			!c.reps.HasAny(blockedID, w.spec.ID) && c.reps.CountReplicas(blockedID) == 0 {
-			ready := true
-			for _, in := range f.MiniInputs {
-				if !c.reps.Has(in, w.spec.ID) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				c.materialize(f, w)
-			}
+	for _, blocked := range plan.Blocked {
+		if c.materializable(blocked, w) {
+			c.materialize(blocked, w)
 		}
 	}
-	c.eng.After(0.05, func() { c.stageLibraryEnv(w, lib, then) })
+	c.eng.After(0.05, func() { c.stageLibraryEnv(w, env, then) })
 }

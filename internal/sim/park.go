@@ -3,6 +3,7 @@ package sim
 import (
 	"sort"
 
+	"taskvine/internal/intern"
 	"taskvine/internal/policy"
 	"taskvine/internal/replica"
 )
@@ -55,24 +56,28 @@ type replicaTable struct {
 	c *Cluster
 }
 
-func (r replicaTable) Add(file, worker string, state replica.ReplicaState) {
-	r.Table.Add(file, worker, state)
-	r.c.wakeFile(file)
+func (r replicaTable) Add(f replica.FileH, w replica.WorkerH, state replica.ReplicaState) {
+	r.Table.Add(f, w, state)
+	r.c.wakeFile(f)
 }
 
-func (r replicaTable) Commit(file, worker string) {
-	r.Table.Commit(file, worker)
-	r.c.wakeFile(file)
+func (r replicaTable) Commit(f replica.FileH, w replica.WorkerH) {
+	r.Table.Commit(f, w)
+	r.c.wakeFile(f)
 }
 
-func (r replicaTable) Remove(file, worker string) {
-	r.Table.Remove(file, worker)
-	r.c.wakeFile(file)
+func (r replicaTable) Remove(f replica.FileH, w replica.WorkerH) {
+	r.Table.Remove(f, w)
+	r.c.wakeFile(f)
 }
 
-func (r replicaTable) DropWorker(worker string) []string {
-	affected := r.Table.DropWorker(worker)
-	sort.Strings(affected)
+// DropWorker returns the affected files sorted by file ID.
+func (r replicaTable) DropWorker(w replica.WorkerH) []replica.FileH {
+	affected := r.Table.DropWorker(w)
+	files := &r.c.names.Files
+	sort.Slice(affected, func(i, j int) bool { // hotpath-ok: runs only on worker departure, over the departed worker's files
+		return files.Name(affected[i]) < files.Name(affected[j])
+	})
 	for _, f := range affected {
 		r.c.wakeFile(f)
 	}
@@ -86,13 +91,13 @@ type transferTable struct {
 	c *Cluster
 }
 
-func (t transferTable) Start(file string, src replica.Source, dest string) replica.Transfer {
-	tr := t.Transfers.Start(file, src, dest)
-	t.c.wakeFile(file)
+func (t transferTable) Start(f replica.FileH, src replica.Source, dest replica.WorkerH) replica.Transfer {
+	tr := t.Transfers.Start(f, src, dest)
+	t.c.wakeFile(f)
 	return tr
 }
 
-func (t transferTable) Complete(id string) (replica.Transfer, bool) {
+func (t transferTable) Complete(id replica.TransferID) (replica.Transfer, bool) {
 	tr, ok := t.Transfers.Complete(id)
 	if ok {
 		t.c.wakeTransfer(tr)
@@ -100,8 +105,8 @@ func (t transferTable) Complete(id string) (replica.Transfer, bool) {
 	return tr, ok
 }
 
-func (t transferTable) DropWorker(worker string) []replica.Transfer {
-	cancelled := t.Transfers.DropWorker(worker)
+func (t transferTable) DropWorker(w replica.WorkerH) []replica.Transfer {
+	cancelled := t.Transfers.DropWorker(w)
 	for _, tr := range cancelled {
 		t.c.wakeTransfer(tr)
 	}
@@ -114,29 +119,32 @@ func (t transferTable) DropWorker(worker string) []replica.Transfer {
 // pending replicas, and fileNeeds expands a product on its ready ones, so
 // the next plan would read the same needs. blocked lists its files in the
 // order of needs, and may name a product whose unpack has since begun.
-func (c *Cluster) park(id int, t *simTask, w string, needs []policy.FileNeed, blocked []string) {
+func (c *Cluster) park(id int, t *simTask, w *simWorker, needs []policy.FileNeed, blocked []replica.FileH) {
 	t.parked = true
 	t.parkGen++
 	ref := parkRef{id, t.parkGen}
 	destIndexed := false
 	for _, n := range needs {
-		c.wakeOn[n.ID] = c.addPark(c.wakeOn[n.ID], ref)
+		f := &c.files[n.ID]
+		f.wakeOn = c.addPark(f.wakeOn, ref)
 		if len(blocked) == 0 || blocked[0] != n.ID {
 			continue
 		}
 		blocked = blocked[1:]
 		if !destIndexed {
-			c.wakeDest[w] = c.addPark(c.wakeDest[w], ref)
+			w.wakeDest = c.addPark(w.wakeDest, ref)
 			destIndexed = true
 		}
-		for _, h := range c.reps.Locate(n.ID) {
-			if h != w {
-				src := replica.Source{Kind: replica.SourceWorker, ID: h}
-				c.wakeSrc[src] = c.addPark(c.wakeSrc[src], ref)
+		c.holders = c.reps.AppendLocate(c.holders[:0], n.ID)
+		for _, h := range c.holders {
+			if h != w.h {
+				hw := c.worker(h)
+				hw.wakeSrc = c.addPark(hw.wakeSrc, ref)
 			}
 		}
-		if n.FixedSource != nil {
-			c.wakeSrc[*n.FixedSource] = c.addPark(c.wakeSrc[*n.FixedSource], ref)
+		if src := n.FixedSource; !src.IsZero() {
+			c.wakeFixed = intern.Grow(c.wakeFixed, src.ID)
+			c.wakeFixed[src.ID] = c.addPark(c.wakeFixed[src.ID], ref)
 		}
 	}
 }
@@ -169,26 +177,26 @@ func (c *Cluster) parkLive(r parkRef) bool {
 }
 
 // wakeFile wakes every task parked on the file.
-func (c *Cluster) wakeFile(fileID string) { wakeKey(c, c.wakeOn, fileID) }
+func (c *Cluster) wakeFile(f replica.FileH) { c.wakeAll(&c.files[f].wakeOn) }
 
 // wakeTransfer wakes every task parked on what a finished or dropped
 // transfer frees: its file and the slots it held at both ends.
 func (c *Cluster) wakeTransfer(tr replica.Transfer) {
-	wakeKey(c, c.wakeOn, tr.File)
-	wakeKey(c, c.wakeDest, tr.Dest)
-	wakeKey(c, c.wakeSrc, tr.Source)
+	c.wakeAll(&c.files[tr.File].wakeOn)
+	c.wakeAll(&c.worker(tr.Dest).wakeDest)
+	if w := tr.Source.Worker(); w != 0 {
+		c.wakeAll(&c.worker(w).wakeSrc)
+	} else if int(tr.Source.ID) < len(c.wakeFixed) {
+		c.wakeAll(&c.wakeFixed[tr.Source.ID])
+	}
 }
 
-// wakeKey wakes every task parked under key k of index m.
-func wakeKey[K comparable](c *Cluster, m map[K][]parkRef, k K) {
-	refs := m[k]
-	if len(refs) == 0 {
-		return
-	}
-	for _, r := range refs {
+// wakeAll wakes every task parked on one list and empties it.
+func (c *Cluster) wakeAll(refs *[]parkRef) {
+	for _, r := range *refs {
 		c.wake(r)
 	}
-	m[k] = refs[:0]
+	*refs = (*refs)[:0]
 }
 
 // wake unparks a task and queues it for replanning: into the running

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"taskvine/internal/policy"
+	"taskvine/internal/replica"
 )
 
 // placementHost is the simulator's policy.Substrate. Lookahead placement
@@ -21,8 +22,8 @@ func (c *Cluster) SetPlacement(spec policy.PlacementSpec) {
 	if c.place == nil {
 		return
 	}
-	for _, task := range c.workload.Tasks {
-		if t := c.tasks[task.ID]; t.state == 0 || t.state == 1 {
+	for _, t := range c.tasks {
+		if t.state == 0 || t.state == 1 {
 			c.consume(t, 1)
 		}
 	}
@@ -31,8 +32,8 @@ func (c *Cluster) SetPlacement(spec policy.PlacementSpec) {
 // consume counts a task in or out of its inputs' consumer counts, once per
 // distinct file.
 func (c *Cluster) consume(t *simTask, delta int) {
-	for i, in := range t.t.Inputs {
-		if !slices.Contains(t.t.Inputs[:i], in) {
+	for i, in := range t.inputs {
+		if !slices.Contains(t.inputs[:i], in) {
 			c.place.Consume(in, delta)
 		}
 	}
@@ -41,45 +42,42 @@ func (c *Cluster) consume(t *simTask, delta int) {
 // placeLookahead runs one lookahead placement pass unless placement is off.
 func (c *Cluster) placeLookahead() {
 	if c.place != nil {
-		c.place.Pass(placementHost{c}, c.workerInfos(""), c.waiting, c.limits)
+		c.place.Pass(placementHost{c}, c.live, c.waiting, c.limits)
 	}
 }
 
 func (h placementHost) QueuedNeeds(id int) []policy.FileNeed {
 	t := h.c.tasks[id]
-	if t == nil || t.state != 0 || len(t.t.Inputs) == 0 {
+	if t.state != 0 || len(t.inputs) == 0 {
 		return nil
 	}
-	return h.c.fileNeedsInto(nil, t.t.Inputs) // fresh: the pass keeps it
+	return h.c.fileNeedsInto(nil, t.inputs) // fresh: the pass keeps it
 }
 
-func (h placementHost) FileNeeds(fileID string) []policy.FileNeed {
-	return h.c.fileNeedsScratch([]string{fileID})
+func (h placementHost) FileNeeds(f replica.FileH) []policy.FileNeed {
+	return h.c.fileNeedsScratch([]replica.FileH{f})
 }
 
-func (h placementHost) ProducerWorker(fileID string) string {
-	prodID, ok := h.c.producers[fileID]
-	if !ok {
-		return ""
+func (h placementHost) ProducerWorker(f replica.FileH) replica.WorkerH {
+	prod := h.c.files[f].producer
+	if prod == 0 {
+		return 0
 	}
-	if t := h.c.tasks[prodID]; t != nil && (t.state == 1 || t.state == 2) {
-		return t.worker
-	}
-	return ""
-}
-
-func (h placementHost) DiskCapacity(workerID string) int64 {
-	if w := h.c.workers[workerID]; w != nil {
-		return w.spec.Disk
+	if t := h.c.tasks[prod-1]; t.state == 1 || t.state == 2 {
+		return t.worker.h
 	}
 	return 0
+}
+
+func (h placementHost) DiskCapacity(w replica.WorkerH) int64 {
+	return h.c.worker(w).spec.Disk
 }
 
 // StartPlacement reports false when admission refused the transfer (disk
 // full) or the destination has left.
 func (h placementHost) StartPlacement(a policy.PlacementAction) bool {
-	w := h.c.workers[a.Dest]
-	if w == nil || !w.joined {
+	w := h.c.worker(a.Dest)
+	if !w.joined {
 		return false
 	}
 	h.c.startTransfer(a.File, a.Source, w, "placement:"+a.Kind.String())

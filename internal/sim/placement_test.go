@@ -192,7 +192,7 @@ func TestSimPlacementBudgetNeverExceeded(t *testing.T) {
 	var check func()
 	check = func() {
 		for _, ws := range w.Workers {
-			got := c.place.Charged(ws.ID)
+			got := c.place.Charged(c.workerNamed(ws.ID).h)
 			if got > budget {
 				t.Fatalf("t=%.2fs: worker %s charged %d > budget %d", c.eng.Now(), ws.ID, got, budget)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"taskvine/internal/chaos"
 	"taskvine/internal/files"
+	"taskvine/internal/replica"
 	"taskvine/internal/trace"
 )
 
@@ -23,7 +24,7 @@ const (
 
 // cachedObject tracks one object resident at a simulated worker.
 type cachedObject struct {
-	id      string
+	id      replica.FileH
 	size    int64
 	lastUse float64
 	// pins counts running tasks using the object.
@@ -33,9 +34,9 @@ type cachedObject struct {
 }
 
 // storageOf lazily initializes a worker's cache map.
-func (w *simWorker) storage() map[string]*cachedObject {
+func (w *simWorker) storage() map[replica.FileH]*cachedObject {
 	if w.cache == nil {
-		w.cache = make(map[string]*cachedObject)
+		w.cache = make(map[replica.FileH]*cachedObject)
 	}
 	return w.cache
 }
@@ -43,7 +44,8 @@ func (w *simWorker) storage() map[string]*cachedObject {
 // admit reserves space for an object, evicting ephemeral unpinned objects
 // if necessary. Returns false when the object cannot fit even after
 // eviction; evicted objects are reported so the replica table stays true.
-func (c *Cluster) admit(w *simWorker, f *File) bool {
+func (c *Cluster) admit(w *simWorker, fh replica.FileH) bool {
+	f := c.files[fh].File
 	if c.faults.At(chaos.CacheInsert, w.spec.ID, f.ID).Action == chaos.Fail {
 		// Injected disk-full: the object is refused exactly as if eviction
 		// could not make room; the consumer is retried on a later pass.
@@ -54,7 +56,7 @@ func (c *Cluster) admit(w *simWorker, f *File) bool {
 		return true
 	}
 	cache := w.storage()
-	if _, ok := cache[f.ID]; ok {
+	if _, ok := cache[fh]; ok {
 		return true
 	}
 	if w.cacheUsed+f.Size <= w.spec.Disk {
@@ -80,7 +82,7 @@ func (c *Cluster) admit(w *simWorker, f *File) bool {
 		}
 		// The ID tie-break pins the eviction order when lifetimes and last
 		// uses are equal, since victims were gathered in map order.
-		return victims[i].id < victims[j].id
+		return c.fileName(victims[i].id) < c.fileName(victims[j].id)
 	})
 	for _, v := range victims {
 		if w.cacheUsed+f.Size <= w.spec.Disk {
@@ -91,8 +93,8 @@ func (c *Cluster) admit(w *simWorker, f *File) bool {
 	return w.cacheUsed+f.Size <= w.spec.Disk
 }
 
-func (c *Cluster) lifetimeOf(fileID string) files.Lifetime {
-	if f := c.workload.Files[fileID]; f != nil {
+func (c *Cluster) lifetimeOf(fh replica.FileH) files.Lifetime {
+	if f := c.files[fh].File; f != nil {
 		return f.Lifetime
 	}
 	return files.LifetimeWorkflow
@@ -100,34 +102,34 @@ func (c *Cluster) lifetimeOf(fileID string) files.Lifetime {
 
 // store records an object as resident after a transfer, materialization,
 // or task output.
-func (c *Cluster) store(w *simWorker, fileID string, size int64) {
+func (c *Cluster) store(w *simWorker, fh replica.FileH, size int64) {
 	cache := w.storage()
-	if _, ok := cache[fileID]; ok {
+	if _, ok := cache[fh]; ok {
 		return
 	}
-	cache[fileID] = &cachedObject{id: fileID, size: size, lastUse: c.eng.Now()}
+	cache[fh] = &cachedObject{id: fh, size: size, lastUse: c.eng.Now()}
 	w.cacheUsed += size
 	c.vm.CacheInserts.Inc()
 	c.vm.CacheInsertBytes.Add(size)
-	c.reps.Commit(fileID, w.spec.ID)
-	c.place.Landed(fileID, w.spec.ID)
+	c.reps.Commit(fh, w.h)
+	c.place.Landed(fh, w.h)
 }
 
 // storeOutput records a task output, preferring the memory tier when the
 // worker carries a memory budget — the simulator's mirror of
 // cache.PutBytes. Memory residents spill LRU-first to disk under budget
 // pressure; objects larger than the whole budget go straight to disk.
-func (c *Cluster) storeOutput(w *simWorker, fileID string, size int64) {
+func (c *Cluster) storeOutput(w *simWorker, fh replica.FileH, size int64) {
 	budget := w.spec.MemoryBudget
 	if budget <= 0 || size > budget {
-		if f := c.workload.Files[fileID]; f != nil {
-			c.admit(w, f)
+		if c.files[fh].File != nil {
+			c.admit(w, fh)
 		}
-		c.store(w, fileID, size)
+		c.store(w, fh, size)
 		return
 	}
 	cache := w.storage()
-	if _, ok := cache[fileID]; ok {
+	if _, ok := cache[fh]; ok {
 		return
 	}
 	for w.memUsed+size > budget {
@@ -138,15 +140,15 @@ func (c *Cluster) storeOutput(w *simWorker, fileID string, size int64) {
 		c.spill(w, v)
 	}
 	if w.memUsed+size > budget {
-		c.store(w, fileID, size)
+		c.store(w, fh, size)
 		return
 	}
-	cache[fileID] = &cachedObject{id: fileID, size: size, lastUse: c.eng.Now(), tier: tierMemory}
+	cache[fh] = &cachedObject{id: fh, size: size, lastUse: c.eng.Now(), tier: tierMemory}
 	w.memUsed += size
 	c.vm.CacheMemInserts.Inc()
 	c.vm.CacheMemInsertBytes.Add(size)
 	c.vm.CacheMemUsedBytes.Add(float64(size))
-	c.reps.Commit(fileID, w.spec.ID)
+	c.reps.Commit(fh, w.h)
 }
 
 // spill relocates a memory resident to the disk tier, mirroring
@@ -170,7 +172,7 @@ func (c *Cluster) oldestMemoryResident(w *simWorker) *cachedObject {
 			continue
 		}
 		if best == nil || obj.lastUse < best.lastUse ||
-			(obj.lastUse == best.lastUse && obj.id < best.id) {
+			(obj.lastUse == best.lastUse && c.fileName(obj.id) < c.fileName(best.id)) {
 			best = obj
 		}
 	}
@@ -179,13 +181,13 @@ func (c *Cluster) oldestMemoryResident(w *simWorker) *cachedObject {
 
 // evict removes an object from the worker and the replica table, recording
 // the trace event the worker's cache-invalid message would produce.
-func (c *Cluster) evict(w *simWorker, fileID string) {
+func (c *Cluster) evict(w *simWorker, fh replica.FileH) {
 	cache := w.storage()
-	obj, ok := cache[fileID]
+	obj, ok := cache[fh]
 	if !ok {
 		return
 	}
-	delete(cache, fileID)
+	delete(cache, fh)
 	c.evictions++
 	if obj.tier == tierMemory {
 		w.memUsed -= obj.size
@@ -193,15 +195,15 @@ func (c *Cluster) evict(w *simWorker, fileID string) {
 	} else {
 		w.cacheUsed -= obj.size
 	}
-	c.place.Gone(fileID, w.spec.ID)
-	c.reps.Remove(fileID, w.spec.ID)
+	c.place.Gone(fh, w.h)
+	c.reps.Remove(fh, w.h)
 	c.log.Add(trace.Event{
-		Time: c.eng.Now(), Kind: trace.FileEvicted, Worker: w.spec.ID, File: fileID,
+		Time: c.eng.Now(), Kind: trace.FileEvicted, Worker: w.spec.ID, File: c.fileName(fh),
 	})
 }
 
 // pin marks a task's inputs in use for the duration of its run.
-func (c *Cluster) pin(w *simWorker, ids []string) {
+func (c *Cluster) pin(w *simWorker, ids []replica.FileH) {
 	cache := w.storage()
 	for _, id := range ids {
 		if obj, ok := cache[id]; ok {
@@ -212,7 +214,7 @@ func (c *Cluster) pin(w *simWorker, ids []string) {
 }
 
 // unpin releases a task's inputs.
-func (c *Cluster) unpin(w *simWorker, ids []string) {
+func (c *Cluster) unpin(w *simWorker, ids []replica.FileH) {
 	cache := w.storage()
 	for _, id := range ids {
 		if obj, ok := cache[id]; ok && obj.pins > 0 {

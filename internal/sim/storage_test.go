@@ -47,7 +47,7 @@ func TestDiskPressureEvictsEphemeralFirst(t *testing.T) {
 		t.Fatal("no evictions under disk pressure")
 	}
 	// The package must still be resident at the end.
-	if !c.reps.Has("pkg", "w0") {
+	if !c.hasReplica("pkg", "w0") {
 		t.Fatal("package lost")
 	}
 }
@@ -180,13 +180,13 @@ func TestMemoryTierAbsorbsOutputsAndSpills(t *testing.T) {
 	if n := c.vm.CacheInserts.Value(); n != 0 {
 		t.Fatalf("disk-tier inserts = %d, want 0", n)
 	}
-	sw := c.workers["w0"]
+	sw := c.workerNamed("w0")
 	if sw.memUsed != 60 || sw.cacheUsed != 120 {
 		t.Fatalf("accounting: memUsed=%d cacheUsed=%d, want 60/120", sw.memUsed, sw.cacheUsed)
 	}
 	// All three outputs remain resident (two on disk, one in memory).
 	for _, id := range []string{"o1", "o2", "o3"} {
-		if !c.reps.Has(id, "w0") {
+		if !c.hasReplica(id, "w0") {
 			t.Fatalf("output %s lost", id)
 		}
 	}

@@ -118,3 +118,34 @@ func TestPlacementTraceDigests(t *testing.T) {
 		t.Run(tc.name, tc.check)
 	}
 }
+
+// TestTraceIndependentOfTaskOrder: the simulator indexes tasks by their
+// position in ID order, whatever order the workload lists them in, so a
+// workload with its task list reversed traces byte for byte like the
+// original, with placement on and under chaos (worker loss and recovery
+// included).
+func TestTraceIndependentOfTaskOrder(t *testing.T) {
+	run := func(reverse bool) []byte {
+		w := goldenTopEFT()
+		if reverse {
+			for i, j := 0, len(w.Tasks)-1; i < j; i, j = i+1, j-1 {
+				w.Tasks[i], w.Tasks[j] = w.Tasks[j], w.Tasks[i]
+			}
+		}
+		c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
+		c.SetPlacement(policy.PlacementSpec{Enabled: true})
+		c.InjectFaults(goldenChaos(1))
+		c.Run()
+		if got := c.CompletedTasks(); got != len(w.Tasks) {
+			t.Fatalf("completed %d/%d tasks", got, len(w.Tasks))
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteCSV(&buf, c.Trace().Events()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(run(false), run(true)) {
+		t.Fatal("reversing the task list changed the trace")
+	}
+}
