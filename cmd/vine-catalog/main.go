@@ -7,9 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -19,18 +20,45 @@ import (
 )
 
 func main() {
-	var (
-		listen = flag.String("listen", "127.0.0.1:9097", "address to serve on")
-		ttl    = flag.Duration("ttl", time.Minute, "entry expiry without updates")
-	)
-	flag.Parse()
-	s, err := catalog.NewServer(*listen, *ttl)
-	if err != nil {
-		log.Fatalf("vine-catalog: %v", err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "vine-catalog: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	fmt.Printf("catalog serving on %s (ttl %s)\n", s.Addr(), *ttl)
+}
+
+// errUsage marks a command line the flags reject.
+var errUsage = errors.New("usage")
+
+// run parses the command line and serves the catalog until interrupted.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vine-catalog", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		listen = fs.String("listen", "127.0.0.1:9097", "address to serve on")
+		ttl    = fs.Duration("ttl", time.Minute, "entry expiry without updates")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if fs.NArg() != 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: unexpected arguments %q", errUsage, fs.Args())
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	s, err := catalog.NewServer(*listen, *ttl)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	fmt.Fprintf(stdout, "catalog serving on %s (ttl %s)\n", s.Addr(), *ttl)
 	<-sig
-	s.Close()
+	return nil
 }

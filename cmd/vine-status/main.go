@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,12 +33,12 @@ import (
 )
 
 // listCatalog renders the managers advertised at a catalog server.
-func listCatalog(addr, name string) error {
+func listCatalog(stdout io.Writer, addr, name string) error {
 	entries, err := catalog.Query(addr, name)
 	if err != nil {
 		return err
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "PROJECT\tADDRESS\tWORKERS\tWAITING\tRUNNING\tLAST HEARD")
 	for _, e := range entries {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%s\n",
@@ -48,45 +49,58 @@ func listCatalog(addr, name string) error {
 }
 
 func main() {
-	raw := flag.Bool("json", false, "print the raw status JSON")
-	cat := flag.String("catalog", "", "list managers advertised at this catalog server instead")
-	name := flag.String("name", "", "filter catalog listing by project name")
-	metricsDump := flag.Bool("metrics", false, "dump the manager's /metrics endpoint (Prometheus text format)")
-	debugDump := flag.Bool("debug", false, "render the manager's /debug/vine scheduling tables")
-	flag.Parse()
-	if *cat != "" {
-		if err := listCatalog(*cat, *name); err != nil {
-			fmt.Fprintf(os.Stderr, "vine-status: %v\n", err)
-			os.Exit(1)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "vine-status: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+}
+
+// errUsage marks a command line the flags reject.
+var errUsage = errors.New("usage")
+
+// run parses the command line and renders what it asks for to stdout;
+// usage goes to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vine-status", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	raw := fs.Bool("json", false, "print the raw status JSON")
+	cat := fs.String("catalog", "", "list managers advertised at this catalog server instead")
+	name := fs.String("name", "", "filter catalog listing by project name")
+	metricsDump := fs.Bool("metrics", false, "dump the manager's /metrics endpoint (Prometheus text format)")
+	debugDump := fs.Bool("debug", false, "render the manager's /debug/vine scheduling tables")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	url := flag.Arg(0)
+	if *cat != "" {
+		return listCatalog(stdout, *cat, *name)
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("%w: want one manager status address", errUsage)
+	}
+	url := fs.Arg(0)
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
 	}
-	var err error
 	switch {
 	case *metricsDump:
-		err = dumpMetrics(url + "/metrics")
+		return dumpMetrics(stdout, url+"/metrics")
 	case *debugDump:
-		err = runDebug(url+"/debug/vine", *raw)
+		return runDebug(stdout, url+"/debug/vine", *raw)
 	default:
-		err = run(url+"/status", *raw)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vine-status: %v\n", err)
-		os.Exit(1)
+		return runStatus(stdout, url+"/status", *raw)
 	}
 }
 
 // dumpMetrics streams the Prometheus text exposition verbatim; the format
 // is already line-oriented and human-readable.
-func dumpMetrics(url string) error {
+func dumpMetrics(stdout io.Writer, url string) error {
 	resp, err := http.Get(url)
 	if err != nil {
 		return err
@@ -95,12 +109,12 @@ func dumpMetrics(url string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	_, err = io.Copy(os.Stdout, resp.Body)
+	_, err = io.Copy(stdout, resp.Body)
 	return err
 }
 
 // runDebug renders the /debug/vine scheduling tables.
-func runDebug(url string, raw bool) error {
+func runDebug(stdout io.Writer, url string, raw bool) error {
 	resp, err := http.Get(url)
 	if err != nil {
 		return err
@@ -114,12 +128,12 @@ func runDebug(url string, raw bool) error {
 		return fmt.Errorf("decoding debug report: %w", err)
 	}
 	if raw {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(d)
 	}
-	fmt.Printf("manager %s  t=%.1fs\n\n", d.Addr, d.Now)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "manager %s  t=%.1fs\n\n", d.Addr, d.Now)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	if len(d.Tasks) > 0 {
 		fmt.Fprintln(tw, "TASK\tSTATE\tCATEGORY\tWORKER\tRETRIES\tWAITING\tMISSING INPUTS")
 		for _, t := range d.Tasks {
@@ -154,7 +168,9 @@ func runDebug(url string, raw bool) error {
 	return tw.Flush()
 }
 
-func run(url string, raw bool) error {
+// runStatus renders the /status summary: the task pipeline and each
+// worker's resources, cache and libraries.
+func runStatus(stdout io.Writer, url string, raw bool) error {
 	resp, err := http.Get(url)
 	if err != nil {
 		return err
@@ -169,16 +185,16 @@ func run(url string, raw bool) error {
 		return fmt.Errorf("decoding status: %w", err)
 	}
 	if raw {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(s)
 	}
-	fmt.Printf("manager %s  up %.0fs\n", s.Addr, s.UptimeSeconds)
-	fmt.Printf("tasks: %d waiting / %d staging / %d running / %d done / %d failed\n",
+	fmt.Fprintf(stdout, "manager %s  up %.0fs\n", s.Addr, s.UptimeSeconds)
+	fmt.Fprintf(stdout, "tasks: %d waiting / %d staging / %d running / %d done / %d failed\n",
 		s.TasksWaiting, s.TasksStaging, s.TasksRunning, s.TasksDone, s.TasksFailed)
-	fmt.Printf("files declared: %d   transfers in flight: %d   workers: %d\n\n",
+	fmt.Fprintf(stdout, "files declared: %d   transfers in flight: %d   workers: %d\n\n",
 		s.FilesDeclared, s.TransfersInFlight, len(s.Workers))
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "WORKER\tCORES\tMEMORY\tDISK\tTASKS\tCACHED\tLIBRARIES")
 	for _, w := range s.Workers {
 		fmt.Fprintf(tw, "%s\t%d/%d\t%s/%s\t%s/%s\t%d\t%d\t%s\n",

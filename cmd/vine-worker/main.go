@@ -13,8 +13,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -26,43 +28,58 @@ import (
 )
 
 func main() {
-	var (
-		manager = flag.String("manager", "", "manager address host:port (required)")
-		workdir = flag.String("workdir", "vine-worker-dir", "cache and sandbox directory")
-		cores   = flag.Int("cores", runtime.NumCPU(), "cores to offer")
-		memory  = flag.Int64("memory", 4*taskvine.GB, "memory bytes to offer")
-		disk    = flag.Int64("disk", 10*taskvine.GB, "disk bytes to offer")
-		id      = flag.String("id", "", "worker identity (default hostname-pid)")
-	)
-	flag.Parse()
-	if *manager == "" {
-		flag.Usage()
-		os.Exit(2)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "vine-worker: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
+}
 
+// errUsage marks a command line the flags reject.
+var errUsage = errors.New("usage")
+
+// run parses the command line, connects a worker to the manager and
+// serves until released or interrupted. Usage and the worker's log go to
+// stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("vine-worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		manager = fs.String("manager", "", "manager address host:port (required)")
+		workdir = fs.String("workdir", "vine-worker-dir", "cache and sandbox directory")
+		cores   = fs.Int("cores", runtime.NumCPU(), "cores to offer")
+		memory  = fs.Int64("memory", 4*taskvine.GB, "memory bytes to offer")
+		disk    = fs.Int64("disk", 10*taskvine.GB, "disk bytes to offer")
+		id      = fs.String("id", "", "worker identity (default hostname-pid)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *manager == "" {
+		fs.Usage()
+		return fmt.Errorf("%w: -manager is required", errUsage)
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
 	w, err := taskvine.NewWorker(taskvine.WorkerConfig{
 		ManagerAddr: *manager,
 		WorkDir:     *workdir,
 		Capacity:    taskvine.Resources{Cores: *cores, Memory: *memory, Disk: *disk},
 		ID:          *id,
 		Libraries:   []*taskvine.Library{builtinLibrary()},
-		Logger:      log.New(os.Stderr, "", log.LstdFlags),
+		Logger:      logger,
 	})
 	if err != nil {
-		log.Fatalf("vine-worker: %v", err)
+		return err
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		cancel()
-	}()
-	log.Printf("vine-worker %s connecting to %s", w.ID(), *manager)
-	if err := w.Run(ctx); err != nil {
-		log.Fatalf("vine-worker: %v", err)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	logger.Printf("vine-worker %s connecting to %s", w.ID(), *manager)
+	return w.Run(ctx)
 }
 
 // builtinLibrary provides basic serverless functions so FunctionCall tasks

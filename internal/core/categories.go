@@ -64,17 +64,8 @@ func (m *Manager) recordCategory(t *taskState, res *Result) {
 // Categories returns a snapshot of per-category statistics, sorted by name.
 func (m *Manager) Categories() []CategoryStats {
 	reply := make(chan []CategoryStats, 1)
-	select {
-	case m.events <- event{kind: evCategories, categories: reply}:
-	case <-m.loopDone:
-		return nil
-	}
-	select {
-	case out := <-reply:
-		return out
-	case <-m.loopDone:
-		return nil
-	}
+	out, _ := ask(m, event{kind: evCategories, categories: reply}, reply) // nil once the loop has exited
+	return out
 }
 
 func (m *Manager) buildCategories() []CategoryStats {

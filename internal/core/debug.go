@@ -66,17 +66,10 @@ type DebugReport struct {
 // taken inside the event loop.
 func (m *Manager) Debug() DebugReport {
 	reply := make(chan DebugReport, 1)
-	select {
-	case m.events <- event{kind: evDebug, debug: reply}:
-	case <-m.loopDone:
-		return DebugReport{Addr: m.Addr()}
-	}
-	select {
-	case r := <-reply:
+	if r, ok := ask(m, event{kind: evDebug, debug: reply}, reply); ok {
 		return r
-	case <-m.loopDone:
-		return DebugReport{Addr: m.Addr()}
 	}
+	return DebugReport{Addr: m.Addr()}
 }
 
 // buildDebug runs inside the event loop.
@@ -94,20 +87,20 @@ func (m *Manager) buildDebug() DebugReport {
 	sort.Ints(ids)
 	for _, id := range ids {
 		t := m.tasks[id]
-		if t.state == taskspec.StateDone || t.state == taskspec.StateFailed {
+		if t.State == taskspec.StateDone || t.State == taskspec.StateFailed {
 			continue // only live tasks belong in a queue dump
 		}
 		td := TaskDebug{
 			ID:             id,
-			State:          t.state.String(),
+			State:          t.State.String(),
 			Category:       t.spec.Category,
-			Worker:         t.worker,
+			Worker:         m.workerName(t),
 			Retries:        t.retries,
 			WaitingSeconds: now - t.submitTime,
 		}
-		if t.state == taskspec.StateStaging {
+		if t.State == taskspec.StateStaging {
 			for _, in := range t.spec.Inputs {
-				if !m.reps.Has(m.fh(in.FileID), m.wh(t.worker)) {
+				if !m.reps.Has(m.fh(in.FileID), t.Worker) {
 					td.MissingInputs = append(td.MissingInputs, in.FileID)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,16 +77,15 @@ func (m *Manager) clearTransferFailure(fileID, dest string) {
 // fileID, without consuming task retries, so the scheduler can place the
 // work where the data can actually arrive.
 func (m *Manager) abandonPlacement(fileID, dest string) {
+	w := m.workers[dest]
+	if w == nil {
+		return
+	}
+	fh := m.fh(fileID)
 	var ids []int
-	for id, t := range m.staging { // hotpath-ok: bounded by tasks currently staging
-		if t.worker != dest {
-			continue
-		}
-		for _, in := range t.spec.Inputs {
-			if in.FileID == fileID {
-				ids = append(ids, id)
-				break
-			}
+	for id := range w.running { // hotpath-ok: bounded by one worker's tasks
+		if t := m.tasks[id]; t != nil && t.State == taskspec.StateStaging && slices.Contains(t.Inputs, fh) {
+			ids = append(ids, id)
 		}
 	}
 	sort.Ints(ids)
@@ -99,9 +99,8 @@ func (m *Manager) abandonPlacement(fileID, dest string) {
 // reconcile pass tops them up); temp files that lost their LAST replica are
 // regenerated by re-executing their completed producer task — the paper's
 // recovery re-execution, run eagerly instead of waiting for a consumer to
-// stall (§2.2).
+// stall (§2.2). affected comes sorted by file ID.
 func (m *Manager) repairReplicas(workerID string, affected []string) {
-	sort.Strings(affected)
 	for _, fid := range affected {
 		left := m.reps.CountReplicas(m.fh(fid))
 		if goal := m.replicaGoals[fid]; goal > 1 && left < goal {
@@ -122,7 +121,7 @@ func (m *Manager) repairReplicas(workerID string, affected []string) {
 			continue
 		}
 		p := m.taskByID(prodID)
-		if p == nil || p.state != taskspec.StateDone {
+		if p == nil || p.State != taskspec.StateDone {
 			continue
 		}
 		if !m.tempStillNeeded(fid) {
@@ -148,7 +147,7 @@ func (m *Manager) tempStillNeeded(fid string) bool {
 		if t.library || t.cancelled {
 			continue
 		}
-		switch t.state {
+		switch t.State {
 		case taskspec.StateWaiting, taskspec.StateStaging, taskspec.StateRunning:
 			for _, in := range t.spec.Inputs {
 				if in.FileID == fid {
@@ -175,7 +174,7 @@ func (m *Manager) reconcileLibraries() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		for _, wi := range m.live {
+		for _, wi := range m.sched.Live() {
 			m.deployLibraryTo(m.workerAt(wi.ID), m.libs[name])
 		}
 	}

@@ -32,8 +32,6 @@ func (m *Manager) handleMessage(ev event) {
 		m.place.Gone(f, w)
 		m.reps.Remove(f, w)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.FileEvicted, Worker: msg.WorkerID, File: msg.CacheName})
-		// Staging tasks that counted on the evicted replica must replan.
-		m.wakeFile(msg.CacheName)
 	case protocol.TypeComplete:
 		m.handleComplete(ev.workerID, msg)
 	case protocol.TypeData:
@@ -115,7 +113,7 @@ func (m *Manager) registerWorker(conn *protocol.Conn, msg *protocol.Message) {
 	w.lastHeard = time.Now()
 	m.joinSeq++
 	m.join(w)
-	m.needFull = true
+	m.reconcile = true
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerJoined, Worker: w.id})
 	m.logf("worker %s joined with %v", w.id, cap)
 	// Deploy every installed library to the newcomer.
@@ -159,19 +157,12 @@ func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
 		m.logf("object %s failed at %s: %s", msg.CacheName, msg.WorkerID, msg.Error)
 		m.reps.Remove(f, w)
 	}
-	// Retry exactly the tasks this object could unblock; a finished (or
-	// failed) supervised transfer also changes per-source slot accounting,
-	// which can unblock any staging task's plan.
-	m.wakeFile(msg.CacheName)
-	if msg.TransferID != "" {
-		m.stagingAll = true
-	}
 }
 
 // handleComplete processes a task completion report.
 func (m *Manager) handleComplete(workerID string, msg *protocol.Message) {
 	t := m.tasks[msg.TaskID]
-	if t == nil || t.state != taskspec.StateRunning || t.worker != workerID {
+	if t == nil || t.State != taskspec.StateRunning || m.workerName(t) != workerID {
 		m.logf("stale completion for task %d from %s", msg.TaskID, workerID)
 		return
 	}
@@ -179,7 +170,7 @@ func (m *Manager) handleComplete(workerID string, msg *protocol.Message) {
 		if w := m.workers[workerID]; w != nil {
 			w.libsReady[t.spec.Library] = true
 			// Function tasks gated on this library may now be assignable.
-			m.needFull = true
+			m.reconcile = true
 		}
 		m.tlog.Add(trace.Event{
 			Time: m.now(), Kind: trace.LibraryReady, Worker: workerID,
@@ -208,6 +199,7 @@ func (m *Manager) handleComplete(workerID string, msg *protocol.Message) {
 			// the request for the next attempt.
 			m.requeue(msg.TaskID, t, true)
 			t.spec.Resources.Disk *= 2
+			t.Req = t.spec.Resources
 			return
 		}
 	}
@@ -224,11 +216,10 @@ func (m *Manager) handleComplete(workerID string, msg *protocol.Message) {
 		Time: m.now(), Kind: kind, Worker: workerID, TaskID: msg.TaskID,
 		Detail: t.spec.Category,
 	})
-	// Record produced objects in the replica table and wake their consumers.
+	// Record produced objects in the replica table.
 	for _, out := range msg.Outputs {
 		m.reps.Commit(m.fh(out.CacheName), m.wh(workerID))
 		m.reg.SetSize(out.CacheName, out.Size)
-		m.wakeFile(out.CacheName)
 	}
 	res := &Result{
 		TaskID:         msg.TaskID,
@@ -391,8 +382,10 @@ func (m *Manager) deployLibraryTo(w *workerConn, lib *librarySpec) {
 		Resources: lib.res,
 		Category:  "library",
 	}
-	t := &taskState{spec: spec, state: taskspec.StateRunning, worker: w.id, library: true}
-	m.trackNew(id, t)
+	t := m.track(id, spec)
+	t.library, t.Worker = true, w.h
+	m.sched.SetState(id, &t.Task, taskspec.StateRunning)
+	m.libCount[taskspec.StateRunning]++
 	w.running[id] = true
 	if err := w.conn.Send(&protocol.Message{Type: protocol.TypeTask, TaskID: id, Spec: spec}); err != nil {
 		m.logf("deploying library %s to %s: %v", lib.name, w.id, err)
@@ -412,9 +405,8 @@ func (m *Manager) workerGone(workerID string) {
 		return
 	}
 	w.gone = true
-	m.leave(w)
-	m.needFull = true
-	m.stagingAll = true
+	m.sched.Leave(w.h)
+	m.reconcile = true
 	// The connection is usually already broken by the time we get here.
 	_ = w.conn.Close()
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
@@ -518,9 +510,8 @@ func (m *Manager) endWorkflow(release bool) {
 		}
 		m.dumpTrace()
 	}
-	// Replicas were dropped and libraries reset; replan everything.
-	m.needFull = true
-	m.stagingAll = true
+	// Replicas were dropped and libraries reset.
+	m.reconcile = true
 }
 
 // dumpTrace writes the workflow's transaction log (the execution trace as
@@ -558,8 +549,8 @@ func (m *Manager) handleInvoke(ev event) {
 	m.nextID++
 	id := m.nextID
 	ev.spec.ID = id
-	t := &taskState{spec: ev.spec, state: taskspec.StateWaiting, submitTime: m.now()}
-	m.trackNew(id, t)
+	t := m.track(id, ev.spec)
+	t.submitTime = m.now()
 	m.pendingWk++
 	m.vm.TasksSubmitted.Inc()
 	m.reg.Retain(ev.spec.InputIDs())
@@ -568,21 +559,16 @@ func (m *Manager) handleInvoke(ev event) {
 	}
 	w := m.readyLibraryWorkerFor(ev.spec)
 	if w == nil {
-		m.waiting = append(m.waiting, id)
-		m.wakeSet[id] = true
+		m.sched.Submit(id, &t.Task)
 		ev.replyInt <- id
 		return
 	}
 	// Direct route: the instance's static allocation covers execution, so
 	// the task itself holds a zero allocation (balanced by finishTask's
 	// release).
-	if m.place != nil {
-		for _, mt := range ev.spec.Inputs {
-			m.place.Use(m.fh(mt.FileID), w.h)
-		}
-	}
-	m.setState(id, t, taskspec.StateRunning)
-	t.worker = w.id
+	m.sched.SetState(id, &t.Task, taskspec.StateWaiting)
+	t.Worker = w.h
+	m.sched.Run(id, &t.Task)
 	w.running[id] = true
 	w.pool.Alloc(resources.R{})
 	m.refresh(w)
@@ -599,52 +585,28 @@ func (m *Manager) handleInvoke(ev event) {
 	ev.replyInt <- id
 }
 
-// readyLibraryWorker picks the earliest-joined live worker running an
-// instance of the library (join order keeps the choice deterministic).
-func (m *Manager) readyLibraryWorker(lib string) *workerConn {
-	var best *workerConn
-	for _, w := range m.workers {
-		if w.gone || !w.libsReady[lib] {
-			continue
-		}
-		if best == nil || w.joinOrder < best.joinOrder {
-			best = w
-		}
-	}
-	return best
-}
-
-// readyLibraryWorkerFor picks a worker for the direct invoke route. For a
-// spec with no inputs any ready instance of the library will do. For a spec
-// with inputs — a chained invocation referencing a handle — only a worker
-// that already holds every input replica qualifies: the point of
-// pass-by-reference is that the call runs where the object lives. When no
-// ready-instance worker holds all inputs the call falls back to the queue,
-// where the scheduler stages the objects via the normal transfer machinery.
+// readyLibraryWorkerFor picks a worker for the direct invoke route: the
+// earliest-joined live worker running a ready instance of the library (join
+// order keeps the choice deterministic) that holds every input. For a
+// chained invocation referencing a handle, the point of pass-by-reference
+// is that the call runs where the object lives; when no such worker holds
+// all inputs the call falls back to the queue, where the scheduler stages
+// the objects via the normal transfer machinery.
 func (m *Manager) readyLibraryWorkerFor(spec *taskspec.Spec) *workerConn {
-	if len(spec.Inputs) == 0 {
-		return m.readyLibraryWorker(spec.Library)
-	}
-	var best *workerConn
-	for _, w := range m.workers {
-		if w.gone || !w.libsReady[spec.Library] {
+live:
+	for _, wi := range m.sched.Live() {
+		w := m.byHandle[wi.ID]
+		if !w.libsReady[spec.Library] {
 			continue
 		}
-		holdsAll := true
 		for _, mt := range spec.Inputs {
 			if !m.reps.Has(m.fh(mt.FileID), w.h) {
-				holdsAll = false
-				break
+				continue live
 			}
 		}
-		if !holdsAll {
-			continue
-		}
-		if best == nil || w.joinOrder < best.joinOrder {
-			best = w
-		}
+		return w
 	}
-	return best
+	return nil
 }
 
 // cancelTask aborts a task on the application's behalf; reports whether the
@@ -654,26 +616,21 @@ func (m *Manager) cancelTask(id int) bool {
 	if t == nil || t.library {
 		return false
 	}
-	switch t.state {
+	switch t.State {
 	case taskspec.StateWaiting, taskspec.StateStaging:
+		// The queue drops the task once it is no longer waiting.
 		t.cancelled = true
 		m.vm.TasksCancelled.Inc()
-		for i, wid := range m.waiting {
-			if wid == id {
-				m.waiting = append(m.waiting[:i], m.waiting[i+1:]...)
-				break
-			}
-		}
 		m.finishTask(id, t, &Result{
-			TaskID: id, Worker: t.worker, OK: false, ExitCode: -1, Error: "cancelled",
+			TaskID: id, Worker: m.workerName(t), OK: false, ExitCode: -1, Error: "cancelled",
 		})
 		return true
 	case taskspec.StateRunning:
 		t.cancelled = true
 		m.vm.TasksCancelled.Inc()
-		if w := m.workers[t.worker]; w != nil && !w.gone {
+		if w := m.workerAt(t.Worker); w != nil && !w.gone {
 			if err := w.conn.Send(&protocol.Message{Type: protocol.TypeKill, TaskID: id}); err != nil {
-				m.logf("killing task %d on %s: %v", id, t.worker, err)
+				m.logf("killing task %d on %s: %v", id, w.id, err)
 			}
 		}
 		return true

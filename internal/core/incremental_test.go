@@ -47,11 +47,8 @@ func drainQueuedResults(m *Manager) int {
 func newBenchTask(m *Manager) (int, *taskState) {
 	m.nextID++
 	id := m.nextID
-	ts := &taskState{
-		spec:  &taskspec.Spec{ID: id, Command: "true", Resources: resources.R{Cores: 1}},
-		state: taskspec.StateWaiting,
-	}
-	m.trackNew(id, ts)
+	ts := m.track(id, &taskspec.Spec{ID: id, Command: "true", Resources: resources.R{Cores: 1}})
+	m.sched.Submit(id, &ts.Task)
 	return id, ts
 }
 
@@ -63,6 +60,7 @@ func TestRequeueDoneTaskKeepsNotified(t *testing.T) {
 	id, ts := newBenchTask(m)
 	m.pendingWk++
 
+	m.sched.SetState(id, &ts.Task, taskspec.StateRunning)
 	m.finishTask(id, ts, &Result{TaskID: id, OK: true})
 	if got := drainQueuedResults(m); got != 1 {
 		t.Fatalf("finishTask queued %d results, want 1", got)
@@ -73,14 +71,14 @@ func TestRequeueDoneTaskKeepsNotified(t *testing.T) {
 
 	// Recovery re-execution: the done task goes back to waiting...
 	m.requeue(id, ts, false)
-	if ts.state != taskspec.StateWaiting {
-		t.Fatalf("requeued task in state %v, want waiting", ts.state)
+	if ts.State != taskspec.StateWaiting {
+		t.Fatalf("requeued task in state %v, want waiting", ts.State)
 	}
 	if !ts.notified {
 		t.Fatal("requeue of a done task lost the notified mark")
 	}
 	// ...and its second completion must not notify the application again.
-	m.setState(id, ts, taskspec.StateRunning)
+	m.sched.SetState(id, &ts.Task, taskspec.StateRunning)
 	m.finishTask(id, ts, &Result{TaskID: id, OK: true})
 	if got := drainQueuedResults(m); got != 0 {
 		t.Fatal("re-executed done task delivered a second result")
@@ -97,7 +95,8 @@ func TestRequeueDoneTaskKeepsNotified(t *testing.T) {
 func TestRequeueGuardReadsPreTransitionState(t *testing.T) {
 	m := newManagerState(Config{})
 	id, ts := newBenchTask(m)
-	m.setState(id, ts, taskspec.StateDone)
+	m.sched.SetState(id, &ts.Task, taskspec.StateRunning)
+	m.sched.SetState(id, &ts.Task, taskspec.StateDone)
 	if ts.notified {
 		t.Fatal("precondition: task must start unnotified")
 	}
@@ -108,7 +107,7 @@ func TestRequeueGuardReadsPreTransitionState(t *testing.T) {
 	// A merely staging task, by contrast, keeps notified clear: its first
 	// real completion must still reach the application.
 	id2, ts2 := newBenchTask(m)
-	m.setState(id2, ts2, taskspec.StateStaging)
+	m.sched.SetState(id2, &ts2.Task, taskspec.StateStaging)
 	m.requeue(id2, ts2, false)
 	if ts2.notified {
 		t.Fatal("requeue of a staging task must not suppress its future result")

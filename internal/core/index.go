@@ -1,89 +1,34 @@
 package core
 
 import (
-	"sort"
-
 	"taskvine/internal/intern"
-	"taskvine/internal/policy"
+	"taskvine/internal/replica"
 	"taskvine/internal/taskspec"
 )
 
-// This file holds the bookkeeping behind the incremental scheduler: every
-// task-state transition flows through setState so the per-state counters,
-// the staging set, and the file→waiting-tasks index stay exact, and the
-// live workers' policy view is kept in place so candidate selection never
-// rebuilds it per task.
+// This file holds the manager's task and worker bookkeeping around the
+// scheduling engine: the hot task map and its archive, and the handles and
+// live-view entries of registered workers.
 
-// waitsOnFiles reports whether a task in the given state belongs in the
-// fileWaiters index: waiting tasks can be unblocked by a replica appearing
-// (lost-temp recovery, locality), staging tasks by an input landing at a
-// worker.
-func waitsOnFiles(s taskspec.State) bool {
-	return s == taskspec.StateWaiting || s == taskspec.StateStaging
-}
-
-// countState adjusts the per-state population counters for one task.
-func (m *Manager) countState(t *taskState, s taskspec.State, delta int) {
-	m.stateCount[s] += delta
-	if !t.library {
-		m.appStateCount[s] += delta
+// track registers a declared task in the hot map, with its scheduling
+// request and input handles.
+func (m *Manager) track(id int, spec *taskspec.Spec) *taskState {
+	t := &taskState{spec: spec}
+	t.Req = spec.Resources
+	t.Inputs = make([]replica.FileH, len(spec.Inputs))
+	for i, in := range spec.Inputs {
+		t.Inputs[i] = m.fh(in.FileID)
 	}
-	if s == taskspec.StateWaiting && t.spec.Resources.Cores == 0 {
-		m.waitingZeroCore += delta
-	}
-}
-
-// trackNew registers a freshly created task in the hot map and every index.
-func (m *Manager) trackNew(id int, t *taskState) {
 	m.tasks[id] = t
-	m.countState(t, t.state, 1)
-	if waitsOnFiles(t.state) {
-		m.indexInputs(id, t)
-	}
-	if t.state == taskspec.StateStaging {
-		m.staging[id] = t
-	}
+	return t
 }
 
-// dropTask forgets a task entirely (library deployments that died with
-// their worker or never started). Unlike archive, the counters forget it
-// too.
+// dropTask forgets a library deployment entirely (one that died with its
+// worker or never started). Unlike archive, the counters forget it too.
 func (m *Manager) dropTask(id int, t *taskState) {
 	delete(m.tasks, id)
-	m.countState(t, t.state, -1)
-	if waitsOnFiles(t.state) {
-		m.unindexInputs(id, t)
-	}
-	if t.state == taskspec.StateStaging {
-		delete(m.staging, id)
-		delete(m.stagingDirty, id)
-	}
-	delete(m.wakeSet, id)
-}
-
-// setState moves a task between lifecycle states, keeping every index
-// consistent. All transitions must go through here.
-func (m *Manager) setState(id int, t *taskState, s taskspec.State) {
-	old := t.state
-	if old == s {
-		return
-	}
-	m.countState(t, old, -1)
-	t.state = s
-	m.countState(t, s, 1)
-	if old == taskspec.StateStaging {
-		delete(m.staging, id)
-		delete(m.stagingDirty, id)
-	}
-	if s == taskspec.StateStaging {
-		m.staging[id] = t
-	}
-	switch {
-	case waitsOnFiles(old) && !waitsOnFiles(s):
-		m.unindexInputs(id, t)
-	case !waitsOnFiles(old) && waitsOnFiles(s):
-		m.indexInputs(id, t)
-	}
+	m.sched.Forget(&t.Task)
+	m.libCount[t.State]--
 }
 
 // archive moves a delivered terminal task out of the hot map. A task that
@@ -118,112 +63,21 @@ func (m *Manager) unarchive(id int, t *taskState) {
 	}
 }
 
-// indexInputs records the task under each of its direct inputs.
-func (m *Manager) indexInputs(id int, t *taskState) {
-	for _, in := range t.spec.Inputs {
-		set := m.fileWaiters[in.FileID]
-		if set == nil {
-			set = make(map[int]bool)
-			m.fileWaiters[in.FileID] = set
-		}
-		if !set[id] {
-			set[id] = true
-			if m.place != nil {
-				m.place.Consume(m.fh(in.FileID), 1)
-			}
-		}
-	}
-}
+// workerName returns the ID of the worker a task is assigned to, or "".
+func (m *Manager) workerName(t *taskState) string { return m.names.Workers.Name(t.Worker) }
 
-func (m *Manager) unindexInputs(id int, t *taskState) {
-	for _, in := range t.spec.Inputs {
-		if set := m.fileWaiters[in.FileID]; set != nil {
-			if set[id] {
-				delete(set, id)
-				if m.place != nil {
-					m.place.Consume(m.fh(in.FileID), -1)
-				}
-			}
-			if len(set) == 0 {
-				delete(m.fileWaiters, in.FileID)
-			}
-		}
-	}
-}
-
-// wakeFile marks every task that lists the file as a direct input for
-// re-evaluation: waiting consumers retry assignment, staging consumers
-// replan their transfers. This is what lets a cache-update touch only the
-// tasks it could actually unblock instead of rescanning the whole queue.
-func (m *Manager) wakeFile(fileID string) {
-	for id := range m.fileWaiters[fileID] {
-		t := m.tasks[id]
-		if t == nil {
-			continue
-		}
-		switch t.state {
-		case taskspec.StateWaiting:
-			m.wakeSet[id] = true
-		case taskspec.StateStaging:
-			m.stagingDirty[id] = true
-		}
-	}
-}
-
-// join registers a worker under its handle and inserts it into the live
-// view at its join-order position.
+// join registers a worker under its handle and adds it to the live view.
 func (m *Manager) join(w *workerConn) {
 	w.h = m.names.Workers.Intern(w.id)
 	m.byHandle = intern.Grow(m.byHandle, w.h)
 	m.byHandle[w.h] = w
 	m.workers[w.id] = w
-	at := sort.Search(len(m.live), func(i int) bool { return m.live[i].JoinOrder > w.joinOrder })
-	m.live = append(m.live, policy.WorkerInfo{})
-	copy(m.live[at+1:], m.live[at:])
-	m.live[at] = policy.WorkerInfo{ID: w.h, JoinOrder: w.joinOrder}
-	m.renumberLive(at)
+	m.sched.Join(w.h, w.joinOrder)
 	m.refresh(w)
 }
 
-// leave removes a departed worker from the live view.
-func (m *Manager) leave(w *workerConn) {
-	at := w.livePos
-	m.live = append(m.live[:at], m.live[at+1:]...)
-	w.livePos = -1
-	m.renumberLive(at)
-}
-
-func (m *Manager) renumberLive(from int) {
-	for i := from; i < len(m.live); i++ {
-		m.byHandle[m.live[i].ID].livePos = i
-	}
-}
-
-// refresh copies a live worker's free resources and task count into its
-// entry of the live view; every Alloc, Release and running-set change
-// calls it.
+// refresh copies a live worker's free resources and task count into the
+// live view; every Alloc, Release and running-set change calls it.
 func (m *Manager) refresh(w *workerConn) {
-	if w.livePos >= 0 {
-		wi := &m.live[w.livePos]
-		wi.Free = w.pool.Free()
-		wi.RunningTasks = len(w.running)
-	}
-}
-
-// workerInfos returns the live workers in join order, only those with a
-// ready instance of needLib when it is set. The unfiltered list is the
-// live view itself; callers must not keep either past the next pool
-// change.
-func (m *Manager) workerInfos(needLib string) []policy.WorkerInfo {
-	if needLib == "" {
-		return m.live
-	}
-	buf := m.libBuf[:0]
-	for _, wi := range m.live {
-		if m.byHandle[wi.ID].libsReady[needLib] {
-			buf = append(buf, wi)
-		}
-	}
-	m.libBuf = buf
-	return buf
+	m.sched.Refresh(w.h, w.pool.Free(), len(w.running))
 }

@@ -7,9 +7,9 @@
 // provide mechanism. The manager's picture of distributed state — the File
 // Replica Table and Current Transfer Table of §3.3 — is kept current by
 // asynchronous cache-update and completion messages from workers, and is
-// consulted by the shared scheduling policy (internal/policy) to place
-// tasks near their data and to supervise transfers without creating
-// hotspots.
+// consulted by the scheduling engine and policy it shares with the
+// simulator (internal/sched, internal/policy) to place tasks near their
+// data and to supervise transfers without creating hotspots.
 //
 // Concurrency model: one event loop goroutine owns all mutable scheduling
 // state. Per-worker reader goroutines and API calls communicate with it
@@ -37,6 +37,7 @@ import (
 	"taskvine/internal/protocol"
 	"taskvine/internal/replica"
 	"taskvine/internal/resources"
+	"taskvine/internal/sched"
 	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
 )
@@ -130,7 +131,9 @@ type Manager struct {
 	workers map[string]*workerConn
 	joinSeq int
 	tasks   map[int]*taskState
-	waiting []int
+	// sched is the scheduling engine: the task lifecycle, the queue, the
+	// staging replan list and the live workers' view (internal/sched).
+	sched *sched.Engine
 	// names interns file and worker IDs to the handles reps, trs and the
 	// policy are keyed on: a worker at registration, a file when a task or
 	// a worker's report first names it. byHandle finds a worker by handle.
@@ -157,56 +160,28 @@ type Manager struct {
 	nextID     int
 	pendingWk  int // tasks not yet finished (for Empty)
 
-	// Incremental-scheduling state (event-loop-owned). The scheduler's cost
-	// is proportional to what changed, not to everything ever submitted:
-	// events mark the work they may have unblocked, and schedule() visits
-	// only that work (ticks force a full pass as a safety net).
-	//
-	// staging holds the tasks currently placing data, so a pass never walks
-	// the full task map. archived holds delivered terminal tasks that
-	// declared outputs; they leave the hot map but stay reachable through
-	// taskByID for recovery re-execution of a lost file's producer.
-	// Output-less tasks are dropped on delivery. fileWaiters maps a file ID
-	// to the waiting/staging tasks that list it as a direct input, so a
-	// cache-update retries only the tasks that file could unblock.
-	staging     map[int]*taskState
-	archived    map[int]*taskState
-	fileWaiters map[string]map[int]bool
-	// wakeSet collects waiting tasks worth retrying on the next pass;
-	// stagingDirty collects staging tasks worth replanning. needFull forces
-	// a whole-queue walk (resources freed, workers changed); stagingAll
-	// replans every staging task (a transfer slot opened or closed).
-	wakeSet      map[int]bool
-	stagingDirty map[int]bool
-	needFull     bool
-	stagingAll   bool
-	// live is the policy's view of the live workers in join order,
-	// updated in place at every registration, departure, Alloc and
-	// Release, so a candidate list costs nothing to build; libBuf is
-	// scratch for the library-filtered list.
-	live   []policy.WorkerInfo
-	libBuf []policy.WorkerInfo
-	// stateCount mirrors the task population per lifecycle state (library
-	// deployments included, finished tasks still counted — the gauges'
-	// historical semantics); appStateCount excludes library tasks and feeds
-	// Status. waitingZeroCore counts waiting tasks requesting zero cores,
-	// the one shape the free-cores scheduling shortcut cannot rule out.
-	stateCount      [taskspec.StateFailed + 1]int
-	appStateCount   [taskspec.StateFailed + 1]int
-	waitingZeroCore int
+	// archived holds delivered terminal tasks that declared outputs; they
+	// leave the hot map but stay reachable through taskByID for recovery
+	// re-execution of a lost file's producer. Output-less tasks are dropped
+	// on delivery, so per-task memory tracks recoverable work.
+	archived map[int]*taskState
+	// reconcile asks the next pass to reconcile libraries and replication
+	// goals: resources were freed or workers, libraries or goals changed.
+	reconcile bool
+	// libCount counts library deployments by state: the engine's counts
+	// (and the gauges) include them, Status does not. Finished tasks stay
+	// counted, the gauges' historical semantics.
+	libCount [taskspec.StateReturning + 1]int
 	// eventsHandled and passes feed the "schedule passes ≤ events" batching
 	// invariant surfaced through DebugReport.
 	eventsHandled int64
 	passes        int64
-	// needsBuf and needsSeen are fileNeedsScratch's reusable buffers, plan
-	// is the reused transfer plan, and sendMsg is the reusable outgoing
-	// message for event-loop-owned hot sends (dispatch): Send serializes
-	// synchronously, so the scratch may be overwritten as soon as the call
-	// returns. All event-loop-owned.
-	needsBuf  []policy.FileNeed
-	needsSeen map[string]bool
-	plan      policy.Plan
-	sendMsg   protocol.Message
+	// plan is the replication reconciler's transfer plan, and sendMsg is
+	// the reusable outgoing message for event-loop-owned hot sends
+	// (dispatch): Send serializes synchronously, so the scratch may be
+	// overwritten as soon as the call returns. Both event-loop-owned.
+	plan    policy.Plan
+	sendMsg protocol.Message
 	// place is the lookahead placement engine; nil unless cfg.Placement is
 	// enabled. Event-loop-owned like everything above.
 	place *policy.Lookahead
@@ -249,18 +224,17 @@ type workerConn struct {
 	pool         *resources.Pool
 	running      map[int]bool
 	joinOrder    int
-	// livePos is the worker's position in Manager.live, -1 once gone.
-	livePos    int
-	libsReady  map[string]bool
-	gone       bool
-	lastHeard  time.Time
-	lastPinged time.Time
+	libsReady    map[string]bool
+	gone         bool
+	lastHeard    time.Time
+	lastPinged   time.Time
 }
 
 type taskState struct {
+	// Task holds the scheduling state: Req is spec.Resources and Inputs
+	// the handles of spec.Inputs.
+	sched.Task
 	spec    *taskspec.Spec
-	state   taskspec.State
-	worker  string
 	retries int
 	// library marks internal LibraryTask deployments whose results are
 	// not delivered to the application.
@@ -433,7 +407,7 @@ func newManagerState(cfg Config) *Manager {
 	cfg.Faults.SetMetrics(vm.ChaosInjections)
 	names := replica.NewNames()
 	view := policy.NewView(names)
-	return &Manager{
+	m := &Manager{
 		cfg:           cfg,
 		reg:           files.NewRegistry(cfg.Head),
 		events:        make(chan event, 1024),
@@ -444,8 +418,6 @@ func newManagerState(cfg Config) *Manager {
 		workers:       make(map[string]*workerConn),
 		tasks:         make(map[int]*taskState),
 		names:         names,
-		reps:          view.Reps,
-		trs:           view.Trs,
 		view:          view,
 		transferIDs:   make(map[string]replica.TransferID),
 		libs:          make(map[string]*librarySpec),
@@ -453,16 +425,16 @@ func newManagerState(cfg Config) *Manager {
 		replicaGoals:  make(map[string]int),
 		transferRetry: make(map[transferKey]*transferRetryState),
 		categories:    make(map[string]*CategoryStats),
-		staging:       make(map[int]*taskState),
 		archived:      make(map[int]*taskState),
-		fileWaiters:   make(map[string]map[int]bool),
-		wakeSet:       make(map[int]bool),
-		stagingDirty:  make(map[int]bool),
 		place:         policy.NewLookahead(cfg.Placement, vm, view),
 		loopDone:      make(chan struct{}),
 		conns:         make(map[*protocol.Conn]struct{}),
 		resSig:        make(chan struct{}, 1),
 	}
+	m.sched = sched.New(host{m}, host{m}, view, cfg.Limits, vm)
+	m.sched.Place = m.place
+	m.reps, m.trs = view.Reps, view.Trs
+	return m
 }
 
 // goBG runs fn on a goroutine tracked by the manager's background
@@ -520,32 +492,48 @@ func (m *Manager) Submit(spec *taskspec.Spec) (int, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
+	if id, ok := m.call(event{kind: evSubmit, spec: spec}); ok && id > 0 {
+		return id, nil
+	}
+	return 0, errShutdown
+}
+
+var errShutdown = fmt.Errorf("core: manager is shutting down")
+
+// call sends an event to the loop with a pooled integer reply channel and
+// waits for the reply. It reports false when the loop exited without
+// replying; the channel is then abandoned, never recycled.
+func (m *Manager) call(ev event) (int, bool) {
 	reply := replyPool.Get().(chan int)
-	select {
-	case m.events <- event{kind: evSubmit, spec: spec, replyInt: reply}:
-	case <-m.loopDone:
+	ev.replyInt = reply
+	n, ok := ask(m, ev, reply)
+	if ok {
 		replyPool.Put(reply)
-		return 0, fmt.Errorf("core: manager is shutting down")
+	}
+	return n, ok
+}
+
+// ask sends ev, which carries reply, to the loop and waits for the answer.
+// It reports false when the loop exited without answering.
+func ask[T any](m *Manager, ev event, reply chan T) (T, bool) {
+	var zero T
+	select {
+	case m.events <- ev:
+	case <-m.loopDone:
+		return zero, false
 	}
 	select {
-	case id := <-reply:
-		replyPool.Put(reply)
-		if id < 0 {
-			return 0, fmt.Errorf("core: manager is shutting down")
-		}
-		return id, nil
+	case r := <-reply:
+		return r, true
 	case <-m.loopDone:
 		// The loop may have answered just before exiting; prefer the
-		// answer over the shutdown error when both are ready.
+		// answer over the shutdown when both are ready.
 		select {
-		case id := <-reply:
-			replyPool.Put(reply)
-			if id > 0 {
-				return id, nil
-			}
+		case r := <-reply:
+			return r, true
 		default:
+			return zero, false
 		}
-		return 0, fmt.Errorf("core: manager is shutting down")
 	}
 }
 
@@ -565,23 +553,10 @@ func (m *Manager) Invoke(library, function string, args []byte) (int, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
-	reply := replyPool.Get().(chan int)
-	select {
-	case m.events <- event{kind: evInvoke, spec: spec, replyInt: reply}:
-	case <-m.loopDone:
-		replyPool.Put(reply)
-		return 0, fmt.Errorf("core: manager is shutting down")
-	}
-	select {
-	case id := <-reply:
-		replyPool.Put(reply)
-		if id < 0 {
-			return 0, fmt.Errorf("core: manager is shutting down")
-		}
+	if id, ok := m.call(event{kind: evInvoke, spec: spec}); ok && id > 0 {
 		return id, nil
-	case <-m.loopDone:
-		return 0, fmt.Errorf("core: manager is shutting down")
 	}
+	return 0, errShutdown
 }
 
 // InvokeResident submits a function call whose result stays resident in
@@ -624,23 +599,10 @@ func (m *Manager) invokeResident(library, function string, args []byte, argsFrom
 	if err := spec.Validate(); err != nil {
 		return 0, "", err
 	}
-	reply := replyPool.Get().(chan int)
-	select {
-	case m.events <- event{kind: evInvoke, spec: spec, replyInt: reply}:
-	case <-m.loopDone:
-		replyPool.Put(reply)
-		return 0, "", fmt.Errorf("core: manager is shutting down")
-	}
-	select {
-	case id := <-reply:
-		replyPool.Put(reply)
-		if id < 0 {
-			return 0, "", fmt.Errorf("core: manager is shutting down")
-		}
+	if id, ok := m.call(event{kind: evInvoke, spec: spec}); ok && id > 0 {
 		return id, h.ID, nil
-	case <-m.loopDone:
-		return 0, "", fmt.Errorf("core: manager is shutting down")
 	}
+	return 0, "", errShutdown
 }
 
 // Cancel aborts a submitted task. Waiting and staging tasks finish
@@ -648,21 +610,14 @@ func (m *Manager) invokeResident(library, function string, args []byte, argsFrom
 // worker and finish when the worker's completion report arrives. Cancelling
 // an unknown or already-finished task is an error.
 func (m *Manager) Cancel(taskID int) error {
-	reply := make(chan int, 1)
-	select {
-	case m.events <- event{kind: evCancel, taskID: taskID, replyInt: reply}:
-	case <-m.loopDone:
-		return fmt.Errorf("core: manager is shutting down")
+	n, ok := m.call(event{kind: evCancel, taskID: taskID})
+	switch {
+	case !ok:
+		return errShutdown
+	case n < 0:
+		return fmt.Errorf("core: no cancellable task %d", taskID)
 	}
-	select {
-	case n := <-reply:
-		if n < 0 {
-			return fmt.Errorf("core: no cancellable task %d", taskID)
-		}
-		return nil
-	case <-m.loopDone:
-		return fmt.Errorf("core: manager is shutting down")
-	}
+	return nil
 }
 
 // Wait returns the next completed task result, blocking until one is
@@ -747,7 +702,7 @@ func (m *Manager) FetchFile(ctx context.Context, fileID string) ([]byte, error) 
 	select {
 	case m.events <- event{kind: evFetch, file: fileID, fetch: reply}:
 	case <-m.loopDone:
-		return nil, fmt.Errorf("core: manager is shutting down")
+		return nil, errShutdown
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -803,7 +758,7 @@ func (m *Manager) ReplicateFile(fileID string, n int) error {
 	select {
 	case m.events <- event{kind: evReplicate, file: fileID, goal: n}:
 	case <-m.loopDone:
-		return fmt.Errorf("core: manager is shutting down")
+		return errShutdown
 	}
 	return nil
 }
@@ -987,11 +942,10 @@ func (m *Manager) eventLoop() {
 		case <-ticker.C:
 			m.eventsHandled++
 			m.checkLiveness()
-			// The tick is the safety net behind the incremental dirty
-			// tracking: force a complete pass so nothing stays stuck behind
-			// a missed wake-up for longer than one tick interval.
-			m.needFull = true
-			m.stagingAll = true
+			// The tick reconciles libraries and replication goals, and
+			// retries the queue and unsettled staging plans (a transfer
+			// backoff window may have opened).
+			m.reconcile = true
 			m.schedule()
 		}
 	}
@@ -1037,9 +991,9 @@ func (m *Manager) handleEvent(ev event) bool {
 		m.nextID++
 		id := m.nextID
 		ev.spec.ID = id
-		m.trackNew(id, &taskState{spec: ev.spec, state: taskspec.StateWaiting, submitTime: m.now()})
-		m.waiting = append(m.waiting, id)
-		m.wakeSet[id] = true
+		t := m.track(id, ev.spec)
+		t.submitTime = m.now()
+		m.sched.Submit(id, &t.Task)
 		m.pendingWk++
 		m.vm.TasksSubmitted.Inc()
 		m.reg.Retain(ev.spec.InputIDs())
@@ -1051,7 +1005,7 @@ func (m *Manager) handleEvent(ev event) bool {
 		m.startFetch(ev.file, ev.fetch)
 	case evInstallLib:
 		m.libs[ev.lib.name] = ev.lib
-		m.needFull = true
+		m.reconcile = true
 		for _, w := range m.workers {
 			m.deployLibraryTo(w, ev.lib)
 		}
@@ -1062,16 +1016,14 @@ func (m *Manager) handleEvent(ev event) bool {
 			return true
 		}
 	case evTick:
-		if ev.replyInt != nil {
-			ev.replyInt <- m.pendingWk
-		}
+		ev.replyInt <- m.pendingWk
 	case evStatus:
 		ev.status <- m.buildStatus()
 	case evDebug:
 		ev.debug <- m.buildDebug()
 	case evReplicate:
 		m.replicaGoals[ev.file] = ev.goal
-		m.needFull = true
+		m.reconcile = true
 	case evInvoke:
 		if m.closing {
 			ev.replyInt <- -1
@@ -1093,17 +1045,6 @@ func (m *Manager) handleEvent(ev event) bool {
 // Empty reports whether all submitted tasks have finished. Like the
 // original TaskVine API, applications loop: for !m.Empty() { m.Wait(...) }.
 func (m *Manager) Empty() bool {
-	reply := make(chan int, 1)
-	select {
-	case m.events <- event{kind: evTick, replyInt: reply}:
-	case <-m.loopDone:
-		return true
-	}
-	// pendingWk is read in the loop via the reply channel hack below.
-	select {
-	case n := <-reply:
-		return n == 0
-	case <-m.loopDone:
-		return true
-	}
+	n, ok := m.call(event{kind: evTick})
+	return !ok || n == 0
 }

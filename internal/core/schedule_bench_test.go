@@ -28,30 +28,19 @@ func benchManager(b *testing.B, workers, waiting, done int) *Manager {
 		}
 		m.join(w)
 	}
-	mkTask := func() *taskState {
-		return &taskState{
-			spec: &taskspec.Spec{
-				Command:   "true",
-				Resources: resources.R{Cores: 1},
-			},
-			state: taskspec.StateWaiting,
-		}
+	mkTask := func() (int, *taskState) {
+		m.nextID++
+		t := m.track(m.nextID, &taskspec.Spec{ID: m.nextID, Command: "true", Resources: resources.R{Cores: 1}})
+		return m.nextID, t
 	}
 	for i := 0; i < waiting; i++ {
-		m.nextID++
-		id := m.nextID
-		t := mkTask()
-		t.spec.ID = id
-		m.trackNew(id, t)
-		m.waiting = append(m.waiting, id)
+		id, t := mkTask()
+		m.sched.Submit(id, &t.Task)
 	}
 	for i := 0; i < done; i++ {
-		m.nextID++
-		id := m.nextID
-		t := mkTask()
-		t.spec.ID = id
-		m.trackNew(id, t)
-		m.setState(id, t, taskspec.StateDone)
+		id, t := mkTask()
+		m.sched.SetState(id, &t.Task, taskspec.StateRunning)
+		m.sched.SetState(id, &t.Task, taskspec.StateDone)
 		t.notified = true
 		m.archive(id, t)
 	}
@@ -70,8 +59,7 @@ func BenchmarkSchedulePass(b *testing.B) {
 			m := benchManager(b, 100, 10_000, done)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.needFull = true
-				m.stagingAll = true
+				m.reconcile = true
 				m.schedule()
 			}
 		})

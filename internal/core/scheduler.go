@@ -19,313 +19,42 @@ import (
 )
 
 // schedule is the manager's main decision pass, run after every event
-// batch: the objective is to replicate and place data first, and then
-// schedule tasks within the constraints of available data (§2.1).
-//
-// The pass is incremental: events record what they may have unblocked
-// (wakeSet, stagingDirty, needFull, stagingAll) and the pass visits only
-// that. When nothing is marked, the pass is skipped entirely — no state
-// changed, so no decision can change. Ticks force a full pass, bounding how
-// long any missed wake-up can stall work.
+// batch and tick: the objective is to replicate and place data first, and
+// then schedule tasks within the constraints of available data (§2.1). The
+// engine runs the pass; the manager reconciles libraries and replication
+// goals inside it when asked to. A batch that mutated no table, queued no
+// task and asked for no reconcile cannot change a decision, so its pass is
+// skipped.
 func (m *Manager) schedule() {
-	if !m.needFull && !m.stagingAll && len(m.wakeSet) == 0 && len(m.stagingDirty) == 0 {
+	if !m.reconcile && !m.sched.Dirty() {
 		return
 	}
 	passStart := time.Now()
-	defer func() {
-		m.passes++
-		m.vm.SchedulePasses.Inc()
-		m.vm.SchedulePassSeconds.Observe(time.Since(passStart).Seconds())
-		m.updateGauges()
-	}()
-	m.schedulePass()
-	// Lookahead placement runs strictly after assignment and dispatch, so a
-	// ready task is never delayed by speculative data movement, and inside
-	// the same pass accounting (no extra passes, passes≤events holds).
-	m.placeLookahead()
+	m.sched.Pass(m.reconcileAll)
+	m.passes++
+	m.vm.SchedulePassSeconds.Observe(time.Since(passStart).Seconds())
 }
 
-// schedulePass is the assignment body of schedule: advance staging,
-// reconcile, and walk the marked portion of the waiting queue.
-func (m *Manager) schedulePass() {
-	full := m.needFull
-	m.needFull = false
-	// Advance staging tasks first so freshly arrived data dispatches
-	// before new placements consume the worker's resources.
-	if full || m.stagingAll {
-		m.stagingAll = false
-		clear(m.stagingDirty)
-		for id, t := range m.staging { // hotpath-ok: bounded by tasks currently staging
-			m.progressStaging(id, t)
-		}
-	} else {
-		for id := range m.stagingDirty { // hotpath-ok: only tasks an event marked
-			delete(m.stagingDirty, id)
-			if t := m.staging[id]; t != nil {
-				m.progressStaging(id, t)
-			}
-		}
-	}
-	if full {
+// reconcileAll reconciles libraries and replication goals if asked to.
+func (m *Manager) reconcileAll() {
+	if m.reconcile {
+		m.reconcile = false
 		m.reconcileLibraries()
 		m.reconcileReplication()
 	}
-	if len(m.waiting) == 0 {
-		clear(m.wakeSet)
-		return
-	}
-	if !full && len(m.wakeSet) == 0 {
-		return
-	}
-	// Resource shortcut: when no live worker has a free core and no waiting
-	// task requests zero cores, no assignment below can succeed — skip the
-	// walk. This is what keeps a pass O(changed) while the cluster is
-	// saturated, the common state of a high-throughput run.
-	freeCores := 0
-	for _, wi := range m.live {
-		freeCores += wi.Free.Cores
-	}
-	if freeCores == 0 && m.waitingZeroCore == 0 {
-		clear(m.wakeSet)
-		return
-	}
-	// Take ownership of the queue before iterating: recovery paths inside
-	// tryAssign (re-executing the producer of a lost temp) append to
-	// m.waiting, and those additions must survive this pass.
-	queue := m.waiting
-	m.waiting = nil
-	for i, id := range queue {
-		t := m.tasks[id]
-		if t == nil || t.state != taskspec.StateWaiting {
-			continue
-		}
-		if freeCores == 0 && m.waitingZeroCore == 0 {
-			// The cluster filled up mid-pass; nothing behind this point can
-			// assign either. Keep the tail in order for the next pass.
-			m.waiting = append(m.waiting, queue[i:]...)
-			break
-		}
-		if !full && !m.wakeSet[id] {
-			m.waiting = append(m.waiting, id)
-			continue
-		}
-		if m.tryAssign(id, t) {
-			freeCores -= t.spec.Resources.Cores
-		} else {
-			m.waiting = append(m.waiting, id)
-		}
-	}
-	clear(m.wakeSet)
-}
-
-// updateGauges refreshes the instantaneous-state instruments from the
-// incrementally maintained counters — O(states), not O(all tasks ever).
-func (m *Manager) updateGauges() {
-	for s, n := range m.stateCount {
-		m.vm.TasksByState.With(taskspec.State(s).String()).Set(float64(n))
-	}
-	m.vm.WorkersConnected.Set(float64(len(m.live)))
-	m.vm.TransfersInflight.Set(float64(m.trs.Len()))
-}
-
-// depsSatisfiable reports whether every input either exists somewhere, has
-// a fixed source, or can be produced; it triggers recovery re-execution for
-// temp files whose replicas were lost with a worker.
-func (m *Manager) depsSatisfiable(t *taskState) bool {
-	for _, in := range t.spec.Inputs {
-		f, ok := m.reg.Lookup(in.FileID)
-		if !ok {
-			return false
-		}
-		switch f.Type {
-		case files.Temp, files.Handle:
-			fh := m.fh(f.ID)
-			if m.reps.CountReplicas(fh) > 0 {
-				continue
-			}
-			if m.trs.InFlightOf(fh) > 0 {
-				return false // on its way somewhere
-			}
-			// No replica anywhere: the producer must (re-)run. For a
-			// handle this re-executes the resident invocation whose
-			// result was lost with its worker.
-			if prodID, ok := m.reg.Producer(f.ID); ok {
-				p := m.taskByID(prodID)
-				if p != nil && (p.state == taskspec.StateDone) {
-					m.logf("%s %s lost; re-executing producer task %d", f.Type, f.ID, prodID)
-					m.requeue(prodID, p, false)
-				}
-			}
-			return false
-		case files.Mini:
-			// Materializable anywhere, as long as its own inputs are
-			// satisfiable; recursion bottoms out at fixed sources.
-			continue
-		default:
-			continue
-		}
-	}
-	return true
-}
-
-// tryAssign picks a worker for a waiting task and moves it to staging.
-func (m *Manager) tryAssign(id int, t *taskState) bool {
-	if !m.depsSatisfiable(t) {
-		return false
-	}
-	candidates := m.candidateWorkers(t)
-	if len(candidates) == 0 {
-		return false
-	}
-	needs := m.fileNeedsScratch(t.spec.Inputs)
-	chosen, ok := m.place.Pick(needs, t.spec.Resources, candidates, m.view)
-	if !ok {
-		return false
-	}
-	w := m.workerAt(chosen.ID)
-	if w == nil || !w.pool.Alloc(t.spec.Resources) {
-		return false
-	}
-	t.worker = w.id
-	m.setState(id, t, taskspec.StateStaging)
-	w.running[id] = true
-	m.refresh(w)
-	m.progressStaging(id, t)
-	return true
-}
-
-// candidateWorkers lists live workers eligible for the task, already in
-// join order (the cached live list). FunctionCall tasks whose library is
-// installed only run where an instance is ready.
-func (m *Manager) candidateWorkers(t *taskState) []policy.WorkerInfo {
-	needLib := ""
-	if t.spec.Kind == taskspec.KindFunction {
-		if _, installed := m.libs[t.spec.Library]; installed {
-			needLib = t.spec.Library
-		}
-	}
-	return m.workerInfos(needLib)
-}
-
-// fileNeeds converts mounts to policy FileNeeds with their fixed sources.
-// The returned slice is freshly allocated and safe to retain (the placement
-// engine keeps it across a planning round); the dedup map is reused scratch.
-func (m *Manager) fileNeeds(mounts []taskspec.Mount) []policy.FileNeed {
-	return m.fileNeedsInto(nil, mounts)
-}
-
-// fileNeedsScratch is fileNeeds appending into a manager-owned buffer: the
-// result is valid only until the next fileNeedsScratch call, which the
-// dispatch hot path (tryAssign, progressStaging) satisfies — each caller
-// finishes with the slice before any path calls back in. This keeps the
-// per-dispatch cost free of the needs-slice allocation.
-func (m *Manager) fileNeedsScratch(mounts []taskspec.Mount) []policy.FileNeed {
-	m.needsBuf = m.fileNeedsInto(m.needsBuf[:0], mounts)
-	return m.needsBuf
-}
-
-func (m *Manager) fileNeedsInto(needs []policy.FileNeed, mounts []taskspec.Mount) []policy.FileNeed {
-	if m.needsSeen == nil {
-		m.needsSeen = make(map[string]bool)
-	}
-	seen := m.needsSeen
-	clear(seen)
-	var add func(fileID string)
-	add = func(fileID string) {
-		if seen[fileID] {
-			return
-		}
-		seen[fileID] = true
-		f, ok := m.reg.Lookup(fileID)
-		if !ok {
-			return
-		}
-		n := policy.FileNeed{ID: m.fh(f.ID), Size: f.Size}
-		switch f.Type {
-		case files.Local, files.Buffer:
-			n.FixedSource = m.names.FixedSource(replica.SourceManager, "manager")
-		case files.URL:
-			n.FixedSource = m.names.FixedSource(replica.SourceURL, f.Source)
-		case files.Mini:
-			// No fixed network source; if no replica exists anywhere the
-			// product must be materialized, which requires the MiniTask's
-			// own inputs (recursively).
-			if m.reps.CountReplicas(n.ID) == 0 {
-				for _, in := range f.MiniTask.Inputs {
-					add(in.FileID)
-				}
-			}
-		case files.Temp, files.Handle:
-			// Worker replicas only: the bytes exist solely inside the
-			// cluster (for handles, typically in a worker's memory tier)
-			// and move by peer transfer.
-		}
-		needs = append(needs, n)
-	}
-	for _, mt := range mounts {
-		add(mt.FileID)
-	}
-	return needs
-}
-
-// progressStaging advances data placement for a staging task and dispatches
-// it when every direct input is ready at its worker.
-func (m *Manager) progressStaging(id int, t *taskState) {
-	w := m.workers[t.worker]
-	if w == nil || w.gone {
-		m.requeue(id, t, false)
-		return
-	}
-	needs := m.fileNeedsScratch(t.spec.Inputs)
-	plan := &m.plan
-	policy.PlanTransfers(plan, needs, w.h, m.cfg.Limits, m.view)
-	for _, tr := range plan.Transfers {
-		m.startTransfer(m.fileID(tr.File), tr.Source, w, "")
-	}
-	// Materialize MiniTask products whose inputs are now fully present.
-	for _, blocked := range plan.Blocked {
-		f, ok := m.reg.Lookup(m.fileID(blocked))
-		if !ok || f.Type != files.Mini {
-			continue
-		}
-		if m.reps.HasAny(blocked, w.h) {
-			continue // already materializing here
-		}
-		if m.reps.CountReplicas(blocked) > 0 {
-			continue // exists elsewhere; peer transfer will be planned when a slot opens
-		}
-		ready := true
-		for _, in := range f.MiniTask.Inputs {
-			if !m.reps.Has(m.fh(in.FileID), w.h) {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			m.materializeMini(f, w)
-		}
-	}
-	// Dispatch when all direct inputs are ready.
-	for _, mt := range t.spec.Inputs {
-		if !m.reps.Has(m.fh(mt.FileID), w.h) {
-			return
-		}
-	}
-	m.dispatch(id, t, w)
 }
 
 // startTransfer records and issues one supervised transfer instruction.
-// Placements inside a retry backoff window are silently skipped: the
-// per-tick replanner re-offers them until the window opens. detail tags the
-// TransferStart trace event with why the transfer was issued; demand
-// staging passes "" so traces are unchanged unless placement runs.
-func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn, detail string) {
+// It reports false, and starts nothing, for a placement inside its retry
+// backoff window: the staging task stays on the replan list, and a later
+// pass re-offers the transfer once the window opens. It also reports false
+// when the transfer failed to start. detail tags the TransferStart trace
+// event with why the transfer was issued; demand staging passes "" so
+// traces are unchanged unless placement runs.
+func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn, detail string) bool {
 	f, ok := m.reg.Lookup(fileID)
-	if !ok {
-		return
-	}
-	if m.transferBlocked(fileID, w.id) {
-		return
+	if !ok || m.transferBlocked(fileID, w.id) {
+		return false
 	}
 	fh := m.fh(fileID)
 	tr, tid := m.startTr(fh, src, w)
@@ -396,7 +125,9 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 		m.reps.Remove(fh, w.h)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.TransferFailed, Worker: w.id, File: fileID, Source: sourceLabel(m.names, src), Detail: err.Error()})
 		m.noteTransferFailure(fileID, w.id)
+		return false
 	}
+	return true
 }
 
 // sendPut ships a manager-resident object (local file, directory, or
@@ -437,9 +168,20 @@ func (m *Manager) sendPut(w *workerConn, f *files.File, transferID string) error
 }
 
 // materializeMini instructs a worker to produce a MiniTask file on demand
-// (§3.1). Materialization is tracked as a pending replica; the worker's
-// cache-update (with no transfer UUID) commits it.
-func (m *Manager) materializeMini(f *files.File, w *workerConn) {
+// (§3.1), if the product is blocked at w: no replica exists anywhere and
+// the MiniTask's inputs are all at w. Materialization is tracked as a
+// pending replica; the worker's cache-update (with no transfer UUID)
+// commits it. It reports false when the instruction could not be sent.
+func (m *Manager) materializeMini(fh replica.FileH, w *workerConn) bool {
+	f, ok := m.reg.Lookup(m.fileID(fh))
+	if !ok || f.Type != files.Mini || m.reps.HasAny(fh, w.h) || m.reps.CountReplicas(fh) > 0 {
+		return true
+	}
+	for _, in := range f.MiniTask.Inputs {
+		if !m.reps.Has(m.fh(in.FileID), w.h) {
+			return true
+		}
+	}
 	for _, in := range f.MiniTask.Inputs {
 		m.place.Use(m.fh(in.FileID), w.h)
 	}
@@ -453,17 +195,14 @@ func (m *Manager) materializeMini(f *files.File, w *workerConn) {
 		m.logf("materializing %s at %s: %v", f.ID, w.id, err)
 		m.vm.SendErrors.With("mini").Inc()
 		m.reps.Remove(m.fh(f.ID), w.h)
+		return false
 	}
+	return true
 }
 
 // dispatch sends a fully staged task to its worker.
 func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
-	if m.place != nil {
-		for _, mt := range t.spec.Inputs {
-			m.place.Use(m.fh(mt.FileID), w.h)
-		}
-	}
-	m.setState(id, t, taskspec.StateRunning)
+	m.sched.Run(id, &t.Task)
 	m.vm.DispatchLatency.Observe(m.now() - t.submitTime)
 	m.tlog.Add(trace.Event{
 		Time: m.now(), Kind: trace.TaskStart, Worker: w.id, TaskID: id,
@@ -483,14 +222,7 @@ func (m *Manager) dispatch(id int, t *taskState, w *workerConn) {
 // requeue returns a task to the waiting state, optionally counting a retry.
 func (m *Manager) requeue(id int, t *taskState, countRetry bool) {
 	m.unarchive(id, t)
-	if w := m.workers[t.worker]; w != nil && w.running[id] {
-		delete(w.running, id)
-		if !w.gone {
-			w.pool.Release(t.spec.Resources)
-		}
-		m.refresh(w)
-	}
-	t.worker = ""
+	m.release(id, t)
 	if countRetry {
 		t.retries++
 	}
@@ -504,33 +236,40 @@ func (m *Manager) requeue(id int, t *taskState, countRetry bool) {
 	// A done task re-executed for recovery already delivered its result;
 	// mark it notified so the second completion is not delivered again. The
 	// check must read the state before the transition below overwrites it.
-	wasDone := t.state == taskspec.StateDone
-	m.setState(id, t, taskspec.StateWaiting)
+	wasDone := t.State == taskspec.StateDone
+	m.sched.Requeue(id, &t.Task)
 	if wasDone {
 		t.notified = true
 	}
-	m.waiting = append(m.waiting, id)
-	m.needFull = true
-	m.vm.TasksRequeued.Inc()
+	m.reconcile = true
 }
 
-// finishTask finalizes a task: releases worker resources, garbage-collects
-// task-lifetime inputs, and delivers the result to the application.
-func (m *Manager) finishTask(id int, t *taskState, res *Result) {
-	if w := m.workers[t.worker]; w != nil && w.running[id] {
+// release returns a task's allocation to its worker.
+func (m *Manager) release(id int, t *taskState) {
+	if w := m.workerAt(t.Worker); w != nil && w.running[id] {
 		delete(w.running, id)
 		if !w.gone {
 			w.pool.Release(t.spec.Resources)
 		}
 		m.refresh(w)
 	}
+}
+
+// finishTask finalizes a task: releases worker resources, garbage-collects
+// task-lifetime inputs, and delivers the result to the application.
+func (m *Manager) finishTask(id int, t *taskState, res *Result) {
+	m.release(id, t)
+	s := taskspec.StateFailed
 	if res.OK {
-		m.setState(id, t, taskspec.StateDone)
-	} else {
-		m.setState(id, t, taskspec.StateFailed)
+		s = taskspec.StateDone
 	}
-	// Freed resources may unblock any waiting task.
-	m.needFull = true
+	if t.library {
+		m.libCount[t.State]--
+		m.libCount[s]++
+	}
+	m.sched.SetState(id, &t.Task, s)
+	// Freed resources may let a library deploy.
+	m.reconcile = true
 	// GC: inputs this task held may now be unreferenced.
 	garbage := m.reg.Release(t.spec.InputIDs())
 	for _, g := range garbage {
@@ -585,7 +324,7 @@ func (m *Manager) reconcileReplication() {
 	if len(m.replicaGoals) == 0 {
 		return
 	}
-	workers := m.workerInfos("")
+	workers := m.sched.Live()
 	for fileID, goal := range m.replicaGoals { // hotpath-ok: bounded by files with replication goals
 		if goal <= 1 {
 			delete(m.replicaGoals, fileID)
@@ -604,7 +343,7 @@ func (m *Manager) reconcileReplication() {
 			continue
 		}
 		targets := policy.ChooseReplicationTargets(fh, need, workers, m.view)
-		needs := m.fileNeeds([]taskspec.Mount{{FileID: fileID, Name: "x"}})
+		needs := m.sched.Needs(nil, []replica.FileH{fh})
 		plan := &m.plan
 		for _, target := range targets {
 			policy.PlanTransfers(plan, needs, target, m.cfg.Limits, m.view)

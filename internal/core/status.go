@@ -42,18 +42,14 @@ type Status struct {
 // mutually consistent.
 func (m *Manager) Status() Status {
 	reply := make(chan Status, 1)
-	select {
-	case m.events <- event{kind: evStatus, status: reply}:
-	case <-m.loopDone:
-		return Status{Addr: m.Addr()}
-	}
-	select {
-	case s := <-reply:
+	if s, ok := ask(m, event{kind: evStatus, status: reply}, reply); ok {
 		return s
-	case <-m.loopDone:
-		return Status{Addr: m.Addr()}
 	}
+	return Status{Addr: m.Addr()}
 }
+
+// appCount returns how many application tasks are in state s.
+func (m *Manager) appCount(s taskspec.State) int { return m.sched.Count(s) - m.libCount[s] }
 
 // buildStatus runs inside the event loop.
 func (m *Manager) buildStatus() Status {
@@ -62,11 +58,11 @@ func (m *Manager) buildStatus() Status {
 		TransfersInFlight: m.trs.Len(),
 		FilesDeclared:     len(m.reg.All()),
 		UptimeSeconds:     m.now(),
-		TasksWaiting:      m.appStateCount[taskspec.StateWaiting],
-		TasksStaging:      m.appStateCount[taskspec.StateStaging],
-		TasksRunning:      m.appStateCount[taskspec.StateRunning],
-		TasksDone:         m.appStateCount[taskspec.StateDone],
-		TasksFailed:       m.appStateCount[taskspec.StateFailed],
+		TasksWaiting:      m.appCount(taskspec.StateWaiting),
+		TasksStaging:      m.appCount(taskspec.StateStaging),
+		TasksRunning:      m.appCount(taskspec.StateRunning),
+		TasksDone:         m.appCount(taskspec.StateDone),
+		TasksFailed:       m.appCount(taskspec.StateFailed),
 	}
 	for _, w := range m.workers {
 		if w.gone {

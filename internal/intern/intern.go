@@ -89,6 +89,10 @@ func (t *Table[H]) Lookup(name string) (H, bool) {
 	return h, h != 0
 }
 
+// Len returns one past the highest handle assigned: a handle-indexed
+// slice of that length holds every handle assigned so far.
+func (t *Table[H]) Len() int { return len(t.names) }
+
 // Name returns the name interned as h; "" for the zero handle or one never
 // assigned.
 func (t *Table[H]) Name(h H) string {

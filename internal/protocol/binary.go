@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,8 +77,7 @@ const (
 	fChecksum       = 21
 	fStatus         = 22
 	fError          = 23
-	// Tag 24 carried the retired framing-negotiation version; older peers
-	// may still send it (the decoder skips it), so it must not be reused.
+	// Tag 24 is retired: reservedMessageTags.
 	fOffset    = 25
 	fTotal     = 26
 	fPeerAddrs = 27
@@ -101,8 +101,16 @@ const (
 	sCategory      = 13
 	sArgsFrom      = 14
 	sResident      = 15
-	// Tags 16 and 17 carried retired routing labels; older peers may still
-	// send them (the decoder skips them), so they must not be reused.
+	// Tags 16 and 17 are retired: reservedSpecTags.
+)
+
+// Retired tags: older peers may still send them, so the decoders skip them
+// whatever their wire type, and no field may ever take them again.
+var (
+	// reservedMessageTags: 24 carried the framing-negotiation version.
+	reservedMessageTags = []int{24}
+	// reservedSpecTags: 16 and 17 carried routing labels.
+	reservedSpecTags = []int{16, 17}
 )
 
 const (
@@ -112,8 +120,8 @@ const (
 
 // fieldWire names a known header field and the wire type it travels as.
 // The decoders reject a known field sent with the other wire type rather
-// than read it as garbage; tags with no entry (unknown, or retired:
-// message 24, spec 16 and 17) are skipped.
+// than read it as garbage; reserved tags and tags with no entry (from a
+// newer peer) are skipped.
 type fieldWire struct {
 	name string
 	wire int
@@ -566,6 +574,12 @@ func decodeSpec(b []byte) (*taskspec.Spec, error) {
 		tag := d.b[d.off]
 		d.off++
 		field, wire := int(tag>>1), int(tag&1)
+		if slices.Contains(reservedSpecTags, field) {
+			if err := d.skip(wire); err != nil {
+				return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
+			}
+			continue
+		}
 		if err := checkWire(specFields[:], field, wire); err != nil {
 			return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
 		}
@@ -643,6 +657,12 @@ func decodeMessage(b []byte) (*Message, error) {
 		tag := d.b[d.off]
 		d.off++
 		field, wire := int(tag>>1), int(tag&1)
+		if slices.Contains(reservedMessageTags, field) {
+			if err := d.skip(wire); err != nil {
+				return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
+			}
+			continue
+		}
 		if err := checkWire(messageFields[:], field, wire); err != nil {
 			return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
 		}

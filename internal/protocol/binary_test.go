@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,9 +71,23 @@ func fullMessage() *Message {
 // TestFullMessageCoversEveryField fails when an exported field of a type
 // the codec carries is zero in every value fullMessage builds, so a field
 // added to the wire types without a round-trip case cannot slip past the
-// codec tests. Payload is exempt: it rides in the frame prologue's flag,
-// which the payload round-trip tests cover.
+// codec tests. FuzzBinaryRoundTrip's builder is held to the same rule.
+// Payload is exempt: it rides in the frame prologue's flag, which the
+// payload round-trip tests cover.
 func TestFullMessageCoversEveryField(t *testing.T) {
+	for name, m := range map[string]*Message{
+		"fullMessage": fullMessage(),
+		"fuzzMessage": fuzzMessage("a", "b", "c", 301, 2, 3),
+	} {
+		for _, f := range zeroFields(m) {
+			t.Errorf("%s leaves %s zero", name, f)
+		}
+	}
+}
+
+// zeroFields lists the exported fields of the codec's types that are zero
+// everywhere in m.
+func zeroFields(m *Message) []string {
 	seen := map[string]bool{}
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
@@ -98,7 +113,8 @@ func TestFullMessageCoversEveryField(t *testing.T) {
 			}
 		}
 	}
-	walk(reflect.ValueOf(fullMessage()))
+	walk(reflect.ValueOf(m))
+	var zero []string
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(Message{}), reflect.TypeOf(taskspec.Spec{}), reflect.TypeOf(taskspec.Mount{}),
 		reflect.TypeOf(resources.R{}), reflect.TypeOf(OutputInfo{}),
@@ -107,10 +123,79 @@ func TestFullMessageCoversEveryField(t *testing.T) {
 			f := typ.Field(i)
 			name := typ.Name() + "." + f.Name
 			if f.IsExported() && !seen[name] && name != "Message.Payload" {
-				t.Errorf("fullMessage leaves %s zero", name)
+				zero = append(zero, name)
 			}
 		}
 	}
+	return zero
+}
+
+// TestReservedTagsUnused: no field table names a reserved tag and no
+// encoding emits one, so a retired tag never comes back with a new
+// meaning; and a frame from an older peer that still sends one decodes
+// with every other field intact, whatever the tag's wire type.
+func TestReservedTagsUnused(t *testing.T) {
+	for _, tc := range []struct {
+		what     string
+		fields   []fieldWire
+		reserved []int
+	}{
+		{"message", messageFields[:], reservedMessageTags},
+		{"spec", specFields[:], reservedSpecTags},
+	} {
+		for _, tag := range tc.reserved {
+			if tag < len(tc.fields) && tc.fields[tag].name != "" {
+				t.Errorf("%s field table names reserved tag %d %s", tc.what, tag, tc.fields[tag].name)
+			}
+		}
+	}
+	enc := encodeMessage(nil, fullMessage())
+	msgTags, spec := headerTags(t, enc, fSpec)
+	specTags, _ := headerTags(t, spec, 0)
+	for _, tc := range []struct {
+		what     string
+		emitted  []int
+		reserved []int
+	}{{"message", msgTags, reservedMessageTags}, {"spec", specTags, reservedSpecTags}} {
+		for _, tag := range tc.emitted {
+			if slices.Contains(tc.reserved, tag) {
+				t.Errorf("the %s encoding emits reserved tag %d", tc.what, tag)
+			}
+		}
+	}
+	for _, tag := range reservedMessageTags {
+		old := appendStringField(appendVarintField(bytes.Clone(enc), tag, 7), tag, "v1")
+		got, err := decodeMessage(old)
+		if err != nil {
+			t.Fatalf("decoding a frame with reserved tag %d: %v", tag, err)
+		}
+		if !reflect.DeepEqual(got, fullMessage()) {
+			t.Fatalf("reserved tag %d changed the decoded message: %+v", tag, got)
+		}
+	}
+}
+
+// headerTags lists the field tags of a header encoding in order, and
+// returns the bytes of field want.
+func headerTags(t *testing.T, b []byte, want int) ([]int, []byte) {
+	t.Helper()
+	d := &decoder{b: b}
+	var tags []int
+	var value []byte
+	for !d.done() {
+		tag := d.b[d.off]
+		d.off++
+		field, wire := int(tag>>1), int(tag&1)
+		tags = append(tags, field)
+		start := d.off
+		if err := d.skip(wire); err != nil {
+			t.Fatalf("walking field %d: %v", field, err)
+		}
+		if field == want {
+			value, _ = (&decoder{b: d.b[start:d.off]}).bytes()
+		}
+	}
+	return tags, value
 }
 
 func TestBinaryCodecRoundTrip(t *testing.T) {

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
+	"taskvine/internal/resources"
 	"taskvine/internal/taskspec"
 )
 
@@ -95,23 +97,54 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
-// FuzzBinaryRoundTrip checks encode→decode identity over fuzz-built field
-// combinations.
+// FuzzBinaryRoundTrip checks encode→decode identity over fuzz-built
+// messages that set every encoded field of Message and of its Spec,
+// Capacity, Outputs and PeerAddrs, each derived from the six fuzzed values.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add("put", "w1", "file-x", int64(9), int64(3), int64(12))
 	f.Add("get", "", "", int64(-1), int64(0), int64(0))
-	f.Fuzz(func(t *testing.T, typ, workerID, cacheName string, size, offset, total int64) {
-		sent := &Message{Type: typ, WorkerID: workerID, CacheName: cacheName,
-			Size: size, Offset: offset, Total: total}
+	f.Fuzz(func(t *testing.T, s1, s2, s3 string, n1, n2, n3 int64) {
+		sent := fuzzMessage(s1, s2, s3, n1, n2, n3)
 		got, err := decodeMessage(encodeMessage(nil, sent))
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if got.Type != typ || got.WorkerID != workerID || got.CacheName != cacheName ||
-			got.Size != size || got.Offset != offset || got.Total != total {
-			t.Fatalf("got %+v want %+v", got, sent)
+		if !reflect.DeepEqual(got, sent) {
+			t.Fatalf("round trip mismatch:\n got  %+v\n want %+v", got, sent)
 		}
 	})
+}
+
+// fuzzMessage builds a message with every encoded field set from the given
+// values, normalized the way the codec normalizes them: empty byte slices
+// and a zero capacity decode as nil, and a spec always decodes as present.
+func fuzzMessage(s1, s2, s3 string, n1, n2, n3 int64) *Message {
+	b, flag, x := []byte(s3), n1&1 == 1, float64(n2)/8
+	if len(b) == 0 {
+		b = nil
+	}
+	res := resources.R{Cores: int(n1), Memory: n2, Disk: n3, GPUs: int(n1 >> 8)}
+	var capacity *resources.R
+	if !res.IsZero() {
+		capacity = &res
+	}
+	return &Message{
+		Type: s1, WorkerID: s2, TransferAddr: s3, Capacity: capacity, TaskID: int(n1),
+		Spec: &taskspec.Spec{
+			ID: int(n2), Kind: taskspec.Kind(n3), Command: s1, Library: s2, Function: s3, Args: b,
+			Inputs:    []taskspec.Mount{{FileID: s1, Name: s2}, {FileID: s3, Name: ""}},
+			Outputs:   []taskspec.Mount{{FileID: s2, Name: s3}},
+			Env:       map[string]string{s1: s2, s3 + "=": s1},
+			Resources: res, MaxRetries: int(n3), MaxRunSeconds: x,
+			Category: s2, ArgsFrom: s3, Resident: flag,
+		},
+		ExitCode: int(n3), Result: b,
+		Outputs:      []OutputInfo{{CacheName: s1, Size: n1}, {CacheName: s2, Size: n2}},
+		TimeStagedMS: n1, TimeRunMS: n2, MeasuredDisk: n3, MeasuredMemory: n1 ^ n2,
+		CacheName: s2, Size: n3, Dir: flag, Lifetime: int(n2), Tier: int(n3),
+		URL: s3, PeerAddr: s1, TransferID: s2, Checksum: s3, Status: s1, Error: s2,
+		Offset: n2, Total: n3, PeerAddrs: []string{s1, s2, s3},
+	}
 }
 
 // FuzzRoundTrip checks that any message surviving a send is received

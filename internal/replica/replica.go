@@ -94,6 +94,11 @@ type Table struct {
 	names   *Names
 	rows    []row   // by FileH
 	readyOn []int32 // ready replicas per WorkerH
+	// Changed, when set, is called with a file's handle after every Add,
+	// Commit or Remove of it and for each file DropWorker affects: the one
+	// hook a scheduler needs to learn that a plan reading the file may
+	// change.
+	Changed func(FileH)
 }
 
 // NewTable returns an empty replica table over the given names.
@@ -130,6 +135,13 @@ func (t *Table) Add(f FileH, w WorkerH, state ReplicaState) {
 		r.ready += d
 		t.readyOn[w] += d
 	}
+	t.changed(f)
+}
+
+func (t *Table) changed(f FileH) {
+	if t.Changed != nil {
+		t.Changed(f)
+	}
 }
 
 // Commit promotes a pending replica to ready, typically on receipt of a
@@ -144,6 +156,7 @@ func (t *Table) Remove(f FileH, w WorkerH) {
 	if r := t.row(f); r != nil {
 		t.remove(r, w)
 	}
+	t.changed(f)
 }
 
 func (t *Table) remove(r *row, w WorkerH) bool {
@@ -160,15 +173,21 @@ func (t *Table) remove(r *row, w WorkerH) bool {
 }
 
 // DropWorker removes every replica held by a departed worker and returns
-// the affected files in handle order, so the manager can re-create files
-// that lost their last replica. It scans every file: departures are rare.
+// the affected files sorted by file ID, so the manager can re-create files
+// that lost their last replica in an order independent of handles. It
+// scans every file: departures are rare.
 func (t *Table) DropWorker(w WorkerH) []FileH {
 	var affected []FileH
 	for f := range t.rows {
 		if t.remove(&t.rows[f], w) {
 			affected = append(affected, FileH(f))
+			t.changed(FileH(f))
 		}
 	}
+	files := &t.names.Files
+	sort.Slice(affected, func(i, j int) bool { // hotpath-ok: runs only on worker departure, over the departed worker's files
+		return files.Name(affected[i]) < files.Name(affected[j])
+	})
 	return affected
 }
 
@@ -341,6 +360,9 @@ type Transfers struct {
 	fromFixed  [2][]int32 // by kind (URL, manager), then source handle
 	toWorker   []int32    // by WorkerH
 	byFile     [][]WorkerH
+	// Changed, when set, is called after a transfer starts (ended false)
+	// and after it completes or is cancelled (ended true).
+	Changed func(tr Transfer, ended bool)
 }
 
 // NewTransfers returns an empty transfer table over the given names.
@@ -377,6 +399,9 @@ func (t *Transfers) Start(f FileH, src Source, dest WorkerH) Transfer {
 	t.slots[slot] = tr
 	t.n++
 	t.track(tr, 1)
+	if t.Changed != nil {
+		t.Changed(tr, false)
+	}
 	return tr
 }
 
@@ -392,10 +417,14 @@ func (t *Transfers) Complete(id TransferID) (Transfer, bool) {
 }
 
 func (t *Transfers) end(slot int) {
-	t.track(t.slots[slot], -1)
+	tr := t.slots[slot]
+	t.track(tr, -1)
 	t.slots[slot] = Transfer{}
 	t.free = append(t.free, int32(slot))
 	t.n--
+	if t.Changed != nil {
+		t.Changed(tr, true)
+	}
 }
 
 func (t *Transfers) fromCounts(src Source) *[]int32 {

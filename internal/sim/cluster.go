@@ -9,6 +9,8 @@ import (
 	"taskvine/internal/policy"
 	"taskvine/internal/replica"
 	"taskvine/internal/resources"
+	"taskvine/internal/sched"
+	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
 )
 
@@ -33,10 +35,12 @@ type Cluster struct {
 	// trace, to inject a fault, or to break a tie the way a name-keyed
 	// implementation would.
 	names *replica.Names
-	// reps and trs wrap the replica and transfer tables so that every
-	// mutation wakes the parked tasks that need the file (park.go).
-	reps replicaTable
-	trs  transferTable
+	// sched is the scheduling engine; reps and trs are the view's replica
+	// and transfer tables, whose mutations wake the parked tasks they
+	// concern.
+	sched *sched.Engine
+	reps  *replica.Table
+	trs   *replica.Transfers
 
 	manager  *Endpoint
 	sharedFS *Endpoint
@@ -48,46 +52,14 @@ type Cluster struct {
 	files   []simFile
 	workers []*simWorker
 	tasks   []*simTask
-	// waiting is the queue of state-0 task indices in dispatch order. A
-	// pass compacts it in place over the prefix it scanned.
-	waiting []int
-	// replan lists the staging tasks the next pass must plan: each task
-	// that entered staging or was woken since, and each whose last plan was
-	// not parked. It may hold duplicates and tasks that have since parked
-	// or left staging; the staging loop skips those. pass is the list the
-	// running staging loop walks, passAt its position.
-	replan []int
-	pass   []int
-	passAt int
-	inPass bool
-	// wakeFixed indexes parked tasks by the fixed sources whose slots they
-	// wait on; files and workers carry their own wake lists (park.go).
-	wakeFixed [][]parkRef
 	// evictions counts cache evictions, so a staging task can tell whether
 	// starting its transfers evicted anything.
 	evictions int
-	// plans counts progressStaging calls, for tests of the pass cost.
-	plans int
-	// needsBuf is fileNeedsScratch's reused buffer; needGen stamps the
-	// files one expansion has seen. plan is the reused transfer plan and
-	// holders park's scratch. managerSrc is the manager's fixed source.
+	// needsBuf and plan are the scratch needs and transfer plan of library
+	// environments and placement. managerSrc is the manager's fixed source.
 	needsBuf   []policy.FileNeed
-	needGen    uint32
 	plan       policy.Plan
-	holders    []replica.WorkerH
 	managerSrc replica.Source
-	// stateCount tracks the task population per lifecycle state, maintained
-	// by setState, so gauge refreshes cost O(1) instead of O(tasks).
-	stateCount [5]int
-	// live is the policy's view of the joined workers in join order,
-	// updated in place at every join, leave, Alloc and Release, so a
-	// candidate list costs nothing to build. libBuf is scratch for the
-	// library-filtered list.
-	live   []policy.WorkerInfo
-	libBuf []policy.WorkerInfo
-	// freeCores is the free cores of the joined workers' pools, kept by
-	// every join, leave, Alloc and Release, so a pass need not sum them.
-	freeCores int
 
 	// libs are the libraries to deploy on every worker, in name order;
 	// tasks and workers refer to them by position.
@@ -120,10 +92,6 @@ type simFile struct {
 	// atManager records a produced object returned to the manager
 	// (shared-storage mode): consumers re-fetch it from there.
 	atManager bool
-	// seen stamps the needs expansion that last visited the file; wakeOn
-	// lists the tasks parked on it (park.go).
-	seen   uint32
-	wakeOn []parkRef
 }
 
 type simWorker struct {
@@ -140,8 +108,6 @@ type simWorker struct {
 	running   []int
 	joinOrder int
 	joined    bool
-	// livePos is the worker's position in Cluster.live while joined.
-	livePos int
 	// libReady and libBoot mark, by library position, the instances
 	// ready and the deployments in progress here.
 	libReady []bool
@@ -150,31 +116,23 @@ type simWorker struct {
 	materializing map[replica.FileH]bool
 	// cache tracks resident objects for disk accounting and eviction.
 	cache map[replica.FileH]*cachedObject
-	// wakeDest and wakeSrc list the tasks parked on the worker's
-	// destination slot and on its source slot (park.go).
-	wakeDest []parkRef
-	wakeSrc  []parkRef
 }
 
 type simTask struct {
+	// Task holds the scheduling state; its Inputs are t.Inputs' handles
+	// and its request is t.Cores, at least one.
+	sched.Task
 	t *Task
-	// inputs and outputs are t.Inputs' and t.Outputs' handles; lib is the
-	// position of t.Library plus one, zero for none and -1 for a library
-	// the workload does not deploy.
-	inputs  []replica.FileH
+	// outputs are t.Outputs' handles; lib is the position of t.Library
+	// plus one, zero for none and -1 for a library the workload does not
+	// deploy.
 	outputs []replica.FileH
 	lib     int
-	state   int // 0 waiting, 1 staging, 2 running, 3 returning, 4 done
-	worker  *simWorker
 	runAt   int
 	started float64
 	// epoch increments on every requeue; callbacks from a previous
 	// assignment (task-finish timers, return flows) check it and drop.
 	epoch int
-	// parked marks a staging task whose plan cannot change until one of
-	// its files does; parkGen numbers its parkings (park.go).
-	parked  bool
-	parkGen int
 }
 
 func capped(ep *Endpoint, perFlow float64) *Endpoint {
@@ -200,10 +158,9 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 	}
 	c.view = policy.NewView(c.names)
 	c.managerSrc = c.names.FixedSource(replica.SourceManager, "manager")
-	c.reps = replicaTable{c.view.Reps, c}
-	c.trs = transferTable{c.view.Trs, c}
 	c.reg = metrics.NewRegistry()
 	c.vm = metrics.ForRegistry(c.reg)
+	c.reps, c.trs = c.view.Reps, c.view.Trs
 	metrics.BridgeTrace(c.log, c.vm)
 	// Deploy order is name order: deployLibrary consumes cores, so the
 	// order in which libraries land must not depend on the workload's.
@@ -228,7 +185,6 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 			ep:            NewEndpoint(ws.ID, bw),
 			pool:          resources.NewPool(resources.R{Cores: ws.Cores, Disk: ws.Disk, Memory: resources.TB}),
 			joinOrder:     i,
-			livePos:       -1,
 			libReady:      make([]bool, len(c.libs)),
 			libBoot:       make([]bool, len(c.libs)),
 			materializing: make(map[replica.FileH]bool),
@@ -261,16 +217,15 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 	handles := make([]replica.FileH, 0, nFiles)
 	tasks := make([]simTask, len(order))
 	c.tasks = make([]*simTask, len(order))
-	c.waiting = make([]int, len(order))
 	for i, t := range order {
 		st := &tasks[i]
 		st.t, st.lib = t, c.libIndex(t.Library)
+		st.Req = resources.R{Cores: max(t.Cores, 1)}
 		for _, in := range t.Inputs {
 			handles = append(handles, c.internFile(in))
 		}
-		st.inputs = handles[len(handles)-len(t.Inputs) : len(handles) : len(handles)]
+		st.Inputs = handles[len(handles)-len(t.Inputs) : len(handles) : len(handles)]
 		c.tasks[i] = st
-		c.waiting[i] = i
 	}
 	// Producers in submission order: a later producer of the same file
 	// takes over, as with any name-keyed index.
@@ -298,7 +253,12 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 			c.internFile(fid)
 		}
 	}
-	c.stateCount[0] = len(order)
+	// The engine comes last, sized to every name interned above.
+	c.sched = sched.New(host{c}, host{c}, c.view, limits, c.vm)
+	c.sched.IgnoreLocality = params.IgnoreLocality
+	for i, st := range c.tasks {
+		c.sched.Submit(i, &st.Task)
+	}
 	c.vm.TasksSubmitted.Add(int64(len(order)))
 	return c
 }
@@ -367,15 +327,7 @@ func (c *Cluster) Run() float64 {
 
 func (c *Cluster) workerJoin(w *simWorker) {
 	w.joined = true
-	c.freeCores += w.pool.Free().Cores
-	// Insert the worker at its join-order position in the live view.
-	at := sort.Search(len(c.live), func(i int) bool { return c.live[i].JoinOrder > w.joinOrder })
-	c.live = append(c.live, policy.WorkerInfo{})
-	copy(c.live[at+1:], c.live[at:])
-	c.live[at] = policy.WorkerInfo{ID: w.h, JoinOrder: w.joinOrder}
-	for i := at; i < len(c.live); i++ {
-		c.worker(c.live[i].ID).livePos = i
-	}
+	c.sched.Join(w.h, w.joinOrder)
 	c.refresh(w)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerJoined, Worker: w.spec.ID})
 	for _, fid := range w.spec.Prestaged {
@@ -392,15 +344,10 @@ func (c *Cluster) workerJoin(w *simWorker) {
 	c.requestSchedule()
 }
 
-// refresh copies a joined worker's free resources and task count into its
-// entry of the live view; every Alloc, Release and running-list change
-// calls it.
+// refresh copies a joined worker's free resources and task count into the
+// live view; every Alloc, Release and running-list change calls it.
 func (c *Cluster) refresh(w *simWorker) {
-	if w.joined {
-		wi := &c.live[w.livePos]
-		wi.Free = w.pool.Free()
-		wi.RunningTasks = len(w.running)
-	}
+	c.sched.Refresh(w.h, w.pool.Free(), len(w.running))
 }
 
 // addRunning and dropRunning keep a worker's running list and its tasks'
@@ -426,12 +373,7 @@ func (c *Cluster) workerLeave(w *simWorker) {
 		return
 	}
 	w.joined = false
-	c.freeCores -= w.pool.Free().Cores
-	c.live = append(c.live[:w.livePos], c.live[w.livePos+1:]...)
-	for i := w.livePos; i < len(c.live); i++ {
-		c.worker(c.live[i].ID).livePos = i
-	}
-	w.livePos = -1
+	c.sched.Leave(w.h)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
 	c.place.DropWorker(w.h)
 	affected := c.reps.DropWorker(w.h)
@@ -446,12 +388,9 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	sort.Ints(running)
 	for _, id := range running {
 		t := c.tasks[id]
-		if t.state == 1 || t.state == 2 || t.state == 3 {
-			c.setState(id, t, 0)
-			t.worker = nil
+		if s := t.State; s == taskspec.StateStaging || s == taskspec.StateRunning || s == taskspec.StateReturning {
+			c.sched.Requeue(id, &t.Task)
 			t.epoch++
-			c.waiting = append(c.waiting, id)
-			c.vm.TasksRequeued.Inc()
 		}
 	}
 	// Reset the pool and cache: the node is gone.
@@ -463,7 +402,6 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	w.materializing = make(map[replica.FileH]bool)
 	clear(w.libReady)
 	clear(w.libBoot)
-	sort.Ints(c.waiting)
 	c.requestSchedule()
 }
 
@@ -472,9 +410,8 @@ func (c *Cluster) workerLeave(w *simWorker) {
 // requeueing its completed producer, provided some unfinished task still
 // consumes it (§2.2). The producer's completion counter entry is returned
 // so re-completion does not double-count. affected comes sorted by file
-// ID (replicaTable.DropWorker).
+// ID (replica.Table.DropWorker).
 func (c *Cluster) recoverLostTemps(workerID string, affected []replica.FileH) {
-	requeued := false
 	for _, fh := range affected {
 		f := &c.files[fh]
 		if f.File == nil || f.Kind != Produced || f.atManager || c.reps.CountReplicas(fh) > 0 {
@@ -485,66 +422,32 @@ func (c *Cluster) recoverLostTemps(workerID string, affected []replica.FileH) {
 		}
 		prodID := f.producer - 1
 		p := c.tasks[prodID]
-		if p.state != 4 || !c.tempNeeded(fh) {
+		if p.State != taskspec.StateDone || !c.tempNeeded(fh) {
 			continue
 		}
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.RecoveryStart, Worker: workerID,
 			File: f.ID, TaskID: p.t.ID, Detail: "temp lost with worker; re-executing producer",
 		})
-		c.setState(prodID, p, 0)
-		p.worker = nil
+		c.sched.Requeue(prodID, &p.Task)
 		p.epoch++
 		c.completed--
-		c.waiting = append(c.waiting, prodID)
-		c.vm.TasksRequeued.Inc()
-		requeued = true
-	}
-	if requeued {
-		sort.Ints(c.waiting)
 	}
 }
 
 // tempNeeded reports whether any unfinished task consumes the file.
 func (c *Cluster) tempNeeded(fh replica.FileH) bool {
 	for _, t := range c.tasks { // hotpath-ok: runs only on worker loss with lost temp replicas
-		if t.state == 4 {
+		if t.State == taskspec.StateDone {
 			continue
 		}
-		for _, in := range t.inputs {
+		for _, in := range t.Inputs {
 			if in == fh {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// setState moves a task to a new lifecycle state, maintaining the per-state
-// counters behind updateGauges and the replan list behind schedule. Every
-// transition in the simulator goes through here.
-func (c *Cluster) setState(id int, t *simTask, s int) {
-	if t.state == s {
-		return
-	}
-	old := t.state
-	// Leaving or entering staging ends any parking: its references go stale.
-	t.parked = false
-	c.stateCount[old]--
-	t.state = s
-	c.stateCount[s]++
-	if s == 1 {
-		c.replan = append(c.replan, id)
-	}
-	// Waiting and staging tasks are the lookahead's consumers, as they are
-	// the fileWaiters index in core.
-	if c.place != nil && (old <= 1) != (s <= 1) {
-		delta := 1
-		if s > 1 {
-			delta = -1
-		}
-		c.consume(t, delta)
-	}
 }
 
 // requestSchedule coalesces schedule passes: at most one pending pass,
@@ -556,64 +459,8 @@ func (c *Cluster) requestSchedule() {
 	c.scheduled = true
 	c.eng.After(c.params.ControlLatency, func() {
 		c.scheduled = false
-		c.schedule()
+		c.sched.Pass(func() {})
 	})
-}
-
-// updateGauges refreshes the instantaneous instruments after a pass,
-// mirroring the real manager's set. Simulator task states map onto the
-// manager's lifecycle names; "returning" output streams still occupy their
-// worker, so they count as running.
-func (c *Cluster) updateGauges() {
-	c.vm.TasksByState.With("waiting").Set(float64(c.stateCount[0]))
-	c.vm.TasksByState.With("staging").Set(float64(c.stateCount[1]))
-	c.vm.TasksByState.With("running").Set(float64(c.stateCount[2] + c.stateCount[3]))
-	c.vm.TasksByState.With("done").Set(float64(c.stateCount[4]))
-	c.vm.WorkersConnected.Set(float64(len(c.live)))
-	c.vm.TransfersInflight.Set(float64(c.trs.Len()))
-}
-
-func (c *Cluster) schedule() {
-	c.vm.SchedulePasses.Inc()
-	defer c.updateGauges()
-	// Deferred after updateGauges so it runs first (LIFO): placement plans
-	// strictly after assignment and dispatch, even when the pass bails out
-	// early below with no free cores.
-	defer c.placeLookahead()
-	// Progress staging tasks first (mirrors internal/core.schedule), all
-	// but the parked ones, whose plans cannot have changed.
-	c.progressAllStaging()
-	// Skip the waiting scan entirely when no worker has a free core: with
-	// thousands of queued tasks this dominates simulation cost otherwise.
-	freeCores := c.freeCores
-	if freeCores == 0 {
-		return
-	}
-	// Tasks that stay queued are packed to the front of the scanned prefix,
-	// in order, so the pass costs what it scanned and allocates nothing.
-	kept := 0
-	for i, id := range c.waiting {
-		if freeCores <= 0 {
-			// Every request is floored at one core, so nothing further can
-			// assign this pass. Slide the kept entries up against the
-			// untouched tail rather than moving the tail down.
-			copy(c.waiting[i-kept:i], c.waiting[:kept])
-			c.waiting = c.waiting[i-kept:]
-			return
-		}
-		t := c.tasks[id]
-		if t.state != 0 || !c.tryAssign(id, t) {
-			c.waiting[kept] = id
-			kept++
-			continue
-		}
-		cores := t.t.Cores
-		if cores == 0 {
-			cores = 1
-		}
-		freeCores -= cores
-	}
-	c.waiting = c.waiting[:kept]
 }
 
 // libIndex returns a library's position plus one: zero for no library,
@@ -627,172 +474,6 @@ func (c *Cluster) libIndex(name string) int {
 		return -1
 	}
 	return i + 1
-}
-
-// candidates returns the live workers in join order that can run t: all of
-// them, or those with its library ready. The unfiltered list is the live
-// view itself; callers must not keep either past the next pool change.
-func (c *Cluster) candidates(t *simTask) []policy.WorkerInfo {
-	switch {
-	case t.lib == 0:
-		return c.live
-	case t.lib < 0:
-		return nil
-	}
-	out := c.libBuf[:0]
-	for _, wi := range c.live {
-		if c.worker(wi.ID).libReady[t.lib-1] {
-			out = append(out, wi)
-		}
-	}
-	c.libBuf = out
-	return out
-}
-
-// fileNeedsScratch is fileNeedsInto appending into a cluster-owned buffer:
-// the result is valid only until the next fileNeedsScratch call. Dispatch
-// (tryAssign, progressStaging, stageLibraryEnv) finishes with each slice
-// before calling back in.
-func (c *Cluster) fileNeedsScratch(inputs []replica.FileH) []policy.FileNeed {
-	c.needsBuf = c.fileNeedsInto(c.needsBuf[:0], inputs)
-	return c.needsBuf
-}
-
-// fileNeedsInto mirrors core.fileNeeds: fixed sources per kind, recursive
-// expansion of unmaterialized MiniTask inputs.
-func (c *Cluster) fileNeedsInto(needs []policy.FileNeed, inputs []replica.FileH) []policy.FileNeed {
-	c.needGen++
-	for _, in := range inputs {
-		needs = c.addNeed(needs, in)
-	}
-	return needs
-}
-
-func (c *Cluster) addNeed(needs []policy.FileNeed, h replica.FileH) []policy.FileNeed {
-	f := &c.files[h]
-	if f.seen == c.needGen {
-		return needs
-	}
-	f.seen = c.needGen
-	if f.File == nil {
-		panic(fmt.Sprintf("sim: task references unknown file %s", c.fileName(h)))
-	}
-	n := policy.FileNeed{ID: h, Size: f.Size, FixedSource: f.fixed}
-	switch f.Kind {
-	case FromURL, FromSharedFS:
-		if n.FixedSource.IsZero() {
-			prefix := "url:"
-			if f.Kind == FromSharedFS {
-				prefix = "fs:"
-			}
-			f.fixed = c.names.FixedSource(replica.SourceURL, prefix+f.SourcePath)
-			n.FixedSource = f.fixed
-		}
-	case MiniProduct:
-		if c.reps.CountReplicas(h) == 0 {
-			for _, in := range f.mini {
-				needs = c.addNeed(needs, in)
-			}
-		}
-	case Produced:
-		// Worker replicas only — unless the object was returned to
-		// the manager (shared-storage mode), which then serves as its
-		// fixed source for consumers.
-		if f.atManager {
-			n.FixedSource = c.managerSrc
-		}
-	}
-	return append(needs, n)
-}
-
-// depsSatisfiable: temp inputs must exist somewhere (or be in flight).
-func (c *Cluster) depsSatisfiable(t *simTask) bool {
-	for _, in := range t.inputs {
-		f := &c.files[in]
-		if f.File != nil && f.Kind == Produced && c.reps.CountReplicas(in) == 0 && !f.atManager {
-			return false
-		}
-	}
-	return true
-}
-
-func (c *Cluster) tryAssign(id int, t *simTask) bool {
-	if !c.depsSatisfiable(t) {
-		return false
-	}
-	cands := c.candidates(t)
-	if len(cands) == 0 {
-		return false
-	}
-	needs := c.fileNeedsScratch(t.inputs)
-	if c.params.IgnoreLocality {
-		// Placement ablation: choose a worker as if nothing were cached.
-		needs = nil
-	}
-	req := resources.R{Cores: t.t.Cores}
-	if req.Cores == 0 {
-		req.Cores = 1
-	}
-	chosen, ok := c.place.Pick(needs, req, cands, c.view)
-	if !ok {
-		return false
-	}
-	w := c.worker(chosen.ID)
-	if !w.pool.Alloc(req) {
-		return false
-	}
-	c.freeCores -= req.Cores
-	t.worker = w
-	c.setState(id, t, 1)
-	w.addRunning(id, t)
-	c.refresh(w)
-	c.progressStaging(id, t)
-	return true
-}
-
-func (c *Cluster) progressStaging(id int, t *simTask) {
-	c.plans++
-	w := t.worker
-	needs := c.fileNeedsScratch(t.inputs)
-	plan := &c.plan
-	policy.PlanTransfers(plan, needs, w.h, c.limits, c.view)
-	// Once its plan has started, a task that cannot run parks (park.go),
-	// unless an admission on the way refused or evicted anything.
-	settled, evictions := true, c.evictions
-	for _, tr := range plan.Transfers {
-		settled = c.startTransfer(tr.File, tr.Source, w, "") && settled
-	}
-	for _, blocked := range plan.Blocked {
-		if c.materializable(blocked, w) {
-			settled = c.materialize(blocked, w) && settled
-		}
-	}
-	for _, in := range t.inputs {
-		if !c.reps.Has(in, w.h) {
-			if settled && c.evictions == evictions {
-				c.park(id, t, w, needs, plan.Blocked)
-			}
-			return
-		}
-	}
-	c.startRun(id, t, w)
-}
-
-// materializable reports whether a blocked input is a MiniTask product to
-// unpack at w now: none exists or is on its way anywhere, and its inputs
-// are ready at w.
-func (c *Cluster) materializable(h replica.FileH, w *simWorker) bool {
-	f := &c.files[h]
-	if f.File == nil || f.Kind != MiniProduct || w.materializing[h] ||
-		c.reps.HasAny(h, w.h) || c.reps.CountReplicas(h) > 0 {
-		return false
-	}
-	for _, in := range f.mini {
-		if !c.reps.Has(in, w.h) {
-			return false
-		}
-	}
-	return true
 }
 
 // startTransfer reports false when admission refused the object.
@@ -869,14 +550,25 @@ func (c *Cluster) sourceLabel(src replica.Source) string {
 	}
 }
 
-// materialize models MiniTask execution at the worker: unpack work
-// proportional to the product size. It reports false when admission
-// refused the product.
+// materialize models MiniTask execution at the worker, if a blocked input
+// is a MiniTask product to unpack at w now: none exists or is on its way
+// anywhere, and its inputs are ready at w. The unpack work is proportional
+// to the product size. It reports false when admission refused the
+// product.
 func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
+	f := &c.files[fh]
+	if f.File == nil || f.Kind != MiniProduct || w.materializing[fh] ||
+		c.reps.HasAny(fh, w.h) || c.reps.CountReplicas(fh) > 0 {
+		return true
+	}
+	for _, in := range f.mini {
+		if !c.reps.Has(in, w.h) {
+			return true
+		}
+	}
 	if !c.admit(w, fh) {
 		return false
 	}
-	f := &c.files[fh]
 	for _, in := range f.mini {
 		c.place.Use(in, w.h)
 	}
@@ -910,15 +602,12 @@ func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
 		c.eng.After(0, func() { c.workerLeave(w) })
 		return
 	}
-	for _, in := range t.inputs {
-		c.place.Use(in, w.h)
-	}
-	c.setState(id, t, 2)
+	c.sched.Run(id, &t.Task)
 	t.started = c.eng.Now()
 	// All simulated tasks are submitted at virtual time zero, so the start
 	// time IS the submit-to-dispatch latency (virtual seconds).
 	c.vm.DispatchLatency.Observe(c.eng.Now())
-	c.pin(w, t.inputs)
+	c.pin(w, t.Inputs)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskStart, Worker: w.spec.ID,
 		TaskID: t.t.ID, Detail: t.t.Category,
@@ -938,7 +627,7 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 		// manager before the task is considered complete, and live ONLY
 		// there afterwards — consumers must fetch them back out, doubling
 		// the traffic through the manager's link.
-		c.setState(id, t, 3)
+		c.sched.SetState(id, &t.Task, taskspec.StateReturning)
 		var total int64
 		for _, out := range t.t.Outputs {
 			total += out.Size
@@ -971,16 +660,11 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 }
 
 func (c *Cluster) completeTask(id int, t *simTask, w *simWorker) {
-	c.unpin(w, t.inputs)
-	c.setState(id, t, 4)
+	c.unpin(w, t.Inputs)
+	c.sched.SetState(id, &t.Task, taskspec.StateDone)
 	c.completed++
 	c.dropRunning(w, t)
-	req := resources.R{Cores: t.t.Cores}
-	if req.Cores == 0 {
-		req.Cores = 1
-	}
-	w.pool.Release(req)
-	c.freeCores += req.Cores
+	w.pool.Release(t.Req)
 	c.refresh(w)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskEnd, Worker: w.spec.ID,
@@ -1003,7 +687,6 @@ func (c *Cluster) deployLibrary(w *simWorker, li int) {
 	if !w.pool.Alloc(resources.R{Cores: cores}) {
 		return
 	}
-	c.freeCores -= cores
 	c.refresh(w)
 	w.libBoot[li] = true
 	boot := func() {
@@ -1034,17 +717,15 @@ func (c *Cluster) stageLibraryEnv(w *simWorker, env replica.FileH, then func()) 
 		then()
 		return
 	}
-	needs := c.fileNeedsScratch([]replica.FileH{env})
+	c.needsBuf = c.sched.Needs(c.needsBuf[:0], []replica.FileH{env})
 	plan := &c.plan
-	policy.PlanTransfers(plan, needs, w.h, c.limits, c.view)
+	policy.PlanTransfers(plan, c.needsBuf, w.h, c.limits, c.view)
 	for _, tr := range plan.Transfers {
 		c.startTransfer(tr.File, tr.Source, w, "")
 	}
 	// MiniProduct environments may need materialization.
 	for _, blocked := range plan.Blocked {
-		if c.materializable(blocked, w) {
-			c.materialize(blocked, w)
-		}
+		c.materialize(blocked, w)
 	}
 	c.eng.After(0.05, func() { c.stageLibraryEnv(w, env, then) })
 }

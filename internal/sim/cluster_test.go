@@ -382,8 +382,8 @@ func TestFreeCoresMatchesPools(t *testing.T) {
 						sum += w.pool.Free().Cores
 					}
 				}
-				if c.freeCores != sum {
-					t.Fatalf("%s at %.3f: freeCores %d, pools hold %d free", e.Kind, e.Time, c.freeCores, sum)
+				if c.sched.FreeCores() != sum {
+					t.Fatalf("%s at %.3f: freeCores %d, pools hold %d free", e.Kind, e.Time, c.sched.FreeCores(), sum)
 				}
 				checked++
 			})

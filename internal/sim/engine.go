@@ -2,12 +2,12 @@
 //
 // The paper's evaluation runs on a 20K-core HTCondor pool with 10 GbE and a
 // Panasas shared filesystem. This package reproduces those experiments at
-// laptop scale by moving the same scheduling state machines (internal/policy,
-// internal/replica) through virtual time: nodes have disks and network
-// links, transfers are fluid flows sharing link bandwidth max-min fairly,
-// and tasks occupy cores for modeled durations. Only durations are modeled;
-// every placement, transfer-routing, and limit decision is made by the
-// production policy code.
+// laptop scale by moving the same scheduling state machines (internal/sched,
+// internal/policy, internal/replica) through virtual time: nodes have disks
+// and network links, transfers are fluid flows sharing link bandwidth
+// max-min fairly, and tasks occupy cores for modeled durations. Only
+// durations are modeled; every placement, transfer-routing, and limit
+// decision is made by the production scheduling code.
 package sim
 
 import (

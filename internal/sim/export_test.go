@@ -1,7 +1,7 @@
 package sim
 
 // StagingPlans returns how many staging plans the cluster has made.
-func StagingPlans(c *Cluster) int { return c.plans }
+func StagingPlans(c *Cluster) int { return c.sched.Plans }
 
 // hasReplica reports whether the named worker holds a ready replica of the
 // named file.

@@ -20,7 +20,7 @@ import (
 // parkedAt records whether task id is parked at virtual time at.
 func parkedAt(c *Cluster, id int, at float64) *bool {
 	var parked bool
-	c.eng.At(at, func() { parked = c.taskByID(id).parked })
+	c.eng.At(at, func() { parked = c.taskByID(id).Parked() })
 	return &parked
 }
 

@@ -81,6 +81,10 @@ const (
 	StateDone
 	// StateFailed means the task exhausted its retries.
 	StateFailed
+	// StateReturning means the task has run and its outputs are streaming
+	// back to the manager before it completes (the simulator's
+	// shared-storage mode).
+	StateReturning
 )
 
 // String returns a readable name for the state.
@@ -98,6 +102,8 @@ func (s State) String() string {
 		return "done"
 	case StateFailed:
 		return "failed"
+	case StateReturning:
+		return "returning"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}

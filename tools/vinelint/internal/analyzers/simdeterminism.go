@@ -16,15 +16,17 @@ var SimDeterminism = &lint.Analyzer{
 	Name: "simdeterminism",
 	Doc: `forbid wall-clock time, global randomness, and order-dependent map
 iteration in simulator packages (internal/sim, internal/experiments,
-internal/workloads) and in the fault-injection engine (internal/chaos),
-so that every simulation and chaos run is reproducible`,
+internal/workloads), in the scheduling engine they run (internal/sched)
+and in the fault-injection engine (internal/chaos), so that every
+simulation and chaos run is reproducible`,
 	Run: runSimDeterminism,
 }
 
 // simScopes are the import-path segments whose packages must be
-// deterministic. internal/chaos is included because injected fault
-// schedules must replay identically for a fixed seed in both substrates.
-var simScopes = []string{"internal/sim", "internal/experiments", "internal/workloads", "internal/chaos"}
+// deterministic. internal/sched is included because simulated scheduling
+// decisions run there, and internal/chaos because injected fault schedules
+// must replay identically for a fixed seed in both substrates.
+var simScopes = []string{"internal/sim", "internal/experiments", "internal/workloads", "internal/sched", "internal/chaos"}
 
 // bannedTimeFuncs are the package-level time functions that read or depend
 // on the wall clock. Conversions and constructors (time.Duration,
