@@ -76,14 +76,15 @@ cover-update:
 
 # bench runs the dispatch, scheduler-pass, protocol, and hashing
 # benchmarks with -count=5 (enough repetitions for benchstat-style
-# comparison), plus one full 50k-task simulated workflow with its bytes and
-# allocations per run, and records the raw test2json stream in
+# comparison), plus one full 50k-task simulated workflow and one run of the
+# perfbench-size TopEFT (2,252 tasks), each with its bytes and allocations
+# per run, and records the raw test2json stream in
 # BENCH_core.json. CI uploads the file as a non-gating artifact so perf
 # drift is visible across commits without failing builds.
 bench:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
 		./internal/core ./internal/protocol ./internal/hashing > BENCH_core.json
-	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
+	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTopEFTBenchScale|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_core.json
 
 # bench-diff re-runs the benchmark suite into BENCH_new.json and prints a
@@ -93,7 +94,7 @@ bench:
 bench-diff:
 	$(GO) test -json -run '^$$' -bench . -benchmem -count=5 \
 		./internal/core ./internal/protocol ./internal/hashing > BENCH_new.json
-	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTransferBound' -benchtime 1x -count=1 -benchmem \
+	$(GO) test -json -run '^$$' -bench 'SimTopEFT50k|SimTopEFTBenchScale|SimTransferBound' -benchtime 1x -count=1 -benchmem \
 		./internal/workloads >> BENCH_new.json
 	$(GO) run ./tools/benchdiff BENCH_core.json BENCH_new.json | tee BENCH_DIFF.txt
 

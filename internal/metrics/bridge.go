@@ -24,12 +24,12 @@ func (v *VineMetrics) observe(e trace.Event) {
 	case trace.WorkerLeft:
 		v.WorkersLeft.Inc()
 	case trace.TransferStart:
-		v.TransfersStarted.With(SourceKind(e.Source)).Inc()
+		v.sourceCounter(famStarted, v.TransfersStarted, e.Source).Inc()
 	case trace.TransferEnd:
-		v.TransfersCompleted.With(SourceKind(e.Source)).Inc()
-		v.TransferBytes.With(SourceKind(e.Source)).Add(e.Bytes)
+		v.sourceCounter(famCompleted, v.TransfersCompleted, e.Source).Inc()
+		v.sourceCounter(famBytes, v.TransferBytes, e.Source).Add(e.Bytes)
 	case trace.TransferFailed:
-		v.TransfersFailed.With(SourceKind(e.Source)).Inc()
+		v.sourceCounter(famFailed, v.TransfersFailed, e.Source).Inc()
 	case trace.StageStart:
 		v.StagesStarted.Inc()
 	case trace.StageEnd:

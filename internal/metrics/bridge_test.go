@@ -106,3 +106,39 @@ func TestBridgeNilArgsAreSafe(t *testing.T) {
 	BridgeTrace(log, nil)
 	log.Add(trace.Event{Kind: trace.TaskEnd}) // must not panic
 }
+
+// TestBridgeTransferSources checks the transfer families land on each
+// source kind's child, through the per-kind cache for the well-known
+// kinds and by a fresh lookup for any other, and that a kind never seen
+// exports no child.
+func TestBridgeTransferSources(t *testing.T) {
+	reg := NewRegistry()
+	vm := ForRegistry(reg)
+	log := trace.NewLog()
+	BridgeTrace(log, vm)
+	sources := []string{"worker:w1", "worker:w2", "url", "shared-fs", "", "tape", "tape", "url"}
+	for _, src := range sources {
+		log.Add(trace.Event{Kind: trace.TransferStart, Source: src})
+		log.Add(trace.Event{Kind: trace.TransferEnd, Source: src, Bytes: 10})
+	}
+	log.Add(trace.Event{Kind: trace.TransferFailed, Source: "url"})
+	snap := TakeSnapshot(reg)
+	want := map[string]float64{"worker": 2, "url": 2, "shared-fs": 1, "unknown": 1, "tape": 2}
+	for _, fam := range []string{"vine_transfers_started_total", "vine_transfers_completed_total"} {
+		got := snap.SumOver(fam, "source")
+		if len(got) != len(want) {
+			t.Errorf("%s has sources %v, want %v", fam, got, want)
+		}
+		for kind, n := range want {
+			if got[kind] != n {
+				t.Errorf("%s{source=%q} = %v, want %v", fam, kind, got[kind], n)
+			}
+		}
+	}
+	if got := snap.SumOver("vine_transfer_bytes_total", "source")["worker"]; got != 20 {
+		t.Errorf("worker transfer bytes = %v, want 20", got)
+	}
+	if got := snap.SumOver("vine_transfers_failed_total", "source"); len(got) != 1 || got["url"] != 1 {
+		t.Errorf("failed transfers by source = %v, want only url: 1", got)
+	}
+}

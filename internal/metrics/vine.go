@@ -47,6 +47,10 @@ type VineMetrics struct {
 	// sized by ForRegistry, entries filled on first observation so the
 	// exported label set is unchanged.
 	byKind []atomic.Pointer[Counter]
+	// bySource does the same for the transfer families' source labels:
+	// entry fam*len(sourceKinds)+i caches the child of the family with
+	// index fam (famStarted...) for sourceKinds[i].
+	bySource []atomic.Pointer[Counter]
 
 	// Worker membership (core + sim).
 	WorkersJoined    *Counter
@@ -282,6 +286,7 @@ func ForRegistry(r *Registry) *VineMetrics {
 			"Faults fired by the chaos injector, by point and action.", "point", "action"),
 	}
 	v.byKind = make([]atomic.Pointer[Counter], len(trace.AllKinds()))
+	v.bySource = make([]atomic.Pointer[Counter], numTransferFamilies*len(sourceKinds))
 	return v
 }
 
@@ -298,6 +303,40 @@ func (v *VineMetrics) kindCounter(k trace.Kind) *Counter {
 	}
 	c := v.TraceEvents.With(k.String())
 	v.byKind[i].Store(c)
+	return c
+}
+
+// The source-labelled transfer families, as bySource indexes them.
+const (
+	famStarted = iota
+	famCompleted
+	famFailed
+	famBytes
+	numTransferFamilies
+)
+
+// sourceKinds are the source kinds SourceKind returns for the labels the
+// manager and the simulator trace; any other kind is resolved every time.
+var sourceKinds = [...]string{"url", "manager", "worker", "shared-fs", "unknown"}
+
+// sourceCounter returns vec's child for a trace source label, caching the
+// resolved counter per family (fam, vec's index) and source kind as
+// kindCounter does per kind.
+func (v *VineMetrics) sourceCounter(fam int, vec *CounterVec, source string) *Counter {
+	kind := SourceKind(source)
+	i := 0
+	for i < len(sourceKinds) && sourceKinds[i] != kind {
+		i++
+	}
+	if i == len(sourceKinds) || v.bySource == nil {
+		return vec.With(kind)
+	}
+	p := &v.bySource[fam*len(sourceKinds)+i]
+	if c := p.Load(); c != nil {
+		return c
+	}
+	c := vec.With(kind)
+	p.Store(c)
 	return c
 }
 

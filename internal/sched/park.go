@@ -114,10 +114,16 @@ func (e *Engine) park(id int, t *Task, w replica.WorkerH, needs []policy.FileNee
 }
 
 // addPark appends a reference to a list, first dropping stale ones when
-// the list is full, and grows it so that the next compaction is at least
-// as far away as the live count: appends stay amortized O(1) and a list
-// never holds more than about twice its live references.
+// the list is full. A list that holds none takes a spare backing array,
+// and a compaction that leaves it more than half full doubles its
+// capacity, passing the old array on as a spare: appends stay amortized
+// O(1), a list never holds more than about twice its live references,
+// and arrays are allocated only as the number of lists in use grows.
 func (e *Engine) addPark(list []parkRef, ref parkRef) []parkRef {
+	if cap(list) == 0 && len(e.spare) > 0 {
+		n := len(e.spare) - 1
+		list, e.spare = e.spare[n], e.spare[:n]
+	}
 	if len(list) == cap(list) {
 		live := list[:0]
 		for _, r := range list {
@@ -127,7 +133,9 @@ func (e *Engine) addPark(list []parkRef, ref parkRef) []parkRef {
 		}
 		list = live
 		if len(list) > cap(list)/2 {
-			list = append(make([]parkRef, 0, 2*len(list)+1), list...)
+			grown := append(make([]parkRef, 0, 2*cap(list)+1), list...)
+			e.spare = append(e.spare, list[:0])
+			list = grown
 		}
 	}
 	return append(list, ref)
@@ -141,12 +149,18 @@ func (e *Engine) parkLive(r parkRef) *Task {
 	return nil
 }
 
-// wakeAll wakes every task parked on one list and empties it.
+// wakeAll wakes every task parked on one list and empties it, passing its
+// backing array on as a spare.
 func (e *Engine) wakeAll(refs *[]parkRef) {
-	for _, r := range *refs {
+	list := *refs
+	if len(list) == 0 {
+		return
+	}
+	for _, r := range list {
 		e.wake(r)
 	}
-	*refs = (*refs)[:0]
+	*refs = nil
+	e.spare = append(e.spare, list[:0])
 }
 
 // wake unparks a task and queues it for replanning: into the running

@@ -128,6 +128,8 @@ type Engine struct {
 	files   []fileState
 	workers []workerState
 	onFixed [][]parkRef
+	// spare holds emptied park lists' backing arrays for reuse (park.go).
+	spare   [][]parkRef
 	plan    policy.Plan
 	holders []replica.WorkerH
 	// needBuf is the staging path's needs scratch; needGen stamps the files

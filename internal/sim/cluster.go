@@ -68,6 +68,15 @@ type Cluster struct {
 	scheduled bool // a schedule pass is queued
 	completed int
 
+	// The engine and network callbacks, bound once in NewCluster: each
+	// takes a worker index, or a slot of xfers, unpacks or runs, which
+	// hold the rest of what a pending event needs.
+	passFn, joinFn, leaveFn, transferFn, unpackFn, runFn, returnFn func(int)
+
+	xfers   slots[simTransfer]
+	unpacks slots[simUnpack]
+	runs    slots[taskRun]
+
 	// view is the policy's read-only View over reps and trs; place is the
 	// lookahead placement engine, nil unless SetPlacement enabled it.
 	view  *policy.View
@@ -115,7 +124,7 @@ type simWorker struct {
 	// materializing tracks in-progress MiniTask unpacks.
 	materializing map[replica.FileH]bool
 	// cache tracks resident objects for disk accounting and eviction.
-	cache map[replica.FileH]*cachedObject
+	cache map[replica.FileH]cachedObject
 }
 
 type simTask struct {
@@ -133,6 +142,59 @@ type simTask struct {
 	// epoch increments on every requeue; callbacks from a previous
 	// assignment (task-finish timers, return flows) check it and drop.
 	epoch int
+}
+
+// simTransfer is an object transfer in flight to a worker.
+type simTransfer struct {
+	id replica.TransferID
+	fh replica.FileH
+	w  *simWorker
+	// label names the source in the trace; fault is the injected fault,
+	// decided when the transfer started.
+	label string
+	fault chaos.Action
+}
+
+// simUnpack is a MiniTask product being unpacked at a worker.
+type simUnpack struct {
+	fh replica.FileH
+	w  *simWorker
+}
+
+// taskRun is one assignment of a task to a worker: a run whose finish, or
+// an output return, is pending. An event whose epoch is no longer the
+// task's belongs to an assignment that was preempted.
+type taskRun struct {
+	id, epoch int
+	w         *simWorker
+}
+
+// slots is a table of records that pending events name by position; free
+// lists the positions not in use.
+type slots[T any] struct {
+	items []T
+	free  []int
+}
+
+// put stores v and returns its slot.
+func (s *slots[T]) put(v T) int {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[i] = v
+		return i
+	}
+	s.items = append(s.items, v)
+	return len(s.items) - 1
+}
+
+// take returns the record at slot i and frees the slot.
+func (s *slots[T]) take(i int) T {
+	v := s.items[i]
+	var zero T
+	s.items[i] = zero
+	s.free = append(s.free, i)
+	return v
 }
 
 func capped(ep *Endpoint, perFlow float64) *Endpoint {
@@ -156,6 +218,8 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		urls:     capped(NewEndpoint("url", params.URLBW), params.PerFlowBW),
 		sharedFS: capped(NewEndpoint("shared-fs", params.SharedFSBW), params.PerFlowBW),
 	}
+	c.passFn, c.joinFn, c.leaveFn = c.pass, c.joinAt, c.leaveAt
+	c.transferFn, c.unpackFn, c.runFn, c.returnFn = c.transferDone, c.unpackDone, c.runDone, c.returnDone
 	c.view = policy.NewView(c.names)
 	c.managerSrc = c.names.FixedSource(replica.SourceManager, "manager")
 	c.reg = metrics.NewRegistry()
@@ -195,10 +259,9 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 			sw.ep.UpBW = params.WorkerUpBW
 		}
 		c.workers = append(c.workers, sw)
-		join := ws.JoinTime
-		eng.At(join, func() { c.workerJoin(sw) })
+		eng.CallAt(ws.JoinTime, c.joinFn, i)
 		if ws.LeaveTime > 0 {
-			eng.At(ws.LeaveTime, func() { c.workerLeave(sw) })
+			eng.CallAt(ws.LeaveTime, c.leaveFn, i)
 		}
 	}
 	// Tasks in ID order, so that a task's index orders like its ID.
@@ -324,6 +387,9 @@ func (c *Cluster) Run() float64 {
 	c.place.Flush()
 	return span
 }
+
+func (c *Cluster) joinAt(i int)  { c.workerJoin(c.workers[i]) }
+func (c *Cluster) leaveAt(i int) { c.workerLeave(c.workers[i]) }
 
 func (c *Cluster) workerJoin(w *simWorker) {
 	w.joined = true
@@ -457,10 +523,13 @@ func (c *Cluster) requestSchedule() {
 		return
 	}
 	c.scheduled = true
-	c.eng.After(c.params.ControlLatency, func() {
-		c.scheduled = false
-		c.sched.Pass(func() {})
-	})
+	c.eng.Call(c.params.ControlLatency, c.passFn, 0)
+}
+
+// pass runs the queued schedule pass.
+func (c *Cluster) pass(int) {
+	c.scheduled = false
+	c.sched.Pass(func() {})
 }
 
 // libIndex returns a library's position plus one: zero for no library,
@@ -511,29 +580,36 @@ func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWork
 	default:
 		from = c.worker(src.Worker()).ep
 	}
-	c.net.StartFlow(from, w.ep, float64(f.Size), latency, func() {
-		c.trs.Complete(tr.ID)
-		if !w.joined {
-			return // worker preempted while the transfer was in flight
-		}
-		if fault.Action != chaos.None && fault.Action != chaos.Slow {
-			c.place.Failed(fh, w.h)
-			c.reps.Remove(fh, w.h)
-			c.log.Add(trace.Event{
-				Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
-				File: f.ID, Source: label, Detail: "chaos: " + fault.Action.String(),
-			})
-			c.requestSchedule()
-			return
-		}
-		c.store(w, fh, f.Size)
+	slot := c.xfers.put(simTransfer{id: tr.ID, fh: fh, w: w, label: label, fault: fault.Action})
+	c.net.StartFlow(from, w.ep, float64(f.Size), latency, c.transferFn, slot)
+	return true
+}
+
+// transferDone lands a transfer whose flow completed.
+func (c *Cluster) transferDone(slot int) {
+	x := c.xfers.take(slot)
+	fh, w := x.fh, x.w
+	f := &c.files[fh]
+	c.trs.Complete(x.id)
+	if !w.joined {
+		return // worker preempted while the transfer was in flight
+	}
+	if x.fault != chaos.None && x.fault != chaos.Slow {
+		c.place.Failed(fh, w.h)
+		c.reps.Remove(fh, w.h)
 		c.log.Add(trace.Event{
-			Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
-			File: f.ID, Bytes: f.Size, Source: label,
+			Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
+			File: f.ID, Source: x.label, Detail: "chaos: " + x.fault.String(),
 		})
 		c.requestSchedule()
+		return
+	}
+	c.store(w, fh, f.Size)
+	c.log.Add(trace.Event{
+		Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
+		File: f.ID, Bytes: f.Size, Source: x.label,
 	})
-	return true
+	c.requestSchedule()
 }
 
 func (c *Cluster) sourceLabel(src replica.Source) string {
@@ -579,19 +655,25 @@ func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
 	if rate == 0 {
 		rate = c.params.DefaultUnpackRate
 	}
-	c.eng.After(float64(f.Size)/rate, func() {
-		delete(w.materializing, fh)
-		if !w.joined {
-			return
-		}
-		c.store(w, fh, f.Size)
-		c.log.Add(trace.Event{
-			Time: c.eng.Now(), Kind: trace.StageEnd, Worker: w.spec.ID,
-			File: f.ID, Bytes: f.Size,
-		})
-		c.requestSchedule()
-	})
+	c.eng.Call(float64(f.Size)/rate, c.unpackFn, c.unpacks.put(simUnpack{fh: fh, w: w}))
 	return true
+}
+
+// unpackDone lands a MiniTask product whose unpack finished.
+func (c *Cluster) unpackDone(slot int) {
+	u := c.unpacks.take(slot)
+	fh, w := u.fh, u.w
+	delete(w.materializing, fh)
+	if !w.joined {
+		return
+	}
+	f := &c.files[fh]
+	c.store(w, fh, f.Size)
+	c.log.Add(trace.Event{
+		Time: c.eng.Now(), Kind: trace.StageEnd, Worker: w.spec.ID,
+		File: f.ID, Bytes: f.Size,
+	})
+	c.requestSchedule()
 }
 
 func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
@@ -612,13 +694,17 @@ func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
 		Time: c.eng.Now(), Kind: trace.TaskStart, Worker: w.spec.ID,
 		TaskID: t.t.ID, Detail: t.t.Category,
 	})
-	epoch := t.epoch
-	c.eng.After(t.t.Runtime, func() {
-		if t.epoch != epoch || !w.joined {
-			return // preempted mid-run; the task was requeued
-		}
-		c.finishRun(id, t, w)
-	})
+	c.eng.Call(t.t.Runtime, c.runFn, c.runs.put(taskRun{id: id, epoch: t.epoch, w: w}))
+}
+
+// runDone finishes a task whose runtime has passed.
+func (c *Cluster) runDone(slot int) {
+	r := c.runs.take(slot)
+	t := c.tasks[r.id]
+	if t.epoch != r.epoch || !r.w.joined {
+		return // preempted mid-run; the task was requeued
+	}
+	c.finishRun(r.id, t, r.w)
 }
 
 func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
@@ -636,20 +722,8 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 			Time: c.eng.Now(), Kind: trace.TransferStart, Worker: w.spec.ID,
 			File: fmt.Sprintf("task-%d-outputs", t.t.ID), Source: w.label,
 		})
-		epoch := t.epoch
-		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency, func() {
-			if t.epoch != epoch || !w.joined {
-				return // preempted while returning outputs
-			}
-			c.log.Add(trace.Event{
-				Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
-				File: fmt.Sprintf("task-%d-outputs", t.t.ID), Bytes: total, Source: w.label,
-			})
-			for _, out := range t.outputs {
-				c.files[out].atManager = true
-			}
-			c.completeTask(id, t, w)
-		})
+		slot := c.runs.put(taskRun{id: id, epoch: t.epoch, w: w})
+		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency, c.returnFn, slot)
 		return
 	}
 	// In-cluster mode: outputs appear in the worker's cache as temps.
@@ -657,6 +731,27 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 		c.storeOutput(w, t.outputs[i], out.Size)
 	}
 	c.completeTask(id, t, w)
+}
+
+// returnDone completes a task whose outputs reached the manager.
+func (c *Cluster) returnDone(slot int) {
+	r := c.runs.take(slot)
+	t, w := c.tasks[r.id], r.w
+	if t.epoch != r.epoch || !w.joined {
+		return // preempted while returning outputs
+	}
+	var total int64
+	for _, out := range t.t.Outputs {
+		total += out.Size
+	}
+	c.log.Add(trace.Event{
+		Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
+		File: fmt.Sprintf("task-%d-outputs", t.t.ID), Bytes: total, Source: w.label,
+	})
+	for _, out := range t.outputs {
+		c.files[out].atManager = true
+	}
+	c.completeTask(r.id, t, w)
 }
 
 func (c *Cluster) completeTask(id int, t *simTask, w *simWorker) {

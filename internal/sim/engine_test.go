@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -75,6 +78,158 @@ func TestEngineRunLimitKeepsLaterEvents(t *testing.T) {
 	}
 }
 
+// A handle whose event fired is stale: cancelling it after the record was
+// reused for a new event must leave the new event alone.
+func TestEngineStaleCancelSparesReusedRecord(t *testing.T) {
+	e := NewEngine()
+	old := e.At(1, func() {})
+	e.Run(0)
+	fired := false
+	e.At(2, func() { fired = true }) // reuses the fired event's record
+	old.Cancel()
+	e.Run(0)
+	if !fired {
+		t.Fatal("cancelling a stale handle cancelled the event that reused its record")
+	}
+}
+
+func TestEngineDoubleCancel(t *testing.T) {
+	e := NewEngine()
+	var fired []int
+	tm := e.At(1, func() { fired = append(fired, 1) })
+	e.At(2, func() { fired = append(fired, 2) })
+	tm.Cancel()
+	tm.Cancel()
+	e.At(3, func() { fired = append(fired, 3) }) // reuses the cancelled record
+	tm.Cancel()
+	var zero Timer
+	zero.Cancel()
+	e.Run(0)
+	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
+		t.Fatalf("fired %v, want [2 3]", fired)
+	}
+}
+
+// An event past the limit survives a Run, with any cancelled events in
+// front of it gone, and fires on the next Run.
+func TestEngineRunLimitThenResume(t *testing.T) {
+	e := NewEngine()
+	late := 0.0
+	e.At(4, func() {}).Cancel()
+	e.At(30, func() { late = e.Now() })
+	e.At(12, func() {}).Cancel()
+	if end := e.Run(10); end != 10 || late != 0 {
+		t.Fatalf("Run(10) ended at %v with the late event at %v", end, late)
+	}
+	if e.Idle() {
+		t.Fatal("engine idle with an event pending past the limit")
+	}
+	if end := e.Run(0); end != 30 || late != 30 {
+		t.Fatalf("Run(0) ended at %v, late event at %v; want 30, 30", end, late)
+	}
+}
+
+func TestEngineIdleAfterCancellingAll(t *testing.T) {
+	e := NewEngine()
+	var tms []Timer
+	for i := 0; i < 10; i++ {
+		tms = append(tms, e.At(float64(10-i), func() { t.Fatal("cancelled event fired") }))
+	}
+	for _, tm := range tms {
+		if e.Idle() {
+			t.Fatal("idle with events pending")
+		}
+		tm.Cancel()
+	}
+	if !e.Idle() {
+		t.Fatal("not idle after every event was cancelled")
+	}
+	e.Run(0)
+}
+
+// Rearm orders the event as if it were scheduled anew: behind an event
+// already queued for the same instant.
+func TestEngineRearm(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	record := func(i int) { order = append(order, i) }
+	tm := e.CallAt(5, record, 1)
+	e.CallAt(3, record, 2)
+	e.Rearm(&tm, 3, record, 3)
+	e.Run(0)
+	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
+		t.Fatalf("order %v, want [2 3]", order)
+	}
+	// A fired handle re-arms as a new event.
+	e.Rearm(&tm, 4, record, 4)
+	e.Run(0)
+	if len(order) != 3 || order[2] != 4 || e.Now() != 4 {
+		t.Fatalf("order %v at %v, want [2 3 4] at 4", order, e.Now())
+	}
+}
+
+// Property: under random scheduling, cancelling and re-arming, events fire
+// in (time, scheduling order), exactly the ones still live, as a plain
+// sorted list of every scheduled event would have them.
+func TestEngineMatchesSortedModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		e := NewEngine()
+		type ev struct {
+			t    float64
+			seq  int
+			live bool
+		}
+		var model []*ev
+		var tms []Timer
+		var fired []int
+		fire := func(i int) { fired = append(fired, i) }
+		seq := 0
+		for op := 0; op < 200; op++ {
+			switch k := rng.Intn(10); {
+			case k < 6 || len(tms) == 0:
+				at := float64(rng.Intn(20))
+				seq++
+				model = append(model, &ev{t: at, seq: seq, live: true})
+				tms = append(tms, e.CallAt(at, fire, len(model)-1))
+			case k < 8:
+				i := rng.Intn(len(tms))
+				tms[i].Cancel()
+				model[i].live = false
+			default:
+				i := rng.Intn(len(tms))
+				at := float64(rng.Intn(20))
+				seq++
+				model[i].live = false
+				model = append(model, &ev{t: at, seq: seq, live: true})
+				tm := tms[i]
+				e.Rearm(&tm, at, fire, len(model)-1)
+				tms = append(tms, tm)
+			}
+		}
+		var want []int
+		for i, m := range model {
+			if m.live {
+				want = append(want, i)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool {
+			ma, mb := model[want[a]], model[want[b]]
+			if ma.t != mb.t {
+				return ma.t < mb.t
+			}
+			return ma.seq < mb.seq
+		})
+		e.Run(0)
+		if !slices.Equal(fired, want) {
+			t.Fatalf("round %d: fired %v, want %v", round, fired, want)
+		}
+		if !e.Idle() {
+			t.Fatalf("round %d: not idle after Run", round)
+		}
+	}
+}
+
 func TestEnginePastEventClamps(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1
@@ -93,7 +248,7 @@ func TestNetworkSingleFlow(t *testing.T) {
 	a := NewEndpoint("a", 100) // 100 B/s
 	b := NewEndpoint("b", 100)
 	var done float64 = -1
-	n.StartFlow(a, b, 1000, 0, func() { done = e.Now() })
+	n.StartFlow(a, b, 1000, 0, func(int) { done = e.Now() }, 0)
 	e.Run(0)
 	if done != 10 {
 		t.Fatalf("1000B at 100B/s finished at %v, want 10", done)
@@ -109,8 +264,8 @@ func TestNetworkFairShare(t *testing.T) {
 	d1 := NewEndpoint("d1", 1000)
 	d2 := NewEndpoint("d2", 1000)
 	var t1, t2 float64
-	n.StartFlow(src, d1, 1000, 0, func() { t1 = e.Now() })
-	n.StartFlow(src, d2, 1000, 0, func() { t2 = e.Now() })
+	n.StartFlow(src, d1, 1000, 0, func(int) { t1 = e.Now() }, 0)
+	n.StartFlow(src, d2, 1000, 0, func(int) { t2 = e.Now() }, 0)
 	e.Run(0)
 	if !almostEqual(t1, 20) || !almostEqual(t2, 20) {
 		t.Fatalf("t1=%v t2=%v want 20", t1, t2)
@@ -125,8 +280,8 @@ func TestNetworkRateReallocationAfterCompletion(t *testing.T) {
 	d1 := NewEndpoint("d1", 1000)
 	d2 := NewEndpoint("d2", 1000)
 	var tShort, tLong float64
-	n.StartFlow(src, d1, 500, 0, func() { tShort = e.Now() })
-	n.StartFlow(src, d2, 1000, 0, func() { tLong = e.Now() })
+	n.StartFlow(src, d1, 500, 0, func(int) { tShort = e.Now() }, 0)
+	n.StartFlow(src, d2, 1000, 0, func(int) { tLong = e.Now() }, 0)
 	e.Run(0)
 	// Short: 500B at 50B/s = 10s. Long: 500B at 50B/s + 500B at 100B/s =
 	// 10 + 5 = 15s.
@@ -142,8 +297,8 @@ func TestNetworkDestinationBottleneck(t *testing.T) {
 	s2 := NewEndpoint("s2", 1000)
 	dst := NewEndpoint("dst", 100)
 	var t1, t2 float64
-	n.StartFlow(s1, dst, 500, 0, func() { t1 = e.Now() })
-	n.StartFlow(s2, dst, 500, 0, func() { t2 = e.Now() })
+	n.StartFlow(s1, dst, 500, 0, func(int) { t1 = e.Now() }, 0)
+	n.StartFlow(s2, dst, 500, 0, func(int) { t2 = e.Now() }, 0)
 	e.Run(0)
 	if !almostEqual(t1, 10) || !almostEqual(t2, 10) {
 		t.Fatalf("t1=%v t2=%v want 10 (dest share 50B/s)", t1, t2)
@@ -161,7 +316,7 @@ func TestNetworkOverheadDegradation(t *testing.T) {
 		var last float64
 		for i := 0; i < flows; i++ {
 			d := NewEndpoint("d", 10000)
-			n.StartFlow(src, d, 100, 0, func() { last = e.Now() })
+			n.StartFlow(src, d, 100, 0, func(int) { last = e.Now() }, 0)
 		}
 		e.Run(0)
 		return last
@@ -182,7 +337,7 @@ func TestNetworkLatency(t *testing.T) {
 	a := NewEndpoint("a", 100)
 	b := NewEndpoint("b", 100)
 	var done float64
-	n.StartFlow(a, b, 100, 5, func() { done = e.Now() })
+	n.StartFlow(a, b, 100, 5, func(int) { done = e.Now() }, 0)
 	e.Run(0)
 	if !almostEqual(done, 6) {
 		t.Fatalf("done=%v want 6 (5 latency + 1 transfer)", done)
@@ -195,7 +350,7 @@ func TestNetworkZeroSizeFlow(t *testing.T) {
 	a := NewEndpoint("a", 100)
 	b := NewEndpoint("b", 100)
 	done := false
-	n.StartFlow(a, b, 0, 1, func() { done = true })
+	n.StartFlow(a, b, 0, 1, func(int) { done = true }, 0)
 	e.Run(0)
 	if !done {
 		t.Fatal("zero-size flow never completed")

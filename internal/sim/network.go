@@ -26,6 +26,10 @@ type Endpoint struct {
 	PerFlowBW float64
 
 	out, in int // live flow counts
+	// upShare and downShare are a flow's share of the endpoint as source
+	// and as destination, recomputed whenever out or in changes: the
+	// bandwidth fields must be set before the endpoint's first flow.
+	upShare, downShare float64
 	// flows lists every live flow touching this endpoint (as source or
 	// destination). A flow's rate depends only on its two endpoints' flow
 	// counts, so when the flow set changes, these lists name exactly the
@@ -37,6 +41,27 @@ type Endpoint struct {
 func (ep *Endpoint) attach(f *Flow) int {
 	ep.flows = append(ep.flows, f)
 	return len(ep.flows) - 1
+}
+
+// reshare recomputes the endpoint's shares from its flow counts. The
+// source share includes the contention-overhead degradation.
+func (ep *Endpoint) reshare() {
+	if ep.out > 0 {
+		agg := ep.UpBW
+		if ep.OverheadPerFlow > 0 && ep.out > 1 {
+			eff := 1 / (1 + ep.OverheadPerFlow*float64(ep.out-1))
+			// Contention wastes bandwidth but cannot erase it entirely;
+			// floor the efficiency so extreme fan-in stays finite.
+			if eff < 0.2 {
+				eff = 0.2
+			}
+			agg = ep.UpBW * eff
+		}
+		ep.upShare = agg / float64(ep.out)
+	}
+	if ep.in > 0 {
+		ep.downShare = ep.DownBW / float64(ep.in)
+	}
 }
 
 // detach swap-removes the flow at position i, fixing the position the
@@ -58,34 +83,55 @@ func (ep *Endpoint) detach(i int) {
 	ep.flows = ep.flows[:last]
 }
 
-// Flow is one in-progress transfer.
+// Flow is one transfer, from StartFlow until it completes. Flow records are
+// recycled: slot is the record's position in Network.slots.
 type Flow struct {
 	src, dst  *Endpoint
 	remaining float64
 	rate      float64
-	onDone    func()
-	id        int
+	// done(arg) fires at completion.
+	done func(int)
+	arg  int
+	id   int
+	slot int
 	// pos, srcPos and dstPos are the flow's positions in Network.flows,
-	// src.flows and dst.flows; pos is -1 once the flow completed.
+	// src.flows and dst.flows; pos is -1 while the flow is not moving bytes.
 	pos, srcPos, dstPos int
 }
 
-// Network simulates point-to-point transfers with max-min fair sharing at
-// both endpoints, recomputed whenever the flow set changes. This fluid-flow
-// approximation captures the phenomena the paper's transfer experiments
-// measure: source saturation, fan-out trees, and contention overheads.
+// Network simulates point-to-point transfers as fluid flows. A flow's rate
+// is min(source share, destination share), each capped by the endpoint's
+// PerFlowBW: the source share is its aggregate upload bandwidth, reduced by
+// OverheadPerFlow, divided by its flow count, and the destination share is
+// its download bandwidth divided by its flow count. Rates are recomputed
+// for the flows on a changed flow's endpoints whenever the flow set
+// changes. Capacity a flow cannot use because its other end is slower is
+// not passed on to the endpoint's other flows, so this is not max-min
+// fairness (ROADMAP.md, "A fluid network that is max-min fair", describes
+// the water-filling that would be). The model still captures the phenomena
+// the paper's transfer experiments measure: source saturation, fan-out
+// trees, and contention overheads.
 type Network struct {
-	eng    *Engine
-	flows  []*Flow
+	eng   *Engine
+	flows []*Flow
+	// slots holds every flow record, pending or live, by slot; free lists
+	// the slots not in use.
+	slots  []*Flow
+	free   []int
 	nextID int
-	// timer fires at the earliest flow completion; rescheduled on change.
-	timer      *Timer
-	lastUpdate float64
+	// timer fires at the earliest flow completion; re-armed in place on
+	// every change. begin and fire are the engine callbacks, bound once;
+	// both take a flow slot.
+	timer       Timer
+	begin, fire func(int)
+	lastUpdate  float64
 }
 
 // NewNetwork creates a network on the given engine.
 func NewNetwork(eng *Engine) *Network {
-	return &Network{eng: eng}
+	n := &Network{eng: eng}
+	n.begin, n.fire = n.beginFlow, n.fireFlow
+	return n
 }
 
 // NewEndpoint creates an endpoint with symmetric bandwidth.
@@ -97,27 +143,52 @@ func NewEndpoint(name string, bw float64) *Endpoint {
 func (n *Network) InFlight() int { return len(n.flows) }
 
 // StartFlow begins moving size bytes from src to dst after a fixed latency;
-// onDone fires at completion. A zero or negative size completes after just
-// the latency.
-func (n *Network) StartFlow(src, dst *Endpoint, size float64, latency float64, onDone func()) {
+// done(arg) fires at completion. A zero or negative size completes after
+// just the latency. done is meant to be bound once and arg to name the
+// transfer, so starting a flow allocates no closure.
+func (n *Network) StartFlow(src, dst *Endpoint, size float64, latency float64, done func(int), arg int) {
 	if src == nil || dst == nil {
 		panic("sim: flow with nil endpoint")
 	}
-	n.eng.After(latency, func() {
-		if size <= 0 {
-			onDone()
-			return
-		}
-		n.advance()
-		n.nextID++
-		f := &Flow{src: src, dst: dst, remaining: size, onDone: onDone, id: n.nextID, pos: len(n.flows)}
-		n.flows = append(n.flows, f)
-		src.out++
-		dst.in++
-		f.srcPos = src.attach(f)
-		f.dstPos = dst.attach(f)
-		n.reschedule(f)
-	})
+	var f *Flow
+	if k := len(n.free); k > 0 {
+		f, n.free = n.slots[n.free[k-1]], n.free[:k-1]
+	} else {
+		f = &Flow{slot: len(n.slots)}
+		n.slots = append(n.slots, f)
+	}
+	f.src, f.dst, f.remaining, f.pos = src, dst, size, -1
+	f.done, f.arg = done, arg
+	n.eng.Call(latency, n.begin, f.slot)
+}
+
+// beginFlow puts a flow on the wire once its latency has passed.
+func (n *Network) beginFlow(slot int) {
+	f := n.slots[slot]
+	if f.remaining <= 0 {
+		n.finish(f)
+		return
+	}
+	n.advance()
+	n.nextID++
+	f.id = n.nextID
+	f.pos = len(n.flows)
+	n.flows = append(n.flows, f)
+	f.src.out++
+	f.dst.in++
+	f.src.reshare()
+	f.dst.reshare()
+	f.srcPos = f.src.attach(f)
+	f.dstPos = f.dst.attach(f)
+	n.reschedule(f)
+}
+
+// finish frees a flow's record and fires its completion callback.
+func (n *Network) finish(f *Flow) {
+	done, arg := f.done, f.arg
+	*f = Flow{slot: f.slot, pos: -1}
+	n.free = append(n.free, f.slot)
+	done(arg)
 }
 
 // advance applies progress to all flows up to the current time.
@@ -135,24 +206,12 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
-// recomputeFlow assigns the flow min(srcShare, dstShare) where the source
-// share includes the contention-overhead degradation.
+// recomputeFlow assigns the flow min(source share, destination share),
+// then applies both endpoints' per-flow caps.
 func recomputeFlow(f *Flow) {
-	srcAgg := f.src.UpBW
-	if f.src.OverheadPerFlow > 0 && f.src.out > 1 {
-		eff := 1 / (1 + f.src.OverheadPerFlow*float64(f.src.out-1))
-		// Contention wastes bandwidth but cannot erase it entirely;
-		// floor the efficiency so extreme fan-in stays finite.
-		if eff < 0.2 {
-			eff = 0.2
-		}
-		srcAgg = f.src.UpBW * eff
-	}
-	srcShare := srcAgg / float64(f.src.out)
-	dstShare := f.dst.DownBW / float64(f.dst.in)
-	f.rate = srcShare
-	if dstShare < f.rate {
-		f.rate = dstShare
+	f.rate = f.src.upShare
+	if d := f.dst.downShare; d < f.rate {
+		f.rate = d
 	}
 	if f.src.PerFlowBW > 0 && f.rate > f.src.PerFlowBW {
 		f.rate = f.src.PerFlowBW
@@ -165,8 +224,8 @@ func recomputeFlow(f *Flow) {
 	}
 }
 
-// reschedule re-arms the completion timer after the flow set changed.
-// changed is the flow just added or removed (nil when the set is unchanged
+// reschedule re-arms the completion timer after the flow set changed, or
+// cancels it when no flow is left. changed is the flow just added or removed (nil when the set is unchanged
 // and only the timer needs re-arming). A flow's rate is a pure function of
 // its endpoints' flow counts, so only flows sharing an endpoint with the
 // changed flow can shift — recomputing exactly those gives bit-identical
@@ -176,11 +235,8 @@ func recomputeFlow(f *Flow) {
 // advanced remaining values: arming from anything cached would drift the
 // completion instants by float rounding and break trace determinism.
 func (n *Network) reschedule(changed *Flow) {
-	if n.timer != nil {
-		n.timer.Cancel()
-		n.timer = nil
-	}
 	if len(n.flows) == 0 {
+		n.timer.Cancel()
 		return
 	}
 	if changed != nil {
@@ -199,8 +255,11 @@ func (n *Network) reschedule(changed *Flow) {
 			first, firstT = f, t
 		}
 	}
-	n.timer = n.eng.After(firstT, func() { n.complete(first) })
+	n.eng.Rearm(&n.timer, n.eng.Now()+firstT, n.fire, first.slot)
 }
+
+// fireFlow completes the flow the timer was armed for.
+func (n *Network) fireFlow(slot int) { n.complete(n.slots[slot]) }
 
 func (n *Network) complete(f *Flow) {
 	n.advance()
@@ -218,13 +277,12 @@ func (n *Network) complete(f *Flow) {
 	f.pos = -1
 	f.src.out--
 	f.dst.in--
+	f.src.reshare()
+	f.dst.reshare()
 	f.src.detach(f.srcPos)
 	f.dst.detach(f.dstPos)
-	done := f.onDone
 	n.reschedule(f)
-	if done != nil {
-		done()
-	}
+	n.finish(f)
 }
 
 // Snapshot renders current flows for debugging.

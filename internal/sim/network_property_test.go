@@ -27,7 +27,7 @@ func TestQuickNetworkConservation(t *testing.T) {
 			size := float64(s%100000) + 1
 			total += size
 			dst := NewEndpoint("d", 1e9)
-			n.StartFlow(src, dst, size, 0, func() { delivered++ })
+			n.StartFlow(src, dst, size, 0, func(int) { delivered++ }, 0)
 		}
 		end := e.Run(0)
 		if delivered != len(sizes) {
@@ -54,7 +54,7 @@ func TestQuickPerFlowCap(t *testing.T) {
 		dst := NewEndpoint("dst", 1e9)
 		sz := float64(size%1000000) + 1
 		var done float64
-		n.StartFlow(src, dst, sz, 0, func() { done = e.Now() })
+		n.StartFlow(src, dst, sz, 0, func(int) { done = e.Now() }, 0)
 		e.Run(0)
 		return done >= sz/cap-1e-6
 	}
@@ -87,7 +87,7 @@ func TestNetworkIncrementalStateMatchesRecompute(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					id := n.nextID + 1 // the Run below starts it
 					src, dst := eps[rng.Intn(len(eps))], eps[rng.Intn(len(eps))]
-					n.StartFlow(src, dst, float64(rng.Intn(5000)+1), 0, func() { done[id] = true })
+					n.StartFlow(src, dst, float64(rng.Intn(5000)+1), 0, func(int) { done[id] = true }, 0)
 				}
 				e.Run(e.Now() + rng.Float64())
 				checkNetworkState(t, n, eps, done)

@@ -33,10 +33,10 @@ type cachedObject struct {
 	tier int
 }
 
-// storageOf lazily initializes a worker's cache map.
-func (w *simWorker) storage() map[replica.FileH]*cachedObject {
+// storage lazily initializes a worker's cache map.
+func (w *simWorker) storage() map[replica.FileH]cachedObject {
 	if w.cache == nil {
-		w.cache = make(map[replica.FileH]*cachedObject)
+		w.cache = make(map[replica.FileH]cachedObject)
 	}
 	return w.cache
 }
@@ -64,7 +64,7 @@ func (c *Cluster) admit(w *simWorker, fh replica.FileH) bool {
 	}
 	// Gather victims: disk tier (memory residents free no disk space),
 	// unpinned, not currently being materialized.
-	var victims []*cachedObject
+	var victims []cachedObject
 	for id, obj := range cache { // hotpath-ok: eviction scan, only when one worker's disk is full
 		if obj.tier != tierDisk || obj.pins > 0 || w.materializing[id] {
 			continue
@@ -107,7 +107,7 @@ func (c *Cluster) store(w *simWorker, fh replica.FileH, size int64) {
 	if _, ok := cache[fh]; ok {
 		return
 	}
-	cache[fh] = &cachedObject{id: fh, size: size, lastUse: c.eng.Now()}
+	cache[fh] = cachedObject{id: fh, size: size, lastUse: c.eng.Now()}
 	w.cacheUsed += size
 	c.vm.CacheInserts.Inc()
 	c.vm.CacheInsertBytes.Add(size)
@@ -133,8 +133,8 @@ func (c *Cluster) storeOutput(w *simWorker, fh replica.FileH, size int64) {
 		return
 	}
 	for w.memUsed+size > budget {
-		v := c.oldestMemoryResident(w)
-		if v == nil {
+		v, ok := c.oldestMemoryResident(w)
+		if !ok {
 			break
 		}
 		c.spill(w, v)
@@ -143,7 +143,7 @@ func (c *Cluster) storeOutput(w *simWorker, fh replica.FileH, size int64) {
 		c.store(w, fh, size)
 		return
 	}
-	cache[fh] = &cachedObject{id: fh, size: size, lastUse: c.eng.Now(), tier: tierMemory}
+	cache[fh] = cachedObject{id: fh, size: size, lastUse: c.eng.Now(), tier: tierMemory}
 	w.memUsed += size
 	c.vm.CacheMemInserts.Inc()
 	c.vm.CacheMemInsertBytes.Add(size)
@@ -154,8 +154,9 @@ func (c *Cluster) storeOutput(w *simWorker, fh replica.FileH, size int64) {
 // spill relocates a memory resident to the disk tier, mirroring
 // cache.spillLocked: the object stays resident — only its tier and
 // accounting move — so pinned objects are spillable too.
-func (c *Cluster) spill(w *simWorker, obj *cachedObject) {
+func (c *Cluster) spill(w *simWorker, obj cachedObject) {
 	obj.tier = tierDisk
+	w.cache[obj.id] = obj
 	w.memUsed -= obj.size
 	w.cacheUsed += obj.size
 	c.vm.CacheMemSpills.Inc()
@@ -164,19 +165,18 @@ func (c *Cluster) spill(w *simWorker, obj *cachedObject) {
 }
 
 // oldestMemoryResident picks the LRU memory-tier object (ID tie-break for
-// determinism), or nil when the tier is empty.
-func (c *Cluster) oldestMemoryResident(w *simWorker) *cachedObject {
-	var best *cachedObject
+// determinism); ok is false when the tier is empty.
+func (c *Cluster) oldestMemoryResident(w *simWorker) (best cachedObject, ok bool) {
 	for _, obj := range w.storage() { // hotpath-ok: spill scan, only when one worker's memory budget is full
 		if obj.tier != tierMemory {
 			continue
 		}
-		if best == nil || obj.lastUse < best.lastUse ||
+		if !ok || obj.lastUse < best.lastUse ||
 			(obj.lastUse == best.lastUse && c.fileName(obj.id) < c.fileName(best.id)) {
-			best = obj
+			best, ok = obj, true
 		}
 	}
-	return best
+	return best, ok
 }
 
 // evict removes an object from the worker and the replica table, recording
@@ -209,6 +209,7 @@ func (c *Cluster) pin(w *simWorker, ids []replica.FileH) {
 		if obj, ok := cache[id]; ok {
 			obj.pins++
 			obj.lastUse = c.eng.Now()
+			cache[id] = obj
 		}
 	}
 }
@@ -219,6 +220,7 @@ func (c *Cluster) unpin(w *simWorker, ids []replica.FileH) {
 	for _, id := range ids {
 		if obj, ok := cache[id]; ok && obj.pins > 0 {
 			obj.pins--
+			cache[id] = obj
 		}
 	}
 }

@@ -34,6 +34,24 @@ func BenchmarkSimTopEFT50k(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks/run")
 }
 
+// BenchmarkSimTopEFTBenchScale runs the TopEFT the benchmark simulates —
+// 2,000 process tasks (2,252 in all) on 25 four-core workers — and reports
+// allocations per run: the simulator's steady-state event loop should
+// allocate little beyond what the trace itself keeps.
+func BenchmarkSimTopEFTBenchScale(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := digestTopEFT()
+		c := sim.NewCluster(w, sim.DefaultParams(), policy.Limits{})
+		b.StartTimer()
+		c.Run()
+		if got := c.CompletedTasks(); got != len(w.Tasks) {
+			b.Fatalf("completed %d/%d tasks", got, len(w.Tasks))
+		}
+	}
+}
+
 // BenchmarkSimTransferBoundBinary runs a transfer-heavy TopEFT slice —
 // large inputs, short tasks — on the default parameters and reports the
 // virtual makespan. The name is kept so the recorded baseline still
