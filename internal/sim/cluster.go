@@ -714,16 +714,12 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 		// there afterwards — consumers must fetch them back out, doubling
 		// the traffic through the manager's link.
 		c.sched.SetState(id, &t.Task, taskspec.StateReturning)
-		var total int64
-		for _, out := range t.t.Outputs {
-			total += out.Size
-		}
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.TransferStart, Worker: w.spec.ID,
 			File: fmt.Sprintf("task-%d-outputs", t.t.ID), Source: w.label,
 		})
 		slot := c.runs.put(taskRun{id: id, epoch: t.epoch, w: w})
-		c.net.StartFlow(w.ep, c.manager, float64(total), c.params.TransferLatency, c.returnFn, slot)
+		c.net.StartFlow(w.ep, c.manager, float64(t.t.outputBytes()), c.params.TransferLatency, c.returnFn, slot)
 		return
 	}
 	// In-cluster mode: outputs appear in the worker's cache as temps.
@@ -740,13 +736,9 @@ func (c *Cluster) returnDone(slot int) {
 	if t.epoch != r.epoch || !w.joined {
 		return // preempted while returning outputs
 	}
-	var total int64
-	for _, out := range t.t.Outputs {
-		total += out.Size
-	}
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
-		File: fmt.Sprintf("task-%d-outputs", t.t.ID), Bytes: total, Source: w.label,
+		File: fmt.Sprintf("task-%d-outputs", t.t.ID), Bytes: t.t.outputBytes(), Source: w.label,
 	})
 	for _, out := range t.outputs {
 		c.files[out].atManager = true

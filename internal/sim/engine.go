@@ -76,28 +76,6 @@ func (e *Engine) Call(d float64, fn func(int), arg int) Timer {
 	return e.CallAt(e.now+d, fn, arg)
 }
 
-// Rearm moves the event tm names to absolute time t with callback fn(arg),
-// as if it were cancelled and scheduled anew: it takes a fresh sequence
-// number, so it orders exactly like a new event, but keeps its record and
-// fixes the heap in place. A tm that is no longer pending is replaced by a
-// new event.
-func (e *Engine) Rearm(tm *Timer, t float64, fn func(int), arg int) {
-	if !e.pending(*tm) {
-		*tm = e.CallAt(t, fn, arg)
-		return
-	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	ev := &e.events[tm.slot]
-	ev.seq, ev.fn, ev.arg = e.seq, fn, arg
-	i := ev.pos
-	e.heap[i].t, e.heap[i].seq = t, e.seq
-	e.fix(int(i))
-	tm.seq = e.seq
-}
-
 // Timer names one scheduled event. It is a value: a handle whose event has
 // fired or been cancelled is stale, and a stale handle never touches the
 // record's next event, since every event carries its own sequence number.
@@ -110,14 +88,9 @@ type Timer struct {
 // Cancel prevents the event from firing, removing it from the heap; safe
 // to call after it fired or was cancelled, and on the zero Timer.
 func (t Timer) Cancel() {
-	if t.e != nil && t.e.pending(t) {
+	if t.e != nil && t.seq != 0 && t.e.events[t.slot].seq == t.seq {
 		t.e.remove(t.slot)
 	}
-}
-
-// pending reports whether tm's event is still queued.
-func (e *Engine) pending(tm Timer) bool {
-	return tm.e == e && tm.seq != 0 && e.events[tm.slot].seq == tm.seq
 }
 
 // Run processes events until the queue is empty or the virtual clock would

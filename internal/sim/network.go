@@ -26,10 +26,6 @@ type Endpoint struct {
 	PerFlowBW float64
 
 	out, in int // live flow counts
-	// upShare and downShare are a flow's share of the endpoint as source
-	// and as destination, recomputed whenever out or in changes: the
-	// bandwidth fields must be set before the endpoint's first flow.
-	upShare, downShare float64
 	// flows lists every live flow touching this endpoint (as source or
 	// destination). A flow's rate depends only on its two endpoints' flow
 	// counts, so when the flow set changes, these lists name exactly the
@@ -41,27 +37,6 @@ type Endpoint struct {
 func (ep *Endpoint) attach(f *Flow) int {
 	ep.flows = append(ep.flows, f)
 	return len(ep.flows) - 1
-}
-
-// reshare recomputes the endpoint's shares from its flow counts. The
-// source share includes the contention-overhead degradation.
-func (ep *Endpoint) reshare() {
-	if ep.out > 0 {
-		agg := ep.UpBW
-		if ep.OverheadPerFlow > 0 && ep.out > 1 {
-			eff := 1 / (1 + ep.OverheadPerFlow*float64(ep.out-1))
-			// Contention wastes bandwidth but cannot erase it entirely;
-			// floor the efficiency so extreme fan-in stays finite.
-			if eff < 0.2 {
-				eff = 0.2
-			}
-			agg = ep.UpBW * eff
-		}
-		ep.upShare = agg / float64(ep.out)
-	}
-	if ep.in > 0 {
-		ep.downShare = ep.DownBW / float64(ep.in)
-	}
 }
 
 // detach swap-removes the flow at position i, fixing the position the
@@ -119,8 +94,8 @@ type Network struct {
 	slots  []*Flow
 	free   []int
 	nextID int
-	// timer fires at the earliest flow completion; re-armed in place on
-	// every change. begin and fire are the engine callbacks, bound once;
+	// timer fires at the earliest flow completion; cancelled and re-armed
+	// on every change. begin and fire are the engine callbacks, bound once;
 	// both take a flow slot.
 	timer       Timer
 	begin, fire func(int)
@@ -176,8 +151,6 @@ func (n *Network) beginFlow(slot int) {
 	n.flows = append(n.flows, f)
 	f.src.out++
 	f.dst.in++
-	f.src.reshare()
-	f.dst.reshare()
 	f.srcPos = f.src.attach(f)
 	f.dstPos = f.dst.attach(f)
 	n.reschedule(f)
@@ -207,11 +180,24 @@ func (n *Network) advance() {
 }
 
 // recomputeFlow assigns the flow min(source share, destination share),
-// then applies both endpoints' per-flow caps.
+// then applies both endpoints' per-flow caps. The source share includes
+// the contention-overhead degradation.
 func recomputeFlow(f *Flow) {
-	f.rate = f.src.upShare
-	if d := f.dst.downShare; d < f.rate {
-		f.rate = d
+	srcAgg := f.src.UpBW
+	if f.src.OverheadPerFlow > 0 && f.src.out > 1 {
+		eff := 1 / (1 + f.src.OverheadPerFlow*float64(f.src.out-1))
+		// Contention wastes bandwidth but cannot erase it entirely;
+		// floor the efficiency so extreme fan-in stays finite.
+		if eff < 0.2 {
+			eff = 0.2
+		}
+		srcAgg = f.src.UpBW * eff
+	}
+	srcShare := srcAgg / float64(f.src.out)
+	dstShare := f.dst.DownBW / float64(f.dst.in)
+	f.rate = srcShare
+	if dstShare < f.rate {
+		f.rate = dstShare
 	}
 	if f.src.PerFlowBW > 0 && f.rate > f.src.PerFlowBW {
 		f.rate = f.src.PerFlowBW
@@ -224,8 +210,8 @@ func recomputeFlow(f *Flow) {
 	}
 }
 
-// reschedule re-arms the completion timer after the flow set changed, or
-// cancels it when no flow is left. changed is the flow just added or removed (nil when the set is unchanged
+// reschedule re-arms the completion timer after the flow set changed.
+// changed is the flow just added or removed (nil when the set is unchanged
 // and only the timer needs re-arming). A flow's rate is a pure function of
 // its endpoints' flow counts, so only flows sharing an endpoint with the
 // changed flow can shift — recomputing exactly those gives bit-identical
@@ -235,8 +221,8 @@ func recomputeFlow(f *Flow) {
 // advanced remaining values: arming from anything cached would drift the
 // completion instants by float rounding and break trace determinism.
 func (n *Network) reschedule(changed *Flow) {
+	n.timer.Cancel()
 	if len(n.flows) == 0 {
-		n.timer.Cancel()
 		return
 	}
 	if changed != nil {
@@ -255,7 +241,7 @@ func (n *Network) reschedule(changed *Flow) {
 			first, firstT = f, t
 		}
 	}
-	n.eng.Rearm(&n.timer, n.eng.Now()+firstT, n.fire, first.slot)
+	n.timer = n.eng.Call(firstT, n.fire, first.slot)
 }
 
 // fireFlow completes the flow the timer was armed for.
@@ -277,8 +263,6 @@ func (n *Network) complete(f *Flow) {
 	f.pos = -1
 	f.src.out--
 	f.dst.in--
-	f.src.reshare()
-	f.dst.reshare()
 	f.src.detach(f.srcPos)
 	f.dst.detach(f.dstPos)
 	n.reschedule(f)

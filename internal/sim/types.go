@@ -58,6 +58,15 @@ type Task struct {
 	ReturnOutputs bool
 }
 
+// outputBytes is the total size of the task's outputs.
+func (t *Task) outputBytes() int64 {
+	var total int64
+	for _, out := range t.Outputs {
+		total += out.Size
+	}
+	return total
+}
+
 // Output is one produced object and its (modeled) size.
 type Output struct {
 	ID   string
