@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net"
 	"reflect"
@@ -196,6 +197,28 @@ func headerTags(t *testing.T, b []byte, want int) ([]int, []byte) {
 		}
 	}
 	return tags, value
+}
+
+// TestBinaryEncodingGolden pins the wire bytes of a few messages: the
+// header encoding is the protocol between peers of different builds, so a
+// change to the codec must leave every byte here as it is.
+func TestBinaryEncodingGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    *Message
+		hex  string
+	}{
+		{"full", fullMessage(), "03047461736b0503772d39070d31302e302e302e313a34303030090d108080808010808080808001040a540d730254040207076563686f20686909046c69626d0b067371756172650d030102030f0b0102663106696e2e646174110c01026632076f75742e6461741309020141013101420132150c06808080800880808080400216041880808080808080fc3f1b0562656e63681d0868616e646c652d371e020e05110c726573756c742d62797465731312020674656d702d78f6010674656d702d7900142216882718808080011a808080041d0866696c652d6162631e9a870c20022204251568747470733a2f2f6578616d706c652e636f6d2f78270d31302e302e302e323a343030312904742d37372b0864656164626565662d026f6b2f046e6f70653280403480808010371d020d31302e302e302e333a343030320d31302e302e302e343a343030333802"},
+		{"fuzz", fuzzMessage("put", "w-1", "file-x", 301, -2, 7), "03037075740503772d31070666696c652d780905da04030e020ada040d790203040e07037075740903772d310b0666696c652d780d0666696c652d780f11020370757403772d310666696c652d7800110c0103772d310666696c652d781315020766696c652d783d037075740370757403772d311505da04030e02160e1880808080808080e8bf011b03772d311d0666696c652d781e020e0e110666696c652d78130c0203707574da0403772d310314da041603180e1ad9041d03772d311e0e20022203250666696c652d7827037075742903772d312b0666696c652d782d037075742f03772d313203340e3710030370757403772d310666696c652d78380e"},
+		{"spec_only", &Message{Type: TypeTask, TaskID: 3, Spec: &taskspec.Spec{Kind: taskspec.KindCommand, Command: "true"}},
+			"03047461736b0a060d06070474727565"},
+		{"empty_spec", &Message{Spec: &taskspec.Spec{}}, "0d00"},
+		{"zero", &Message{}, ""},
+	} {
+		if got := hex.EncodeToString(encodeMessage(nil, tc.m)); got != tc.hex {
+			t.Errorf("%s encodes as\n %s\nwant\n %s", tc.name, got, tc.hex)
+		}
+	}
 }
 
 func TestBinaryCodecRoundTrip(t *testing.T) {
