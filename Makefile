@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryCanonical -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection suite (sim, core, worker, batch)
 # under the race detector for two fixed seeds. Fixed seeds keep failures

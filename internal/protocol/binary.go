@@ -17,6 +17,17 @@
 // skippable. Zero-valued fields are omitted. Map fields (a task spec's
 // environment) are encoded in sorted key order so the encoding of a
 // message is deterministic.
+//
+// One field table per encoded type, messageTable and specTable, is the
+// whole codec. Each is indexed by field ID, and each entry holds the
+// field's name, its wire type, and typed closures that append it and set
+// it, built by the constructors str, raw, varint, flag, float and nested.
+// One generic loop encodes a value in tag order and one decodes it. The
+// decoder rejects a known field sent with the other wire type, and skips
+// a reserved entry (a retired tag) or a tag past the table whatever its
+// wire type. Decoding is canonical: whatever the encoder omits (an empty
+// list or map, a zero capacity) decodes as the zero value, so re-encoding
+// a decoded header yields the same message.
 package protocol
 
 import (
@@ -25,7 +36,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"taskvine/internal/resources"
@@ -51,120 +61,82 @@ const (
 // rejected with TypeError rather than allocated.
 const MaxControlPayload int64 = 8 << 20
 
-// Message field IDs for the binary header encoding. Order is wire
-// compatibility: never renumber, only append.
-const (
-	fType           = 1
-	fWorkerID       = 2
-	fTransferAddr   = 3
-	fCapacity       = 4
-	fTaskID         = 5
-	fSpec           = 6
-	fExitCode       = 7
-	fResult         = 8
-	fOutputs        = 9
-	fTimeStagedMS   = 10
-	fTimeRunMS      = 11
-	fMeasuredDisk   = 12
-	fMeasuredMemory = 13
-	fCacheName      = 14
-	fSize           = 15
-	fDir            = 16
-	fLifetime       = 17
-	fURL            = 18
-	fPeerAddr       = 19
-	fTransferID     = 20
-	fChecksum       = 21
-	fStatus         = 22
-	fError          = 23
-	// Tag 24 is retired: reservedMessageTags.
-	fOffset    = 25
-	fTotal     = 26
-	fPeerAddrs = 27
-	fTier      = 28
-)
-
-// Spec field IDs (nested message, its own field space).
-const (
-	sID            = 1
-	sKind          = 2
-	sCommand       = 3
-	sLibrary       = 4
-	sFunction      = 5
-	sArgs          = 6
-	sInputs        = 7
-	sOutputs       = 8
-	sEnv           = 9
-	sResources     = 10
-	sMaxRetries    = 11
-	sMaxRunSeconds = 12
-	sCategory      = 13
-	sArgsFrom      = 14
-	sResident      = 15
-	// Tags 16 and 17 are retired: reservedSpecTags.
-)
-
-// Retired tags: older peers may still send them, so the decoders skip them
-// whatever their wire type, and no field may ever take them again.
-var (
-	// reservedMessageTags: 24 carried the framing-negotiation version.
-	reservedMessageTags = []int{24}
-	// reservedSpecTags: 16 and 17 carried routing labels.
-	reservedSpecTags = []int{16, 17}
-)
-
 const (
 	wireVarint = 0
 	wireBytes  = 1
 )
 
-// fieldWire names a known header field and the wire type it travels as.
-// The decoders reject a known field sent with the other wire type rather
-// than read it as garbage; reserved tags and tags with no entry (from a
-// newer peer) are skipped.
-type fieldWire struct {
-	name string
-	wire int
+var wireNames = [...]string{wireVarint: "varint", wireBytes: "bytes"}
+
+// messageTable is the Message codec, indexed by field ID. The IDs are the
+// wire format: never renumber, only append, and keep a retired ID as a
+// reserved entry so no field ever takes it again. Payload is not here: it
+// travels in the frame prologue.
+var messageTable = [...]field[Message]{
+	1:  str("Type", func(m *Message) *string { return &m.Type }),
+	2:  str("WorkerID", func(m *Message) *string { return &m.WorkerID }),
+	3:  str("TransferAddr", func(m *Message) *string { return &m.TransferAddr }),
+	4:  nested("Capacity", func(m *Message) **resources.R { return &m.Capacity }, putCapacity, getCapacity),
+	5:  varint("TaskID", func(m *Message) *int { return &m.TaskID }),
+	6:  nested("Spec", func(m *Message) **taskspec.Spec { return &m.Spec }, putSpec, getSpec),
+	7:  varint("ExitCode", func(m *Message) *int { return &m.ExitCode }),
+	8:  raw("Result", func(m *Message) *[]byte { return &m.Result }),
+	9:  nested("Outputs", func(m *Message) *[]OutputInfo { return &m.Outputs }, putOutputs, getOutputs),
+	10: varint("TimeStagedMS", func(m *Message) *int64 { return &m.TimeStagedMS }),
+	11: varint("TimeRunMS", func(m *Message) *int64 { return &m.TimeRunMS }),
+	12: varint("MeasuredDisk", func(m *Message) *int64 { return &m.MeasuredDisk }),
+	13: varint("MeasuredMemory", func(m *Message) *int64 { return &m.MeasuredMemory }),
+	14: str("CacheName", func(m *Message) *string { return &m.CacheName }),
+	15: varint("Size", func(m *Message) *int64 { return &m.Size }),
+	16: flag("Dir", func(m *Message) *bool { return &m.Dir }),
+	17: varint("Lifetime", func(m *Message) *int { return &m.Lifetime }),
+	18: str("URL", func(m *Message) *string { return &m.URL }),
+	19: str("PeerAddr", func(m *Message) *string { return &m.PeerAddr }),
+	20: str("TransferID", func(m *Message) *string { return &m.TransferID }),
+	21: str("Checksum", func(m *Message) *string { return &m.Checksum }),
+	22: str("Status", func(m *Message) *string { return &m.Status }),
+	23: str("Error", func(m *Message) *string { return &m.Error }),
+	24: reserved[Message]("framing-negotiation version"),
+	25: varint("Offset", func(m *Message) *int64 { return &m.Offset }),
+	26: varint("Total", func(m *Message) *int64 { return &m.Total }),
+	27: nested("PeerAddrs", func(m *Message) *[]string { return &m.PeerAddrs }, putStrings, getStrings),
+	28: varint("Tier", func(m *Message) *int { return &m.Tier }),
 }
 
-var messageFields = [...]fieldWire{
-	fType: {"Type", wireBytes}, fWorkerID: {"WorkerID", wireBytes}, fTransferAddr: {"TransferAddr", wireBytes},
-	fCapacity: {"Capacity", wireBytes}, fTaskID: {"TaskID", wireVarint}, fSpec: {"Spec", wireBytes},
-	fExitCode: {"ExitCode", wireVarint}, fResult: {"Result", wireBytes}, fOutputs: {"Outputs", wireBytes},
-	fTimeStagedMS: {"TimeStagedMS", wireVarint}, fTimeRunMS: {"TimeRunMS", wireVarint},
-	fMeasuredDisk: {"MeasuredDisk", wireVarint}, fMeasuredMemory: {"MeasuredMemory", wireVarint},
-	fCacheName: {"CacheName", wireBytes}, fSize: {"Size", wireVarint}, fDir: {"Dir", wireVarint},
-	fLifetime: {"Lifetime", wireVarint}, fURL: {"URL", wireBytes}, fPeerAddr: {"PeerAddr", wireBytes},
-	fTransferID: {"TransferID", wireBytes}, fChecksum: {"Checksum", wireBytes}, fStatus: {"Status", wireBytes},
-	fError: {"Error", wireBytes}, fOffset: {"Offset", wireVarint}, fTotal: {"Total", wireVarint},
-	fPeerAddrs: {"PeerAddrs", wireBytes}, fTier: {"Tier", wireVarint},
+// specTable is the task spec codec, a nested field space of its own.
+var specTable = [...]field[taskspec.Spec]{
+	1:  varint("ID", func(s *taskspec.Spec) *int { return &s.ID }),
+	2:  varint("Kind", func(s *taskspec.Spec) *taskspec.Kind { return &s.Kind }),
+	3:  str("Command", func(s *taskspec.Spec) *string { return &s.Command }),
+	4:  str("Library", func(s *taskspec.Spec) *string { return &s.Library }),
+	5:  str("Function", func(s *taskspec.Spec) *string { return &s.Function }),
+	6:  raw("Args", func(s *taskspec.Spec) *[]byte { return &s.Args }),
+	7:  nested("Inputs", func(s *taskspec.Spec) *[]taskspec.Mount { return &s.Inputs }, putMounts, getMounts),
+	8:  nested("Outputs", func(s *taskspec.Spec) *[]taskspec.Mount { return &s.Outputs }, putMounts, getMounts),
+	9:  nested("Env", func(s *taskspec.Spec) *map[string]string { return &s.Env }, putEnv, getEnv),
+	10: nested("Resources", func(s *taskspec.Spec) *resources.R { return &s.Resources }, putResources, getResources),
+	11: varint("MaxRetries", func(s *taskspec.Spec) *int { return &s.MaxRetries }),
+	12: float("MaxRunSeconds", func(s *taskspec.Spec) *float64 { return &s.MaxRunSeconds }),
+	13: str("Category", func(s *taskspec.Spec) *string { return &s.Category }),
+	14: str("ArgsFrom", func(s *taskspec.Spec) *string { return &s.ArgsFrom }),
+	15: flag("Resident", func(s *taskspec.Spec) *bool { return &s.Resident }),
+	16: reserved[taskspec.Spec]("routing label"),
+	17: reserved[taskspec.Spec]("routing bucket"),
 }
 
-var specFields = [...]fieldWire{
-	sID: {"ID", wireVarint}, sKind: {"Kind", wireVarint}, sCommand: {"Command", wireBytes},
-	sLibrary: {"Library", wireBytes}, sFunction: {"Function", wireBytes}, sArgs: {"Args", wireBytes},
-	sInputs: {"Inputs", wireBytes}, sOutputs: {"Outputs", wireBytes}, sEnv: {"Env", wireBytes},
-	sResources: {"Resources", wireBytes}, sMaxRetries: {"MaxRetries", wireVarint},
-	sMaxRunSeconds: {"MaxRunSeconds", wireVarint}, sCategory: {"Category", wireBytes},
-	sArgsFrom: {"ArgsFrom", wireBytes}, sResident: {"Resident", wireVarint},
-}
+// encodeMessage appends the binary header encoding of m to b.
+func encodeMessage(b []byte, m *Message) []byte { return encode(b, messageTable[:], m) }
 
-func wireName(wire int) string {
-	if wire == wireVarint {
-		return "varint"
+// decodeMessage parses a binary frame header into a Message.
+func decodeMessage(b []byte) (*Message, error) {
+	m := &Message{}
+	if err := decode("message", messageTable[:], b, m); err != nil {
+		return nil, err
 	}
-	return "bytes"
+	return m, nil
 }
 
-// checkWire fails when field is known with a wire type other than wire.
-func checkWire(fields []fieldWire, field, wire int) error {
-	if field < len(fields) && fields[field].name != "" && fields[field].wire != wire {
-		return fmt.Errorf("%s sent as %s, want %s", fields[field].name, wireName(wire), wireName(fields[field].wire))
-	}
-	return nil
-}
-
-// encBufPool recycles header encode/decode scratch. Buffers that grew past
+// encBufPool recycles frame-header read buffers. Buffers that grew past
 // a frame-header-sized payload are dropped rather than pinned forever.
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
@@ -193,568 +165,345 @@ func CopyBuffer(dst io.Writer, src io.Reader) (int64, error) {
 	return n, err
 }
 
-// ---- primitive writers ----
+// ---- the table-driven codec ----
 
-func appendTag(b []byte, field, wire int) []byte {
-	return append(b, byte(field<<1|wire))
+// field is one entry of a field table. enc appends the field of v behind
+// its tag byte, or nothing when the value is one the encoder omits; dec
+// sets the field of v from a decoded varint u or bytes value b, whichever
+// wire carries it. An entry without dec is not a field: tag 0, or a
+// reserved (retired) tag.
+type field[T any] struct {
+	name     string
+	wire     int
+	reserved bool
+	enc      func(b []byte, tag byte, v *T) []byte
+	dec      func(v *T, u uint64, b []byte) error
 }
 
-func appendVarintField(b []byte, field int, v int64) []byte {
-	if v == 0 {
-		return b
+// encode appends the fields of v in tag order.
+func encode[T any](b []byte, table []field[T], v *T) []byte {
+	for id := range table {
+		if f := &table[id]; f.enc != nil {
+			b = f.enc(b, byte(id<<1|f.wire), v)
+		}
 	}
-	b = appendTag(b, field, wireVarint)
-	return binary.AppendUvarint(b, zigzag(v))
+	return b
 }
 
-func appendBytesField(b []byte, field int, v []byte) []byte {
-	if len(v) == 0 {
-		return b
+// decode sets the fields of v from the header encoding b; what names the
+// table in errors.
+func decode[T any](what string, table []field[T], b []byte, v *T) error {
+	for len(b) > 0 {
+		id, wire := int(b[0]>>1), int(b[0]&1)
+		var f *field[T]
+		if id < len(table) && table[id].dec != nil {
+			f = &table[id]
+		}
+		if f != nil && f.wire != wire {
+			return fmt.Errorf("protocol: decoding %s field %d: %s sent as %s, want %s",
+				what, id, f.name, wireNames[wire], wireNames[f.wire])
+		}
+		var u uint64
+		var val []byte
+		var err error
+		if wire == wireVarint {
+			u, b, err = uvarint(b[1:])
+		} else {
+			val, b, err = lenBytes(b[1:])
+		}
+		if err == nil && f != nil {
+			err = f.dec(v, u, val)
+		}
+		if err != nil {
+			return fmt.Errorf("protocol: decoding %s field %d: %w", what, id, err)
+		}
 	}
-	b = appendTag(b, field, wireBytes)
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
+	return nil
 }
 
-func appendStringField(b []byte, field int, v string) []byte {
-	if v == "" {
-		return b
-	}
-	b = appendTag(b, field, wireBytes)
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	return append(b, v...)
+// reserved marks a retired tag: decode skips it, and no field may take it.
+func reserved[T any](was string) field[T] { return field[T]{name: was, reserved: true} }
+
+// str is a string field.
+func str[T any](name string, p func(*T) *string) field[T] {
+	return field[T]{name: name, wire: wireBytes,
+		enc: func(b []byte, tag byte, v *T) []byte { return appendBytes(b, tag, *p(v)) },
+		dec: func(v *T, _ uint64, b []byte) error { *p(v) = string(b); return nil }}
 }
+
+// raw is a []byte field; it decodes to a copy, nil when empty.
+func raw[T any](name string, p func(*T) *[]byte) field[T] {
+	return field[T]{name: name, wire: wireBytes,
+		enc: func(b []byte, tag byte, v *T) []byte { return appendBytes(b, tag, *p(v)) },
+		dec: func(v *T, _ uint64, b []byte) error { *p(v) = append([]byte(nil), b...); return nil }}
+}
+
+// varint is an integer field, zigzag-encoded.
+func varint[T any, I ~int | ~int64](name string, p func(*T) *I) field[T] {
+	return field[T]{name: name, wire: wireVarint,
+		enc: func(b []byte, tag byte, v *T) []byte {
+			x := *p(v)
+			return appendVarint(b, tag, x != 0, zigzag(int64(x)))
+		},
+		dec: func(v *T, u uint64, _ []byte) error { *p(v) = I(unzigzag(u)); return nil }}
+}
+
+// flag is a bool field, sent as the varint 1 when set.
+func flag[T any](name string, p func(*T) *bool) field[T] {
+	return field[T]{name: name, wire: wireVarint,
+		enc: func(b []byte, tag byte, v *T) []byte { return appendVarint(b, tag, *p(v), zigzag(1)) },
+		dec: func(v *T, u uint64, _ []byte) error { *p(v) = u != 0; return nil }}
+}
+
+// float is a float64 field, sent as the uvarint of its IEEE 754 bits. A
+// non-finite value is rejected at decode: the field is outside input.
+func float[T any](name string, p func(*T) *float64) field[T] {
+	return field[T]{name: name, wire: wireVarint,
+		enc: func(b []byte, tag byte, v *T) []byte {
+			x := *p(v)
+			return appendVarint(b, tag, x != 0, math.Float64bits(x))
+		},
+		dec: func(v *T, u uint64, _ []byte) error {
+			x := math.Float64frombits(u)
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("protocol: %s is %v, want a finite number", name, x)
+			}
+			*p(v) = x
+			return nil
+		}}
+}
+
+// nested is a bytes field holding an inner encoding. put appends the
+// encoding of a value and reports false, having written nothing, for a
+// value the encoder omits; get reads an encoding back. The inner encoding
+// is written straight into the output and its tag and length inserted in
+// front of it.
+func nested[T, V any](name string, p func(*T) *V, put func([]byte, V) ([]byte, bool), get func([]byte) (V, error)) field[T] {
+	return field[T]{name: name, wire: wireBytes,
+		enc: func(b []byte, tag byte, v *T) []byte {
+			start := len(b)
+			b, ok := put(b, *p(v))
+			if !ok {
+				return b
+			}
+			var head [1 + binary.MaxVarintLen64]byte
+			return slices.Insert(b, start, binary.AppendUvarint(append(head[:0], tag), uint64(len(b)-start))...)
+		},
+		dec: func(v *T, _ uint64, b []byte) (err error) { *p(v), err = get(b); return err }}
+}
+
+// ---- primitives ----
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// ---- nested encoders ----
+// appendVarint appends a varint field holding u when present.
+func appendVarint(b []byte, tag byte, present bool, u uint64) []byte {
+	if !present {
+		return b
+	}
+	return binary.AppendUvarint(append(b, tag), u)
+}
 
-func appendResources(b []byte, field int, r resources.R) []byte {
+// appendBytes appends a bytes field holding v, omitted when v is empty.
+func appendBytes[S ~string | ~[]byte](b []byte, tag byte, v S) []byte {
+	if len(v) == 0 {
+		return b
+	}
+	return appendLen(append(b, tag), v)
+}
+
+// appendLen appends v behind its uvarint length.
+func appendLen[S ~string | ~[]byte](b []byte, v S) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
+}
+
+// uvarint reads a uvarint off the front of b and returns the rest.
+func uvarint(b []byte) (uint64, []byte, error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("protocol: truncated varint")
+	}
+	return v, b[n:], nil
+}
+
+// lenBytes reads a uvarint-length-prefixed value off the front of b and
+// returns the rest.
+func lenBytes(b []byte) ([]byte, []byte, error) {
+	n, b, err := uvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("protocol: length %d exceeds remaining header", n)
+	}
+	return b[:n], b[n:], nil
+}
+
+func getStr(b []byte) (string, []byte, error) {
+	v, b, err := lenBytes(b)
+	return string(v), b, err
+}
+
+// ---- nested values ----
+
+func putSpec(b []byte, s *taskspec.Spec) ([]byte, bool) {
+	// A spec that encodes to nothing still marks presence with an empty
+	// nested field, so decode restores a non-nil *Spec.
+	if s == nil {
+		return b, false
+	}
+	return encode(b, specTable[:], s), true
+}
+
+func getSpec(b []byte) (*taskspec.Spec, error) {
+	s := &taskspec.Spec{}
+	if err := decode("spec", specTable[:], b, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func putResources(b []byte, r resources.R) ([]byte, bool) {
 	if r.IsZero() {
-		return b
+		return b, false
 	}
-	inner := getEncBuf()
-	v := *inner
-	v = binary.AppendUvarint(v, zigzag(int64(r.Cores)))
-	v = binary.AppendUvarint(v, zigzag(r.Memory))
-	v = binary.AppendUvarint(v, zigzag(r.Disk))
-	v = binary.AppendUvarint(v, zigzag(int64(r.GPUs)))
-	b = appendBytesField(b, field, v)
-	*inner = v
-	putEncBuf(inner)
-	return b
+	for _, x := range [...]int64{int64(r.Cores), r.Memory, r.Disk, int64(r.GPUs)} {
+		b = binary.AppendUvarint(b, zigzag(x))
+	}
+	return b, true
 }
 
-func appendMounts(b []byte, field int, mounts []taskspec.Mount) []byte {
-	if len(mounts) == 0 {
-		return b
+func getResources(b []byte) (resources.R, error) {
+	var x [4]int64
+	for i := range x {
+		u, rest, err := uvarint(b)
+		if err != nil {
+			return resources.R{}, err
+		}
+		x[i], b = unzigzag(u), rest
 	}
-	inner := getEncBuf()
-	v := *inner
-	v = binary.AppendUvarint(v, uint64(len(mounts)))
-	for _, mt := range mounts {
-		v = binary.AppendUvarint(v, uint64(len(mt.FileID)))
-		v = append(v, mt.FileID...)
-		v = binary.AppendUvarint(v, uint64(len(mt.Name)))
-		v = append(v, mt.Name...)
-	}
-	b = appendBytesField(b, field, v)
-	*inner = v
-	putEncBuf(inner)
-	return b
+	return resources.R{Cores: int(x[0]), Memory: x[1], Disk: x[2], GPUs: int(x[3])}, nil
 }
 
-func appendOutputs(b []byte, field int, outs []OutputInfo) []byte {
-	if len(outs) == 0 {
-		return b
+func putCapacity(b []byte, r *resources.R) ([]byte, bool) {
+	if r == nil {
+		return b, false
 	}
-	inner := getEncBuf()
-	v := *inner
-	v = binary.AppendUvarint(v, uint64(len(outs)))
-	for _, o := range outs {
-		v = binary.AppendUvarint(v, uint64(len(o.CacheName)))
-		v = append(v, o.CacheName...)
-		v = binary.AppendUvarint(v, zigzag(o.Size))
-	}
-	b = appendBytesField(b, field, v)
-	*inner = v
-	putEncBuf(inner)
-	return b
+	return putResources(b, *r)
 }
 
-func appendStrings(b []byte, field int, ss []string) []byte {
-	if len(ss) == 0 {
-		return b
+// getCapacity decodes a zero capacity as nil, the value the encoder omits
+// it for, so a worker's capacity does not depend on which of the two
+// encodings it sent.
+func getCapacity(b []byte) (*resources.R, error) {
+	r, err := getResources(b)
+	if err != nil || r.IsZero() {
+		return nil, err
 	}
-	inner := getEncBuf()
-	v := *inner
-	v = binary.AppendUvarint(v, uint64(len(ss)))
-	for _, s := range ss {
-		v = binary.AppendUvarint(v, uint64(len(s)))
-		v = append(v, s...)
-	}
-	b = appendBytesField(b, field, v)
-	*inner = v
-	putEncBuf(inner)
-	return b
+	return &r, nil
 }
 
-func appendEnv(b []byte, field int, env map[string]string) []byte {
+// putList appends a count-prefixed list, omitted when empty.
+func putList[E any](b []byte, list []E, each func([]byte, E) []byte) ([]byte, bool) {
+	if len(list) == 0 {
+		return b, false
+	}
+	b = binary.AppendUvarint(b, uint64(len(list)))
+	for _, e := range list {
+		b = each(b, e)
+	}
+	return b, true
+}
+
+// getList reads a count-prefixed list; an empty one is nil, as the
+// encoder omits it.
+func getList[E any](b []byte, each func([]byte) (E, []byte, error)) ([]E, error) {
+	n, b, err := uvarint(b)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	// Every entry takes at least one byte.
+	if n > uint64(len(b)) {
+		return nil, fmt.Errorf("protocol: list count %d exceeds encoding", n)
+	}
+	out := make([]E, n)
+	for i := range out {
+		if out[i], b, err = each(b); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func putStrings(b []byte, ss []string) ([]byte, bool) { return putList(b, ss, appendLen[string]) }
+func getStrings(b []byte) ([]string, error)           { return getList(b, getStr) }
+
+func putOutputs(b []byte, outs []OutputInfo) ([]byte, bool) {
+	return putList(b, outs, func(b []byte, o OutputInfo) []byte {
+		return binary.AppendUvarint(appendLen(b, o.CacheName), zigzag(o.Size))
+	})
+}
+
+func getOutputs(b []byte) ([]OutputInfo, error) {
+	return getList(b, func(b []byte) (OutputInfo, []byte, error) {
+		name, b, err := getStr(b)
+		if err != nil {
+			return OutputInfo{}, nil, err
+		}
+		size, b, err := uvarint(b)
+		return OutputInfo{CacheName: name, Size: unzigzag(size)}, b, err
+	})
+}
+
+func putMounts(b []byte, mounts []taskspec.Mount) ([]byte, bool) {
+	return putList(b, mounts, func(b []byte, mt taskspec.Mount) []byte {
+		return appendLen(appendLen(b, mt.FileID), mt.Name)
+	})
+}
+
+func getMounts(b []byte) ([]taskspec.Mount, error) {
+	return getList(b, func(b []byte) (taskspec.Mount, []byte, error) {
+		pair, b, err := getPair(b)
+		return taskspec.Mount{FileID: pair[0], Name: pair[1]}, b, err
+	})
+}
+
+// putEnv writes the environment as a list of key/value pairs in key order.
+func putEnv(b []byte, env map[string]string) ([]byte, bool) {
 	if len(env) == 0 {
-		return b
+		return b, false
 	}
 	keys := make([]string, 0, len(env))
 	for k := range env {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	inner := getEncBuf()
-	v := *inner
-	v = binary.AppendUvarint(v, uint64(len(keys)))
-	for _, k := range keys {
-		v = binary.AppendUvarint(v, uint64(len(k)))
-		v = append(v, k...)
-		val := env[k]
-		v = binary.AppendUvarint(v, uint64(len(val)))
-		v = append(v, val...)
-	}
-	b = appendBytesField(b, field, v)
-	*inner = v
-	putEncBuf(inner)
-	return b
+	slices.Sort(keys)
+	return putList(b, keys, func(b []byte, k string) []byte {
+		return appendLen(appendLen(b, k), env[k])
+	})
 }
 
-func appendSpec(b []byte, field int, s *taskspec.Spec) []byte {
-	if s == nil {
-		return b
-	}
-	inner := getEncBuf()
-	v := *inner
-	v = appendVarintField(v, sID, int64(s.ID))
-	v = appendVarintField(v, sKind, int64(s.Kind))
-	v = appendStringField(v, sCommand, s.Command)
-	v = appendStringField(v, sLibrary, s.Library)
-	v = appendStringField(v, sFunction, s.Function)
-	v = appendBytesField(v, sArgs, s.Args)
-	v = appendMounts(v, sInputs, s.Inputs)
-	v = appendMounts(v, sOutputs, s.Outputs)
-	v = appendEnv(v, sEnv, s.Env)
-	v = appendResources(v, sResources, s.Resources)
-	v = appendVarintField(v, sMaxRetries, int64(s.MaxRetries))
-	if s.MaxRunSeconds != 0 {
-		v = appendTag(v, sMaxRunSeconds, wireVarint)
-		v = binary.AppendUvarint(v, math.Float64bits(s.MaxRunSeconds))
-	}
-	v = appendStringField(v, sCategory, s.Category)
-	v = appendStringField(v, sArgsFrom, s.ArgsFrom)
-	if s.Resident {
-		v = appendVarintField(v, sResident, 1)
-	}
-	// A spec that encodes to nothing still marks presence with an empty
-	// nested field, so decode restores a non-nil *Spec.
-	b = appendTag(b, field, wireBytes)
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	b = append(b, v...)
-	*inner = v
-	putEncBuf(inner)
-	return b
-}
-
-// encodeMessage appends the binary header encoding of m to b.
-func encodeMessage(b []byte, m *Message) []byte {
-	b = appendStringField(b, fType, m.Type)
-	b = appendStringField(b, fWorkerID, m.WorkerID)
-	b = appendStringField(b, fTransferAddr, m.TransferAddr)
-	if m.Capacity != nil {
-		b = appendResources(b, fCapacity, *m.Capacity)
-	}
-	b = appendVarintField(b, fTaskID, int64(m.TaskID))
-	b = appendSpec(b, fSpec, m.Spec)
-	b = appendVarintField(b, fExitCode, int64(m.ExitCode))
-	b = appendBytesField(b, fResult, m.Result)
-	b = appendOutputs(b, fOutputs, m.Outputs)
-	b = appendVarintField(b, fTimeStagedMS, m.TimeStagedMS)
-	b = appendVarintField(b, fTimeRunMS, m.TimeRunMS)
-	b = appendVarintField(b, fMeasuredDisk, m.MeasuredDisk)
-	b = appendVarintField(b, fMeasuredMemory, m.MeasuredMemory)
-	b = appendStringField(b, fCacheName, m.CacheName)
-	b = appendVarintField(b, fSize, m.Size)
-	if m.Dir {
-		b = appendVarintField(b, fDir, 1)
-	}
-	b = appendVarintField(b, fLifetime, int64(m.Lifetime))
-	b = appendStringField(b, fURL, m.URL)
-	b = appendStringField(b, fPeerAddr, m.PeerAddr)
-	b = appendStringField(b, fTransferID, m.TransferID)
-	b = appendStringField(b, fChecksum, m.Checksum)
-	b = appendStringField(b, fStatus, m.Status)
-	b = appendStringField(b, fError, m.Error)
-	b = appendVarintField(b, fOffset, m.Offset)
-	b = appendVarintField(b, fTotal, m.Total)
-	b = appendStrings(b, fPeerAddrs, m.PeerAddrs)
-	b = appendVarintField(b, fTier, int64(m.Tier))
-	return b
-}
-
-// ---- decoding ----
-
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) done() bool { return d.off >= len(d.b) }
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("protocol: truncated varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	u, err := d.uvarint()
-	return unzigzag(u), err
-}
-
-func (d *decoder) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
+func getEnv(b []byte) (map[string]string, error) {
+	pairs, err := getList(b, getPair)
+	if len(pairs) == 0 {
 		return nil, err
 	}
-	if n > uint64(len(d.b)-d.off) {
-		return nil, fmt.Errorf("protocol: length %d exceeds remaining header", n)
+	env := make(map[string]string, len(pairs))
+	for _, kv := range pairs {
+		env[kv[0]] = kv[1]
 	}
-	v := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return v, nil
+	return env, nil
 }
 
-func (d *decoder) str() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
-}
-
-// skip consumes one value of the given wire type (unknown fields from a
-// newer peer).
-func (d *decoder) skip(wire int) error {
-	switch wire {
-	case wireVarint:
-		_, err := d.uvarint()
-		return err
-	case wireBytes:
-		_, err := d.bytes()
-		return err
-	default:
-		return fmt.Errorf("protocol: unknown wire type %d", wire)
-	}
-}
-
-func decodeResources(b []byte) (resources.R, error) {
-	d := &decoder{b: b}
-	var r resources.R
-	cores, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	mem, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	disk, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	gpus, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	return resources.R{Cores: int(cores), Memory: mem, Disk: disk, GPUs: int(gpus)}, nil
-}
-
-func decodeMounts(b []byte) ([]taskspec.Mount, error) {
-	d := &decoder{b: b}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("protocol: mount count %d exceeds encoding", n)
-	}
-	out := make([]taskspec.Mount, 0, n)
-	for i := uint64(0); i < n; i++ {
-		fid, err := d.str()
+func getPair(b []byte) ([2]string, []byte, error) {
+	var pair [2]string
+	for i := range pair {
+		s, rest, err := getStr(b)
 		if err != nil {
-			return nil, err
+			return pair, nil, err
 		}
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, taskspec.Mount{FileID: fid, Name: name})
+		pair[i], b = s, rest
 	}
-	return out, nil
-}
-
-func decodeOutputs(b []byte) ([]OutputInfo, error) {
-	d := &decoder{b: b}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("protocol: output count %d exceeds encoding", n)
-	}
-	out := make([]OutputInfo, 0, n)
-	for i := uint64(0); i < n; i++ {
-		name, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		size, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, OutputInfo{CacheName: name, Size: size})
-	}
-	return out, nil
-}
-
-func decodeStrings(b []byte) ([]string, error) {
-	d := &decoder{b: b}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("protocol: string count %d exceeds encoding", n)
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func decodeEnv(b []byte) (map[string]string, error) {
-	d := &decoder{b: b}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("protocol: env count %d exceeds encoding", n)
-	}
-	out := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
-func decodeSpec(b []byte) (*taskspec.Spec, error) {
-	d := &decoder{b: b}
-	s := &taskspec.Spec{}
-	for !d.done() {
-		tag := d.b[d.off]
-		d.off++
-		field, wire := int(tag>>1), int(tag&1)
-		if slices.Contains(reservedSpecTags, field) {
-			if err := d.skip(wire); err != nil {
-				return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
-			}
-			continue
-		}
-		if err := checkWire(specFields[:], field, wire); err != nil {
-			return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
-		}
-		var err error
-		switch field {
-		case sID:
-			var v int64
-			v, err = d.varint()
-			s.ID = int(v)
-		case sKind:
-			var v int64
-			v, err = d.varint()
-			s.Kind = taskspec.Kind(v)
-		case sCommand:
-			s.Command, err = d.str()
-		case sLibrary:
-			s.Library, err = d.str()
-		case sFunction:
-			s.Function, err = d.str()
-		case sArgs:
-			var v []byte
-			v, err = d.bytes()
-			s.Args = append([]byte(nil), v...)
-		case sInputs:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				s.Inputs, err = decodeMounts(v)
-			}
-		case sOutputs:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				s.Outputs, err = decodeMounts(v)
-			}
-		case sEnv:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				s.Env, err = decodeEnv(v)
-			}
-		case sResources:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				s.Resources, err = decodeResources(v)
-			}
-		case sMaxRetries:
-			var v int64
-			v, err = d.varint()
-			s.MaxRetries = int(v)
-		case sMaxRunSeconds:
-			var u uint64
-			u, err = d.uvarint()
-			s.MaxRunSeconds = math.Float64frombits(u)
-		case sCategory:
-			s.Category, err = d.str()
-		case sArgsFrom:
-			s.ArgsFrom, err = d.str()
-		case sResident:
-			var v int64
-			v, err = d.varint()
-			s.Resident = v != 0
-		default:
-			err = d.skip(wire)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("protocol: decoding spec field %d: %w", field, err)
-		}
-	}
-	return s, nil
-}
-
-// decodeMessage parses a binary frame header into a Message.
-func decodeMessage(b []byte) (*Message, error) {
-	d := &decoder{b: b}
-	m := &Message{}
-	for !d.done() {
-		tag := d.b[d.off]
-		d.off++
-		field, wire := int(tag>>1), int(tag&1)
-		if slices.Contains(reservedMessageTags, field) {
-			if err := d.skip(wire); err != nil {
-				return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
-			}
-			continue
-		}
-		if err := checkWire(messageFields[:], field, wire); err != nil {
-			return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
-		}
-		var err error
-		switch field {
-		case fType:
-			m.Type, err = d.str()
-		case fWorkerID:
-			m.WorkerID, err = d.str()
-		case fTransferAddr:
-			m.TransferAddr, err = d.str()
-		case fCapacity:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				var r resources.R
-				if r, err = decodeResources(v); err == nil {
-					m.Capacity = &r
-				}
-			}
-		case fTaskID:
-			var v int64
-			v, err = d.varint()
-			m.TaskID = int(v)
-		case fSpec:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				m.Spec, err = decodeSpec(v)
-			}
-		case fExitCode:
-			var v int64
-			v, err = d.varint()
-			m.ExitCode = int(v)
-		case fResult:
-			var v []byte
-			v, err = d.bytes()
-			m.Result = append([]byte(nil), v...)
-		case fOutputs:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				m.Outputs, err = decodeOutputs(v)
-			}
-		case fTimeStagedMS:
-			m.TimeStagedMS, err = d.varint()
-		case fTimeRunMS:
-			m.TimeRunMS, err = d.varint()
-		case fMeasuredDisk:
-			m.MeasuredDisk, err = d.varint()
-		case fMeasuredMemory:
-			m.MeasuredMemory, err = d.varint()
-		case fCacheName:
-			m.CacheName, err = d.str()
-		case fSize:
-			m.Size, err = d.varint()
-		case fDir:
-			var v int64
-			v, err = d.varint()
-			m.Dir = v != 0
-		case fLifetime:
-			var v int64
-			v, err = d.varint()
-			m.Lifetime = int(v)
-		case fURL:
-			m.URL, err = d.str()
-		case fPeerAddr:
-			m.PeerAddr, err = d.str()
-		case fTransferID:
-			m.TransferID, err = d.str()
-		case fChecksum:
-			m.Checksum, err = d.str()
-		case fStatus:
-			m.Status, err = d.str()
-		case fError:
-			m.Error, err = d.str()
-		case fOffset:
-			m.Offset, err = d.varint()
-		case fTotal:
-			m.Total, err = d.varint()
-		case fPeerAddrs:
-			var v []byte
-			if v, err = d.bytes(); err == nil {
-				m.PeerAddrs, err = decodeStrings(v)
-			}
-		case fTier:
-			var v int64
-			v, err = d.varint()
-			m.Tier = int(v)
-		default:
-			err = d.skip(wire)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("protocol: decoding message field %d: %w", field, err)
-		}
-	}
-	return m, nil
+	return pair, b, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -131,69 +132,128 @@ func zeroFields(m *Message) []string {
 	return zero
 }
 
-// TestReservedTagsUnused: no field table names a reserved tag and no
-// encoding emits one, so a retired tag never comes back with a new
+// TestFieldTablesNameEveryField: every exported field of Message (but
+// Payload, which rides in the frame prologue) and of taskspec.Spec is
+// named by exactly one table entry, and each entry's closures read the
+// field it names: the entry writes a value for fullMessage and nothing
+// once that one field is zeroed.
+func TestFieldTablesNameEveryField(t *testing.T) {
+	checkTable(t, messageTable[:], fullMessage(), "Payload")
+	checkTable(t, specTable[:], fullMessage().Spec)
+}
+
+func checkTable[T any](t *testing.T, table []field[T], full *T, exempt ...string) {
+	t.Helper()
+	named := map[string]int{}
+	for id, f := range table {
+		if f.enc == nil {
+			continue
+		}
+		named[f.name]++
+		zeroed := *full
+		fv := reflect.ValueOf(&zeroed).Elem().FieldByName(f.name)
+		if !fv.IsValid() {
+			t.Errorf("%T field %d names no field %s", zeroed, id, f.name)
+			continue
+		}
+		fv.SetZero()
+		if len(f.enc(nil, 0, full)) == 0 || len(f.enc(nil, 0, &zeroed)) != 0 {
+			t.Errorf("%T field %d, named %s, does not encode that field", zeroed, id, f.name)
+		}
+	}
+	typ := reflect.TypeFor[T]()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if typ.Field(i).IsExported() && !slices.Contains(exempt, name) && named[name] != 1 {
+			t.Errorf("%s.%s is named by %d table entries, want 1", typ.Name(), name, named[name])
+		}
+	}
+}
+
+// reservedIDs lists the field IDs a table keeps reserved.
+func reservedIDs[T any](table []field[T]) []int {
+	var ids []int
+	for id, f := range table {
+		if f.reserved {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestReservedTagsUnused: the tables still reserve every retired tag and
+// no encoding emits one, so a retired tag never comes back with a new
 // meaning; and a frame from an older peer that still sends one decodes
 // with every other field intact, whatever the tag's wire type.
 func TestReservedTagsUnused(t *testing.T) {
+	msgReserved, specReserved := reservedIDs(messageTable[:]), reservedIDs(specTable[:])
 	for _, tc := range []struct {
-		what     string
-		fields   []fieldWire
-		reserved []int
-	}{
-		{"message", messageFields[:], reservedMessageTags},
-		{"spec", specFields[:], reservedSpecTags},
-	} {
-		for _, tag := range tc.reserved {
-			if tag < len(tc.fields) && tc.fields[tag].name != "" {
-				t.Errorf("%s field table names reserved tag %d %s", tc.what, tag, tc.fields[tag].name)
+		what          string
+		reserved, was []int
+	}{{"message", msgReserved, []int{24}}, {"spec", specReserved, []int{16, 17}}} {
+		for _, id := range tc.was {
+			if !slices.Contains(tc.reserved, id) {
+				t.Errorf("%s field table no longer reserves retired tag %d", tc.what, id)
 			}
 		}
 	}
 	enc := encodeMessage(nil, fullMessage())
-	msgTags, spec := headerTags(t, enc, fSpec)
+	msgTags, spec := headerTags(t, enc, 6)
 	specTags, _ := headerTags(t, spec, 0)
 	for _, tc := range []struct {
 		what     string
 		emitted  []int
 		reserved []int
-	}{{"message", msgTags, reservedMessageTags}, {"spec", specTags, reservedSpecTags}} {
+	}{{"message", msgTags, msgReserved}, {"spec", specTags, specReserved}} {
 		for _, tag := range tc.emitted {
 			if slices.Contains(tc.reserved, tag) {
 				t.Errorf("the %s encoding emits reserved tag %d", tc.what, tag)
 			}
 		}
 	}
-	for _, tag := range reservedMessageTags {
-		old := appendStringField(appendVarintField(bytes.Clone(enc), tag, 7), tag, "v1")
+	for _, id := range msgReserved {
+		old := bytesField(varintField(bytes.Clone(enc), id, 7), id, "v1")
 		got, err := decodeMessage(old)
 		if err != nil {
-			t.Fatalf("decoding a frame with reserved tag %d: %v", tag, err)
+			t.Fatalf("decoding a frame with reserved tag %d: %v", id, err)
 		}
 		if !reflect.DeepEqual(got, fullMessage()) {
-			t.Fatalf("reserved tag %d changed the decoded message: %+v", tag, got)
+			t.Fatalf("reserved tag %d changed the decoded message: %+v", id, got)
 		}
 	}
+}
+
+// varintField and bytesField append one header field by hand, for frames
+// the encoder never writes: bytesField writes an empty value too.
+func varintField(b []byte, id int, v int64) []byte {
+	return binary.AppendUvarint(append(b, byte(id<<1|wireVarint)), zigzag(v))
+}
+
+func bytesField[S ~string | ~[]byte](b []byte, id int, v S) []byte {
+	return appendLen(append(b, byte(id<<1|wireBytes)), v)
 }
 
 // headerTags lists the field tags of a header encoding in order, and
 // returns the bytes of field want.
 func headerTags(t *testing.T, b []byte, want int) ([]int, []byte) {
 	t.Helper()
-	d := &decoder{b: b}
 	var tags []int
 	var value []byte
-	for !d.done() {
-		tag := d.b[d.off]
-		d.off++
-		field, wire := int(tag>>1), int(tag&1)
+	for len(b) > 0 {
+		field, wire := int(b[0]>>1), int(b[0]&1)
 		tags = append(tags, field)
-		start := d.off
-		if err := d.skip(wire); err != nil {
+		var v []byte
+		var err error
+		if wire == wireVarint {
+			_, b, err = uvarint(b[1:])
+		} else {
+			v, b, err = lenBytes(b[1:])
+		}
+		if err != nil {
 			t.Fatalf("walking field %d: %v", field, err)
 		}
 		if field == want {
-			value, _ = (&decoder{b: d.b[start:d.off]}).bytes()
+			value = v
 		}
 	}
 	return tags, value
@@ -249,10 +309,10 @@ func TestBinaryCodecZeroMessage(t *testing.T) {
 // the decoder must skip it and parse the rest.
 func TestBinaryCodecSkipsUnknownFields(t *testing.T) {
 	enc := encodeMessage(nil, &Message{Type: TypePut, CacheName: "x"})
-	// Append field 120 (unused) with both wire types.
-	enc = appendVarintField(enc, 120, 999)
-	enc = appendBytesField(enc, 121, []byte("future data"))
-	enc = appendStringField(enc, fStatus, StatusOK)
+	// Append fields 120 and 121 (unused) with both wire types.
+	enc = varintField(enc, 120, 999)
+	enc = bytesField(enc, 121, "future data")
+	enc = bytesField(enc, 22, StatusOK)
 	got, err := decodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -267,13 +327,13 @@ func TestBinaryCodecSkipsUnknownFields(t *testing.T) {
 // decode with every other spec field intact.
 func TestBinaryCodecSkipsRetiredSpecTags(t *testing.T) {
 	var v []byte
-	v = appendVarintField(v, sID, 7)
-	v = appendStringField(v, sCommand, "true")
-	v = appendStringField(v, 16, "old-label")
-	v = appendStringField(v, 17, "old-bucket")
-	v = appendStringField(v, sCategory, "c")
+	v = varintField(v, 1, 7)
+	v = bytesField(v, 3, "true")
+	v = bytesField(v, 16, "old-label")
+	v = bytesField(v, 17, "old-bucket")
+	v = bytesField(v, 13, "c")
 	enc := encodeMessage(nil, &Message{Type: TypeTask})
-	enc = appendBytesField(enc, fSpec, v)
+	enc = bytesField(enc, 6, v)
 	got, err := decodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -284,35 +344,46 @@ func TestBinaryCodecSkipsRetiredSpecTags(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecRejectsWrongWireType: a known field sent with the other
-// wire type is an error naming the field and both wire types, not a value
-// read as garbage; unknown and retired tags still skip with either type.
+// TestBinaryCodecRejectsWrongWireType: every known field of both tables,
+// sent with the other wire type, is an error naming the field and both
+// wire types, not a value read as garbage; retired tags still skip with
+// either type.
 func TestBinaryCodecRejectsWrongWireType(t *testing.T) {
-	head := encodeMessage(nil, &Message{Type: TypeTask})
-	for _, tc := range []struct {
-		name string
-		enc  []byte
-		want string
-	}{
-		// Read as a string, varint 1 would swallow the TaskID field after it.
-		{"type_as_varint", appendVarintField(appendVarintField(nil, fType, 1), fTaskID, 7),
-			"field 1: Type sent as varint, want bytes"},
-		// Read as a varint, the empty bytes value would decode as TaskID 0.
-		{"taskid_as_bytes", append(append([]byte(nil), head...), fTaskID<<1|wireBytes, 0),
-			"field 5: TaskID sent as bytes, want varint"},
-		{"spec_kind_as_bytes", appendBytesField(append([]byte(nil), head...), fSpec,
-			appendBytesField(nil, sKind, []byte("command"))), "spec field 2: Kind sent as bytes, want varint"},
-	} {
+	head := encodeMessage(nil, &Message{Type: TypeTask, TaskID: 7})
+	// Read as bytes, varint 1 would swallow the first byte of head; read
+	// as a varint, the empty bytes value would decode as 0.
+	wrong := func(id, wire int) []byte {
+		if wire == wireBytes {
+			return append(varintField(nil, id, 1), head...)
+		}
+		return append(bytesField(nil, id, ""), head...)
+	}
+	type tcase struct{ name, enc, want string }
+	var cases []tcase
+	for id, f := range messageTable {
+		if f.dec != nil {
+			cases = append(cases, tcase{strings.ToLower(f.name) + "_as_" + wireNames[1-f.wire], string(wrong(id, f.wire)),
+				fmt.Sprintf("message field %d: %s sent as %s, want %s", id, f.name, wireNames[1-f.wire], wireNames[f.wire])})
+		}
+	}
+	for id, f := range specTable {
+		if f.dec != nil {
+			cases = append(cases, tcase{"spec_" + strings.ToLower(f.name) + "_as_" + wireNames[1-f.wire],
+				string(bytesField(bytes.Clone(head), 6, wrong(id, f.wire))),
+				fmt.Sprintf("spec field %d: %s sent as %s, want %s", id, f.name, wireNames[1-f.wire], wireNames[f.wire])})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := decodeMessage(tc.enc)
+			m, err := decodeMessage([]byte(tc.enc))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decoded %+v, err %v; want an error containing %q", m, err, tc.want)
 			}
 		})
 	}
-	enc := appendVarintField(append([]byte(nil), head...), 24, 2)
-	enc = appendBytesField(enc, 24, []byte("v2"))
-	enc = appendStringField(enc, fCacheName, "x")
+	enc := varintField(bytes.Clone(head), 24, 2)
+	enc = bytesField(enc, 24, "v2")
+	enc = bytesField(enc, 14, "x")
 	m, err := decodeMessage(enc)
 	if err != nil || m.Type != TypeTask || m.CacheName != "x" {
 		t.Fatalf("retired tag 24 not skipped: %+v, %v", m, err)

@@ -97,6 +97,33 @@ func FuzzBinaryDecode(f *testing.F) {
 	})
 }
 
+// FuzzBinaryCanonical checks that decoding is canonical: any header that
+// decodes to m1 re-encodes to bytes that decode to a message equal to m1,
+// and that message re-encodes to the same bytes. A decoder that kept a
+// value the encoder omits (an explicit empty list, a zero capacity) would
+// let two encodings of one message decode differently.
+func FuzzBinaryCanonical(f *testing.F) {
+	f.Add(encodeMessage(nil, fullMessage()))
+	f.Add(encodeMessage(nil, fuzzMessage("put", "w-1", "file-x", 301, -2, 7)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m1, err := decodeMessage(data)
+		if err != nil {
+			return
+		}
+		enc := encodeMessage(nil, m1)
+		m2, err := decodeMessage(enc)
+		if err != nil {
+			t.Fatalf("decode of a re-encoded header failed: %v", err)
+		}
+		if !reflect.DeepEqual(m1, m2) {
+			t.Fatalf("re-encoding changed the message:\n first  %+v\n second %+v", m1, m2)
+		}
+		if again := encodeMessage(nil, m2); !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point:\n %x\n %x", enc, again)
+		}
+	})
+}
+
 // FuzzBinaryRoundTrip checks encode→decode identity over fuzz-built
 // messages that set every encoded field of Message and of its Spec,
 // Capacity, Outputs and PeerAddrs, each derived from the six fuzzed values.

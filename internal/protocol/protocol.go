@@ -184,6 +184,11 @@ type Conn struct {
 	// writing is set while a writer goroutine owns the queue (guarded by
 	// qmu).
 	writing bool
+	// sending holds a copy of the message being encoded (guarded by qmu).
+	// The codec reaches fields through table closures, which the compiler
+	// cannot see into, so encoding the caller's message itself would move
+	// every sent message to the heap.
+	sending Message
 	// err is the sticky write failure, or errClosed after Close (guarded
 	// by qmu).
 	err error
@@ -407,7 +412,9 @@ func (c *Conn) encodeLocked(m *Message, hasPayload bool) {
 		prologue[2] = frameFlagPayload
 		binary.BigEndian.PutUint64(prologue[7:15], uint64(m.Size))
 	}
-	c.queue = encodeMessage(append(c.queue, prologue[:]...), m)
+	c.sending = *m
+	c.queue = encodeMessage(append(c.queue, prologue[:]...), &c.sending)
+	c.sending = Message{}
 	binary.BigEndian.PutUint32(c.queue[start+3:start+7], uint32(len(c.queue)-start-framePrologueLen))
 }
 
