@@ -136,17 +136,17 @@ func decodeMessage(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// encBufPool recycles frame-header read buffers. Buffers that grew past
+// headerBufPool recycles frame-header read buffers. Buffers that grew past
 // a frame-header-sized payload are dropped rather than pinned forever.
-var encBufPool = sync.Pool{
+var headerBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-func getEncBuf() *[]byte { return encBufPool.Get().(*[]byte) }
-func putEncBuf(b *[]byte) {
+func getHeaderBuf() *[]byte { return headerBufPool.Get().(*[]byte) }
+func putHeaderBuf(b *[]byte) {
 	if cap(*b) <= 1<<20 {
 		*b = (*b)[:0]
-		encBufPool.Put(b)
+		headerBufPool.Put(b)
 	}
 }
 
@@ -227,14 +227,24 @@ func reserved[T any](was string) field[T] { return field[T]{name: was, reserved:
 // str is a string field.
 func str[T any](name string, p func(*T) *string) field[T] {
 	return field[T]{name: name, wire: wireBytes,
-		enc: func(b []byte, tag byte, v *T) []byte { return appendBytes(b, tag, *p(v)) },
+		enc: func(b []byte, tag byte, v *T) []byte {
+			if x := *p(v); x != "" {
+				b = appendLen(append(b, tag), x)
+			}
+			return b
+		},
 		dec: func(v *T, _ uint64, b []byte) error { *p(v) = string(b); return nil }}
 }
 
 // raw is a []byte field; it decodes to a copy, nil when empty.
 func raw[T any](name string, p func(*T) *[]byte) field[T] {
 	return field[T]{name: name, wire: wireBytes,
-		enc: func(b []byte, tag byte, v *T) []byte { return appendBytes(b, tag, *p(v)) },
+		enc: func(b []byte, tag byte, v *T) []byte {
+			if x := *p(v); len(x) != 0 {
+				b = appendLen(append(b, tag), x)
+			}
+			return b
+		},
 		dec: func(v *T, _ uint64, b []byte) error { *p(v) = append([]byte(nil), b...); return nil }}
 }
 
@@ -242,8 +252,10 @@ func raw[T any](name string, p func(*T) *[]byte) field[T] {
 func varint[T any, I ~int | ~int64](name string, p func(*T) *I) field[T] {
 	return field[T]{name: name, wire: wireVarint,
 		enc: func(b []byte, tag byte, v *T) []byte {
-			x := *p(v)
-			return appendVarint(b, tag, x != 0, zigzag(int64(x)))
+			if x := *p(v); x != 0 {
+				b = binary.AppendUvarint(append(b, tag), zigzag(int64(x)))
+			}
+			return b
 		},
 		dec: func(v *T, u uint64, _ []byte) error { *p(v) = I(unzigzag(u)); return nil }}
 }
@@ -251,7 +263,12 @@ func varint[T any, I ~int | ~int64](name string, p func(*T) *I) field[T] {
 // flag is a bool field, sent as the varint 1 when set.
 func flag[T any](name string, p func(*T) *bool) field[T] {
 	return field[T]{name: name, wire: wireVarint,
-		enc: func(b []byte, tag byte, v *T) []byte { return appendVarint(b, tag, *p(v), zigzag(1)) },
+		enc: func(b []byte, tag byte, v *T) []byte {
+			if *p(v) {
+				b = binary.AppendUvarint(append(b, tag), zigzag(1))
+			}
+			return b
+		},
 		dec: func(v *T, u uint64, _ []byte) error { *p(v) = u != 0; return nil }}
 }
 
@@ -260,8 +277,10 @@ func flag[T any](name string, p func(*T) *bool) field[T] {
 func float[T any](name string, p func(*T) *float64) field[T] {
 	return field[T]{name: name, wire: wireVarint,
 		enc: func(b []byte, tag byte, v *T) []byte {
-			x := *p(v)
-			return appendVarint(b, tag, x != 0, math.Float64bits(x))
+			if x := *p(v); x != 0 {
+				b = binary.AppendUvarint(append(b, tag), math.Float64bits(x))
+			}
+			return b
 		},
 		dec: func(v *T, u uint64, _ []byte) error {
 			x := math.Float64frombits(u)
@@ -296,22 +315,6 @@ func nested[T, V any](name string, p func(*T) *V, put func([]byte, V) ([]byte, b
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// appendVarint appends a varint field holding u when present.
-func appendVarint(b []byte, tag byte, present bool, u uint64) []byte {
-	if !present {
-		return b
-	}
-	return binary.AppendUvarint(append(b, tag), u)
-}
-
-// appendBytes appends a bytes field holding v, omitted when v is empty.
-func appendBytes[S ~string | ~[]byte](b []byte, tag byte, v S) []byte {
-	if len(v) == 0 {
-		return b
-	}
-	return appendLen(append(b, tag), v)
-}
 
 // appendLen appends v behind its uvarint length.
 func appendLen[S ~string | ~[]byte](b []byte, v S) []byte {

@@ -448,8 +448,8 @@ func (c *Conn) Recv() (*Message, io.Reader, error) {
 	if hlen > maxHeaderBytes {
 		return nil, nil, fmt.Errorf("protocol: frame header of %d bytes exceeds limit %d", hlen, maxHeaderBytes)
 	}
-	hb := getEncBuf()
-	defer putEncBuf(hb)
+	hb := getHeaderBuf()
+	defer putHeaderBuf(hb)
 	h := *hb
 	if cap(h) < int(hlen) {
 		h = make([]byte, hlen)
