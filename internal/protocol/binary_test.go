@@ -312,7 +312,7 @@ func TestBinaryCodecSkipsUnknownFields(t *testing.T) {
 	// Append fields 120 and 121 (unused) with both wire types.
 	enc = varintField(enc, 120, 999)
 	enc = bytesField(enc, 121, "future data")
-	enc = bytesField(enc, 22, StatusOK)
+	enc = bytesField(enc, 22, StatusOK) // Status
 	got, err := decodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -327,13 +327,13 @@ func TestBinaryCodecSkipsUnknownFields(t *testing.T) {
 // decode with every other spec field intact.
 func TestBinaryCodecSkipsRetiredSpecTags(t *testing.T) {
 	var v []byte
-	v = varintField(v, 1, 7)
-	v = bytesField(v, 3, "true")
+	v = varintField(v, 1, 7)     // ID
+	v = bytesField(v, 3, "true") // Command
 	v = bytesField(v, 16, "old-label")
 	v = bytesField(v, 17, "old-bucket")
-	v = bytesField(v, 13, "c")
+	v = bytesField(v, 13, "c") // Category
 	enc := encodeMessage(nil, &Message{Type: TypeTask})
-	enc = bytesField(enc, 6, v)
+	enc = bytesField(enc, 6, v) // Spec
 	got, err := decodeMessage(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -358,24 +358,28 @@ func TestBinaryCodecRejectsWrongWireType(t *testing.T) {
 		}
 		return append(bytesField(nil, id, ""), head...)
 	}
-	type tcase struct{ name, enc, want string }
+	type tcase struct {
+		name string
+		enc  []byte
+		want string
+	}
 	var cases []tcase
 	for id, f := range messageTable {
 		if f.dec != nil {
-			cases = append(cases, tcase{strings.ToLower(f.name) + "_as_" + wireNames[1-f.wire], string(wrong(id, f.wire)),
+			cases = append(cases, tcase{strings.ToLower(f.name) + "_as_" + wireNames[1-f.wire], wrong(id, f.wire),
 				fmt.Sprintf("message field %d: %s sent as %s, want %s", id, f.name, wireNames[1-f.wire], wireNames[f.wire])})
 		}
 	}
 	for id, f := range specTable {
 		if f.dec != nil {
 			cases = append(cases, tcase{"spec_" + strings.ToLower(f.name) + "_as_" + wireNames[1-f.wire],
-				string(bytesField(bytes.Clone(head), 6, wrong(id, f.wire))),
+				bytesField(bytes.Clone(head), 6, wrong(id, f.wire)),
 				fmt.Sprintf("spec field %d: %s sent as %s, want %s", id, f.name, wireNames[1-f.wire], wireNames[f.wire])})
 		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := decodeMessage([]byte(tc.enc))
+			m, err := decodeMessage(tc.enc)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decoded %+v, err %v; want an error containing %q", m, err, tc.want)
 			}
@@ -383,7 +387,7 @@ func TestBinaryCodecRejectsWrongWireType(t *testing.T) {
 	}
 	enc := varintField(bytes.Clone(head), 24, 2)
 	enc = bytesField(enc, 24, "v2")
-	enc = bytesField(enc, 14, "x")
+	enc = bytesField(enc, 14, "x") // CacheName
 	m, err := decodeMessage(enc)
 	if err != nil || m.Type != TypeTask || m.CacheName != "x" {
 		t.Fatalf("retired tag 24 not skipped: %+v, %v", m, err)
