@@ -107,16 +107,15 @@ func main() {
 		builtin    = flag.String("builtin", "", "run a built-in workload: blast, envshare, distribution, topeft, colmena, bgd")
 		scale      = flag.Float64("scale", 0.2, "scale for built-in workloads")
 		width      = flag.Int("width", 100, "render width in columns")
-		placement  = flag.Bool("placement", false, "enable lookahead data placement (default-tuned spec)")
 	)
 	flag.Parse()
-	if err := run(*builtin, flag.Args(), *limit, *scale, *taskView, *workerView, *csvPath, *width, *placement); err != nil {
+	if err := run(*builtin, flag.Args(), *limit, *scale, *taskView, *workerView, *csvPath, *width); err != nil {
 		fmt.Fprintf(os.Stderr, "vine-sim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(builtin string, args []string, limit int, scale float64, taskView, workerView bool, csvPath string, width int, placement bool) error {
+func run(builtin string, args []string, limit int, scale float64, taskView, workerView bool, csvPath string, width int) error {
 	var w *sim.Workload
 	switch {
 	case builtin != "":
@@ -145,9 +144,6 @@ func run(builtin string, args []string, limit int, scale float64, taskView, work
 		limits.WorkerSource = limit
 	}
 	c := sim.NewCluster(w, sim.DefaultParams(), limits)
-	if placement {
-		c.SetPlacement(policy.PlacementSpec{Enabled: true})
-	}
 	makespan := c.Run()
 	events := c.Trace().Events()
 	fmt.Printf("simulated %d tasks on %d workers: makespan %.1fs (%d/%d completed)\n\n",

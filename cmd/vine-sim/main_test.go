@@ -22,22 +22,24 @@ func quiet(t *testing.T) {
 	})
 }
 
-// TestRunBuiltinWithAndWithoutPlacement: a small TopEFT builtin completes
-// either way, and only the -placement run issues placement transfers.
+// TestRunBuiltinWithAndWithoutPlacement: a small TopEFT builtin renders
+// both views and writes a trace CSV in which every task ends.
 func TestRunBuiltinWithAndWithoutPlacement(t *testing.T) {
 	quiet(t)
-	for _, placement := range []bool{false, true} {
-		csv := filepath.Join(t.TempDir(), "trace.csv")
-		if err := run("topeft", nil, 0, 0.05, true, true, csv, 80, placement); err != nil {
-			t.Fatalf("placement=%v: %v", placement, err)
-		}
-		raw, err := os.ReadFile(csv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := strings.Count(string(raw), "placement:"); (n > 0) != placement {
-			t.Fatalf("placement=%v: trace has %d placement transfers", placement, n)
-		}
+	csv := filepath.Join(t.TempDir(), "trace.csv")
+	if err := run("topeft", nil, 0, 0.05, true, true, csv, 80); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := builtinWorkload("topeft", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), ",task-end,"); n != len(w.Tasks) {
+		t.Fatalf("trace has %d task ends, want %d", n, len(w.Tasks))
 	}
 }
 
@@ -60,24 +62,24 @@ func TestRunJSONWorkload(t *testing.T) {
 	if err := os.WriteFile(path, []byte(decl), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", []string{path}, 2, 0, false, false, "", 80, false); err != nil {
+	if err := run("", []string{path}, 2, 0, false, false, "", 80); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUsageErrors(t *testing.T) {
 	quiet(t)
-	if err := run("", nil, 0, 0.05, false, false, "", 80, false); err == nil {
+	if err := run("", nil, 0, 0.05, false, false, "", 80); err == nil {
 		t.Fatal("no workload accepted")
 	}
-	if err := run("nope", nil, 0, 0.05, false, false, "", 80, false); err == nil || !strings.Contains(err.Error(), "unknown builtin") {
+	if err := run("nope", nil, 0, 0.05, false, false, "", 80); err == nil || !strings.Contains(err.Error(), "unknown builtin") {
 		t.Fatalf("unknown builtin: %v", err)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte(`{"files": [{"id": "f", "kind": "floppy"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", []string{bad}, 0, 0, false, false, "", 80, false); err == nil {
+	if err := run("", []string{bad}, 0, 0, false, false, "", 80); err == nil {
 		t.Fatal("unknown file kind accepted")
 	}
 }

@@ -44,7 +44,6 @@ func (m *Manager) transferBlocked(fileID, dest string) bool {
 // scheduling a backed-off retry or, past the limit, abandoning the
 // placement so the scheduler picks a different worker.
 func (m *Manager) noteTransferFailure(fileID, dest string) {
-	m.place.Failed(m.fh(fileID), m.wh(dest))
 	key := transferKey{file: fileID, dest: dest}
 	rs := m.transferRetry[key]
 	if rs == nil {

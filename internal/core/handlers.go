@@ -29,7 +29,6 @@ func (m *Manager) handleMessage(ev event) {
 		m.handleCacheUpdate(msg)
 	case protocol.TypeCacheInvalid:
 		f, w := m.fh(msg.CacheName), m.wh(msg.WorkerID)
-		m.place.Gone(f, w)
 		m.reps.Remove(f, w)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.FileEvicted, Worker: msg.WorkerID, File: msg.CacheName})
 	case protocol.TypeComplete:
@@ -133,7 +132,6 @@ func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
 				File: msg.CacheName, Bytes: msg.Size, Source: sourceLabel(m.names, tr.Source),
 			})
 			m.clearTransferFailure(msg.CacheName, msg.WorkerID)
-			m.place.Landed(f, w)
 		} else if ok {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.TransferFailed, Worker: msg.WorkerID,
@@ -412,7 +410,6 @@ func (m *Manager) workerGone(workerID string) {
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
 	m.logf("worker %s left", workerID)
 
-	m.place.DropWorker(w.h)
 	affected := m.reps.DropWorker(w.h)
 	cancelled := m.trs.DropWorker(w.h)
 	for _, tr := range cancelled {
@@ -482,14 +479,8 @@ func (m *Manager) endWorkflow(release bool) {
 	for _, fid := range m.reg.WorkflowGarbage() {
 		f := m.fh(fid)
 		for _, wid := range m.reps.Locate(f) {
-			m.place.Gone(f, wid)
 			m.reps.Remove(f, wid)
 		}
-	}
-	if release {
-		// Any placement still unresolved when the run ends was moved for
-		// nothing; flush it as waste so the conservation law closes.
-		m.place.Flush()
 	}
 	for _, w := range m.workers {
 		if w.gone {

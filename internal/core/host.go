@@ -8,11 +8,9 @@ import (
 	"taskvine/internal/taskspec"
 )
 
-// host is the manager as a substrate: sched.Substrate for the scheduling
-// engine and policy.Substrate for lookahead placement (m.place, a
-// policy.Lookahead, run at the tail of each pass). Both drive the same
-// supervised transfer machinery, so retry, chaos injection and trace
-// semantics come for free. All of it runs on the event loop.
+// host is the manager as the scheduling engine's sched.Substrate. It
+// drives the supervised transfer machinery, so retry, chaos injection and
+// trace semantics come for free. All of it runs on the event loop.
 type host struct{ m *Manager }
 
 func (h host) Task(id int) *sched.Task {
@@ -103,7 +101,7 @@ func (h host) Alloc(id int, wh replica.WorkerH) bool {
 }
 
 func (h host) StartTransfer(f replica.FileH, src replica.Source, dest replica.WorkerH) bool {
-	return h.m.startTransfer(h.m.fileID(f), src, h.m.workerAt(dest), "")
+	return h.m.startTransfer(h.m.fileID(f), src, h.m.workerAt(dest))
 }
 
 func (h host) Materialize(f replica.FileH, dest replica.WorkerH) bool {
@@ -112,63 +110,4 @@ func (h host) Materialize(f replica.FileH, dest replica.WorkerH) bool {
 
 func (h host) Dispatch(id int, w replica.WorkerH) {
 	h.m.dispatch(id, h.m.tasks[id], h.m.workerAt(w))
-}
-
-func (h host) QueuedNeeds(id int) []policy.FileNeed {
-	t := h.m.tasks[id]
-	if t == nil || t.State != taskspec.StateWaiting {
-		return nil
-	}
-	return h.needs(t.Inputs)
-}
-
-func (h host) FileNeeds(f replica.FileH) []policy.FileNeed {
-	return h.needs([]replica.FileH{f})
-}
-
-// needs builds placement needs for inputs, dropping handles: a resident
-// handle is pinned to its holder and chained calls route there, so copying
-// it speculatively would fight the affinity that makes handles cheap.
-func (h host) needs(inputs []replica.FileH) []policy.FileNeed {
-	needs := h.m.sched.Needs(nil, inputs)
-	kept := needs[:0]
-	for _, n := range needs {
-		if f, ok := h.m.reg.Lookup(h.m.fileID(n.ID)); ok && f.Type == files.Handle {
-			continue
-		}
-		kept = append(kept, n)
-	}
-	return kept
-}
-
-func (h host) ProducerWorker(f replica.FileH) replica.WorkerH {
-	prodID, ok := h.m.reg.Producer(h.m.fileID(f))
-	if !ok {
-		return 0
-	}
-	t := h.m.taskByID(prodID)
-	if t == nil || (t.State != taskspec.StateStaging && t.State != taskspec.StateRunning) {
-		return 0
-	}
-	return t.Worker
-}
-
-func (h host) DiskCapacity(w replica.WorkerH) int64 {
-	if w := h.m.workerAt(w); w != nil {
-		return w.capacity.Disk
-	}
-	return 0
-}
-
-// StartPlacement skips destinations inside their transfer backoff window;
-// a transfer that fails to start (send error, injected fault) has already
-// run its failure path and is not pending.
-func (h host) StartPlacement(a policy.PlacementAction) bool {
-	m := h.m
-	w := m.workerAt(a.Dest)
-	if w == nil || w.gone {
-		return false
-	}
-	return m.startTransfer(m.fileID(a.File), a.Source, w, "placement:"+a.Kind.String()) &&
-		m.trs.Pending(a.File, a.Dest)
 }

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"taskvine/internal/policy"
 )
 
 // coreGoroutines counts live goroutines with a frame in this package.
@@ -35,10 +33,7 @@ func TestCloseLeavesNoManagerGoroutines(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	before := coreGoroutines()
 
-	// Placement on: Close must also tear down cleanly with the lookahead
-	// engine active (it runs inside the event loop, so this pins that no
-	// helper goroutine sneaks in with it).
-	h := newHarness(t, 1, Config{Placement: policy.PlacementSpec{Enabled: true}})
+	h := newHarness(t, 1, Config{})
 	if _, err := h.m.ServeStatus("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -89,10 +89,6 @@ type Config struct {
 	// Faults is a test-only fault injector consulted by the transfer
 	// supervisor; nil (the default) disables injection.
 	Faults *chaos.Injector
-	// Placement configures workflow-aware lookahead placement: prefetching
-	// queued tasks' inputs toward their likely workers and replicating
-	// high-fan-out files ahead of their consumers. Disabled by default.
-	Placement policy.PlacementSpec
 }
 
 // Result is the outcome of one task delivered to the application.
@@ -182,9 +178,6 @@ type Manager struct {
 	// overwritten as soon as the call returns. Both event-loop-owned.
 	plan    policy.Plan
 	sendMsg protocol.Message
-	// place is the lookahead placement engine; nil unless cfg.Placement is
-	// enabled. Event-loop-owned like everything above.
-	place *policy.Lookahead
 
 	loopDone chan struct{}
 	closing  bool
@@ -426,13 +419,11 @@ func newManagerState(cfg Config) *Manager {
 		transferRetry: make(map[transferKey]*transferRetryState),
 		categories:    make(map[string]*CategoryStats),
 		archived:      make(map[int]*taskState),
-		place:         policy.NewLookahead(cfg.Placement, vm, view),
 		loopDone:      make(chan struct{}),
 		conns:         make(map[*protocol.Conn]struct{}),
 		resSig:        make(chan struct{}, 1),
 	}
-	m.sched = sched.New(host{m}, host{m}, view, cfg.Limits, vm)
-	m.sched.Place = m.place
+	m.sched = sched.New(host{m}, view, cfg.Limits, vm)
 	m.reps, m.trs = view.Reps, view.Trs
 	return m
 }

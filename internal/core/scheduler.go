@@ -48,10 +48,8 @@ func (m *Manager) reconcileAll() {
 // It reports false, and starts nothing, for a placement inside its retry
 // backoff window: the staging task stays on the replan list, and a later
 // pass re-offers the transfer once the window opens. It also reports false
-// when the transfer failed to start. detail tags the TransferStart trace
-// event with why the transfer was issued; demand staging passes "" so
-// traces are unchanged unless placement runs.
-func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn, detail string) bool {
+// when the transfer failed to start.
+func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn) bool {
 	f, ok := m.reg.Lookup(fileID)
 	if !ok || m.transferBlocked(fileID, w.id) {
 		return false
@@ -61,7 +59,7 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 	m.reps.Add(fh, w.h, replica.Pending)
 	m.tlog.Add(trace.Event{
 		Time: m.now(), Kind: trace.TransferStart, Worker: w.id, File: fileID,
-		Source: sourceLabel(m.names, src), Detail: detail,
+		Source: sourceLabel(m.names, src),
 	})
 	var err error
 	if fault := m.cfg.Faults.At(chaos.Transfer, w.id, fileID); fault.Action != chaos.None {
@@ -182,9 +180,6 @@ func (m *Manager) materializeMini(fh replica.FileH, w *workerConn) bool {
 			return true
 		}
 	}
-	for _, in := range f.MiniTask.Inputs {
-		m.place.Use(m.fh(in.FileID), w.h)
-	}
 	m.reps.Add(m.fh(f.ID), w.h, replica.Pending)
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.StageStart, Worker: w.id, File: f.ID})
 	err := w.conn.Send(&protocol.Message{
@@ -290,7 +285,6 @@ func (m *Manager) finishTask(id int, t *taskState, res *Result) {
 func (m *Manager) deleteEverywhere(fileID string) {
 	fh := m.fh(fileID)
 	for _, wid := range m.reps.Locate(fh) {
-		m.place.Gone(fh, wid)
 		if w := m.workerAt(wid); w != nil && !w.gone {
 			if err := w.conn.Send(&protocol.Message{Type: protocol.TypeUnlink, CacheName: fileID}); err != nil {
 				m.logf("unlinking %s at %s: %v", fileID, w.id, err)
@@ -350,7 +344,7 @@ func (m *Manager) reconcileReplication() {
 			for _, tr := range plan.Transfers {
 				if tr.File == fh {
 					if w := m.workerAt(target); w != nil {
-						m.startTransfer(fileID, tr.Source, w, "")
+						m.startTransfer(fileID, tr.Source, w)
 					}
 				}
 			}

@@ -87,18 +87,6 @@ type VineMetrics struct {
 	SchedulePasses      *Counter
 	SchedulePassSeconds *Histogram
 
-	// Lookahead placement (core + sim). Every issued placement transfer
-	// resolves exactly once as a hit, a waste, or a failure, so
-	// prefetches+replicas == hits+wastes+failures once a run drains — the
-	// conservation law the chaos suites pin.
-	PlacementPrefetches   *Counter
-	PlacementPrefetchHits *Counter
-	PlacementReplicas     *Counter
-	PlacementReplicaHits  *Counter
-	PlacementWastes       *Counter
-	PlacementWasteBytes   *Counter
-	PlacementFailures     *Counter
-
 	// Control-plane sends to live workers that failed (best-effort
 	// messages whose loss would otherwise be silent), by operation.
 	SendErrors *CounterVec // op
@@ -209,21 +197,6 @@ func ForRegistry(r *Registry) *VineMetrics {
 			"Scheduling decision passes run."),
 		SchedulePassSeconds: r.Histogram("vine_schedule_pass_seconds",
 			"Wall-clock duration of each scheduling pass.", SchedulePassBuckets),
-
-		PlacementPrefetches: r.Counter("vine_placement_prefetches_total",
-			"Speculative input prefetches issued by the lookahead placement engine."),
-		PlacementPrefetchHits: r.Counter("vine_placement_prefetch_hits_total",
-			"Prefetched objects later consumed by a task dispatched to that worker."),
-		PlacementReplicas: r.Counter("vine_placement_replicas_total",
-			"Speculative replicas issued for high-fan-out files ahead of their consumers."),
-		PlacementReplicaHits: r.Counter("vine_placement_replica_hits_total",
-			"Speculative replicas later consumed by a task dispatched to that worker."),
-		PlacementWastes: r.Counter("vine_placement_wastes_total",
-			"Placement transfers whose object was evicted, deleted, or lost unused."),
-		PlacementWasteBytes: r.Counter("vine_placement_waste_bytes_total",
-			"Bytes moved by placement transfers that were never consumed."),
-		PlacementFailures: r.Counter("vine_placement_failures_total",
-			"Placement transfers that failed before the object landed."),
 
 		SendErrors: r.CounterVec("vine_send_errors_total",
 			"Control messages to live workers that failed to send, by operation.", "op"),

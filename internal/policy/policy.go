@@ -1,6 +1,5 @@
 // Package policy implements TaskVine's conservative scheduling strategy
-// (§3.3) as a pure, deterministic library over state snapshots, plus the
-// one stateful engine of lookahead placement (Lookahead).
+// (§3.3) as a pure, deterministic library over state snapshots.
 //
 // Both the production manager (internal/core) and the discrete-event
 // simulator (internal/sim) drive this package, so simulated experiments
@@ -120,14 +119,6 @@ type FileNeed struct {
 	// files that can only be produced in-cluster (temps, minitask
 	// products), which have no fallback.
 	FixedSource replica.Source
-	// BornAt names the worker currently assigned the task producing this
-	// not-yet-existing file, if any. Lookahead placement treats the file as
-	// if it were already there: a fan-in task becomes ready the moment its
-	// last producer finishes — freeing a core on that very worker — so
-	// gathering siblings toward it is the placement most likely to be
-	// honored by dispatch. Only the placement path fills this; demand
-	// staging ignores it.
-	BornAt replica.WorkerH
 }
 
 // View is the read-only cluster state the policy consults: the replica
@@ -163,10 +154,6 @@ func (v *View) TransferPending(f replica.FileH, w replica.WorkerH) bool {
 // fits. This is the "schedule tasks to match the cached files present at
 // each worker" rule.
 func BestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v *View) (WorkerInfo, bool) {
-	return bestWorker(needs, req, workers, v, false)
-}
-
-func bestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v *View, arrivals bool) (WorkerInfo, bool) {
 	best := -1
 	var bestBytes int64 = -1
 	for i, w := range workers {
@@ -175,7 +162,7 @@ func bestWorker(needs []FileNeed, req resources.R, workers []WorkerInfo, v *View
 		}
 		var cached int64
 		for _, n := range needs {
-			if v.Reps.Has(n.ID, w.ID) || (arrivals && v.TransferPending(n.ID, w.ID)) {
+			if v.Reps.Has(n.ID, w.ID) {
 				if n.Size > 0 {
 					cached += n.Size
 				} else {
@@ -283,7 +270,7 @@ func PlanTransfers(plan *Plan, needs []FileNeed, worker replica.WorkerH, limits 
 			plan.Blocked = append(plan.Blocked, n.ID)
 			continue
 		}
-		src, ok := chooseSource(n, worker, limits, v, plan.local)
+		src, ok := chooseSource(n, limits, v, plan.local)
 		if !ok {
 			plan.Blocked = append(plan.Blocked, n.ID)
 			continue
@@ -305,17 +292,15 @@ func PlanTransfers(plan *Plan, needs []FileNeed, worker replica.WorkerH, limits 
 // the fixed source; the transfer waits for a peer slot instead. This is
 // what keeps archive/shared-FS load at a handful of fetches no matter how
 // many workers need the object (the 108 → 3 observation of §4.2).
-func chooseSource(n FileNeed, dest replica.WorkerH, limits Limits, v *View, local sourceCounts) (replica.Source, bool) {
+//
+// The destination never holds a ready replica of the file (PlanTransfers
+// counts that as ready), so every holder is a candidate source.
+func chooseSource(n FileNeed, limits Limits, v *View, local sourceCounts) (replica.Source, bool) {
 	v.holders = v.Reps.AppendLocate(v.holders[:0], n.ID)
 	workers := &v.Reps.Names().Workers
 	bestLoad := -1
-	inCluster := 0
 	var best replica.Source
 	for _, h := range v.holders {
-		if h == dest {
-			continue
-		}
-		inCluster++
 		src := replica.WorkerSource(h)
 		load := v.Trs.InFlightFrom(src) + local.of(src)
 		if load >= limits.sourceCap(replica.SourceWorker) {
@@ -332,7 +317,7 @@ func chooseSource(n FileNeed, dest replica.WorkerH, limits Limits, v *View, loca
 	if bestLoad >= 0 {
 		return best, true
 	}
-	if limits.sourceCap(replica.SourceWorker) > 0 && inCluster > 0 {
+	if limits.sourceCap(replica.SourceWorker) > 0 && len(v.holders) > 0 {
 		// Ready replicas exist in the cluster but all holders are at their
 		// limit: wait for a peer slot rather than load the fixed source
 		// again. While the object is merely *entering* the cluster (in

@@ -281,6 +281,41 @@ func TestChooseReplicationTargets(t *testing.T) {
 	if len(got) != 2 || got[0] != wh("w3") || got[1] != wh("w4") {
 		t.Fatalf("targets = %v, want [w3 w4] (w1 holds, w2 pending)", got)
 	}
+	// Fewer incoming transfers beat join order, and n caps the list.
+	v.Trs.Start(fh("g"), managerSource(), wh("w3"))
+	got = ChooseReplicationTargets(fh("f"), 1, workers, v)
+	if len(got) != 1 || got[0] != wh("w4") {
+		t.Fatalf("targets = %v, want [w4] (w3 is receiving a transfer)", got)
+	}
+}
+
+// TestDisabledPeerSourcesUseFixedSource: with worker sources disabled (the
+// no-peer-transfer baseline of Figure 11a), a file already in the cluster
+// still comes from its fixed source, within the manager's own limit.
+func TestDisabledPeerSourcesUseFixedSource(t *testing.T) {
+	v := newView()
+	v.Reps.Commit(fh("f"), wh("w9"))
+	need := FileNeed{ID: fh("f"), Size: 1, FixedSource: managerSource()}
+	limits := Limits{WorkerSource: Disabled, ManagerSource: 1}
+	p := plan([]FileNeed{need}, wh("w1"), limits, v)
+	if len(p.Transfers) != 1 || p.Transfers[0].Source != managerSource() {
+		t.Fatalf("plan = %+v, want one transfer from the manager", p)
+	}
+	v.Trs.Start(fh("f"), managerSource(), wh("w2"))
+	if p = plan([]FileNeed{need}, wh("w1"), limits, v); len(p.Blocked) != 1 {
+		t.Fatalf("plan = %+v, want f blocked at the manager's limit of 1", p)
+	}
+}
+
+// TestDisabledDestBlocksEverything: a disabled destination limit admits no
+// incoming transfer at all.
+func TestDisabledDestBlocksEverything(t *testing.T) {
+	v := newView()
+	need := FileNeed{ID: fh("f"), Size: 1, FixedSource: urlSource("http://x/f")}
+	p := plan([]FileNeed{need}, wh("w1"), Limits{WorkerDest: Disabled}, v)
+	if len(p.Transfers) != 0 || len(p.Blocked) != 1 {
+		t.Fatalf("plan = %+v, want f blocked", p)
+	}
 }
 
 func TestDefaultLimits(t *testing.T) {
@@ -353,5 +388,19 @@ func TestPlanTransfersAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { PlanTransfers(&p, needs, wh("w1"), Limits{}, v) }); n != 0 {
 		t.Fatalf("PlanTransfers allocated %.1f times per plan", n)
+	}
+}
+
+// TestViewCountsMaterializationsAsPending: a pending replica with no
+// transfer behind it (a MiniTask materializing in place) is on its way.
+func TestViewCountsMaterializationsAsPending(t *testing.T) {
+	v := newView()
+	v.Reps.Add(fh("mini"), wh("w0"), replica.Pending)
+	if !v.TransferPending(fh("mini"), wh("w0")) || v.TransferPending(fh("mini"), wh("w1")) {
+		t.Fatal("materialization not counted as pending at exactly its worker")
+	}
+	v.Trs.Start(fh("f"), managerSource(), wh("w1"))
+	if !v.TransferPending(fh("f"), wh("w1")) || v.TransferPending(fh("f"), wh("w0")) {
+		t.Fatal("in-flight transfer not visible through the view")
 	}
 }

@@ -408,15 +408,28 @@ func TestBinaryCodecDeterministicEnv(t *testing.T) {
 	}
 }
 
+// TestBinaryCodecTruncatedHeader: every proper prefix of an encoded header
+// either fails to decode or is itself the canonical encoding of what it
+// decodes to, so a cut ending between whole fields reads as a message
+// with fewer fields and a cut inside one field is an error.
 func TestBinaryCodecTruncatedHeader(t *testing.T) {
 	enc := encodeMessage(nil, fullMessage())
-	for cut := 0; cut < len(enc); cut += 7 {
-		if _, err := decodeMessage(enc[:cut]); err == nil {
-			// A clean prefix of whole fields decodes fine; only verify no
-			// panic and no wild success on mid-field cuts by checking a few
-			// known-bad offsets below.
+	decoded := 0
+	for cut := 0; cut < len(enc); cut++ {
+		m, err := decodeMessage(enc[:cut])
+		if err != nil {
 			continue
 		}
+		decoded++
+		if re := encodeMessage(nil, m); !bytes.Equal(re, enc[:cut]) {
+			t.Fatalf("cut at %d of %d decoded to a message that re-encodes as %x, not the prefix %x",
+				cut, len(enc), re, enc[:cut])
+		}
+	}
+	// The empty prefix and each cut between whole fields decode; below two
+	// such prefixes the re-encode check would have had nothing to check.
+	if decoded < 2 {
+		t.Fatalf("only %d prefixes decoded; the canonical-prefix check is vacuous", decoded)
 	}
 	// Cutting inside the Type string must error.
 	if _, err := decodeMessage(enc[:2]); err == nil {

@@ -3,8 +3,8 @@
 // places data first, then schedules tasks within the constraints of
 // available data (§2.1). It owns the task states and their one
 // legal-transition table, the per-state counts, the ID-ordered waiting
-// queue, the staging replan list with its parking and wake lists, the live
-// workers' policy view, and the lookahead consumer accounting.
+// queue, the staging replan list with its parking and wake lists, and the
+// live workers' policy view.
 //
 // What differs between a real cluster and a simulated one sits behind
 // Substrate: internal/core supplies sockets, wall time and transfer
@@ -96,12 +96,9 @@ var legal = [...]uint8{
 // Engine runs the scheduling pass over one substrate.
 type Engine struct {
 	sub    Substrate
-	host   policy.Substrate
 	view   *policy.View
 	limits policy.Limits
 	vm     *metrics.VineMetrics
-	// Place is the lookahead placement engine, nil when placement is off.
-	Place *policy.Lookahead
 	// IgnoreLocality picks workers as if nothing were cached (an ablation).
 	IgnoreLocality bool
 	// Plans counts staging plans, for tests of the pass cost.
@@ -160,13 +157,12 @@ type workerState struct {
 }
 
 // New returns an engine over sub, reading the cluster through view, whose
-// tables it hooks, and feeding lookahead placement through host. Its
-// per-file and per-worker state starts sized to the names view has
-// interned, and grows as more are.
-func New(sub Substrate, host policy.Substrate, view *policy.View, limits policy.Limits, vm *metrics.VineMetrics) *Engine {
+// tables it hooks. Its per-file and per-worker state starts sized to the
+// names view has interned, and grows as more are.
+func New(sub Substrate, view *policy.View, limits policy.Limits, vm *metrics.VineMetrics) *Engine {
 	names := view.Reps.Names()
 	e := &Engine{
-		sub: sub, host: host, view: view, limits: limits, vm: vm,
+		sub: sub, view: view, limits: limits, vm: vm,
 		files:   make([]fileState, names.Files.Len()),
 		workers: make([]workerState, names.Workers.Len()),
 	}
@@ -192,9 +188,9 @@ func (e *Engine) worker(w replica.WorkerH) *workerState {
 	return &e.workers[w]
 }
 
-// SetState moves a task to state s, keeping the counts, the replan list and
-// the lookahead consumer counts exact. Every transition goes through here;
-// one the table does not list panics.
+// SetState moves a task to state s, keeping the counts and the replan list
+// exact. Every transition goes through here; one the table does not list
+// panics.
 func (e *Engine) SetState(id int, t *Task, s taskspec.State) {
 	old := t.State
 	if old == s {
@@ -211,13 +207,6 @@ func (e *Engine) SetState(id int, t *Task, s taskspec.State) {
 	if s == taskspec.StateStaging {
 		e.replan = append(e.replan, id)
 	}
-	if e.Place != nil && consumes(old) != consumes(s) {
-		delta := 1
-		if !consumes(s) {
-			delta = -1
-		}
-		e.Consume(t, delta)
-	}
 }
 
 // count moves a task in or out of its state's count; a declared task is
@@ -229,22 +218,6 @@ func (e *Engine) count(t *Task, delta int) {
 	e.counts[t.State] += delta
 	if t.State == taskspec.StateWaiting && t.Req.Cores == 0 {
 		e.zeroCore += delta
-	}
-}
-
-// consumes reports whether a task in state s is one of its inputs'
-// consumers for lookahead placement.
-func consumes(s taskspec.State) bool {
-	return s == taskspec.StateWaiting || s == taskspec.StateStaging
-}
-
-// Consume counts a task in or out of its inputs' consumer counts, once per
-// distinct file.
-func (e *Engine) Consume(t *Task, delta int) {
-	for i, in := range t.Inputs {
-		if !slices.Contains(t.Inputs[:i], in) {
-			e.Place.Consume(in, delta)
-		}
 	}
 }
 
@@ -265,21 +238,10 @@ func (e *Engine) Requeue(id int, t *Task) {
 }
 
 // Forget drops a task from the counts, as if it had never been submitted.
-func (e *Engine) Forget(t *Task) {
-	if e.Place != nil && consumes(t.State) {
-		e.Consume(t, -1)
-	}
-	e.count(t, -1)
-}
+func (e *Engine) Forget(t *Task) { e.count(t, -1) }
 
-// Run marks a staged task running at its worker and resolves its inputs'
-// placements there as hits.
-func (e *Engine) Run(id int, t *Task) {
-	for _, in := range t.Inputs {
-		e.Place.Use(in, t.Worker)
-	}
-	e.SetState(id, t, taskspec.StateRunning)
-}
+// Run marks a staged task running at its worker.
+func (e *Engine) Run(id int, t *Task) { e.SetState(id, t, taskspec.StateRunning) }
 
 func (e *Engine) enqueue(id int) {
 	e.dirty = true
@@ -294,16 +256,13 @@ func (e *Engine) enqueue(id int) {
 }
 
 // Pass runs one scheduling pass: replan the staging tasks, call between,
-// walk the queue assigning tasks until no core is free, and run lookahead
-// placement strictly after, so a ready task is never delayed by speculative
-// data movement.
+// then walk the queue assigning tasks until no core is free.
 func (e *Engine) Pass(between func()) {
 	e.vm.SchedulePasses.Inc()
 	e.dirty = false
 	e.stage()
 	between()
 	e.assign()
-	e.Place.Pass(e.host, e.live, e.waiting, e.limits)
 	for s, g := range e.gauges {
 		n := e.counts[s]
 		if s == int(taskspec.StateRunning) {
@@ -380,7 +339,7 @@ func (e *Engine) tryAssign(id int, t *Task) bool {
 	if e.IgnoreLocality {
 		needs = nil
 	}
-	chosen, ok := e.Place.Pick(needs, t.Req, cands, e.view)
+	chosen, ok := policy.BestWorker(needs, t.Req, cands, e.view)
 	if !ok || !e.sub.Alloc(id, chosen.ID) {
 		return false
 	}

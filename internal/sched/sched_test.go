@@ -54,7 +54,7 @@ func newStub(t *testing.T, limits policy.Limits) *stub {
 		tasks: map[int]*Task{}, files: map[replica.FileH]stubFile{},
 		free: map[replica.WorkerH]int{}, refuse: map[replica.FileH]int{},
 	}
-	s.e = New(s, nil, s.view, limits, metrics.ForRegistry(metrics.NewRegistry()))
+	s.e = New(s, s.view, limits, metrics.ForRegistry(metrics.NewRegistry()))
 	return s
 }
 

@@ -56,7 +56,7 @@ type Cluster struct {
 	// starting its transfers evicted anything.
 	evictions int
 	// needsBuf and plan are the scratch needs and transfer plan of library
-	// environments and placement. managerSrc is the manager's fixed source.
+	// environments. managerSrc is the manager's fixed source.
 	needsBuf   []policy.FileNeed
 	plan       policy.Plan
 	managerSrc replica.Source
@@ -77,10 +77,8 @@ type Cluster struct {
 	unpacks slots[simUnpack]
 	runs    slots[taskRun]
 
-	// view is the policy's read-only View over reps and trs; place is the
-	// lookahead placement engine, nil unless SetPlacement enabled it.
-	view  *policy.View
-	place *policy.Lookahead
+	// view is the policy's read-only View over reps and trs.
+	view *policy.View
 
 	// faults is the seeded fault injector; nil disables injection. Because
 	// the injector's decisions depend only on its seed and each site's
@@ -317,7 +315,7 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		}
 	}
 	// The engine comes last, sized to every name interned above.
-	c.sched = sched.New(host{c}, host{c}, c.view, limits, c.vm)
+	c.sched = sched.New(host{c}, c.view, limits, c.vm)
 	c.sched.IgnoreLocality = params.IgnoreLocality
 	for i, st := range c.tasks {
 		c.sched.Submit(i, &st.Task)
@@ -381,11 +379,7 @@ func (c *Cluster) CompletedTasks() int { return c.completed }
 // returns the makespan in virtual seconds.
 func (c *Cluster) Run() float64 {
 	c.requestSchedule()
-	span := c.eng.Run(0)
-	// The workflow has ended: a placement still unresolved was moved for
-	// nothing.
-	c.place.Flush()
-	return span
+	return c.eng.Run(0)
 }
 
 func (c *Cluster) joinAt(i int)  { c.workerJoin(c.workers[i]) }
@@ -441,7 +435,6 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	w.joined = false
 	c.sched.Leave(w.h)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
-	c.place.DropWorker(w.h)
 	affected := c.reps.DropWorker(w.h)
 	for _, tr := range c.trs.DropWorker(w.h) {
 		if tr.Dest != w.h {
@@ -546,7 +539,7 @@ func (c *Cluster) libIndex(name string) int {
 }
 
 // startTransfer reports false when admission refused the object.
-func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWorker, detail string) bool {
+func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWorker) bool {
 	f := &c.files[fh]
 	if !c.admit(w, fh) {
 		// The object cannot fit even after eviction; the consumer stays
@@ -562,7 +555,7 @@ func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWork
 	label := c.sourceLabel(src)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TransferStart, Worker: w.spec.ID,
-		File: f.ID, Source: label, Detail: detail,
+		File: f.ID, Source: label,
 	})
 	var from *Endpoint
 	latency := c.params.TransferLatency
@@ -595,7 +588,6 @@ func (c *Cluster) transferDone(slot int) {
 		return // worker preempted while the transfer was in flight
 	}
 	if x.fault != chaos.None && x.fault != chaos.Slow {
-		c.place.Failed(fh, w.h)
 		c.reps.Remove(fh, w.h)
 		c.log.Add(trace.Event{
 			Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
@@ -644,9 +636,6 @@ func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
 	}
 	if !c.admit(w, fh) {
 		return false
-	}
-	for _, in := range f.mini {
-		c.place.Use(in, w.h)
 	}
 	w.materializing[fh] = true
 	c.reps.Add(fh, w.h, replica.Pending)
@@ -808,7 +797,7 @@ func (c *Cluster) stageLibraryEnv(w *simWorker, env replica.FileH, then func()) 
 	plan := &c.plan
 	policy.PlanTransfers(plan, c.needsBuf, w.h, c.limits, c.view)
 	for _, tr := range plan.Transfers {
-		c.startTransfer(tr.File, tr.Source, w, "")
+		c.startTransfer(tr.File, tr.Source, w)
 	}
 	// MiniProduct environments may need materialization.
 	for _, blocked := range plan.Blocked {

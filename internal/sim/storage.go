@@ -112,7 +112,6 @@ func (c *Cluster) store(w *simWorker, fh replica.FileH, size int64) {
 	c.vm.CacheInserts.Inc()
 	c.vm.CacheInsertBytes.Add(size)
 	c.reps.Commit(fh, w.h)
-	c.place.Landed(fh, w.h)
 }
 
 // storeOutput records a task output, preferring the memory tier when the
@@ -195,7 +194,6 @@ func (c *Cluster) evict(w *simWorker, fh replica.FileH) {
 	} else {
 		w.cacheUsed -= obj.size
 	}
-	c.place.Gone(fh, w.h)
 	c.reps.Remove(fh, w.h)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.FileEvicted, Worker: w.spec.ID, File: c.fileName(fh),

@@ -41,21 +41,17 @@ func digestBlastEvicting() *sim.Workload {
 // SHA-256. A zero seed runs fault-free; any other seed runs under
 // goldenChaos(seed).
 type digestCase struct {
-	name      string
-	build     func() *sim.Workload
-	seed      int64
-	placement bool
-	evicts    bool
-	wantHash  string
+	name     string
+	build    func() *sim.Workload
+	seed     int64
+	evicts   bool
+	wantHash string
 }
 
 func (tc digestCase) check(t *testing.T) {
 	t.Helper()
 	w := tc.build()
 	c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
-	if tc.placement {
-		c.SetPlacement(policy.PlacementSpec{Enabled: true})
-	}
 	if tc.seed != 0 {
 		c.InjectFaults(goldenChaos(tc.seed))
 	}
@@ -100,30 +96,10 @@ func TestTraceDigestsAtBenchmarkScale(t *testing.T) {
 	}
 }
 
-// TestPlacementTraceDigests pins lookahead placement's decisions: the same
-// trace digests for runs with default placement on, fault-free and under
-// the golden chaos mix. The golden traces and the benchmark-scale digests
-// all run with placement off, so without these nothing pins which
-// prefetches and replicas placement issues, or when.
-func TestPlacementTraceDigests(t *testing.T) {
-	for _, tc := range []digestCase{
-		{name: "blast_placement", build: placementBlast, wantHash: "8a501f0f5f01d373d504609a89dc752f0dc5e709b996b79b58fec7959d2ecf39"},
-		{name: "blast_placement_seed1", build: placementBlast, seed: 1, wantHash: "99d6e104c438c3c038f3e0a9c7ccbd6670af0d27a4cb4753cfba1a9ad8b1f640"},
-		{name: "topeft_placement", build: goldenTopEFT, wantHash: "41bb364ac43e5f42ff0d7e43ec04bba4fddc93013e7986965017c5652d81202c"},
-		{name: "topeft_placement_seed1", build: goldenTopEFT, seed: 1, wantHash: "3bfdeb5e82c7ce47c741d59eca9f878574f62456b2b8690b88b040e50d2c6556"},
-		{name: "blast_evicting_placement", build: digestBlastEvicting, evicts: true, wantHash: "acacea3f07bd8e43d2a39cad36a0c85af445d733f83272f57b2a934eb6b2a9d2"},
-		{name: "blast_evicting_placement_seed1", build: digestBlastEvicting, seed: 1, evicts: true, wantHash: "b78578380b7956b9935c56322f8de2ecc3563716930bccb0c775ff9d794c8d54"},
-	} {
-		tc.placement = true
-		t.Run(tc.name, tc.check)
-	}
-}
-
 // TestTraceIndependentOfTaskOrder: the simulator indexes tasks by their
 // position in ID order, whatever order the workload lists them in, so a
 // workload with its task list reversed traces byte for byte like the
-// original, with placement on and under chaos (worker loss and recovery
-// included).
+// original, under chaos (worker loss and recovery included).
 func TestTraceIndependentOfTaskOrder(t *testing.T) {
 	run := func(reverse bool) []byte {
 		w := goldenTopEFT()
@@ -133,7 +109,6 @@ func TestTraceIndependentOfTaskOrder(t *testing.T) {
 			}
 		}
 		c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
-		c.SetPlacement(policy.PlacementSpec{Enabled: true})
 		c.InjectFaults(goldenChaos(1))
 		c.Run()
 		if got := c.CompletedTasks(); got != len(w.Tasks) {

@@ -76,30 +76,6 @@ func BenchmarkSimTransferBoundBinary(b *testing.B) {
 	b.ReportMetric(makespan, "virtual-makespan-s")
 }
 
-// BenchmarkSimPlacementCost runs the digest TopEFT shape (2,000 process
-// tasks on 25 workers) with lookahead placement off and on: the wall-time
-// price of planning placement at the tail of every scheduling pass.
-func BenchmarkSimPlacementCost(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		spec policy.PlacementSpec
-	}{{"off", policy.PlacementSpec{}}, {"on", policy.PlacementSpec{Enabled: true}}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w := digestTopEFT()
-				c := sim.NewCluster(w, sim.DefaultParams(), policy.DefaultLimits())
-				c.SetPlacement(tc.spec)
-				b.StartTimer()
-				c.Run()
-				if got := c.CompletedTasks(); got != len(w.Tasks) {
-					b.Fatalf("completed %d/%d tasks", got, len(w.Tasks))
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSimTopEFTPaperScale runs TopEFT at the paper's task count,
 // 27,000 process tasks (30,378 tasks in all), on 1,000 and 5,000 four-core
 // workers: the pool sizes the paper's 20K-core claim needs. It reports the

@@ -167,14 +167,6 @@ func (m *Manager) Categories() []CategoryStats { return m.core.Categories() }
 // Result is the outcome of one completed task.
 type Result = core.Result
 
-// PlacementSpec configures workflow-aware lookahead data placement: the
-// manager pushes completed outputs toward the workers its waiting consumers
-// will run on, prefetches shared inputs ahead of dispatch, and replicates
-// high-fanout files speculatively, all within a per-worker disk budget.
-// Disabled by default; set Enabled and leave the other fields zero for the
-// tuned defaults.
-type PlacementSpec = policy.PlacementSpec
-
 // ManagerConfig parameterizes a Manager.
 type ManagerConfig struct {
 	// ListenAddr is where workers connect; defaults to a loopback port.
@@ -193,10 +185,6 @@ type ManagerConfig struct {
 	// TraceFile, when set, receives the execution event log as CSV when
 	// the manager closes — the workflow's transaction log.
 	TraceFile string
-	// Placement enables workflow-aware lookahead data placement (disabled
-	// by default — scheduling behaviour is then byte-identical to a build
-	// without the engine).
-	Placement PlacementSpec
 	// Name is the manager's project name, advertised to the catalog when
 	// CatalogAddr is set (the discovery mechanism of the TaskVine
 	// ecosystem).
@@ -221,7 +209,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		DefaultTaskResources: cfg.DefaultTaskResources,
 		AutoSizeResources:    cfg.AutoSizeResources,
 		TraceFile:            cfg.TraceFile,
-		Placement:            cfg.Placement,
 	})
 	if err != nil {
 		return nil, err
