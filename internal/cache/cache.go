@@ -10,9 +10,9 @@
 // Storage is tiered (§3.4): objects live either on disk (TierDisk) or in
 // RAM (TierMemory). The memory tier holds serverless results and other
 // byte-addressed objects under a configurable budget; under memory
-// pressure the least-recently-used unpinned objects spill to disk, and
-// hot small disk objects are promoted into RAM on repeated access. Either
-// tier serves reads through Open, so peers and the manager fetch
+// pressure the least-recently-used objects spill to disk. An object moves
+// only from memory to disk, never back: reading it leaves its tier alone.
+// Either tier serves reads through Open, so peers and the manager fetch
 // memory-resident objects without the bytes ever touching disk.
 package cache
 
@@ -57,8 +57,7 @@ const (
 	StateFailed
 )
 
-// Tier identifies where a ready object's bytes live. The integer values
-// travel in protocol cache-update messages.
+// Tier identifies where a ready object's bytes live.
 type Tier int
 
 const (
@@ -78,16 +77,6 @@ func (t Tier) String() string {
 	return "disk"
 }
 
-// promoteUseThreshold is how many accesses make a disk object "hot" enough
-// to promote into the memory tier (the access that crosses the threshold
-// is served from memory).
-const promoteUseThreshold = 2
-
-// promoteSizeDivisor bounds promotion to small objects: only objects no
-// larger than budget/promoteSizeDivisor are promoted, so one large object
-// cannot monopolize the tier through incidental reuse.
-const promoteSizeDivisor = 8
-
 // Entry describes one cached object.
 type Entry struct {
 	Name     string
@@ -105,9 +94,6 @@ type Entry struct {
 	// pins counts tasks currently using the object; pinned objects are
 	// never evicted.
 	pins int
-	// uses counts reads since the entry became ready, to detect hot disk
-	// objects worth promoting into the memory tier.
-	uses int
 	// deferred marks an object whose deletion was requested while pinned;
 	// the removal happens when the last pin is released and is reported
 	// through the evicted list so the manager's replica table converges.
@@ -645,19 +631,9 @@ func (c *Cache) Promote(partPath, name string) error {
 	return os.Rename(partPath, c.Path(name))
 }
 
-// readSeekNopCloser adapts an in-memory reader to the ReadCloser contract
-// of Open while preserving Seek, which the worker's ranged peer-serving
-// path requires. io.NopCloser would erase the Seeker.
-type readSeekNopCloser struct {
-	*bytes.Reader
-}
-
-func (readSeekNopCloser) Close() error { return nil }
-
 // Open returns a reader over a ready plain-file object and its size.
-// Memory-tier objects are served straight from RAM (the reader also
-// implements io.Seeker for ranged reads); hot small disk objects are
-// promoted into the memory tier when the budget has room.
+// Memory-tier objects are served straight from RAM, disk-tier objects from
+// their file; the read never moves an object between tiers.
 func (c *Cache) Open(name string) (io.ReadCloser, int64, error) {
 	c.mu.Lock()
 	e, ok := c.entries[name]
@@ -670,15 +646,11 @@ func (c *Cache) Open(name string) (io.ReadCloser, int64, error) {
 		return nil, 0, fmt.Errorf("cache: %s is a directory; transfer as archive", name)
 	}
 	e.LastUse = c.clock()
-	e.uses++
-	if e.Tier == TierDisk {
-		c.maybePromoteLocked(e)
-	}
 	if e.Tier == TierMemory {
 		if c.vm != nil {
 			c.vm.CacheMemHits.Inc()
 		}
-		r := readSeekNopCloser{bytes.NewReader(e.data)}
+		r := io.NopCloser(bytes.NewReader(e.data))
 		size := e.Size
 		c.mu.Unlock()
 		return r, size, nil
@@ -695,7 +667,7 @@ func (c *Cache) Open(name string) (io.ReadCloser, int64, error) {
 // MemoryBytes returns the raw bytes of a ready memory-tier object, or
 // (nil, false) when the object is absent or disk-resident. The returned
 // slice is immutable shared storage; callers must not modify it. Counts as
-// an access for LRU and promotion purposes.
+// an access for LRU purposes.
 func (c *Cache) MemoryBytes(name string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -704,10 +676,6 @@ func (c *Cache) MemoryBytes(name string) ([]byte, bool) {
 		return nil, false
 	}
 	e.LastUse = c.clock()
-	e.uses++
-	if e.Tier == TierDisk {
-		c.maybePromoteLocked(e)
-	}
 	if e.Tier != TierMemory {
 		return nil, false
 	}
@@ -715,36 +683,6 @@ func (c *Cache) MemoryBytes(name string) ([]byte, bool) {
 		c.vm.CacheMemHits.Inc()
 	}
 	return e.data, true
-}
-
-// maybePromoteLocked lifts a hot small disk object into the memory tier
-// when the budget has free room. Promotion never spills others — it only
-// consumes slack — and never applies to directories or pinned objects: the
-// on-disk copy is removed, and a task that pinned an input after
-// Materialize may still be about to link its Path into a sandbox.
-func (c *Cache) maybePromoteLocked(e *Entry) {
-	if c.memBudget <= 0 || e.Dir || e.pins > 0 || e.Tier != TierDisk || e.uses < promoteUseThreshold {
-		return
-	}
-	if e.Size > c.memBudget/promoteSizeDivisor || c.memUsed+e.Size > c.memBudget {
-		return
-	}
-	data, err := os.ReadFile(c.Path(e.Name))
-	if err != nil || int64(len(data)) != e.Size {
-		return
-	}
-	if err := os.Remove(c.Path(e.Name)); err != nil {
-		c.logErrLocked("cache: promoting %s: %v", e.Name, err)
-		return
-	}
-	e.data = data
-	e.Tier = TierMemory
-	c.used -= e.Size
-	c.memUsed += e.Size
-	if c.vm != nil {
-		c.vm.CacheMemPromotions.Inc()
-	}
-	c.syncUsedLocked()
 }
 
 // Materialize guarantees a ready object's bytes exist at Path(name),

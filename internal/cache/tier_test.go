@@ -105,60 +105,62 @@ func TestMemoryPressureSpillsLRU(t *testing.T) {
 	}
 }
 
-func TestHotSmallObjectPromoted(t *testing.T) {
-	c := memCache(t, 1<<20, 1<<16)
-	put(t, c, "file-hot", "warm me up", LifetimeWorkflow)
-	if e, _ := c.Lookup("file-hot"); e.Tier != TierDisk {
-		t.Fatal("fresh disk put not on disk")
+// openObjectRead reads name the way the worker serves a plain file: a
+// MemoryBytes probe, then Open when the object is not memory-resident.
+func openObjectRead(t *testing.T, c *Cache, name string) string {
+	t.Helper()
+	if b, ok := c.MemoryBytes(name); ok {
+		return string(b)
 	}
-	readAll(t, c, "file-hot") // first access
-	readAll(t, c, "file-hot") // second access crosses the threshold
-	e, _ := c.Lookup("file-hot")
-	if e.Tier != TierMemory {
-		t.Fatalf("hot object not promoted: %+v", e)
-	}
-	if _, err := os.Lstat(c.Path("file-hot")); err == nil {
-		t.Fatal("promoted object still has a disk file")
-	}
-	if got := readAll(t, c, "file-hot"); got != "warm me up" {
-		t.Fatalf("promoted content %q", got)
-	}
+	return readAll(t, c, name)
 }
 
-// TestPinnedObjectNotPromoted: a task pins its input and materializes it
-// before linking Path into its sandbox; a peer serve reading the same
-// object through MemoryBytes in between must not remove the disk copy.
-func TestPinnedObjectNotPromoted(t *testing.T) {
+// TestReadLeavesDiskObjectInPlace: serving a disk object, however often,
+// never moves it into the memory tier. Its file stays where it was, so a
+// task that pinned the object and materialized it can still link Path
+// into its sandbox while peers read the same object.
+func TestReadLeavesDiskObjectInPlace(t *testing.T) {
 	c := memCache(t, 1<<20, 1<<16)
 	put(t, c, "file-in", "task input", LifetimeWorkflow)
+	before, err := os.Lstat(c.Path("file-in"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if e, _ := c.Lookup("file-in"); e.Tier != TierDisk {
+			t.Fatalf("%s: object moved to tier %v", when, e.Tier)
+		}
+		after, err := os.Lstat(c.Path("file-in"))
+		if err != nil {
+			t.Fatalf("%s: disk copy gone: %v", when, err)
+		}
+		if !os.SameFile(before, after) {
+			t.Fatalf("%s: disk copy replaced", when)
+		}
+		if c.MemUsed() != 0 || c.Used() != int64(len("task input")) {
+			t.Fatalf("%s: accounting moved: mem=%d disk=%d", when, c.MemUsed(), c.Used())
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got := openObjectRead(t, c, "file-in"); got != "task input" {
+			t.Fatalf("read %d = %q", i, got)
+		}
+	}
+	check("unpinned reads")
 	if err := c.Pin("file-in"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Materialize("file-in"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i <= promoteUseThreshold; i++ {
-		c.MemoryBytes("file-in")
-	}
-	if _, err := os.Lstat(c.Path("file-in")); err != nil {
-		t.Fatalf("pinned input lost its disk copy: %v", err)
-	}
-	c.Unpin("file-in")
-	c.MemoryBytes("file-in")
-	if e, _ := c.Lookup("file-in"); e.Tier != TierMemory {
-		t.Fatalf("hot object not promoted once unpinned: %+v", e)
-	}
-}
-
-func TestLargeObjectNotPromoted(t *testing.T) {
-	c := memCache(t, 1<<20, 64) // promotion limit is budget/8 = 8 bytes
-	put(t, c, "file-large", "this is far too large", LifetimeWorkflow)
 	for i := 0; i < 4; i++ {
-		readAll(t, c, "file-large")
+		openObjectRead(t, c, "file-in")
 	}
-	if e, _ := c.Lookup("file-large"); e.Tier == TierMemory {
-		t.Fatalf("oversized object promoted: %+v", e)
-	}
+	check("pinned reads")
+	c.Unpin("file-in")
+	openObjectRead(t, c, "file-in")
+	check("reads after unpin")
 }
 
 func TestMaterializeSpillsForSandboxUse(t *testing.T) {
@@ -198,26 +200,6 @@ func TestMemoryReaderSurvivesConcurrentSpill(t *testing.T) {
 	b, err := io.ReadAll(r)
 	if err != nil || string(b) != "0123456789" {
 		t.Fatalf("reader broken across spill: %q %v", b, err)
-	}
-}
-
-func TestMemoryReaderSeeks(t *testing.T) {
-	c := memCache(t, 1<<20, 1<<16)
-	putBytes(t, c, "temp-a", "0123456789", LifetimeWorkflow)
-	r, _, err := c.Open("temp-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := r.(io.ReadSeeker)
-	if !ok {
-		t.Fatal("memory-tier reader does not seek; ranged peer serving needs it")
-	}
-	if _, err := s.Seek(4, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(io.LimitReader(s, 3))
-	if string(b) != "456" {
-		t.Fatalf("seeked read %q", b)
 	}
 }
 
@@ -357,7 +339,7 @@ func TestConcurrentSpillVsOpenAndPin(t *testing.T) {
 			}
 		}()
 	}
-	// Meanwhile churn inserts to drive spills and promotions.
+	// Meanwhile churn inserts to drive spills.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

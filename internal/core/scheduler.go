@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -76,22 +75,8 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 			if peer == nil || peer.gone {
 				err = fmt.Errorf("peer %s is gone", m.names.SourceName(src))
 			} else {
-				// List the other live holders so the destination can fetch
-				// disjoint chunks of a large object from several replicas in
-				// parallel; the chosen source stays the primary.
-				var extras []string
-				for _, wid := range m.reps.Locate(fh) {
-					if wid == src.Worker() || wid == w.h {
-						continue
-					}
-					if pw := m.workerAt(wid); pw != nil && !pw.gone && pw.transferAddr != "" {
-						extras = append(extras, pw.transferAddr)
-					}
-				}
-				sort.Strings(extras)
 				err = w.conn.Send(&protocol.Message{
 					Type: protocol.TypeFetchPeer, CacheName: fileID, PeerAddr: peer.transferAddr,
-					PeerAddrs: extras, Total: f.Size,
 					Size: f.Size, Lifetime: int(f.Lifetime), TransferID: tid,
 				})
 			}

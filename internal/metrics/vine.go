@@ -111,7 +111,6 @@ type VineMetrics struct {
 	CacheMemInsertBytes *Counter
 	CacheMemSpills      *Counter
 	CacheMemSpillBytes  *Counter
-	CacheMemPromotions  *Counter
 	CacheMemUsedBytes   *Gauge
 
 	// Worker sandbox lifecycle and peer transfer service.
@@ -228,8 +227,6 @@ func ForRegistry(r *Registry) *VineMetrics {
 			"Memory-tier objects spilled to disk under memory pressure."),
 		CacheMemSpillBytes: r.Counter("vine_cache_mem_spill_bytes_total",
 			"Bytes spilled from memory tiers to disk."),
-		CacheMemPromotions: r.Counter("vine_cache_mem_promotions_total",
-			"Hot disk-tier objects promoted into the memory tier on access."),
 		CacheMemUsedBytes: r.Gauge("vine_cache_mem_used_bytes",
 			"Bytes currently accounted to memory-tier cached objects."),
 

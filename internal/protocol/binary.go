@@ -97,10 +97,10 @@ var messageTable = [...]field[Message]{
 	22: str("Status", func(m *Message) *string { return &m.Status }),
 	23: str("Error", func(m *Message) *string { return &m.Error }),
 	24: reserved[Message]("framing-negotiation version"),
-	25: varint("Offset", func(m *Message) *int64 { return &m.Offset }),
-	26: varint("Total", func(m *Message) *int64 { return &m.Total }),
-	27: nested("PeerAddrs", func(m *Message) *[]string { return &m.PeerAddrs }, putStrings, getStrings),
-	28: varint("Tier", func(m *Message) *int { return &m.Tier }),
+	25: reserved[Message]("ranged-get offset"),
+	26: reserved[Message]("ranged-get total"),
+	27: reserved[Message]("alternate peer addresses"),
+	28: reserved[Message]("cache-update tier"),
 }
 
 // specTable is the task spec codec, a nested field space of its own.
@@ -438,9 +438,6 @@ func getList[E any](b []byte, each func([]byte) (E, []byte, error)) ([]E, error)
 	}
 	return out, nil
 }
-
-func putStrings(b []byte, ss []string) ([]byte, bool) { return putList(b, ss, appendLen[string]) }
-func getStrings(b []byte) ([]string, error)           { return getList(b, getStr) }
 
 func putOutputs(b []byte, outs []OutputInfo) ([]byte, bool) {
 	return putList(b, outs, func(b []byte, o OutputInfo) []byte {

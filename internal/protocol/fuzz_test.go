@@ -27,11 +27,11 @@ func FuzzRecv(f *testing.F) {
 	f.Add(binaryFrame(&Message{Type: TypeTask, TaskID: 1, Spec: &taskspec.Spec{ID: 1, Command: "x"}}, nil))
 	f.Add([]byte("not a frame at all\n"))
 	f.Add([]byte{0, 1, 2, '\n', 0xff})
-	f.Add(binaryFrame(&Message{Type: TypeData, CacheName: "y", Checksum: "c", Offset: 8, Total: 64}, []byte("8 bytes!")))
+	f.Add(binaryFrame(&Message{Type: TypeData, CacheName: "y", Checksum: "c", Size: 8}, []byte("8 bytes!")))
 	f.Add(binaryFrame(&Message{Type: TypeTask, TaskID: 5}, nil)[:7])
 	f.Add([]byte{frameMagic, frameVersion, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{frameMagic, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(append(binaryFrame(&Message{Type: TypeGet, CacheName: "y", Offset: 8, Total: 64}, nil),
+	f.Add(append(binaryFrame(&Message{Type: TypeGet, CacheName: "y"}, nil),
 		binaryFrame(&Message{Type: TypeRelease}, nil)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
@@ -89,8 +89,9 @@ func binaryFrame(m *Message, payload []byte) []byte {
 // directly: it must only ever return a message or an error.
 func FuzzBinaryDecode(f *testing.F) {
 	f.Add(encodeMessage(nil, &Message{Type: TypeHeartbeat}))
-	f.Add(encodeMessage(nil, &Message{Type: TypeGet, CacheName: "x", Offset: 1, Total: 2,
-		PeerAddrs: []string{"a:1", "b:2"}}))
+	// A get from an older peer that still sends the retired ranged-get
+	// and alternate-holder tags.
+	f.Add(bytesField(varintField(encodeMessage(nil, &Message{Type: TypeGet, CacheName: "x"}), 25, 1), 27, "a:1"))
 	f.Add([]byte{0x03, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeMessage(data)
@@ -126,7 +127,7 @@ func FuzzBinaryCanonical(f *testing.F) {
 
 // FuzzBinaryRoundTrip checks encode→decode identity over fuzz-built
 // messages that set every encoded field of Message and of its Spec,
-// Capacity, Outputs and PeerAddrs, each derived from the six fuzzed values.
+// Capacity and Outputs, each derived from the six fuzzed values.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add("put", "w1", "file-x", int64(9), int64(3), int64(12))
 	f.Add("get", "", "", int64(-1), int64(0), int64(0))
@@ -168,9 +169,8 @@ func fuzzMessage(s1, s2, s3 string, n1, n2, n3 int64) *Message {
 		ExitCode: int(n3), Result: b,
 		Outputs:      []OutputInfo{{CacheName: s1, Size: n1}, {CacheName: s2, Size: n2}},
 		TimeStagedMS: n1, TimeRunMS: n2, MeasuredDisk: n3, MeasuredMemory: n1 ^ n2,
-		CacheName: s2, Size: n3, Dir: flag, Lifetime: int(n2), Tier: int(n3),
+		CacheName: s2, Size: n3, Dir: flag, Lifetime: int(n2),
 		URL: s3, PeerAddr: s1, TransferID: s2, Checksum: s3, Status: s1, Error: s2,
-		Offset: n2, Total: n3, PeerAddrs: []string{s1, s2, s3},
 	}
 }
 

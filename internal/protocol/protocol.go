@@ -122,12 +122,8 @@ type Message struct {
 	Payload   bool   `json:"payload,omitempty"`
 	// Dir marks a directory-valued object whose payload is a tar stream
 	// rather than raw file bytes.
-	Dir      bool `json:"dir,omitempty"`
-	Lifetime int  `json:"lifetime,omitempty"`
-	// Tier reports which storage tier holds the object named by a
-	// cache-update (0 disk, 1 memory), so the manager can distinguish
-	// RAM-resident handle results from disk-materialized objects.
-	Tier       int    `json:"tier,omitempty"`
+	Dir        bool   `json:"dir,omitempty"`
+	Lifetime   int    `json:"lifetime,omitempty"`
 	URL        string `json:"url,omitempty"`
 	PeerAddr   string `json:"peer_addr,omitempty"`
 	TransferID string `json:"transfer_id,omitempty"`
@@ -135,16 +131,6 @@ type Message struct {
 	// message; receivers that find it non-empty verify the payload against
 	// it and treat a mismatch as a transfer failure.
 	Checksum string `json:"checksum,omitempty"`
-	// Offset and Total support ranged object reads for chunk-parallel peer
-	// fetches: a TypeGet with Total > 0 requests Size bytes starting at
-	// Offset of an object whose full length is Total, and the TypeData
-	// reply's Checksum covers just that range.
-	Offset int64 `json:"offset,omitempty"`
-	Total  int64 `json:"total,omitempty"`
-	// PeerAddrs lists additional replica holders of the object named by a
-	// fetch instruction, enabling the receiving worker to fetch disjoint
-	// chunks of a large object from several sources in parallel.
-	PeerAddrs []string `json:"peer_addrs,omitempty"`
 	// Status reporting.
 	Status string `json:"status,omitempty"`
 	Error  string `json:"error,omitempty"`

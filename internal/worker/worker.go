@@ -58,29 +58,17 @@ type Config struct {
 	ID string
 	// Libraries holds the serverless libraries compiled into this worker.
 	Libraries *serverless.Registry
-	// MaxConcurrentTransfers bounds simultaneous asynchronous fetches.
-	MaxConcurrentTransfers int
 	// Logger receives operational messages; nil silences them.
 	Logger *log.Logger
-	// PeerDialTimeout bounds connection establishment to a peer during
-	// worker-to-worker transfers; defaults to 5s.
-	PeerDialTimeout time.Duration
 	// PeerIOTimeout bounds each read or write making progress during a
 	// peer transfer, so a wedged peer fails the fetch instead of leaking a
-	// goroutine; defaults to 30s. The deadline is refreshed per chunk, so
-	// large objects that keep moving are never cut off.
+	// goroutine; defaults to 30s. The deadline is refreshed on every read,
+	// so large objects that keep moving are never cut off.
 	PeerIOTimeout time.Duration
 	// PeerFetchRetries is how many times a failed peer fetch is re-dialed
 	// locally, with capped exponential backoff, before the failure is
 	// reported to the manager; defaults to 2 (negative disables retries).
 	PeerFetchRetries int
-	// ChunkThreshold is the minimum object size, in bytes, at which a peer
-	// fetch with more than one known replica splits into parallel ranged
-	// requests; defaults to 4 MB.
-	ChunkThreshold int64
-	// MaxFetchChunks caps how many parallel ranged requests one chunked
-	// fetch issues; defaults to 4.
-	MaxFetchChunks int
 	// Faults is a test-only fault injector consulted at the worker's
 	// instrumented failure points; nil (the default) disables injection.
 	Faults *chaos.Injector
@@ -89,6 +77,14 @@ type Config struct {
 	// aggregate an in-process cluster onto one /metrics surface.
 	Metrics *metrics.Registry
 }
+
+const (
+	// maxConcurrentTransfers bounds simultaneous asynchronous fetches.
+	maxConcurrentTransfers = 8
+	// peerDialTimeout bounds connection establishment to a peer during
+	// worker-to-worker transfers.
+	peerDialTimeout = 5 * time.Second
+)
 
 // Worker is a running worker process.
 type Worker struct {
@@ -157,12 +153,6 @@ func New(cfg Config) (*Worker, error) {
 	if cfg.MemoryBudget < 0 {
 		cfg.MemoryBudget = 0
 	}
-	if cfg.MaxConcurrentTransfers <= 0 {
-		cfg.MaxConcurrentTransfers = 8
-	}
-	if cfg.PeerDialTimeout <= 0 {
-		cfg.PeerDialTimeout = 5 * time.Second
-	}
 	if cfg.PeerIOTimeout <= 0 {
 		cfg.PeerIOTimeout = 30 * time.Second
 	}
@@ -171,12 +161,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	if cfg.PeerFetchRetries < 0 {
 		cfg.PeerFetchRetries = 0
-	}
-	if cfg.ChunkThreshold <= 0 {
-		cfg.ChunkThreshold = 4 << 20
-	}
-	if cfg.MaxFetchChunks <= 0 {
-		cfg.MaxFetchChunks = 4
 	}
 	if cfg.Libraries == nil {
 		cfg.Libraries = serverless.NewRegistry()
@@ -204,7 +188,7 @@ func New(cfg Config) (*Worker, error) {
 		cache:       c,
 		vm:          vm,
 		pool:        resources.NewPool(cfg.Capacity),
-		transferSem: make(chan struct{}, cfg.MaxConcurrentTransfers),
+		transferSem: make(chan struct{}, maxConcurrentTransfers),
 		instances:   make(map[string]*serverless.Instance),
 		running:     make(map[int]context.CancelFunc),
 		libTasks:    make(map[string]int),
@@ -400,9 +384,6 @@ func (w *Worker) cacheUpdate(name string, size int64, transferID string, err err
 		TransferID: transferID,
 		Status:     protocol.StatusOK,
 	}
-	if e, ok := w.cache.Lookup(name); ok {
-		m.Tier = int(e.Tier)
-	}
 	if err != nil {
 		m.Status = protocol.StatusFailed
 		m.Error = err.Error()
@@ -457,14 +438,6 @@ func (w *Worker) putDir(name string, size int64, lt cache.Lifetime, payload io.R
 	return w.cache.Commit(name)
 }
 
-// memReader adapts an in-RAM object to the ReadCloser contract while
-// keeping Seek available for ranged serving.
-type memReader struct {
-	*bytes.Reader
-}
-
-func (memReader) Close() error { return nil }
-
 // openObject returns a payload reader for a cached object, packing
 // directory objects into tar streams, along with the payload's hex MD5 so
 // receivers can verify integrity end to end. An unhashable file (raced
@@ -479,7 +452,7 @@ func (w *Worker) openObject(name string) (r io.ReadCloser, size int64, dir bool,
 		// Memory-tier objects are hashed and served straight from RAM; the
 		// bytes never touch disk on the serving side.
 		if b, ok := w.cache.MemoryBytes(name); ok {
-			return memReader{bytes.NewReader(b)}, int64(len(b)), false, string(hashing.HashBytes(b)), nil
+			return io.NopCloser(bytes.NewReader(b)), int64(len(b)), false, string(hashing.HashBytes(b)), nil
 		}
 		if d, herr := hashing.HashFile(w.cache.Path(name)); herr == nil {
 			sum = string(d)
@@ -606,21 +579,10 @@ func (w *Worker) handleFetchPeer(ctx context.Context, m *protocol.Message) {
 // locally with capped exponential backoff before the failure propagates to
 // the manager. Local retries absorb transient faults (connection resets,
 // momentary peer restarts) without a round trip through the manager's
-// transfer supervisor; only a persistently failing source escalates.
-//
-// When the manager names additional replicas and the object is large, the
-// first attempt fetches disjoint ranges from several sources in parallel;
-// any chunked failure falls back to the single-stream retry loop, so the
-// fast path never reduces availability.
+// transfer supervisor; only a persistently failing source escalates. Every
+// attempt is one stream from the source the manager chose and charged.
 func (w *Worker) fetchFromPeer(ctx context.Context, m *protocol.Message) (int64, error) {
 	addr, name := m.PeerAddr, m.CacheName
-	if sources := peerSources(m); len(sources) > 1 && m.Total >= w.cfg.ChunkThreshold {
-		n, err := w.fetchChunked(sources, name, m.Total)
-		if err == nil {
-			return n, nil
-		}
-		w.logf("chunked fetch of %s failed (%v); falling back to single stream", name, err)
-	}
 	attempts := w.cfg.PeerFetchRetries + 1
 	var err error
 	for a := 1; a <= attempts; a++ {
@@ -640,21 +602,6 @@ func (w *Worker) fetchFromPeer(ctx context.Context, m *protocol.Message) (int64,
 		}
 	}
 	return 0, err
-}
-
-// peerSources returns the deduplicated transfer addresses named in a fetch
-// instruction: the manager's chosen primary first, then the alternates.
-func peerSources(m *protocol.Message) []string {
-	seen := make(map[string]bool, 1+len(m.PeerAddrs))
-	out := make([]string, 0, 1+len(m.PeerAddrs))
-	for _, a := range append([]string{m.PeerAddr}, m.PeerAddrs...) {
-		if a == "" || seen[a] {
-			continue
-		}
-		seen[a] = true
-		out = append(out, a)
-	}
-	return out
 }
 
 // idleReader refreshes the connection's read deadline before every read, so
@@ -713,7 +660,7 @@ func (w *Worker) fetchFromPeerOnce(addr, name string) (int64, error) {
 	if f := w.cfg.Faults.At(chaos.PeerDial, w.cfg.ID, name); f.Action != chaos.None {
 		return 0, fmt.Errorf("worker: dialing peer %s: %s (injected)", addr, f.Action)
 	}
-	conn, err := protocol.Dial(addr, w.cfg.PeerDialTimeout)
+	conn, err := protocol.Dial(addr, peerDialTimeout)
 	if err != nil {
 		return 0, fmt.Errorf("worker: dialing peer %s: %w", addr, err)
 	}
@@ -801,111 +748,6 @@ func (w *Worker) fetchFromPeerOnce(addr, name string) (int64, error) {
 	return n, nil
 }
 
-// fetchChunked pulls disjoint ranges of a plain-file object from several
-// replicas in parallel, assembling them in one part file that is promoted
-// only after every range has verified. Any error — a peer that predates
-// ranged serving, a directory object, a checksum mismatch — aborts the
-// whole attempt; the caller falls back to the single-stream path.
-func (w *Worker) fetchChunked(sources []string, name string, total int64) (int64, error) {
-	part, err := w.cache.CreatePart()
-	if err != nil {
-		return 0, err
-	}
-	partPath := part.Name()
-	nchunks := w.cfg.MaxFetchChunks
-	if len(sources) < nchunks {
-		nchunks = len(sources)
-	}
-	chunk := (total + int64(nchunks) - 1) / int64(nchunks)
-	type rng struct{ off, len int64 }
-	var chunks []rng
-	for off := int64(0); off < total; off += chunk {
-		l := chunk
-		if off+l > total {
-			l = total - off
-		}
-		chunks = append(chunks, rng{off, l})
-	}
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i, c := range chunks {
-		wg.Add(1)
-		go func(i int, addr string, c rng) {
-			defer wg.Done()
-			errs[i] = w.fetchRange(addr, name, c.off, c.len, total, part)
-		}(i, sources[i%len(sources)], c)
-	}
-	wg.Wait()
-	err = part.Close()
-	for _, e := range errs {
-		if err == nil {
-			err = e
-		}
-	}
-	if err != nil {
-		os.Remove(partPath)
-		return 0, err
-	}
-	if err := w.cache.Promote(partPath, name); err != nil {
-		os.Remove(partPath)
-		return 0, err
-	}
-	w.logf("fetched %s (%d bytes) as %d chunks from %d peers", name, total, len(chunks), len(sources))
-	return total, nil
-}
-
-// fetchRange retrieves one byte range of an object from a peer and writes
-// it at its offset in dst. The per-range checksum from the serving peer
-// covers exactly the requested window.
-func (w *Worker) fetchRange(addr, name string, off, length, total int64, dst io.WriterAt) error {
-	if f := w.cfg.Faults.At(chaos.PeerDial, w.cfg.ID, name); f.Action != chaos.None {
-		return fmt.Errorf("worker: dialing peer %s: %s (injected)", addr, f.Action)
-	}
-	conn, err := protocol.Dial(addr, w.cfg.PeerDialTimeout)
-	if err != nil {
-		return fmt.Errorf("worker: dialing peer %s: %w", addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
-	if err := conn.Send(&protocol.Message{
-		Type: protocol.TypeGet, CacheName: name, Offset: off, Size: length, Total: total,
-	}); err != nil {
-		return err
-	}
-	m, payload, err := conn.Recv()
-	if err != nil {
-		return err
-	}
-	if m.Type != protocol.TypeData {
-		return fmt.Errorf("worker: peer %s: %s", addr, m.Error)
-	}
-	if m.Offset != off || m.Size != length {
-		return fmt.Errorf("worker: peer %s returned range %d+%d, want %d+%d", addr, m.Offset, m.Size, off, length)
-	}
-	var body io.Reader = &idleReader{c: conn, r: payload, timeout: w.cfg.PeerIOTimeout}
-	if f := w.cfg.Faults.At(chaos.PeerRead, w.cfg.ID, name); f.Action == chaos.Corrupt {
-		body = &corruptReader{r: body}
-	}
-	var digest hash.Hash
-	if m.Checksum != "" {
-		digest = md5.New()
-		body = io.TeeReader(body, digest)
-	}
-	n, err := protocol.CopyBuffer(io.NewOffsetWriter(dst, off), io.LimitReader(body, length))
-	if err != nil {
-		return err
-	}
-	if n != length {
-		return fmt.Errorf("worker: peer %s sent %d of %d bytes", addr, n, length)
-	}
-	if digest != nil {
-		if got := hex.EncodeToString(digest.Sum(nil)); got != m.Checksum {
-			return fmt.Errorf("worker: %s[%d,+%d) from peer %s: checksum mismatch (got %s want %s)", name, off, length, addr, got, m.Checksum)
-		}
-	}
-	return nil
-}
-
 // servePeers answers worker-to-worker get requests from the cache. Each
 // connection carries a deadline so a stalled requester cannot pin a serving
 // goroutine (and its wg slot) past shutdown.
@@ -937,12 +779,6 @@ func (w *Worker) servePeers() {
 				// deadline, not our goodwill, bounds its wait.
 				return
 			}
-			if m.Total > 0 {
-				// A Total on a get marks a ranged request from a chunking
-				// fetcher.
-				w.serveRange(conn, m)
-				return
-			}
 			r, size, dir, sum, err := w.openObject(m.CacheName)
 			if err != nil {
 				conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
@@ -960,67 +796,6 @@ func (w *Worker) servePeers() {
 			w.vm.PeerServeBytes.Add(size)
 		}()
 	}
-}
-
-// serveRange answers a ranged get for one byte window of a plain-file
-// object. Directory objects are refused — their wire form is a packed tar
-// whose bytes are not stable across servings — which makes the requester
-// fall back to a whole-object stream. The checksum covers exactly the
-// served window so each chunk verifies independently.
-func (w *Worker) serveRange(conn *protocol.Conn, m *protocol.Message) {
-	fail := func(err error) {
-		conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
-	}
-	e, ok := w.cache.Lookup(m.CacheName)
-	if !ok || e.State != cache.StateReady {
-		fail(fmt.Errorf("worker: %s not present", m.CacheName))
-		return
-	}
-	if e.Dir {
-		fail(fmt.Errorf("worker: %s is a directory; ranged gets serve plain files only", m.CacheName))
-		return
-	}
-	rc, size, err := w.cache.Open(m.CacheName)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer rc.Close()
-	if m.Offset < 0 || m.Size <= 0 || m.Offset+m.Size > size || m.Total != size {
-		fail(fmt.Errorf("worker: bad range [%d,+%d) of %s: have %d bytes", m.Offset, m.Size, m.CacheName, size))
-		return
-	}
-	f, ok := rc.(io.ReadSeeker)
-	if !ok {
-		fail(fmt.Errorf("worker: %s is not seekable", m.CacheName))
-		return
-	}
-	// Hash the window, then rewind and stream it. Two passes over a range
-	// beat materializing it in memory.
-	if _, err := f.Seek(m.Offset, io.SeekStart); err != nil {
-		fail(err)
-		return
-	}
-	digest := md5.New()
-	if _, err := protocol.CopyBuffer(digest, io.LimitReader(f, m.Size)); err != nil {
-		fail(err)
-		return
-	}
-	sum := hex.EncodeToString(digest.Sum(nil))
-	if _, err := f.Seek(m.Offset, io.SeekStart); err != nil {
-		fail(err)
-		return
-	}
-	conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
-	if err := conn.SendPayload(&protocol.Message{
-		Type: protocol.TypeData, CacheName: m.CacheName,
-		Size: m.Size, Offset: m.Offset, Total: size, Checksum: sum,
-	}, io.LimitReader(f, m.Size)); err != nil {
-		w.logf("sending %s[%d,+%d) to peer %s: %v", m.CacheName, m.Offset, m.Size, conn.RemoteAddr(), err)
-		return
-	}
-	w.vm.PeerServes.Inc()
-	w.vm.PeerServeBytes.Add(m.Size)
 }
 
 // crash abruptly severs the worker's manager connection and peer listener,
