@@ -360,13 +360,18 @@ func (c *Cache) Reserve(name string, size int64, lifetime Lifetime) (alreadyPend
 }
 
 // evictionOrder sorts eviction/spill victims cheapest-lifetime first, LRU
-// within a lifetime.
+// within a lifetime. The name tie-break makes the order total: victims
+// are gathered in map order.
 func evictionOrder(victims []*Entry) {
 	sort.Slice(victims, func(i, j int) bool {
-		if victims[i].Lifetime != victims[j].Lifetime {
-			return victims[i].Lifetime < victims[j].Lifetime
+		a, b := victims[i], victims[j]
+		if a.Lifetime != b.Lifetime {
+			return a.Lifetime < b.Lifetime
 		}
-		return victims[i].LastUse.Before(victims[j].LastUse)
+		if !a.LastUse.Equal(b.LastUse) {
+			return a.LastUse.Before(b.LastUse)
+		}
+		return a.Name < b.Name
 	})
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -107,6 +108,23 @@ func TestCommitAdjustsToActualSize(t *testing.T) {
 	}
 	if c.Used() != 999 {
 		t.Fatalf("used = %d want 999", c.Used())
+	}
+}
+
+// Victims alike in lifetime and last use are evicted in name order, the
+// same on every run, though the cache gathers them in map order.
+func TestEvictionOrderTieBreaksByName(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		c := newCache(t, 80)
+		now := time.Unix(1000, 0)
+		c.SetClock(func() time.Time { return now })
+		for _, name := range []string{"obj-e", "obj-b", "obj-h", "obj-a", "obj-g", "obj-c", "obj-f", "obj-d"} {
+			put(t, c, name, strings.Repeat("x", 10), LifetimeWorkflow)
+		}
+		put(t, c, "incoming", strings.Repeat("y", 30), LifetimeWorkflow)
+		if ev := c.DrainEvicted(); fmt.Sprint(ev) != "[obj-a obj-b obj-c]" {
+			t.Fatalf("run %d evicted %v, want [obj-a obj-b obj-c]", run, ev)
+		}
 	}
 }
 

@@ -37,8 +37,10 @@ func TestBackoffRefusedTransferStaysOnReplanList(t *testing.T) {
 	id := m.nextID
 	ts := m.track(id, spec)
 	m.sched.Submit(id, &ts.Task)
-	window := &transferRetryState{attempts: 1, notBefore: time.Now().Add(time.Hour)}
-	m.transferRetry[transferKey{file: f.ID, dest: w.id}] = window
+	// A failed transfer closes the placement for a backoff window; the
+	// manager's clock, moved an hour back, stays inside it.
+	m.sched.TransferFailed(m.fh(f.ID), w.h)
+	m.start = m.start.Add(time.Hour)
 
 	// Inside the window every pass replans the task: it stays on the replan
 	// list, where a parked task would be skipped.
@@ -50,7 +52,7 @@ func TestBackoffRefusedTransferStaysOnReplanList(t *testing.T) {
 				pass, ts.State, m.sched.Plans-plans, m.trs.Len(), m.sched.Dirty())
 		}
 	}
-	window.notBefore = time.Now().Add(-time.Second)
+	m.start = m.start.Add(-2 * time.Hour) // an hour past the window
 	m.schedule()
 	if m.trs.Len() != 1 {
 		t.Fatalf("pass after the window opened started %d transfers, want 1", m.trs.Len())

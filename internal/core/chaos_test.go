@@ -22,6 +22,7 @@ import (
 	"taskvine/internal/files"
 	"taskvine/internal/protocol"
 	"taskvine/internal/resources"
+	"taskvine/internal/sched"
 	"taskvine/internal/taskspec"
 	"taskvine/internal/trace"
 	"taskvine/internal/worker"
@@ -106,10 +107,8 @@ func waitWorkers(t *testing.T, m *Manager, n int) {
 func TestChaosTransferRetryBackoff(t *testing.T) {
 	inj := chaos.New(chaosSeed(t)).Add(chaos.Rule{Point: chaos.Transfer, Action: chaos.Fail, Count: 2})
 	h := newHarness(t, 1, Config{
-		TickInterval:        20 * time.Millisecond,
-		TransferBackoffBase: 10 * time.Millisecond,
-		TransferBackoffMax:  50 * time.Millisecond,
-		Faults:              inj,
+		TickInterval: 20 * time.Millisecond,
+		Faults:       inj,
 	})
 	buf, err := h.m.Files().DeclareBuffer(make([]byte, 64*1024), files.LifetimeWorkflow)
 	if err != nil {
@@ -136,17 +135,15 @@ func TestChaosTransferRetryBackoff(t *testing.T) {
 }
 
 // TestChaosTransferRetryLimitAbandonsPlacement drives a placement past its
-// retry limit: with TransferRetryLimit=1 and two injected failures, the
-// second failure abandons the placement (no second TransferRetry event) and
-// requeues the task without consuming its retry budget.
+// retry limit: with one injected failure more than the limit allows, the
+// last failure abandons the placement (no TransferRetry event of its own)
+// and requeues the task without consuming its retry budget.
 func TestChaosTransferRetryLimitAbandonsPlacement(t *testing.T) {
-	inj := chaos.New(chaosSeed(t)).Add(chaos.Rule{Point: chaos.Transfer, Action: chaos.Fail, Count: 2})
+	failures := sched.TransferRetryLimit + 1
+	inj := chaos.New(chaosSeed(t)).Add(chaos.Rule{Point: chaos.Transfer, Action: chaos.Fail, Count: failures})
 	h := newHarness(t, 2, Config{
-		TickInterval:        20 * time.Millisecond,
-		TransferBackoffBase: 10 * time.Millisecond,
-		TransferBackoffMax:  30 * time.Millisecond,
-		TransferRetryLimit:  1,
-		Faults:              inj,
+		TickInterval: 20 * time.Millisecond,
+		Faults:       inj,
 	})
 	buf, err := h.m.Files().DeclareBuffer(make([]byte, 32*1024), files.LifetimeWorkflow)
 	if err != nil {
@@ -161,12 +158,12 @@ func TestChaosTransferRetryLimitAbandonsPlacement(t *testing.T) {
 	if !r.OK {
 		t.Fatalf("task failed: %+v", r)
 	}
-	// Two injected failures, limit 1: one backed-off retry, then abandonment.
-	if got := countKind(h.m, trace.TransferRetry, buf.ID); got != 1 {
-		t.Fatalf("TransferRetry events = %d, want 1 (second failure must abandon, not retry)", got)
+	// One backed-off retry per failure up to the limit, then abandonment.
+	if got := countKind(h.m, trace.TransferRetry, buf.ID); got != sched.TransferRetryLimit {
+		t.Fatalf("TransferRetry events = %d, want %d (the last failure must abandon, not retry)", got, sched.TransferRetryLimit)
 	}
-	if got := countKind(h.m, trace.TransferFailed, buf.ID); got != 2 {
-		t.Fatalf("TransferFailed events = %d, want 2", got)
+	if got := countKind(h.m, trace.TransferFailed, buf.ID); got != failures {
+		t.Fatalf("TransferFailed events = %d, want %d", got, failures)
 	}
 }
 
@@ -204,11 +201,7 @@ func TestChaosWorkerCrashAtTaskStart(t *testing.T) {
 // land.
 func TestChaosDiskFullOnCacheInsert(t *testing.T) {
 	inj := chaos.New(chaosSeed(t)).Add(chaos.Rule{Point: chaos.CacheInsert, Action: chaos.Fail, Count: 1})
-	h := newHarness(t, 0, Config{
-		TickInterval:        20 * time.Millisecond,
-		TransferBackoffBase: 10 * time.Millisecond,
-		TransferBackoffMax:  30 * time.Millisecond,
-	})
+	h := newHarness(t, 0, Config{TickInterval: 20 * time.Millisecond})
 	startChaosWorker(t, h, "tight-disk", resources.R{Cores: 4, Memory: 4 * resources.GB, Disk: resources.GB}, inj)
 	waitWorkers(t, h.m, 1)
 	buf, err := h.m.Files().DeclareBuffer([]byte("payload that must eventually land"), files.LifetimeWorkflow)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"taskvine/internal/replica"
 	"taskvine/internal/taskspec"
@@ -114,24 +113,20 @@ func (m *Manager) buildDebug() DebugReport {
 			Dest: m.names.Workers.Name(tr.Dest),
 		})
 	}
-	keys := make([]transferKey, 0, len(m.transferRetry))
-	for k := range m.transferRetry {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].file != keys[j].file {
-			return keys[i].file < keys[j].file
-		}
-		return keys[i].dest < keys[j].dest
-	})
-	for _, k := range keys {
-		rs := m.transferRetry[k]
-		rd := RetryDebug{File: k.file, Dest: k.dest, Attempts: rs.attempts}
-		if wait := time.Until(rs.notBefore); wait > 0 {
+	for p, rs := range m.sched.Retries() { // hotpath-ok: debug report, sorted below
+		rd := RetryDebug{File: m.fileID(p.File), Dest: m.names.Workers.Name(p.Worker), Attempts: rs.Attempts}
+		if wait := rs.NotBefore - m.now(); wait > 0 {
 			rd.Blocked = true
-			rd.WaitSecs = wait.Seconds()
+			rd.WaitSecs = wait
 		}
 		r.Retries = append(r.Retries, rd)
 	}
+	sort.Slice(r.Retries, func(i, j int) bool {
+		a, b := r.Retries[i], r.Retries[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		return a.Dest < b.Dest
+	})
 	return r
 }

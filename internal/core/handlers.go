@@ -131,13 +131,13 @@ func (m *Manager) handleCacheUpdate(msg *protocol.Message) {
 				Time: m.now(), Kind: trace.TransferEnd, Worker: msg.WorkerID,
 				File: msg.CacheName, Bytes: msg.Size, Source: sourceLabel(m.names, tr.Source),
 			})
-			m.clearTransferFailure(msg.CacheName, msg.WorkerID)
+			m.sched.TransferLanded(f, w)
 		} else if ok {
 			m.tlog.Add(trace.Event{
 				Time: m.now(), Kind: trace.TransferFailed, Worker: msg.WorkerID,
 				File: msg.CacheName, Source: sourceLabel(m.names, tr.Source), Detail: msg.Error,
 			})
-			m.noteTransferFailure(msg.CacheName, msg.WorkerID)
+			m.transferFailed(f, w)
 		}
 	} else if msg.Status == protocol.StatusOK {
 		// Materialization (MiniTask) or adopted cache content.
@@ -394,67 +394,57 @@ func (m *Manager) deployLibraryTo(w *workerConn, lib *librarySpec) {
 	m.refresh(w)
 }
 
-// workerGone handles the departure of a worker: replicas are dropped,
-// in-flight transfers cancelled, and its tasks requeued (§2.2: workers may
-// join and leave dynamically).
+// reconcileLibraries re-attempts deployment of every installed library on
+// every live worker lacking a ready or in-progress instance. Deployment can
+// be refused transiently (no free resources) or undone entirely (the worker
+// hosting the only instance died); this pass, run on every scheduling tick,
+// is what makes deployLibraryTo's refusals safe.
+func (m *Manager) reconcileLibraries() {
+	if len(m.libs) == 0 {
+		return
+	}
+	names := make([]string, 0, len(m.libs))
+	for name := range m.libs { // hotpath-ok: bounded by installed libraries
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, wi := range m.sched.Live() {
+			m.deployLibraryTo(m.workerAt(wi.ID), m.libs[name])
+		}
+	}
+}
+
+// workerGone handles the departure of a worker (§2.2: workers may join
+// and leave dynamically): the engine drops its replicas and transfers,
+// requeues its tasks and re-executes the producers of temps lost with it.
 func (m *Manager) workerGone(workerID string) {
 	w := m.workers[workerID]
 	if w == nil || w.gone {
 		return
 	}
 	w.gone = true
-	m.sched.Leave(w.h)
 	m.reconcile = true
 	// The connection is usually already broken by the time we get here.
 	_ = w.conn.Close()
 	m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.WorkerLeft, Worker: workerID})
 	m.logf("worker %s left", workerID)
-
-	affected := m.reps.DropWorker(w.h)
-	cancelled := m.trs.DropWorker(w.h)
+	affected, cancelled := m.sched.WorkerLost(w.h)
 	for _, tr := range cancelled {
 		delete(m.transferIDs, m.transferUUID(tr))
-		if tr.Dest != w.h {
-			// A receiver was fetching from the departed worker; its fetch
-			// will fail and report via cache-update, but drop the pending
-			// replica now so planning can pick a new source immediately.
-			m.reps.Remove(tr.File, tr.Dest)
-		}
-	}
-	// Forget the dead worker's transfer failure history.
-	for key := range m.transferRetry {
-		if key.dest == workerID {
-			delete(m.transferRetry, key)
-		}
-	}
-	for id := range w.running {
-		t := m.tasks[id]
-		if t == nil {
-			continue
-		}
-		if t.library {
-			// The instance died with its node; reconcileLibraries redeploys
-			// on the survivors (and here again, should this worker return).
-			delete(w.running, id)
-			m.dropTask(id, t)
-			continue
-		}
-		if t.cancelled {
-			m.finishTask(id, t, &Result{
-				TaskID: id, Worker: workerID, OK: false, ExitCode: -1, Error: "cancelled",
-			})
-			continue
-		}
-		m.requeue(id, t, false)
 	}
 	delete(m.workers, workerID)
-	// Repair what the departure broke: top up under-replicated files and
-	// re-execute producers of temp files that lost their last replica.
-	lost := make([]string, len(affected))
-	for i, f := range affected {
-		lost[i] = m.fileID(f)
+	// Files below their replication goal are traced; the reconcile pass
+	// tops them up.
+	for _, f := range affected {
+		fid := m.fileID(f)
+		if goal, left := m.replicaGoals[fid], m.reps.CountReplicas(f); goal > 1 && left < goal {
+			m.tlog.Add(trace.Event{
+				Time: m.now(), Kind: trace.ReplicaLost, Worker: workerID, File: fid,
+				Detail: fmt.Sprintf("%d/%d", left, goal),
+			})
+		}
 	}
-	m.repairReplicas(workerID, lost)
 	// Pending manager fetches served by this worker must be restarted
 	// against a surviving holder. Snapshot-and-reset first: startFetch
 	// re-registers waiters in m.fetches, and mutating a map mid-range can
@@ -617,7 +607,9 @@ func (m *Manager) cancelTask(id int) bool {
 		})
 		return true
 	case taskspec.StateRunning:
-		t.cancelled = true
+		// A cancelled task reads no input again, so none of them counts as
+		// needed by lost-temp recovery.
+		t.cancelled, t.Inputs = true, nil
 		m.vm.TasksCancelled.Inc()
 		if w := m.workerAt(t.Worker); w != nil && !w.gone {
 			if err := w.conn.Send(&protocol.Message{Type: protocol.TypeKill, TaskID: id}); err != nil {

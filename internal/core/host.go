@@ -6,6 +6,7 @@ import (
 	"taskvine/internal/replica"
 	"taskvine/internal/sched"
 	"taskvine/internal/taskspec"
+	"taskvine/internal/trace"
 )
 
 // host is the manager as the scheduling engine's sched.Substrate. It
@@ -40,44 +41,25 @@ func (h host) File(fh replica.FileH) (policy.FileNeed, []replica.FileH, bool) {
 	case files.Mini:
 		// No fixed source: with no replica anywhere the product is
 		// materialized from the MiniTask's own inputs.
-		for _, in := range f.MiniTask.Inputs {
-			mini = append(mini, m.fh(in.FileID))
+		mini = make([]replica.FileH, len(f.MiniTask.Inputs))
+		for i, in := range f.MiniTask.Inputs {
+			mini[i] = m.fh(in.FileID)
 		}
 	}
 	return n, mini, true
 }
 
-// Satisfiable reports whether every input either exists somewhere, has a
-// fixed source, or can be produced; it triggers recovery re-execution for
-// temp files whose replicas were lost with a worker.
-func (h host) Satisfiable(id int) bool {
-	m, t := h.m, h.m.tasks[id]
-	for i, in := range t.spec.Inputs {
-		f, ok := m.reg.Lookup(in.FileID)
-		if !ok {
-			return false
+// Producer finds a file's producer through the registry, archived tasks
+// included; a replication goal keeps the file.
+func (h host) Producer(fh replica.FileH) (int, *sched.Task, bool) {
+	m := h.m
+	fid := m.fileID(fh)
+	if id, ok := m.reg.Producer(fid); ok {
+		if t := m.taskByID(id); t != nil {
+			return id, &t.Task, m.replicaGoals[fid] > 1
 		}
-		// A MiniTask product is materializable anywhere its own inputs
-		// are; other kinds have a fixed source.
-		fh := t.Inputs[i]
-		if (f.Type != files.Temp && f.Type != files.Handle) || m.reps.CountReplicas(fh) > 0 {
-			continue
-		}
-		if m.trs.InFlightOf(fh) > 0 {
-			return false // on its way somewhere
-		}
-		// No replica anywhere: the producer must (re-)run. For a handle
-		// this re-executes the resident invocation whose result was lost
-		// with its worker.
-		if prodID, ok := m.reg.Producer(f.ID); ok {
-			if p := m.taskByID(prodID); p != nil && p.State == taskspec.StateDone {
-				m.logf("%s %s lost; re-executing producer task %d", f.Type, f.ID, prodID)
-				m.requeue(prodID, p, false)
-			}
-		}
-		return false
 	}
-	return true
+	return 0, nil, false
 }
 
 // Candidates lists the live workers eligible for the task. FunctionCall
@@ -100,6 +82,15 @@ func (h host) Alloc(id int, wh replica.WorkerH) bool {
 	return true
 }
 
+func (h host) OnWorker(buf []int, wh replica.WorkerH) []int {
+	if w := h.m.workerAt(wh); w != nil {
+		for id := range w.running { // hotpath-ok: one worker's tasks, on failure paths only
+			buf = append(buf, id)
+		}
+	}
+	return buf
+}
+
 func (h host) StartTransfer(f replica.FileH, src replica.Source, dest replica.WorkerH) bool {
 	return h.m.startTransfer(h.m.fileID(f), src, h.m.workerAt(dest))
 }
@@ -111,3 +102,34 @@ func (h host) Materialize(f replica.FileH, dest replica.WorkerH) bool {
 func (h host) Dispatch(id int, w replica.WorkerH) {
 	h.m.dispatch(id, h.m.tasks[id], h.m.workerAt(w))
 }
+
+// Requeue drops a library instance that died with its node (the
+// reconcile pass redeploys it on the survivors) and finishes a cancelled
+// task; any other task goes back to the queue without using a task retry.
+// A lost temp's producer is traced as a recovery.
+func (h host) Requeue(id int, lost replica.FileH, from replica.WorkerH) {
+	m := h.m
+	t := m.taskByID(id)
+	switch {
+	case t.library:
+		if w := m.workerAt(t.Worker); w != nil {
+			delete(w.running, id)
+		}
+		m.dropTask(id, t)
+	case t.cancelled:
+		m.finishTask(id, t, &Result{
+			TaskID: id, Worker: m.workerName(t), OK: false, ExitCode: -1, Error: "cancelled",
+		})
+	default:
+		if lost != 0 {
+			m.tlog.Add(trace.Event{
+				Time: m.now(), Kind: trace.RecoveryStart, Worker: m.names.Workers.Name(from),
+				File: m.fileID(lost), TaskID: id, Detail: "temp lost with worker; re-executing producer",
+			})
+			m.logf("temp %s lost; re-executing producer task %d", m.fileID(lost), id)
+		}
+		m.requeue(id, t, false)
+	}
+}
+
+func (h host) Now() float64 { return h.m.now() }

@@ -77,15 +77,6 @@ type Config struct {
 	// largest measured consumption), so declarations converge without
 	// user tuning — the data-driven side of §2.1's allocation management.
 	AutoSizeResources bool
-	// TransferRetryLimit bounds how many times one (file, destination)
-	// transfer is re-issued with backoff before the placement is abandoned
-	// and its tasks rescheduled elsewhere; defaults to 4. Transfer retries
-	// are accounted separately from task retries.
-	TransferRetryLimit int
-	// TransferBackoffBase and TransferBackoffMax bound the capped
-	// exponential backoff between transfer retries; default 100ms and 5s.
-	TransferBackoffBase time.Duration
-	TransferBackoffMax  time.Duration
 	// Faults is a test-only fault injector consulted by the transfer
 	// supervisor; nil (the default) disables injection.
 	Faults *chaos.Injector
@@ -148,9 +139,6 @@ type Manager struct {
 	// replicaGoals maps file ID -> desired replica count, reconciled on
 	// every scheduling pass (§2.2: "duplicating items for reliability").
 	replicaGoals map[string]int
-	// transferRetry tracks per-placement transfer failures and backoff
-	// windows, separate from task retry accounting.
-	transferRetry map[transferKey]*transferRetryState
 	// categories aggregates observed task behaviour per category label.
 	categories map[string]*CategoryStats
 	nextID     int
@@ -376,15 +364,6 @@ func newManagerState(cfg Config) *Manager {
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 60 * time.Second
 	}
-	if cfg.TransferRetryLimit <= 0 {
-		cfg.TransferRetryLimit = 4
-	}
-	if cfg.TransferBackoffBase <= 0 {
-		cfg.TransferBackoffBase = 100 * time.Millisecond
-	}
-	if cfg.TransferBackoffMax <= 0 {
-		cfg.TransferBackoffMax = 5 * time.Second
-	}
 	if (cfg.DefaultTaskResources == resources.R{}) {
 		cfg.DefaultTaskResources = resources.R{Cores: 1}
 	}
@@ -401,27 +380,26 @@ func newManagerState(cfg Config) *Manager {
 	names := replica.NewNames()
 	view := policy.NewView(names)
 	m := &Manager{
-		cfg:           cfg,
-		reg:           files.NewRegistry(cfg.Head),
-		events:        make(chan event, 1024),
-		results:       make(chan *Result, 4096),
-		tlog:          tlog,
-		vm:            vm,
-		start:         time.Now(),
-		workers:       make(map[string]*workerConn),
-		tasks:         make(map[int]*taskState),
-		names:         names,
-		view:          view,
-		transferIDs:   make(map[string]replica.TransferID),
-		libs:          make(map[string]*librarySpec),
-		fetches:       make(map[string][]chan fetchResult),
-		replicaGoals:  make(map[string]int),
-		transferRetry: make(map[transferKey]*transferRetryState),
-		categories:    make(map[string]*CategoryStats),
-		archived:      make(map[int]*taskState),
-		loopDone:      make(chan struct{}),
-		conns:         make(map[*protocol.Conn]struct{}),
-		resSig:        make(chan struct{}, 1),
+		cfg:          cfg,
+		reg:          files.NewRegistry(cfg.Head),
+		events:       make(chan event, 1024),
+		results:      make(chan *Result, 4096),
+		tlog:         tlog,
+		vm:           vm,
+		start:        time.Now(),
+		workers:      make(map[string]*workerConn),
+		tasks:        make(map[int]*taskState),
+		names:        names,
+		view:         view,
+		transferIDs:  make(map[string]replica.TransferID),
+		libs:         make(map[string]*librarySpec),
+		fetches:      make(map[string][]chan fetchResult),
+		replicaGoals: make(map[string]int),
+		categories:   make(map[string]*CategoryStats),
+		archived:     make(map[int]*taskState),
+		loopDone:     make(chan struct{}),
+		conns:        make(map[*protocol.Conn]struct{}),
+		resSig:       make(chan struct{}, 1),
 	}
 	m.sched = sched.New(host{m}, view, cfg.Limits, vm)
 	m.reps, m.trs = view.Reps, view.Trs

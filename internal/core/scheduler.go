@@ -44,13 +44,10 @@ func (m *Manager) reconcileAll() {
 }
 
 // startTransfer records and issues one supervised transfer instruction.
-// It reports false, and starts nothing, for a placement inside its retry
-// backoff window: the staging task stays on the replan list, and a later
-// pass re-offers the transfer once the window opens. It also reports false
-// when the transfer failed to start.
+// It reports false when the transfer failed to start.
 func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn) bool {
 	f, ok := m.reg.Lookup(fileID)
-	if !ok || m.transferBlocked(fileID, w.id) {
+	if !ok {
 		return false
 	}
 	fh := m.fh(fileID)
@@ -107,10 +104,25 @@ func (m *Manager) startTransfer(fileID string, src replica.Source, w *workerConn
 		m.endTr(tr)
 		m.reps.Remove(fh, w.h)
 		m.tlog.Add(trace.Event{Time: m.now(), Kind: trace.TransferFailed, Worker: w.id, File: fileID, Source: sourceLabel(m.names, src), Detail: err.Error()})
-		m.noteTransferFailure(fileID, w.id)
+		m.transferFailed(fh, w.h)
 		return false
 	}
 	return true
+}
+
+// transferFailed reports a failed transfer to the engine, which retries
+// the placement after a backoff or abandons it, and traces the retry.
+func (m *Manager) transferFailed(f replica.FileH, w replica.WorkerH) {
+	fileID, dest := m.fileID(f), m.names.Workers.Name(w)
+	attempt, wait := m.sched.TransferFailed(f, w)
+	if wait == 0 {
+		m.logf("transfer of %s to %s failed %d times; abandoning placement", fileID, dest, attempt)
+		return
+	}
+	m.tlog.Add(trace.Event{
+		Time: m.now(), Kind: trace.TransferRetry, Worker: dest, File: fileID,
+		Detail: fmt.Sprintf("attempt %d; backoff %v", attempt, wait.Round(time.Millisecond)),
+	})
 }
 
 // sendPut ships a manager-resident object (local file, directory, or
@@ -328,9 +340,7 @@ func (m *Manager) reconcileReplication() {
 			policy.PlanTransfers(plan, needs, target, m.cfg.Limits, m.view)
 			for _, tr := range plan.Transfers {
 				if tr.File == fh {
-					if w := m.workerAt(target); w != nil {
-						m.startTransfer(fileID, tr.Source, w)
-					}
+					m.sched.StartTransfer(fh, tr.Source, target)
 				}
 			}
 		}

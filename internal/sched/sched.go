@@ -3,14 +3,15 @@
 // places data first, then schedules tasks within the constraints of
 // available data (§2.1). It owns the task states and their one
 // legal-transition table, the per-state counts, the ID-ordered waiting
-// queue, the staging replan list with its parking and wake lists, and the
-// live workers' policy view.
+// queue, the staging replan list with its parking and wake lists, the
+// live workers' policy view, and failure handling (failure.go): transfer
+// retry with backoff, worker loss and re-execution of lost temps.
 //
 // What differs between a real cluster and a simulated one sits behind
-// Substrate: internal/core supplies sockets, wall time and transfer
-// backoff; internal/sim supplies the event heap, the fluid network and
-// worker storage. Both substrates therefore make the same decision from the
-// same state by construction.
+// Substrate: internal/core supplies sockets and wall time; internal/sim
+// supplies the event heap, the virtual clock, the fluid network and worker
+// storage. Both substrates therefore make the same decision, and recover
+// from the same failure, from the same state by construction.
 package sched
 
 import (
@@ -53,16 +54,21 @@ type Substrate interface {
 	Task(id int) *Task
 	// File describes file f to needs expansion: its need, with the fixed
 	// source it can come from, and for a MiniTask product the product's
-	// inputs while no replica of it exists. ok is false for a file the
-	// substrate does not know.
+	// inputs (non-nil) while no replica of it exists. ok is false for a
+	// file the substrate does not know.
 	File(f replica.FileH) (n policy.FileNeed, mini []replica.FileH, ok bool)
-	// Satisfiable reports whether every input of task id exists or can.
-	Satisfiable(id int) bool
+	// Producer returns the task that produces f, with its record, or a nil
+	// record for a file no task produces; keep reports that f must exist
+	// whether or not a task still reads it (a replica goal).
+	Producer(f replica.FileH) (id int, t *Task, keep bool)
 	// Candidates returns the live workers that can run task id, in join
 	// order.
 	Candidates(id int) []policy.WorkerInfo
 	// Alloc reserves task id's request at worker w.
 	Alloc(id int, w replica.WorkerH) bool
+	// OnWorker appends to buf the IDs of the tasks assigned to worker w,
+	// in any order.
+	OnWorker(buf []int, w replica.WorkerH) []int
 	// StartTransfer starts moving f from src to dest. It reports false
 	// when the transfer was refused or failed to start in a way that no
 	// table mutation will signal, so the plan must be retried.
@@ -74,6 +80,17 @@ type Substrate interface {
 	// Dispatch starts task id, whose inputs are all at w. It calls Run
 	// unless the task cannot start after all.
 	Dispatch(id int, w replica.WorkerH)
+	// Requeue settles the substrate's own records of task id and returns
+	// it to the queue through Engine.Requeue, or drops or fails a task it
+	// will not run again (a library instance, a cancelled task). The
+	// engine calls it for the tasks of a lost worker, for the staging
+	// tasks of an abandoned placement and, with lost set to the temp, for
+	// the done producer of a lost temp; from is the worker the temp was
+	// lost with, zero when a waiting consumer found it lost.
+	Requeue(id int, lost replica.FileH, from replica.WorkerH)
+	// Now returns the substrate's clock in seconds: wall time in a real
+	// cluster, virtual time in a simulated one.
+	Now() float64
 }
 
 // legal lists, by state, the states a task may move to.
@@ -135,10 +152,15 @@ type Engine struct {
 	needGen uint32
 	libBuf  []policy.WorkerInfo
 	// live is the policy's view of the live workers in join order, kept in
-	// place by Join, Leave and Refresh; freeCores sums their free cores.
+	// place by Join, WorkerLost and Refresh; freeCores sums their free cores.
 	live      []policy.WorkerInfo
 	freeCores int
 	gauges    [taskspec.StateReturning]*metrics.Gauge
+	// retries is the transfer retry table; reopen is Reopens' result and
+	// ids a scratch list of task IDs (failure.go).
+	retries map[Placement]Retry
+	reopen  float64
+	ids     []int
 }
 
 // fileState is the engine's state of one file: the needs expansion that
@@ -165,6 +187,7 @@ func New(sub Substrate, view *policy.View, limits policy.Limits, vm *metrics.Vin
 		sub: sub, view: view, limits: limits, vm: vm,
 		files:   make([]fileState, names.Files.Len()),
 		workers: make([]workerState, names.Workers.Len()),
+		retries: map[Placement]Retry{},
 	}
 	for s := range e.gauges {
 		e.gauges[s] = vm.TasksByState.With(taskspec.State(s).String())
@@ -259,7 +282,7 @@ func (e *Engine) enqueue(id int) {
 // then walk the queue assigning tasks until no core is free.
 func (e *Engine) Pass(between func()) {
 	e.vm.SchedulePasses.Inc()
-	e.dirty = false
+	e.dirty, e.reopen = false, 0
 	e.stage()
 	between()
 	e.assign()
@@ -328,7 +351,7 @@ func (e *Engine) endWalk() {
 
 // tryAssign picks a worker for a waiting task and moves it to staging.
 func (e *Engine) tryAssign(id int, t *Task) bool {
-	if !e.sub.Satisfiable(id) {
+	if !e.inputsExist(t) {
 		return false
 	}
 	cands := e.sub.Candidates(id)
@@ -361,7 +384,7 @@ func (e *Engine) progressStaging(id int, t *Task) {
 	policy.PlanTransfers(plan, needs, w, e.limits, e.view)
 	settled := true
 	for _, tr := range plan.Transfers {
-		settled = e.sub.StartTransfer(tr.File, tr.Source, w) && settled
+		settled = e.StartTransfer(tr.File, tr.Source, w) && settled
 	}
 	for _, b := range plan.Blocked {
 		settled = e.sub.Materialize(b, w) && settled
@@ -416,7 +439,7 @@ func (e *Engine) scratchNeeds(t *Task) []policy.FileNeed {
 }
 
 // Live returns the live workers in join order. Callers must not keep it
-// past the next Join, Leave or Refresh.
+// past the next Join, WorkerLost or Refresh.
 func (e *Engine) Live() []policy.WorkerInfo { return e.live }
 
 // LiveWith returns the live workers for which ok holds, in join order, in
@@ -442,8 +465,8 @@ func (e *Engine) Join(w replica.WorkerH, order int) {
 	e.renumber(at)
 }
 
-// Leave removes worker w from the live view.
-func (e *Engine) Leave(w replica.WorkerH) {
+// leave removes worker w from the live view.
+func (e *Engine) leave(w replica.WorkerH) {
 	ws := e.worker(w)
 	at := ws.livePos - 1
 	e.freeCores -= e.live[at].Free.Cores

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"taskvine/internal/metrics"
@@ -35,6 +36,16 @@ type stub struct {
 	// and reports whether the start stays settled.
 	refuse  map[replica.FileH]int
 	onStart func(f replica.FileH) bool
+	// now is the substrate clock; producers maps a temp to its producer;
+	// requeued records the engine's Requeue calls.
+	now       float64
+	producers map[replica.FileH]int
+	requeued  []requeue
+}
+
+type requeue struct {
+	id         int
+	lost, from string
 }
 
 type stubFile struct {
@@ -53,6 +64,7 @@ func newStub(t *testing.T, limits policy.Limits) *stub {
 		t: t, names: names, view: policy.NewView(names),
 		tasks: map[int]*Task{}, files: map[replica.FileH]stubFile{},
 		free: map[replica.WorkerH]int{}, refuse: map[replica.FileH]int{},
+		producers: map[replica.FileH]int{},
 	}
 	s.e = New(s, s.view, limits, metrics.ForRegistry(metrics.NewRegistry()))
 	return s
@@ -65,10 +77,18 @@ func (s *stub) url(name, src string) replica.FileH {
 	return f
 }
 
+// temp declares a file task producer writes, with no fixed source.
+func (s *stub) temp(name string, producer int) replica.FileH {
+	f := s.names.Files.Intern(name)
+	s.files[f] = stubFile{need: policy.FileNeed{ID: f, Size: 100}}
+	s.producers[f] = producer
+	return f
+}
+
 // mini declares a MiniTask product unpacked from inputs.
 func (s *stub) mini(name string, inputs ...replica.FileH) replica.FileH {
 	f := s.names.Files.Intern(name)
-	s.files[f] = stubFile{need: policy.FileNeed{ID: f, Size: 100}, mini: inputs}
+	s.files[f] = stubFile{need: policy.FileNeed{ID: f, Size: 100}, mini: append([]replica.FileH{}, inputs...)}
 	return f
 }
 
@@ -103,7 +123,39 @@ func (s *stub) File(f replica.FileH) (policy.FileNeed, []replica.FileH, bool) {
 	return sf.need, sf.mini, ok
 }
 
-func (s *stub) Satisfiable(int) bool { return true }
+func (s *stub) Producer(f replica.FileH) (int, *Task, bool) {
+	id, ok := s.producers[f]
+	if !ok {
+		return 0, nil, false
+	}
+	return id, s.tasks[id], false
+}
+
+// OnWorker lists a worker's tasks in descending ID order, so that tests
+// see the engine impose ID order itself.
+func (s *stub) OnWorker(buf []int, w replica.WorkerH) []int {
+	at := len(buf)
+	for id, t := range s.tasks {
+		if t.Worker == w {
+			buf = append(buf, id)
+		}
+	}
+	slices.Sort(buf[at:])
+	slices.Reverse(buf[at:])
+	return buf
+}
+
+// Requeue gives back the task's core and requeues it.
+func (s *stub) Requeue(id int, lost replica.FileH, from replica.WorkerH) {
+	t := s.tasks[id]
+	if t.State != taskspec.StateDone {
+		s.setFree(t.Worker, s.free[t.Worker]+1)
+	}
+	s.requeued = append(s.requeued, requeue{id, s.names.Files.Name(lost), s.names.Workers.Name(from)})
+	s.e.Requeue(id, t)
+}
+
+func (s *stub) Now() float64 { return s.now }
 
 func (s *stub) Candidates(int) []policy.WorkerInfo { return s.e.Live() }
 
@@ -177,17 +229,8 @@ func (s *stub) fail(f replica.FileH, dest replica.WorkerH) {
 	s.view.Reps.Remove(f, dest)
 }
 
-// leave drops a worker the way a substrate does: its replicas and the
-// transfers touching it go, and a receiver's pending replica with them.
-func (s *stub) leave(w replica.WorkerH) {
-	s.e.Leave(w)
-	s.view.Reps.DropWorker(w)
-	for _, tr := range s.view.Trs.DropWorker(w) {
-		if tr.Dest != w {
-			s.view.Reps.Remove(tr.File, tr.Dest)
-		}
-	}
-}
+// leave reports a worker lost.
+func (s *stub) leave(w replica.WorkerH) { s.e.WorkerLost(w) }
 
 func (s *stub) parked(id int) bool { return s.tasks[id].parked }
 

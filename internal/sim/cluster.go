@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"taskvine/internal/chaos"
 	"taskvine/internal/metrics"
@@ -67,11 +68,14 @@ type Cluster struct {
 
 	scheduled bool // a schedule pass is queued
 	completed int
+	// reopenAt is when the queued pass for a backoff window opening is due,
+	// zero for none.
+	reopenAt float64
 
 	// The engine and network callbacks, bound once in NewCluster: each
 	// takes a worker index, or a slot of xfers, unpacks or runs, which
 	// hold the rest of what a pending event needs.
-	passFn, joinFn, leaveFn, transferFn, unpackFn, runFn, returnFn func(int)
+	passFn, reopenFn, joinFn, leaveFn, transferFn, unpackFn, runFn, returnFn func(int)
 
 	xfers   slots[simTransfer]
 	unpacks slots[simUnpack]
@@ -109,7 +113,6 @@ type simWorker struct {
 	ep        *Endpoint
 	pool      *resources.Pool
 	cacheUsed int64
-	memUsed   int64
 	// running lists the indices of the tasks staged or running here; each
 	// task's runAt is its position.
 	running   []int
@@ -216,7 +219,7 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 		urls:     capped(NewEndpoint("url", params.URLBW), params.PerFlowBW),
 		sharedFS: capped(NewEndpoint("shared-fs", params.SharedFSBW), params.PerFlowBW),
 	}
-	c.passFn, c.joinFn, c.leaveFn = c.pass, c.joinAt, c.leaveAt
+	c.passFn, c.reopenFn, c.joinFn, c.leaveFn = c.pass, c.reopen, c.joinAt, c.leaveAt
 	c.transferFn, c.unpackFn, c.runFn, c.returnFn = c.transferDone, c.unpackDone, c.runDone, c.returnDone
 	c.view = policy.NewView(c.names)
 	c.managerSrc = c.names.FixedSource(replica.SourceManager, "manager")
@@ -425,88 +428,26 @@ func (c *Cluster) dropRunning(w *simWorker, t *simTask) {
 	w.running = w.running[:last]
 }
 
-// workerLeave preempts a worker: every replica it held is dropped, its
-// running tasks return to the waiting queue, and transfers touching it are
-// cancelled (§2.2: workers may join and leave dynamically).
+// workerLeave preempts a worker: the engine drops every replica it held
+// and the transfers touching it, returns its tasks to the waiting queue and
+// re-executes the producers of temps lost with it (§2.2: workers may join
+// and leave dynamically).
 func (c *Cluster) workerLeave(w *simWorker) {
 	if !w.joined {
 		return
 	}
-	w.joined = false
-	c.sched.Leave(w.h)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.WorkerLeft, Worker: w.spec.ID})
-	affected := c.reps.DropWorker(w.h)
-	for _, tr := range c.trs.DropWorker(w.h) {
-		if tr.Dest != w.h {
-			c.reps.Remove(tr.File, tr.Dest)
-		}
-	}
-	c.recoverLostTemps(w.spec.ID, affected)
-	running := w.running
+	w.joined = false
+	c.sched.WorkerLost(w.h)
 	w.running = nil
-	sort.Ints(running)
-	for _, id := range running {
-		t := c.tasks[id]
-		if s := t.State; s == taskspec.StateStaging || s == taskspec.StateRunning || s == taskspec.StateReturning {
-			c.sched.Requeue(id, &t.Task)
-			t.epoch++
-		}
-	}
 	// Reset the pool and cache: the node is gone.
 	w.pool = resources.NewPool(resources.R{Cores: w.spec.Cores, Disk: w.spec.Disk, Memory: resources.TB})
 	w.cacheUsed = 0
-	c.vm.CacheMemUsedBytes.Add(-float64(w.memUsed))
-	w.memUsed = 0
 	w.cache = nil
 	w.materializing = make(map[replica.FileH]bool)
 	clear(w.libReady)
 	clear(w.libBoot)
 	c.requestSchedule()
-}
-
-// recoverLostTemps mirrors the real manager's recovery re-execution: a
-// produced file whose last replica left with a worker is regenerated by
-// requeueing its completed producer, provided some unfinished task still
-// consumes it (§2.2). The producer's completion counter entry is returned
-// so re-completion does not double-count. affected comes sorted by file
-// ID (replica.Table.DropWorker).
-func (c *Cluster) recoverLostTemps(workerID string, affected []replica.FileH) {
-	for _, fh := range affected {
-		f := &c.files[fh]
-		if f.File == nil || f.Kind != Produced || f.atManager || c.reps.CountReplicas(fh) > 0 {
-			continue
-		}
-		if f.producer == 0 {
-			continue
-		}
-		prodID := f.producer - 1
-		p := c.tasks[prodID]
-		if p.State != taskspec.StateDone || !c.tempNeeded(fh) {
-			continue
-		}
-		c.log.Add(trace.Event{
-			Time: c.eng.Now(), Kind: trace.RecoveryStart, Worker: workerID,
-			File: f.ID, TaskID: p.t.ID, Detail: "temp lost with worker; re-executing producer",
-		})
-		c.sched.Requeue(prodID, &p.Task)
-		p.epoch++
-		c.completed--
-	}
-}
-
-// tempNeeded reports whether any unfinished task consumes the file.
-func (c *Cluster) tempNeeded(fh replica.FileH) bool {
-	for _, t := range c.tasks { // hotpath-ok: runs only on worker loss with lost temp replicas
-		if t.State == taskspec.StateDone {
-			continue
-		}
-		for _, in := range t.Inputs {
-			if in == fh {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // requestSchedule coalesces schedule passes: at most one pending pass,
@@ -519,10 +460,25 @@ func (c *Cluster) requestSchedule() {
 	c.eng.Call(c.params.ControlLatency, c.passFn, 0)
 }
 
-// pass runs the queued schedule pass.
+// pass runs the queued schedule pass. A start its backoff window refused
+// waits on no event, so the pass queues one for when the earliest such
+// window opens, unless one is queued for then or earlier.
 func (c *Cluster) pass(int) {
 	c.scheduled = false
 	c.sched.Pass(func() {})
+	if at := c.sched.Reopens(); at > 0 && (c.reopenAt == 0 || at < c.reopenAt) {
+		c.reopenAt = at
+		c.eng.CallAt(at, c.reopenFn, 0)
+	}
+}
+
+// reopen requests a pass for the window opening it was queued for, unless
+// an earlier opening superseded it.
+func (c *Cluster) reopen(int) {
+	if c.eng.Now() == c.reopenAt {
+		c.reopenAt = 0
+		c.requestSchedule()
+	}
 }
 
 // libIndex returns a library's position plus one: zero for no library,
@@ -593,10 +549,17 @@ func (c *Cluster) transferDone(slot int) {
 			Time: c.eng.Now(), Kind: trace.TransferFailed, Worker: w.spec.ID,
 			File: f.ID, Source: x.label, Detail: "chaos: " + x.fault.String(),
 		})
+		if attempt, wait := c.sched.TransferFailed(fh, w.h); wait > 0 {
+			c.log.Add(trace.Event{
+				Time: c.eng.Now(), Kind: trace.TransferRetry, Worker: w.spec.ID, File: f.ID,
+				Detail: fmt.Sprintf("attempt %d; backoff %v", attempt, wait.Round(time.Millisecond)),
+			})
+		}
 		c.requestSchedule()
 		return
 	}
 	c.store(w, fh, f.Size)
+	c.sched.TransferLanded(fh, w.h)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TransferEnd, Worker: w.spec.ID,
 		File: f.ID, Bytes: f.Size, Source: x.label,
@@ -713,7 +676,10 @@ func (c *Cluster) finishRun(id int, t *simTask, w *simWorker) {
 	}
 	// In-cluster mode: outputs appear in the worker's cache as temps.
 	for i, out := range t.t.Outputs {
-		c.storeOutput(w, t.outputs[i], out.Size)
+		if c.files[t.outputs[i]].File != nil {
+			c.admit(w, t.outputs[i])
+		}
+		c.store(w, t.outputs[i], out.Size)
 	}
 	c.completeTask(id, t, w)
 }
@@ -797,7 +763,7 @@ func (c *Cluster) stageLibraryEnv(w *simWorker, env replica.FileH, then func()) 
 	plan := &c.plan
 	policy.PlanTransfers(plan, c.needsBuf, w.h, c.limits, c.view)
 	for _, tr := range plan.Transfers {
-		c.startTransfer(tr.File, tr.Source, w)
+		c.sched.StartTransfer(tr.File, tr.Source, w.h)
 	}
 	// MiniProduct environments may need materialization.
 	for _, blocked := range plan.Blocked {

@@ -11,12 +11,6 @@ func (c *Cluster) hasReplica(file, worker string) bool {
 	return c.reps.Has(f, w)
 }
 
-// workerNamed returns the worker with the given ID.
-func (c *Cluster) workerNamed(id string) *simWorker {
-	h, _ := c.names.Workers.Lookup(id)
-	return c.worker(h)
-}
-
 // taskByID returns the task with the given workload ID.
 func (c *Cluster) taskByID(id int) *simTask {
 	for _, t := range c.tasks {

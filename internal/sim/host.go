@@ -6,6 +6,8 @@ import (
 	"taskvine/internal/policy"
 	"taskvine/internal/replica"
 	"taskvine/internal/sched"
+	"taskvine/internal/taskspec"
+	"taskvine/internal/trace"
 )
 
 // host is the simulator as the scheduling engine's sched.Substrate, the
@@ -39,15 +41,12 @@ func (h host) File(fh replica.FileH) (policy.FileNeed, []replica.FileH, bool) {
 	return n, f.mini, true
 }
 
-// Satisfiable: temp inputs must exist somewhere, or be at the manager.
-func (h host) Satisfiable(id int) bool {
-	for _, in := range h.c.tasks[id].Inputs {
-		f := &h.c.files[in]
-		if f.File != nil && f.Kind == Produced && h.c.reps.CountReplicas(in) == 0 && !f.atManager {
-			return false
-		}
+// Producer returns a produced file's producing task.
+func (h host) Producer(fh replica.FileH) (int, *sched.Task, bool) {
+	if f := &h.c.files[fh]; f.File != nil && f.producer != 0 {
+		return f.producer - 1, &h.c.tasks[f.producer-1].Task, false
 	}
-	return true
+	return 0, nil, false
 }
 
 // Candidates returns the live workers that can run the task: all of them,
@@ -73,6 +72,10 @@ func (h host) Alloc(id int, wh replica.WorkerH) bool {
 	return true
 }
 
+func (h host) OnWorker(buf []int, w replica.WorkerH) []int {
+	return append(buf, h.c.worker(w).running...)
+}
+
 // StartTransfer is unsettled when admission refused the object or evicted
 // anything to fit it: an evicted input must be fetched again.
 func (h host) StartTransfer(f replica.FileH, src replica.Source, dest replica.WorkerH) bool {
@@ -86,3 +89,28 @@ func (h host) Materialize(f replica.FileH, dest replica.WorkerH) bool {
 }
 
 func (h host) Dispatch(id int, w replica.WorkerH) { h.c.startRun(id, h.c.tasks[id], h.c.worker(w)) }
+
+// Requeue returns a task to the queue. A done producer re-executed for a
+// lost temp gives back its completion; a staging task whose placement was
+// abandoned gives back its allocation at its worker, which stays. Every
+// requeue ends the task's current assignment: its pending events drop.
+func (h host) Requeue(id int, lost replica.FileH, from replica.WorkerH) {
+	c, t := h.c, h.c.tasks[id]
+	switch {
+	case t.State == taskspec.StateDone:
+		c.log.Add(trace.Event{
+			Time: c.eng.Now(), Kind: trace.RecoveryStart, Worker: c.names.Workers.Name(from),
+			File: c.fileName(lost), TaskID: t.t.ID, Detail: "temp lost with worker; re-executing producer",
+		})
+		c.completed--
+	case c.worker(t.Worker).joined:
+		w := c.worker(t.Worker)
+		c.dropRunning(w, t)
+		w.pool.Release(t.Req)
+		c.refresh(w)
+	}
+	c.sched.Requeue(id, &t.Task)
+	t.epoch++
+}
+
+func (h host) Now() float64 { return h.c.eng.Now() }

@@ -15,13 +15,6 @@ import (
 // least-recently-used (§2.1: storage resources are enforced at the worker
 // and controlled by the manager, including cache admittance and eviction).
 
-// Storage tiers, mirroring internal/cache: disk is the default; memory
-// holds small hot objects (task outputs) when the worker carries a budget.
-const (
-	tierDisk = iota
-	tierMemory
-)
-
 // cachedObject tracks one object resident at a simulated worker.
 type cachedObject struct {
 	id      replica.FileH
@@ -29,8 +22,6 @@ type cachedObject struct {
 	lastUse float64
 	// pins counts running tasks using the object.
 	pins int
-	// tier is the object's storage tier (tierDisk or tierMemory).
-	tier int
 }
 
 // storage lazily initializes a worker's cache map.
@@ -62,11 +53,10 @@ func (c *Cluster) admit(w *simWorker, fh replica.FileH) bool {
 	if w.cacheUsed+f.Size <= w.spec.Disk {
 		return true
 	}
-	// Gather victims: disk tier (memory residents free no disk space),
-	// unpinned, not currently being materialized.
+	// Gather victims: unpinned, not currently being materialized.
 	var victims []cachedObject
 	for id, obj := range cache { // hotpath-ok: eviction scan, only when one worker's disk is full
-		if obj.tier != tierDisk || obj.pins > 0 || w.materializing[id] {
+		if obj.pins > 0 || w.materializing[id] {
 			continue
 		}
 		victims = append(victims, obj)
@@ -114,70 +104,6 @@ func (c *Cluster) store(w *simWorker, fh replica.FileH, size int64) {
 	c.reps.Commit(fh, w.h)
 }
 
-// storeOutput records a task output, preferring the memory tier when the
-// worker carries a memory budget — the simulator's mirror of
-// cache.PutBytes. Memory residents spill LRU-first to disk under budget
-// pressure; objects larger than the whole budget go straight to disk.
-func (c *Cluster) storeOutput(w *simWorker, fh replica.FileH, size int64) {
-	budget := w.spec.MemoryBudget
-	if budget <= 0 || size > budget {
-		if c.files[fh].File != nil {
-			c.admit(w, fh)
-		}
-		c.store(w, fh, size)
-		return
-	}
-	cache := w.storage()
-	if _, ok := cache[fh]; ok {
-		return
-	}
-	for w.memUsed+size > budget {
-		v, ok := c.oldestMemoryResident(w)
-		if !ok {
-			break
-		}
-		c.spill(w, v)
-	}
-	if w.memUsed+size > budget {
-		c.store(w, fh, size)
-		return
-	}
-	cache[fh] = cachedObject{id: fh, size: size, lastUse: c.eng.Now(), tier: tierMemory}
-	w.memUsed += size
-	c.vm.CacheMemInserts.Inc()
-	c.vm.CacheMemInsertBytes.Add(size)
-	c.vm.CacheMemUsedBytes.Add(float64(size))
-	c.reps.Commit(fh, w.h)
-}
-
-// spill relocates a memory resident to the disk tier, mirroring
-// cache.spillLocked: the object stays resident — only its tier and
-// accounting move — so pinned objects are spillable too.
-func (c *Cluster) spill(w *simWorker, obj cachedObject) {
-	obj.tier = tierDisk
-	w.cache[obj.id] = obj
-	w.memUsed -= obj.size
-	w.cacheUsed += obj.size
-	c.vm.CacheMemSpills.Inc()
-	c.vm.CacheMemSpillBytes.Add(obj.size)
-	c.vm.CacheMemUsedBytes.Add(-float64(obj.size))
-}
-
-// oldestMemoryResident picks the LRU memory-tier object (ID tie-break for
-// determinism); ok is false when the tier is empty.
-func (c *Cluster) oldestMemoryResident(w *simWorker) (best cachedObject, ok bool) {
-	for _, obj := range w.storage() { // hotpath-ok: spill scan, only when one worker's memory budget is full
-		if obj.tier != tierMemory {
-			continue
-		}
-		if !ok || obj.lastUse < best.lastUse ||
-			(obj.lastUse == best.lastUse && c.fileName(obj.id) < c.fileName(best.id)) {
-			best, ok = obj, true
-		}
-	}
-	return best, ok
-}
-
 // evict removes an object from the worker and the replica table, recording
 // the trace event the worker's cache-invalid message would produce.
 func (c *Cluster) evict(w *simWorker, fh replica.FileH) {
@@ -188,12 +114,7 @@ func (c *Cluster) evict(w *simWorker, fh replica.FileH) {
 	}
 	delete(cache, fh)
 	c.evictions++
-	if obj.tier == tierMemory {
-		w.memUsed -= obj.size
-		c.vm.CacheMemUsedBytes.Add(-float64(obj.size))
-	} else {
-		w.cacheUsed -= obj.size
-	}
+	w.cacheUsed -= obj.size
 	c.reps.Remove(fh, w.h)
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.FileEvicted, Worker: w.spec.ID, File: c.fileName(fh),

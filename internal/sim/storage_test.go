@@ -145,49 +145,3 @@ func TestCacheCapacitySweep(t *testing.T) {
 			tightFetches, ampleFetches)
 	}
 }
-
-// TestMemoryTierAbsorbsOutputsAndSpills: a worker with a memory budget
-// takes task outputs into the RAM tier; when the chain of outputs exceeds
-// the budget, the oldest resident spills to disk instead of being lost —
-// the simulator's mirror of the real worker's tiered cache.
-func TestMemoryTierAbsorbsOutputsAndSpills(t *testing.T) {
-	w := &Workload{
-		Files: map[string]*File{
-			"o1": {ID: "o1", Size: 60, Kind: Produced},
-			"o2": {ID: "o2", Size: 60, Kind: Produced},
-			"o3": {ID: "o3", Size: 60, Kind: Produced},
-		},
-		Tasks: []*Task{
-			{ID: 1, Outputs: []Output{{ID: "o1", Size: 60}}, Runtime: 1, Cores: 1},
-			{ID: 2, Inputs: []string{"o1"}, Outputs: []Output{{ID: "o2", Size: 60}}, Runtime: 1, Cores: 1},
-			{ID: 3, Inputs: []string{"o2"}, Outputs: []Output{{ID: "o3", Size: 60}}, Runtime: 1, Cores: 1},
-		},
-		Workers: []WorkerSpec{{ID: "w0", Cores: 1, Disk: 1000, MemoryBudget: 100}},
-	}
-	c := NewCluster(w, DefaultParams(), policy.Limits{})
-	c.Run()
-	if c.CompletedTasks() != 3 {
-		t.Fatalf("completed %d of 3", c.CompletedTasks())
-	}
-	if n := c.vm.CacheMemInserts.Value(); n != 3 {
-		t.Fatalf("memory-tier inserts = %d, want 3", n)
-	}
-	// o2 displaces o1, o3 displaces o2: two spills, and none of the
-	// outputs counts as a disk-tier insert.
-	if n := c.vm.CacheMemSpills.Value(); n != 2 {
-		t.Fatalf("spills = %d, want 2", n)
-	}
-	if n := c.vm.CacheInserts.Value(); n != 0 {
-		t.Fatalf("disk-tier inserts = %d, want 0", n)
-	}
-	sw := c.workerNamed("w0")
-	if sw.memUsed != 60 || sw.cacheUsed != 120 {
-		t.Fatalf("accounting: memUsed=%d cacheUsed=%d, want 60/120", sw.memUsed, sw.cacheUsed)
-	}
-	// All three outputs remain resident (two on disk, one in memory).
-	for _, id := range []string{"o1", "o2", "o3"} {
-		if !c.hasReplica(id, "w0") {
-			t.Fatalf("output %s lost", id)
-		}
-	}
-}

@@ -103,12 +103,6 @@ type WorkerSpec struct {
 	// Prestaged lists file IDs already in the worker's persistent cache
 	// (hot-cache experiments, Figure 9b).
 	Prestaged []string
-	// MemoryBudget, when positive, gives the worker a RAM-backed cache
-	// tier of that many bytes: task outputs land there and spill
-	// LRU-first to disk under pressure, mirroring the real worker's
-	// cache. Zero disables the tier (the default, keeping existing
-	// workload traces unchanged).
-	MemoryBudget int64
 }
 
 // Workload is a complete simulated experiment.

@@ -183,3 +183,61 @@ func TestPeerServeErrorArrivesBeforeEOF(t *testing.T) {
 		conn.Close()
 	}
 }
+
+// TestPeerServeOutlastsTenIdleTimeouts: the serving side's deadline bounds
+// idleness, not the whole payload. A requester that keeps reading, slowly
+// enough that the serve takes longer than ten PeerIOTimeouts, still
+// receives the whole object intact. The serve runs over an unbuffered
+// pipe, so its writes last exactly as long as the reader takes.
+func TestPeerServeOutlastsTenIdleTimeouts(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	fa := startFake(t)
+	wa := startWorkerCfg(t, fa, func(c *Config) { c.PeerIOTimeout = timeout })
+	data := make([]byte, 8<<20)
+	for i := range data {
+		data[i] = byte(i * 7 / 3)
+	}
+	fa.conn.SendPayload(&protocol.Message{
+		Type: protocol.TypePut, CacheName: "slow-obj", Size: int64(len(data)), Lifetime: 1,
+	}, bytes.NewReader(data))
+	fa.recvUntil(t, "cache-update", func(m *protocol.Message, _ []byte) bool {
+		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "slow-obj"
+	})
+
+	ours, theirs := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		wa.servePeer(theirs)
+	}()
+	conn := protocol.NewConn(ours)
+	defer func() {
+		conn.Close()
+		<-served
+	}()
+	if err := conn.Send(&protocol.Message{Type: protocol.TypeGet, CacheName: "slow-obj"}); err != nil {
+		t.Fatal(err)
+	}
+	m, payload, err := conn.Recv()
+	if err != nil || m.Type != protocol.TypeData || m.Size != int64(len(data)) {
+		t.Fatalf("get answered %+v, %v", m, err)
+	}
+	// The reader does no work between reads but sleep, so only the serve's
+	// deadline can cut it off.
+	start := time.Now()
+	got := make([]byte, len(data))
+	for at := 0; at < len(got); {
+		n, err := io.ReadFull(payload, got[at:min(at+64<<10, len(got))])
+		at += n
+		if err != nil {
+			t.Fatalf("payload cut off after %d of %d bytes, %v in: %v", at, len(data), time.Since(start), err)
+		}
+		time.Sleep(15 * time.Millisecond)
+	}
+	if took := time.Since(start); took < 10*timeout {
+		t.Fatalf("the slow read took %v, not past ten idle timeouts (%v)", took, 10*timeout)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("the slowly read object differs from the one served")
+	}
+}

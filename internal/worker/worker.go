@@ -62,8 +62,8 @@ type Config struct {
 	Logger *log.Logger
 	// PeerIOTimeout bounds each read or write making progress during a
 	// peer transfer, so a wedged peer fails the fetch instead of leaking a
-	// goroutine; defaults to 30s. The deadline is refreshed on every read,
-	// so large objects that keep moving are never cut off.
+	// goroutine; defaults to 30s. The deadline is refreshed on every read
+	// and every write, so large objects that keep moving are never cut off.
 	PeerIOTimeout time.Duration
 	// PeerFetchRetries is how many times a failed peer fetch is re-dialed
 	// locally, with capped exponential backoff, before the failure is
@@ -604,17 +604,20 @@ func (w *Worker) fetchFromPeer(ctx context.Context, m *protocol.Message) (int64,
 	return 0, err
 }
 
-// idleReader refreshes the connection's read deadline before every read, so
-// the timeout bounds idleness (a wedged or vanished peer) rather than total
-// transfer duration — a large object that keeps moving never trips it.
+// idleReader refreshes a connection deadline before every read, so the
+// timeout bounds idleness (a wedged or vanished peer) rather than total
+// transfer duration — a large object that keeps moving never trips it. A
+// fetch refreshes its read deadline as it reads the payload off the
+// connection; a serve refreshes its write deadline as it reads the next
+// piece of the object to write.
 type idleReader struct {
-	c       *protocol.Conn
-	r       io.Reader
-	timeout time.Duration
+	deadline func(time.Time) error
+	r        io.Reader
+	timeout  time.Duration
 }
 
 func (ir *idleReader) Read(b []byte) (int, error) {
-	ir.c.SetReadDeadline(time.Now().Add(ir.timeout))
+	ir.deadline(time.Now().Add(ir.timeout))
 	return ir.r.Read(b)
 }
 
@@ -678,7 +681,7 @@ func (w *Worker) fetchFromPeerOnce(addr, name string) (int64, error) {
 	if m.Type != protocol.TypeData {
 		return 0, fmt.Errorf("worker: peer %s: %s", addr, m.Error)
 	}
-	var body io.Reader = &idleReader{c: conn, r: payload, timeout: w.cfg.PeerIOTimeout}
+	var body io.Reader = &idleReader{deadline: conn.SetReadDeadline, r: payload, timeout: w.cfg.PeerIOTimeout}
 	if f := w.cfg.Faults.At(chaos.PeerRead, w.cfg.ID, name); f.Action == chaos.Corrupt {
 		body = &corruptReader{r: body}
 	}
@@ -748,9 +751,8 @@ func (w *Worker) fetchFromPeerOnce(addr, name string) (int64, error) {
 	return n, nil
 }
 
-// servePeers answers worker-to-worker get requests from the cache. Each
-// connection carries a deadline so a stalled requester cannot pin a serving
-// goroutine (and its wg slot) past shutdown.
+// servePeers answers worker-to-worker get requests from the cache, one
+// connection at a time each.
 func (w *Worker) servePeers() {
 	defer w.peerWg.Done()
 	for {
@@ -761,41 +763,50 @@ func (w *Worker) servePeers() {
 		w.peerWg.Add(1)
 		go func() {
 			defer w.peerWg.Done()
-			conn := protocol.NewConn(nc)
-			// Close through the Conn, not the socket: it writes the queued
-			// answer (an error frame, say) before hanging up.
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
-			m, _, err := conn.Recv()
-			if err != nil || m.Type != protocol.TypeGet {
-				return
-			}
-			switch w.cfg.Faults.At(chaos.PeerServe, w.cfg.ID, m.CacheName).Action {
-			case chaos.Fail:
-				conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: "chaos: injected serve failure"})
-				return
-			case chaos.Reset, chaos.Hang:
-				// Drop the connection without answering: the requester's read
-				// deadline, not our goodwill, bounds its wait.
-				return
-			}
-			r, size, dir, sum, err := w.openObject(m.CacheName)
-			if err != nil {
-				conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
-				return
-			}
-			defer r.Close()
-			// Refresh the deadline for the payload: the header deadline was
-			// sized for a request, not a multi-gigabyte object.
-			conn.SetDeadline(time.Now().Add(10 * w.cfg.PeerIOTimeout))
-			if err := conn.SendPayload(&protocol.Message{Type: protocol.TypeData, CacheName: m.CacheName, Size: size, Dir: dir, Checksum: sum}, r); err != nil {
-				w.logf("sending %s to peer %s: %v", m.CacheName, conn.RemoteAddr(), err)
-				return
-			}
-			w.vm.PeerServes.Inc()
-			w.vm.PeerServeBytes.Add(size)
+			w.servePeer(nc)
 		}()
 	}
+}
+
+// servePeer answers one get request. The connection carries an idle
+// deadline so a stalled requester cannot pin a serving goroutine (and its
+// wg slot) past shutdown.
+func (w *Worker) servePeer(nc net.Conn) {
+	conn := protocol.NewConn(nc)
+	// Close through the Conn, not the socket: it writes the queued
+	// answer (an error frame, say) before hanging up.
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
+	m, _, err := conn.Recv()
+	if err != nil || m.Type != protocol.TypeGet {
+		return
+	}
+	switch w.cfg.Faults.At(chaos.PeerServe, w.cfg.ID, m.CacheName).Action {
+	case chaos.Fail:
+		conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: "chaos: injected serve failure"})
+		return
+	case chaos.Reset, chaos.Hang:
+		// Drop the connection without answering: the requester's read
+		// deadline, not our goodwill, bounds its wait.
+		return
+	}
+	r, size, dir, sum, err := w.openObject(m.CacheName)
+	if err != nil {
+		conn.Send(&protocol.Message{Type: protocol.TypeError, CacheName: m.CacheName, Error: err.Error()})
+		return
+	}
+	defer r.Close()
+	// The header gets a fresh write deadline, and every piece of the
+	// payload another: a requester that keeps reading is never cut off,
+	// one that stops is within PeerIOTimeout.
+	conn.SetWriteDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
+	body := &idleReader{deadline: conn.SetWriteDeadline, r: r, timeout: w.cfg.PeerIOTimeout}
+	if err := conn.SendPayload(&protocol.Message{Type: protocol.TypeData, CacheName: m.CacheName, Size: size, Dir: dir, Checksum: sum}, body); err != nil {
+		w.logf("sending %s to peer %s: %v", m.CacheName, conn.RemoteAddr(), err)
+		return
+	}
+	w.vm.PeerServes.Inc()
+	w.vm.PeerServeBytes.Add(size)
 }
 
 // crash abruptly severs the worker's manager connection and peer listener,
