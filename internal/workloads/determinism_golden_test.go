@@ -56,11 +56,10 @@ func goldenChaos(seed int64) *chaos.Injector {
 // TestSchedulingDeterminismGolden pins the scheduler's decisions: the full
 // execution trace of a BLAST-shaped and a TopEFT-shaped simulated workload,
 // each under two chaos seeds, must match the committed golden CSVs byte for
-// byte. The goldens were generated by the pre-incremental (seed) scheduler,
-// so this test is the proof that the incremental scheduler with event
-// batching makes the *same* placement, transfer, and retry decisions — only
-// faster. Regenerate with `go test ./internal/workloads -run Golden -update`
-// and inspect the diff before committing.
+// byte, so a change that claims to keep every placement, transfer and
+// retry decision proves it here. Regenerate with
+// `go test ./internal/workloads -run Golden -update` and inspect the diff
+// before committing.
 func TestSchedulingDeterminismGolden(t *testing.T) {
 	cases := []struct {
 		name  string

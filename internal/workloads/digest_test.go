@@ -84,13 +84,13 @@ func (tc digestCase) check(t *testing.T) {
 // TestTraceDigestsAtBenchmarkScale pins the simulator's decisions at the
 // benchmark's scale, where the golden traces are too small to reach: the
 // SHA-256 of each full trace CSV must match the digest recorded for the
-// same run before the scheduling pass was made incremental. A mismatch
-// means a scheduling, transfer, or eviction decision changed.
+// same run. A mismatch means a scheduling, transfer, retry or eviction
+// decision changed.
 func TestTraceDigestsAtBenchmarkScale(t *testing.T) {
 	for _, tc := range []digestCase{
-		{name: "topeft2000_seed1", build: digestTopEFT, seed: 1, wantHash: "4cbbc5db14ca4d5f67d60d43a42a5264adc0535693a61df4660741c19e50d8b4"},
-		{name: "topeft2000_seed2", build: digestTopEFT, seed: 2, wantHash: "0a9e270a459fd23da24e29904079e3917ef125c2fc7612507a5da7e091558efe"},
-		{name: "blast_evicting_seed1", build: digestBlastEvicting, seed: 1, evicts: true, wantHash: "da900c2785085c14481857b88a1dd126681bbbf687804f1b0f737b5350135d05"},
+		{name: "topeft2000_seed1", build: digestTopEFT, seed: 1, wantHash: "a8869d53ad15b341df908b959ae19beb3ea6a9d7c52acc18ed39a31eeacb9d6e"},
+		{name: "topeft2000_seed2", build: digestTopEFT, seed: 2, wantHash: "4d41b2c3072b8856d7be9b9fd348be244a5345c47aa3b8615020cd0442e60adf"},
+		{name: "blast_evicting_seed1", build: digestBlastEvicting, seed: 1, evicts: true, wantHash: "c963f408e86c9e0947f0f528df1d7f49b7a080ca80c868092bd476c6f2c8f182"},
 	} {
 		t.Run(tc.name, tc.check)
 	}
