@@ -113,7 +113,7 @@ func (m *Manager) buildDebug() DebugReport {
 			Dest: m.names.Workers.Name(tr.Dest),
 		})
 	}
-	for p, rs := range m.sched.Retries() { // hotpath-ok: debug report, sorted below
+	for p, rs := range m.sched.Retries() {
 		rd := RetryDebug{File: m.fileID(p.File), Dest: m.names.Workers.Name(p.Worker), Attempts: rs.Attempts}
 		if wait := rs.NotBefore - m.now(); wait > 0 {
 			rd.Blocked = true

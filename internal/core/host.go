@@ -84,7 +84,7 @@ func (h host) Alloc(id int, wh replica.WorkerH) bool {
 
 func (h host) OnWorker(buf []int, wh replica.WorkerH) []int {
 	if w := h.m.workerAt(wh); w != nil {
-		for id := range w.running { // hotpath-ok: one worker's tasks, on failure paths only
+		for id := range w.running {
 			buf = append(buf, id)
 		}
 	}
