@@ -23,7 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -85,15 +85,10 @@ type Entry struct {
 	Lifetime Lifetime
 	// Tier records where the bytes live; meaningful only when ready.
 	Tier Tier
-	// LastUse orders ready entries for least-recently-used eviction.
-	LastUse time.Time
 	// Dir marks directory objects (unpacked trees).
 	Dir bool
 	// Err records why materialization failed.
 	Err error
-	// pins counts tasks currently using the object; pinned objects are
-	// never evicted.
-	pins int
 	// deferred marks an object whose deletion was requested while pinned;
 	// the removal happens when the last pin is released and is reported
 	// through the evicted list so the manager's replica table converges.
@@ -111,12 +106,16 @@ var ErrNoSpace = errors.New("cache: insufficient storage")
 // Cache is a tiered (disk + optional RAM) object store. All methods are
 // safe for concurrent use.
 type Cache struct {
-	mu       sync.Mutex
-	dir      string
-	capacity int64
-	used     int64             // disk-tier bytes, guarded by mu
-	entries  map[string]*Entry // guarded by mu
-	clock    func() time.Time  // guarded by mu
+	mu      sync.Mutex
+	dir     string
+	entries map[string]*Entry // guarded by mu
+	// disk holds every pending and ready entry: the disk tier's accounting,
+	// every entry's pins and last use, and the eviction choice. Pending and
+	// memory-tier entries are held, never disk victims; memory-tier entries
+	// occupy no disk bytes there. Stamps are seconds since born on clock.
+	disk  *Policy[string]  // guarded by mu
+	clock func() time.Time // guarded by mu
+	born  time.Time
 	// memBudget caps memory-tier bytes; 0 disables the tier entirely.
 	memBudget int64 // guarded by mu
 	memUsed   int64 // memory-tier bytes, guarded by mu
@@ -150,10 +149,11 @@ func New(dir string, capacity int64) (*Cache, error) {
 		return nil, fmt.Errorf("cache: creating %s: %w", dir, err)
 	}
 	c := &Cache{
-		dir:      dir,
-		capacity: capacity,
-		entries:  make(map[string]*Entry),
-		clock:    time.Now,
+		dir:     dir,
+		entries: make(map[string]*Entry),
+		disk:    NewPolicy[string](capacity),
+		clock:   time.Now,
+		born:    time.Now(),
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -177,13 +177,15 @@ func New(dir string, capacity int64) (*Cache, error) {
 			Size:     size,
 			State:    StateReady,
 			Lifetime: LifetimeWorker,
-			LastUse:  c.clock(),
 			Dir:      isDir,
 		}
-		c.used += size
+		c.disk.Add(name, name, size, LifetimeWorker, 0, false)
 	}
 	return c, nil
 }
+
+// nowLocked is the policy's stamp for this instant; the caller holds c.mu.
+func (c *Cache) nowLocked() float64 { return c.clock().Sub(c.born).Seconds() }
 
 // SetClock substitutes the time source, for deterministic tests.
 func (c *Cache) SetClock(clock func() time.Time) {
@@ -207,10 +209,7 @@ func (c *Cache) SetMetrics(vm *metrics.VineMetrics) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.vm = vm
-	if vm != nil {
-		vm.CacheUsedBytes.Set(float64(c.used))
-		vm.CacheMemUsedBytes.Set(float64(c.memUsed))
-	}
+	c.syncUsedLocked()
 }
 
 // SetMemoryBudget caps memory-tier bytes; n <= 0 disables the tier. If the
@@ -245,7 +244,7 @@ func (c *Cache) MemUsed() int64 {
 // syncUsedLocked publishes the current byte accounting; caller holds c.mu.
 func (c *Cache) syncUsedLocked() {
 	if c.vm != nil {
-		c.vm.CacheUsedBytes.Set(float64(c.used))
+		c.vm.CacheUsedBytes.Set(float64(c.disk.Used()))
 		c.vm.CacheMemUsedBytes.Set(float64(c.memUsed))
 	}
 }
@@ -285,13 +284,17 @@ func diskUsage(path string) (int64, bool, error) {
 func (c *Cache) Dir() string { return c.dir }
 
 // Capacity returns the configured storage capacity in bytes.
-func (c *Cache) Capacity() int64 { return c.capacity }
+func (c *Cache) Capacity() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.disk.Capacity()
+}
 
 // Used returns the bytes currently accounted to disk-tier objects.
 func (c *Cache) Used() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.used
+	return c.disk.Used()
 }
 
 // Path returns the on-disk location of an object, whether or not it exists.
@@ -336,7 +339,6 @@ func (c *Cache) Reserve(name string, size int64, lifetime Lifetime) (alreadyPend
 			return true, nil
 		case StateFailed:
 			// Retry after failure: fall through and re-reserve.
-			c.used -= e.Size
 			delete(c.entries, name)
 		}
 	}
@@ -352,60 +354,29 @@ func (c *Cache) Reserve(name string, size int64, lifetime Lifetime) (alreadyPend
 		Size:     reserve,
 		State:    StatePending,
 		Lifetime: lifetime,
-		LastUse:  c.clock(),
 	}
-	c.used += reserve
+	c.disk.Add(name, name, reserve, lifetime, c.nowLocked(), true)
 	c.syncUsedLocked()
 	return false, nil
 }
 
-// evictionOrder sorts eviction/spill victims cheapest-lifetime first, LRU
-// within a lifetime. The name tie-break makes the order total: victims
-// are gathered in map order.
-func evictionOrder(victims []*Entry) {
-	sort.Slice(victims, func(i, j int) bool {
-		a, b := victims[i], victims[j]
-		if a.Lifetime != b.Lifetime {
-			return a.Lifetime < b.Lifetime
-		}
-		if !a.LastUse.Equal(b.LastUse) {
-			return a.LastUse.Before(b.LastUse)
-		}
-		return a.Name < b.Name
-	})
-}
-
-// ensureSpaceLocked evicts unpinned, non-pending disk-tier objects
-// (cheapest lifetime first, LRU within a lifetime) until need bytes fit
-// under capacity. Memory-tier objects occupy no disk and are never
-// eviction victims here.
+// ensureSpaceLocked evicts the disk policy's victims until need bytes fit
+// under capacity.
 func (c *Cache) ensureSpaceLocked(need int64) error {
-	if c.used+need <= c.capacity {
-		return nil
+	victims, fits := c.disk.Victims(need)
+	for _, name := range victims {
+		c.removeLocked(name, true)
 	}
-	victims := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		if e.State == StateReady && e.pins == 0 && e.Tier == TierDisk {
-			victims = append(victims, e)
-		}
-	}
-	evictionOrder(victims)
-	for _, v := range victims {
-		if c.used+need <= c.capacity {
-			break
-		}
-		c.removeLocked(v.Name, true)
-	}
-	if c.used+need > c.capacity {
-		return fmt.Errorf("%w: need %d, used %d of %d", ErrNoSpace, need, c.used, c.capacity)
+	if !fits {
+		return fmt.Errorf("%w: need %d, used %d of %d", ErrNoSpace, need, c.disk.Used(), c.disk.Capacity())
 	}
 	return nil
 }
 
-// spillForSpaceLocked spills memory-tier objects (cheapest lifetime first,
-// LRU within a lifetime; pinned objects are spillable — a spill changes
-// where the bytes live, not whether they exist) until need bytes fit under
-// the memory budget. Returns nil when the space exists.
+// spillForSpaceLocked spills memory-tier objects, in the disk policy's
+// eviction order, until need bytes fit under the memory budget. Pinned
+// objects are spillable: a spill changes where the bytes live, not whether
+// they exist. Returns nil when the space exists.
 func (c *Cache) spillForSpaceLocked(need int64) error {
 	if c.memUsed+need <= c.memBudget {
 		return nil
@@ -416,7 +387,7 @@ func (c *Cache) spillForSpaceLocked(need int64) error {
 			victims = append(victims, e)
 		}
 	}
-	evictionOrder(victims)
+	slices.SortFunc(victims, func(a, b *Entry) int { return c.disk.Compare(a.Name, b.Name) })
 	for _, v := range victims {
 		if c.memUsed+need <= c.memBudget {
 			break
@@ -456,7 +427,7 @@ func (c *Cache) spillLocked(e *Entry) error {
 		return werr
 	}
 	c.memUsed -= e.Size
-	c.used += e.Size
+	c.disk.Settle(e.Name, e.Size)
 	e.Tier = TierDisk
 	e.data = nil
 	if c.vm != nil {
@@ -485,22 +456,20 @@ func (c *Cache) PutBytes(name string, lifetime Lifetime, data []byte) error {
 			c.mu.Unlock()
 			return fmt.Errorf("cache: %s is already being materialized", name)
 		case StateFailed:
-			c.used -= e.Size
 			delete(c.entries, name)
 		}
 	}
 	if c.memBudget > 0 && size <= c.memBudget {
 		if err := c.spillForSpaceLocked(size); err == nil {
-			e := &Entry{
+			c.entries[name] = &Entry{
 				Name:     name,
 				Size:     size,
 				State:    StateReady,
 				Lifetime: lifetime,
 				Tier:     TierMemory,
-				LastUse:  c.clock(),
 				data:     data,
 			}
-			c.entries[name] = e
+			c.disk.Add(name, name, 0, lifetime, c.nowLocked(), true)
 			c.memUsed += size
 			if c.vm != nil {
 				c.vm.CacheMemInserts.Inc()
@@ -531,36 +500,32 @@ func (c *Cache) Commit(name string) error {
 		return fmt.Errorf("cache: double commit of %s", name)
 	}
 	if statErr != nil {
-		c.used -= e.Size
+		c.disk.Remove(name)
 		e.Size = 0
 		e.State = StateFailed
 		e.Err = fmt.Errorf("cache: commit of absent object %s: %w", name, statErr)
 		c.syncUsedLocked()
 		return e.Err
 	}
-	c.used += actual - e.Size
 	e.Size = actual
 	e.Dir = isDir
 	e.State = StateReady
 	e.Tier = TierDisk
 	e.Err = nil
-	e.LastUse = c.clock()
 	if c.vm != nil {
 		c.vm.CacheInserts.Inc()
 		c.vm.CacheInsertBytes.Add(actual)
 	}
-	c.syncUsedLocked()
-	if c.used > c.capacity {
-		// The object turned out larger than reserved; evict others to
-		// restore the invariant, but never the object just committed.
-		e.pins++
-		err := c.ensureSpaceLocked(0)
-		e.pins--
-		if err != nil {
-			c.removeLocked(name, false)
-			return fmt.Errorf("cache: %s exceeded remaining capacity: %w", name, err)
-		}
+	// The object may have turned out larger than reserved: trade its
+	// reservation for its actual size, evicting others, never it, if that
+	// no longer fits.
+	c.disk.Remove(name)
+	if err := c.ensureSpaceLocked(actual); err != nil {
+		c.removeLocked(name, false)
+		return fmt.Errorf("cache: %s exceeded remaining capacity: %w", name, err)
 	}
+	c.disk.Add(name, name, actual, e.Lifetime, c.nowLocked(), false)
+	c.syncUsedLocked()
 	return nil
 }
 
@@ -572,7 +537,7 @@ func (c *Cache) Fail(name string, cause error) {
 	if !ok || e.State == StateReady {
 		return
 	}
-	c.used -= e.Size
+	c.disk.Remove(name)
 	e.Size = 0
 	e.State = StateFailed
 	e.Err = cause
@@ -650,7 +615,7 @@ func (c *Cache) Open(name string) (io.ReadCloser, int64, error) {
 		c.mu.Unlock()
 		return nil, 0, fmt.Errorf("cache: %s is a directory; transfer as archive", name)
 	}
-	e.LastUse = c.clock()
+	c.disk.Touch(name, c.nowLocked())
 	if e.Tier == TierMemory {
 		if c.vm != nil {
 			c.vm.CacheMemHits.Inc()
@@ -680,7 +645,7 @@ func (c *Cache) MemoryBytes(name string) ([]byte, bool) {
 	if !ok || e.State != StateReady {
 		return nil, false
 	}
-	e.LastUse = c.clock()
+	c.disk.Touch(name, c.nowLocked())
 	if e.Tier != TierMemory {
 		return nil, false
 	}
@@ -722,8 +687,7 @@ func (c *Cache) Pin(name string) error {
 	if c.vm != nil {
 		c.vm.CacheHits.Inc()
 	}
-	e.pins++
-	e.LastUse = c.clock()
+	c.disk.Pin(name, c.nowLocked())
 	return nil
 }
 
@@ -734,14 +698,7 @@ func (c *Cache) Pin(name string) error {
 func (c *Cache) Unpin(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return
-	}
-	if e.pins > 0 {
-		e.pins--
-	}
-	if e.pins == 0 && e.deferred {
+	if e, ok := c.entries[name]; ok && c.disk.Unpin(name) == 0 && e.deferred {
 		c.removeLocked(name, true)
 	}
 }
@@ -753,7 +710,7 @@ func (c *Cache) Unpin(name string) {
 func (c *Cache) Delete(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok && e.pins > 0 {
+	if e, ok := c.entries[name]; ok && c.disk.Pinned(name) {
 		e.deferred = true
 		return
 	}
@@ -768,9 +725,8 @@ func (c *Cache) removeLocked(name string, recordEviction bool) {
 	if e.Tier == TierMemory {
 		c.memUsed -= e.Size
 		e.data = nil
-	} else {
-		c.used -= e.Size
 	}
+	c.disk.Remove(name)
 	delete(c.entries, name)
 	c.syncUsedLocked()
 	if e.Tier != TierMemory {
@@ -810,7 +766,7 @@ func (c *Cache) EndWorkflow() []string {
 		if e.Lifetime == LifetimeWorker {
 			continue
 		}
-		if e.pins > 0 {
+		if c.disk.Pinned(name) {
 			e.deferred = true
 			continue
 		}
@@ -828,6 +784,6 @@ func (c *Cache) List() []Entry {
 	for _, e := range c.entries {
 		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }

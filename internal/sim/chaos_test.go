@@ -143,3 +143,48 @@ func TestChaosSimCrashRecoversLostTemp(t *testing.T) {
 		t.Fatalf("RecoveryStart events = %d, want 1", recoveries)
 	}
 }
+
+// TestChaosDiskFullOnCacheInsert is the simulator's twin of core's test of
+// the same name: the only worker refuses its first object as if its disk
+// were full. As in core, the refusal fails the transfer, spending a retry
+// attempt and a backoff window, and the task still completes. The refused
+// attempt moves no bytes: it fails one control latency after it starts.
+func TestChaosDiskFullOnCacheInsert(t *testing.T) {
+	const size = 1e6
+	w := &Workload{
+		Files:   map[string]*File{"in": {ID: "in", Size: size, Kind: FromManager}},
+		Tasks:   []*Task{{ID: 1, Inputs: []string{"in"}, Runtime: 1, Cores: 1}},
+		Workers: []WorkerSpec{{ID: "tight-disk", Cores: 4, Disk: 1e9}},
+	}
+	c := NewCluster(w, DefaultParams(), policy.Limits{})
+	inj := chaos.New(chaosSeed(t)).Add(chaos.Rule{Point: chaos.CacheInsert, Action: chaos.Fail, Count: 1})
+	c.InjectFaults(inj)
+	c.Run()
+	if c.CompletedTasks() != 1 {
+		t.Fatalf("task did not complete after disk-full injection")
+	}
+	if inj.Fired(chaos.CacheInsert) != 1 {
+		t.Fatalf("cache-insert fault fired %d times, want 1", inj.Fired(chaos.CacheInsert))
+	}
+	var starts, failed, retries []trace.Event
+	for _, ev := range c.Trace().Events() {
+		switch {
+		case ev.File != "in":
+		case ev.Kind == trace.TransferStart:
+			starts = append(starts, ev)
+		case ev.Kind == trace.TransferFailed:
+			failed = append(failed, ev)
+		case ev.Kind == trace.TransferRetry:
+			retries = append(retries, ev)
+		}
+	}
+	if len(starts) != 2 || len(failed) != 1 || len(retries) != 1 {
+		t.Fatalf("in: %d starts, %d failures, %d retries; want 2, 1, 1", len(starts), len(failed), len(retries))
+	}
+	if got, want := failed[0].Time-starts[0].Time, DefaultParams().ControlLatency; !almostEqual(got, want) {
+		t.Fatalf("refused transfer failed %.6f s after it started, want %.6f: no bytes move", got, want)
+	}
+	if got := trace.Summarize(c.Trace().Events()).BytesBySource["manager"]; got != size {
+		t.Fatalf("manager sent %d bytes, want %d: the refused attempt is charged nothing", got, int64(size))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"taskvine/internal/cache"
 	"taskvine/internal/chaos"
 	"taskvine/internal/metrics"
 	"taskvine/internal/policy"
@@ -109,10 +110,11 @@ type simWorker struct {
 	spec WorkerSpec
 	h    replica.WorkerH
 	// label names the worker as a transfer source in the trace.
-	label     string
-	ep        *Endpoint
-	pool      *resources.Pool
-	cacheUsed int64
+	label string
+	ep    *Endpoint
+	pool  *resources.Pool
+	// disk tracks resident objects for disk accounting and eviction.
+	disk *cache.Policy[replica.FileH]
 	// running lists the indices of the tasks staged or running here; each
 	// task's runAt is its position.
 	running   []int
@@ -122,10 +124,6 @@ type simWorker struct {
 	// ready and the deployments in progress here.
 	libReady []bool
 	libBoot  []bool
-	// materializing tracks in-progress MiniTask unpacks.
-	materializing map[replica.FileH]bool
-	// cache tracks resident objects for disk accounting and eviction.
-	cache map[replica.FileH]cachedObject
 }
 
 type simTask struct {
@@ -244,15 +242,15 @@ func NewCluster(w *Workload, params Params, limits policy.Limits) *Cluster {
 			bw = params.WorkerBW
 		}
 		sw := &simWorker{
-			spec:          ws,
-			h:             c.names.Workers.Intern(ws.ID),
-			label:         "worker:" + ws.ID,
-			ep:            NewEndpoint(ws.ID, bw),
-			pool:          resources.NewPool(resources.R{Cores: ws.Cores, Disk: ws.Disk, Memory: resources.TB}),
-			joinOrder:     i,
-			libReady:      make([]bool, len(c.libs)),
-			libBoot:       make([]bool, len(c.libs)),
-			materializing: make(map[replica.FileH]bool),
+			spec:      ws,
+			h:         c.names.Workers.Intern(ws.ID),
+			label:     "worker:" + ws.ID,
+			ep:        NewEndpoint(ws.ID, bw),
+			pool:      resources.NewPool(resources.R{Cores: ws.Cores, Disk: ws.Disk, Memory: resources.TB}),
+			disk:      cache.NewPolicy[replica.FileH](ws.Disk),
+			joinOrder: i,
+			libReady:  make([]bool, len(c.libs)),
+			libBoot:   make([]bool, len(c.libs)),
 		}
 		sw.ep.OverheadPerFlow = params.OverheadPerFlow
 		sw.ep.PerFlowBW = params.PerFlowBW
@@ -442,9 +440,7 @@ func (c *Cluster) workerLeave(w *simWorker) {
 	w.running = nil
 	// Reset the pool and cache: the node is gone.
 	w.pool = resources.NewPool(resources.R{Cores: w.spec.Cores, Disk: w.spec.Disk, Memory: resources.TB})
-	w.cacheUsed = 0
-	w.cache = nil
-	w.materializing = make(map[replica.FileH]bool)
+	w.disk = cache.NewPolicy[replica.FileH](w.spec.Disk)
 	clear(w.libReady)
 	clear(w.libBoot)
 	c.requestSchedule()
@@ -497,15 +493,23 @@ func (c *Cluster) libIndex(name string) int {
 // startTransfer reports false when admission refused the object.
 func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWorker) bool {
 	f := &c.files[fh]
-	if !c.admit(w, fh) {
-		// The object cannot fit even after eviction; the consumer stays
-		// staged and is retried when space frees up.
-		return false
+	// An injected disk-full is the worker refusing the object as the
+	// instruction arrives, before admission: the transfer starts, moves no
+	// bytes and fails a control message later.
+	full := c.faults.At(chaos.CacheInsert, w.spec.ID, f.ID).Action != chaos.None
+	fault := chaos.Fault{Action: chaos.Fail}
+	if !full {
+		if !c.admit(w, fh) {
+			// The object cannot fit even after eviction; the consumer stays
+			// staged and is retried when space frees up.
+			return false
+		}
+		// One fault decision per transfer attempt: Slow stretches the
+		// flow's latency, anything else fails the transfer on arrival —
+		// modeling a mid-stream reset or corrupted payload detected at the
+		// receiver.
+		fault = c.faults.At(chaos.Transfer, w.spec.ID, f.ID)
 	}
-	// One fault decision per transfer attempt: Slow stretches the flow's
-	// latency, anything else fails the transfer on arrival — modeling a
-	// mid-stream reset or corrupted payload detected at the receiver.
-	fault := c.faults.At(chaos.Transfer, w.spec.ID, f.ID)
 	tr := c.trs.Start(fh, src, w.h)
 	c.reps.Add(fh, w.h, replica.Pending)
 	label := c.sourceLabel(src)
@@ -530,7 +534,11 @@ func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWork
 		from = c.worker(src.Worker()).ep
 	}
 	slot := c.xfers.put(simTransfer{id: tr.ID, fh: fh, w: w, label: label, fault: fault.Action})
-	c.net.StartFlow(from, w.ep, float64(f.Size), latency, c.transferFn, slot)
+	if full {
+		c.eng.Call(c.params.ControlLatency, c.transferFn, slot)
+	} else {
+		c.net.StartFlow(from, w.ep, float64(f.Size), latency, c.transferFn, slot)
+	}
 	return true
 }
 
@@ -588,8 +596,7 @@ func (c *Cluster) sourceLabel(src replica.Source) string {
 // product.
 func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
 	f := &c.files[fh]
-	if f.File == nil || f.Kind != MiniProduct || w.materializing[fh] ||
-		c.reps.HasAny(fh, w.h) || c.reps.CountReplicas(fh) > 0 {
+	if f.File == nil || f.Kind != MiniProduct || c.reps.HasAny(fh, w.h) || c.reps.CountReplicas(fh) > 0 {
 		return true
 	}
 	for _, in := range f.mini {
@@ -600,7 +607,6 @@ func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
 	if !c.admit(w, fh) {
 		return false
 	}
-	w.materializing[fh] = true
 	c.reps.Add(fh, w.h, replica.Pending)
 	c.log.Add(trace.Event{Time: c.eng.Now(), Kind: trace.StageStart, Worker: w.spec.ID, File: f.ID})
 	rate := f.UnpackRate
@@ -615,7 +621,6 @@ func (c *Cluster) materialize(fh replica.FileH, w *simWorker) bool {
 func (c *Cluster) unpackDone(slot int) {
 	u := c.unpacks.take(slot)
 	fh, w := u.fh, u.w
-	delete(w.materializing, fh)
 	if !w.joined {
 		return
 	}
@@ -641,7 +646,9 @@ func (c *Cluster) startRun(id int, t *simTask, w *simWorker) {
 	// All simulated tasks are submitted at virtual time zero, so the start
 	// time IS the submit-to-dispatch latency (virtual seconds).
 	c.vm.DispatchLatency.Observe(c.eng.Now())
-	c.pin(w, t.Inputs)
+	for _, in := range t.Inputs {
+		w.disk.Pin(in, c.eng.Now())
+	}
 	c.log.Add(trace.Event{
 		Time: c.eng.Now(), Kind: trace.TaskStart, Worker: w.spec.ID,
 		TaskID: t.t.ID, Detail: t.t.Category,
@@ -702,7 +709,9 @@ func (c *Cluster) returnDone(slot int) {
 }
 
 func (c *Cluster) completeTask(id int, t *simTask, w *simWorker) {
-	c.unpin(w, t.Inputs)
+	for _, in := range t.Inputs {
+		w.disk.Unpin(in)
+	}
 	c.sched.SetState(id, &t.Task, taskspec.StateDone)
 	c.completed++
 	c.dropRunning(w, t)

@@ -385,7 +385,8 @@ func TestTaskParksInItsDispatchingPass(t *testing.T) {
 
 // A plan whose admission was refused is retried by the next pass, not
 // parked: the retry waits on disk space, which no table mutation signals.
-// Task 2 finishing requests that pass.
+// Task 2 runs first, in ID order, pinning inputs that leave no room for
+// task 3's; task 2 finishing requests the pass that evicts them.
 func TestRefusedAdmissionIsRetriedNextPass(t *testing.T) {
 	for _, tc := range []struct {
 		name, refused string
@@ -397,22 +398,20 @@ func TestRefusedAdmissionIsRetriedNextPass(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			w := &Workload{
 				Files: map[string]*File{
+					"big":     urlFile("big", 100e6, files.LifetimeWorkflow),
 					"in":      urlFile("in", 10e6, files.LifetimeWorkflow),
 					"env.tar": urlFile("env.tar", 10e6, files.LifetimeWorker),
 					"env": {ID: "env", Size: 100e6, Kind: MiniProduct, MiniInputs: []string{"env.tar"},
 						Lifetime: files.LifetimeWorker},
 				},
 				Tasks: []*Task{
-					{ID: 1, Inputs: []string{"in"}, Runtime: 1, Cores: 1},
-					{ID: 2, Runtime: 1, Cores: 1},
+					{ID: 2, Inputs: []string{"big", "env.tar"}, Runtime: 1, Cores: 1},
+					{ID: 3, Inputs: []string{tc.refused}, Runtime: 1, Cores: 1},
 				},
-				Workers: []WorkerSpec{{ID: "w0", Cores: 2, Disk: 1e9}},
-			}
-			if tc.refused == "env" {
-				w.Tasks[0].Inputs = []string{"env"}
+				// Either refused object fits once big is evicted, not before.
+				Workers: []WorkerSpec{{ID: "w0", Cores: 2, Disk: 115e6, Prestaged: []string{"big", "env.tar"}}},
 			}
 			c := NewCluster(w, DefaultParams(), policy.DefaultLimits())
-			c.InjectFaults(chaos.New(1).Add(chaos.Rule{Point: chaos.CacheInsert, Action: chaos.Fail, File: tc.refused, Count: 1}))
 			c.Run()
 			requireDone(t, c, w)
 			retry, ok := lastEvent(c, tc.retry, tc.refused)
