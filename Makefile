@@ -2,8 +2,8 @@
 #
 # `make ci` is the gate the CI workflow runs: build, vet, vinelint, the
 # full test suite under the race detector, and a fuzz smoke pass over the
-# protocol codec. Each target is also usable on its own during
-# development.
+# protocol codec and the tar unpacker. Each target is also usable on its
+# own during development.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -40,14 +40,18 @@ vet:
 race:
 	$(GO) test -race -count=2 ./...
 
-# fuzz smoke-tests the binary frame codec and receive path from the seeded
-# corpus for a short, CI-friendly interval per target.
+# fuzz smoke-tests the binary frame codec and receive path, and the tar
+# unpacker every directory landing runs, from the seeded corpus for a
+# short, CI-friendly interval per target. Each unpack touches the disk,
+# so minimizing a new corpus entry to the default 60 s would take the
+# whole interval: FuzzUnpack minimizes in 5 runs.
 fuzz:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzRecv -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzBinaryCanonical -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tardir -run '^$$' -fuzz FuzzUnpack -fuzztime $(FUZZTIME) -fuzzminimizetime 5x
 
 # chaos runs the seeded fault-injection suite (sim, core, worker, batch)
 # under the race detector for two fixed seeds. Fixed seeds keep failures
@@ -59,9 +63,8 @@ chaos:
 # cover measures per-package statement coverage and gates it against the
 # floors in COVERAGE.json (tools/covercheck). The full per-package report
 # lands in COVERAGE_REPORT.json — a non-gating artifact CI uploads so
-# coverage trends stay visible — while the floors (internal/core,
-# internal/policy, internal/replica, internal/sim, internal/worker) fail
-# the build on regression. cover-update additionally refreshes the
+# coverage trends stay visible — while the floors listed in COVERAGE.json
+# fail the build on regression. cover-update additionally refreshes the
 # recorded "measured" section of COVERAGE.json after an intentional
 # change.
 cover:

@@ -18,9 +18,13 @@ package cache
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -29,6 +33,7 @@ import (
 	"time"
 
 	"taskvine/internal/metrics"
+	"taskvine/internal/tardir"
 )
 
 // Lifetime mirrors files.Lifetime without importing it, keeping the worker
@@ -131,11 +136,11 @@ type Cache struct {
 	vm *metrics.VineMetrics // guarded by mu
 }
 
-// partPrefix marks in-progress transfer files. Writers land bytes in a
-// dot-prefixed part file and rename it to the final cache path only after
-// size and checksum verification, so adoption below can never resurrect a
-// truncated transfer as a valid object: anything at a non-dot path is, by
-// invariant, complete and verified.
+// partPrefix marks in-progress landings. Land writes bytes to a
+// dot-prefixed part file or directory and renames it to the final cache
+// path only after size and checksum verification, so adoption below can
+// never resurrect a truncated transfer as a valid object: anything at a
+// non-dot path is, by invariant, complete and verified.
 const partPrefix = ".part-"
 
 // New creates a cache rooted at dir with the given capacity in bytes. The
@@ -402,29 +407,16 @@ func (c *Cache) spillForSpaceLocked(need int64) error {
 	return nil
 }
 
-// spillLocked moves one memory-tier object's bytes to disk: written to a
-// part file, fsynced by rename into place, accounting moved from the
-// memory tier to the disk tier. The data slice already handed to readers
-// stays valid; only the entry's tier flips.
+// spillLocked moves one memory-tier object's bytes to disk, landed like
+// any other object, and its accounting from the memory tier to the disk
+// tier. The data slice already handed to readers stays valid; only the
+// entry's tier flips.
 func (c *Cache) spillLocked(e *Entry) error {
 	if err := c.ensureSpaceLocked(e.Size); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(c.dir, partPrefix+"*")
-	if err != nil {
+	if err := c.Land(e.Name, e.Size, false, "", bytes.NewReader(e.data)); err != nil {
 		return err
-	}
-	_, werr := f.Write(e.data)
-	cerr := f.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(f.Name(), c.Path(e.Name))
-	}
-	if werr != nil {
-		os.Remove(f.Name())
-		return werr
 	}
 	c.memUsed -= e.Size
 	c.disk.Settle(e.Name, e.Size)
@@ -485,19 +477,20 @@ func (c *Cache) PutBytes(name string, lifetime Lifetime, data []byte) error {
 }
 
 // Commit marks a pending object ready, adjusting accounting to its actual
-// on-disk size. The object's bytes must already be at Path(name); a commit
-// with nothing at that path fails the entry rather than minting a ready
-// zero-byte object (a failed materialization must look failed).
-func (c *Cache) Commit(name string) error {
+// on-disk size, which it returns: the one size the worker reports. The
+// object's bytes must already be at Path(name); a commit with nothing at
+// that path fails the entry rather than minting a ready zero-byte object
+// (a failed materialization must look failed).
+func (c *Cache) Commit(name string) (int64, error) {
 	actual, isDir, statErr := diskUsage(c.Path(name))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[name]
 	if !ok {
-		return fmt.Errorf("cache: commit of unreserved object %s", name)
+		return 0, fmt.Errorf("cache: commit of unreserved object %s", name)
 	}
 	if e.State == StateReady {
-		return fmt.Errorf("cache: double commit of %s", name)
+		return 0, fmt.Errorf("cache: double commit of %s", name)
 	}
 	if statErr != nil {
 		c.disk.Remove(name)
@@ -505,7 +498,7 @@ func (c *Cache) Commit(name string) error {
 		e.State = StateFailed
 		e.Err = fmt.Errorf("cache: commit of absent object %s: %w", name, statErr)
 		c.syncUsedLocked()
-		return e.Err
+		return 0, e.Err
 	}
 	e.Size = actual
 	e.Dir = isDir
@@ -522,11 +515,11 @@ func (c *Cache) Commit(name string) error {
 	c.disk.Remove(name)
 	if err := c.ensureSpaceLocked(actual); err != nil {
 		c.removeLocked(name, false)
-		return fmt.Errorf("cache: %s exceeded remaining capacity: %w", name, err)
+		return 0, fmt.Errorf("cache: %s exceeded remaining capacity: %w", name, err)
 	}
 	c.disk.Add(name, name, actual, e.Lifetime, c.nowLocked(), false)
 	c.syncUsedLocked()
-	return nil
+	return actual, nil
 }
 
 // Fail marks a pending object as failed and releases its reservation.
@@ -550,55 +543,82 @@ func (c *Cache) Fail(name string, cause error) {
 }
 
 // Put stores an object read from r (size bytes) directly into the disk
-// tier, reserving, writing, and committing in one step.
+// tier, reserving, landing, and committing in one step.
 func (c *Cache) Put(name string, size int64, lifetime Lifetime, r io.Reader) error {
 	already, err := c.Reserve(name, size, lifetime)
+	if err == nil && already {
+		err = fmt.Errorf("cache: %s is already being materialized", name)
+	}
 	if err != nil {
 		return err
 	}
-	if already {
-		return fmt.Errorf("cache: %s is already being materialized", name)
-	}
-	f, err := os.Create(c.Path(name))
-	if err != nil {
+	if err := c.Land(name, size, false, "", r); err != nil {
 		c.Fail(name, err)
 		return err
 	}
-	n, err := io.Copy(f, io.LimitReader(r, size))
-	closeErr := f.Close()
-	if err == nil {
-		err = closeErr
+	_, err = c.Commit(name)
+	return err
+}
+
+// Land writes the bytes of a reserved object as they arrive: into a fresh
+// part file, or, for a directory object, unpacked from a tar stream into a
+// part directory. It reads exactly size bytes from r (any number when size
+// is negative), checks their hex MD5 against sum when sum is not empty,
+// and only then renames the part to Path(name). Land is the one writer of
+// a final cache path apart from a sandbox's output rename: a landing cut
+// short leaves only a part, which New purges rather than adopts. On error
+// the part is gone and the reservation stays, for the caller to land again
+// or Fail.
+func (c *Cache) Land(name string, size int64, dir bool, sum string, r io.Reader) (err error) {
+	var digest hash.Hash
+	if sum != "" {
+		digest = md5.New()
+		r = io.TeeReader(r, digest)
 	}
-	if err == nil && n != size {
-		err = fmt.Errorf("cache: short write for %s: %d of %d bytes", name, n, size)
+	body := &io.LimitedReader{R: r, N: size}
+	if size < 0 {
+		body.N = math.MaxInt64
 	}
+	var part string
+	if dir {
+		if part, err = os.MkdirTemp(c.dir, partPrefix+"*"); err != nil {
+			return err
+		}
+		err = tardir.Unpack(body, part)
+	} else {
+		f, ferr := os.CreateTemp(c.dir, partPrefix+"*")
+		if ferr != nil {
+			return ferr
+		}
+		part = f.Name()
+		_, err = io.Copy(f, body)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	defer func() {
+		if err != nil {
+			_ = os.RemoveAll(part) // best-effort cleanup; the landing error is what matters
+		}
+	}()
 	if err != nil {
-		c.Fail(name, err)
 		return err
 	}
-	return c.Commit(name)
-}
-
-// CreatePart opens a fresh part file in the cache directory for an
-// in-flight transfer. The dot-prefixed name keeps it invisible to adoption
-// (New) and to Lookup; callers finish with Promote after verifying the
-// bytes, or simply remove the file on failure.
-func (c *Cache) CreatePart() (*os.File, error) {
-	return os.CreateTemp(c.dir, partPrefix+"*")
-}
-
-// PartDir creates a fresh part directory for an in-flight directory-object
-// transfer, the tree-shaped analogue of CreatePart.
-func (c *Cache) PartDir() (string, error) {
-	return os.MkdirTemp(c.dir, partPrefix+"*")
-}
-
-// Promote atomically moves a verified part file (or directory) to the
-// object's final cache path. This rename is the cache-insert commit point:
-// an interrupted transfer leaves only a part file, which is purged rather
-// than adopted, so a path returned by Path never holds partial data.
-func (c *Cache) Promote(partPath, name string) error {
-	return os.Rename(partPath, c.Path(name))
+	// The unpacker stops at the end-of-archive marker, which a truncated
+	// stream can carry well before its advertised end: drain the rest, so
+	// the count and the digest cover the whole payload.
+	if _, err := io.Copy(io.Discard, body); err != nil {
+		return err
+	}
+	if size >= 0 && body.N != 0 {
+		return fmt.Errorf("cache: %s: got %d of %d bytes", name, size-body.N, size)
+	}
+	if digest != nil {
+		if got := hex.EncodeToString(digest.Sum(nil)); got != sum {
+			return fmt.Errorf("cache: %s: checksum mismatch (got %s want %s)", name, got, sum)
+		}
+	}
+	return os.Rename(part, c.Path(name))
 }
 
 // Open returns a reader over a ready plain-file object and its size.

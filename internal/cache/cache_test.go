@@ -2,6 +2,8 @@ package cache
 
 import (
 	"bytes"
+	"crypto/md5"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +13,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"taskvine/internal/tardir"
 )
 
 func newCache(t *testing.T, capacity int64) *Cache {
@@ -103,8 +107,8 @@ func TestCommitAdjustsToActualSize(t *testing.T) {
 	if err := os.WriteFile(c.Path("task-out"), bytes.Repeat([]byte("x"), 999), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit("task-out"); err != nil {
-		t.Fatal(err)
+	if size, err := c.Commit("task-out"); err != nil || size != 999 {
+		t.Fatalf("commit = %d, %v; want 999", size, err)
 	}
 	if c.Used() != 999 {
 		t.Fatalf("used = %d want 999", c.Used())
@@ -263,8 +267,8 @@ func TestDirectoryObjects(t *testing.T) {
 	}
 	os.WriteFile(filepath.Join(root, "bin", "tool"), []byte("12345"), 0o755)
 	os.WriteFile(filepath.Join(root, "README"), []byte("123"), 0o644)
-	if err := c.Commit("dir-tree"); err != nil {
-		t.Fatal(err)
+	if size, err := c.Commit("dir-tree"); err != nil || size != 8 {
+		t.Fatalf("commit = %d, %v; want 8", size, err)
 	}
 	e, _ := c.Lookup("dir-tree")
 	if !e.Dir || e.Size != 8 {
@@ -282,7 +286,7 @@ func TestCommitOversizedObjectEvictsOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(c.Path("unknown-size"), bytes.Repeat([]byte("x"), 90), 0o644)
-	if err := c.Commit("unknown-size"); err != nil {
+	if _, err := c.Commit("unknown-size"); err != nil {
 		t.Fatal(err)
 	}
 	if c.Contains("victim") {
@@ -302,7 +306,7 @@ func TestCommitHugeObjectFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(c.Path("huge"), bytes.Repeat([]byte("x"), 200), 0o644)
-	if err := c.Commit("huge"); err == nil {
+	if _, err := c.Commit("huge"); err == nil {
 		t.Fatal("object larger than whole cache committed")
 	}
 	if c.Used() != 0 {
@@ -402,34 +406,85 @@ func TestPartFilesPurgedNotAdopted(t *testing.T) {
 	}
 }
 
+// TestPartLifecycle drives Land through each outcome: a verified file or
+// tree is renamed into place and commits; a short payload (including a
+// complete tar archive shorter than advertised) or a checksum mismatch
+// leaves nothing at the final path and no part behind, and the
+// reservation stands for another landing.
 func TestPartLifecycle(t *testing.T) {
-	c := newCache(t, 1000)
-	f, err := c.CreatePart()
+	src := t.TempDir()
+	if err := os.WriteFile(filepath.Join(src, "member"), []byte("tree bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := tardir.Pack(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("verified bytes"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Reserve("file-part", 14, LifetimeWorkflow); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Promote(f.Name(), "file-part"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit("file-part"); err != nil {
-		t.Fatal(err)
-	}
-	r, n, err := c.Open("file-part")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	b, _ := io.ReadAll(r)
-	if n != 14 || string(b) != "verified bytes" {
-		t.Fatalf("promoted object = %q (%d bytes)", b, n)
+	file := []byte("verified bytes")
+	sum := func(b []byte) string { d := md5.Sum(b); return hex.EncodeToString(d[:]) }
+	for _, tc := range []struct {
+		name    string
+		size    int64
+		dir     bool
+		sum     string
+		payload []byte
+		want    string // error substring; empty for a landing that commits
+		commit  int64
+	}{
+		{name: "file", size: 14, payload: file, commit: 14},
+		{name: "file-checked", size: 14, sum: sum(file), payload: file, commit: 14},
+		{name: "file-unknown-size", size: -1, payload: file, commit: 14},
+		{name: "tree", size: int64(len(tree)), dir: true, sum: sum(tree), payload: tree, commit: 10},
+		{name: "file-short", size: 20, payload: file, want: "got 14 of 20 bytes"},
+		{name: "tree-short", size: int64(len(tree)) + 512, dir: true, payload: tree, want: "of"},
+		{name: "file-corrupt", size: 14, sum: sum([]byte("damaged bytes!")), payload: file, want: "checksum mismatch"},
+		{name: "tree-corrupt", size: int64(len(tree)), dir: true, sum: sum(file), payload: tree, want: "checksum mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCache(t, 1<<20)
+			if _, err := c.Reserve(tc.name, tc.size, LifetimeWorkflow); err != nil {
+				t.Fatal(err)
+			}
+			err := c.Land(tc.name, tc.size, tc.dir, tc.sum, bytes.NewReader(tc.payload))
+			ents, _ := os.ReadDir(c.Dir())
+			for _, e := range ents {
+				if strings.HasPrefix(e.Name(), partPrefix) {
+					t.Fatalf("part %s left behind", e.Name())
+				}
+			}
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("land = %v, want an error containing %q", err, tc.want)
+				}
+				if _, err := os.Lstat(c.Path(tc.name)); !os.IsNotExist(err) {
+					t.Fatalf("failed landing left the final path (lstat err=%v)", err)
+				}
+				if e, _ := c.Lookup(tc.name); e.State != StatePending {
+					t.Fatalf("failed landing moved the reservation to %v", e.State)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size, err := c.Commit(tc.name); err != nil || size != tc.commit {
+				t.Fatalf("commit = %d, %v; want %d", size, err, tc.commit)
+			}
+			if tc.dir {
+				if b, err := os.ReadFile(filepath.Join(c.Path(tc.name), "member")); err != nil || string(b) != "tree bytes" {
+					t.Fatalf("landed tree member = %q, %v", b, err)
+				}
+				return
+			}
+			r, n, err := c.Open(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			b, _ := io.ReadAll(r)
+			if n != 14 || !bytes.Equal(b, file) {
+				t.Fatalf("landed object = %q (%d bytes)", b, n)
+			}
+		})
 	}
 }

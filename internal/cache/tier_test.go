@@ -212,7 +212,7 @@ func TestCommitAbsentObjectFails(t *testing.T) {
 	}
 	// Nothing was ever written at Path("file-ghost"): the materialization
 	// failed silently. Commit must refuse to mint a ready object.
-	err := c.Commit("file-ghost")
+	_, err := c.Commit("file-ghost")
 	if err == nil {
 		t.Fatal("commit of absent object succeeded")
 	}
@@ -374,7 +374,7 @@ func TestConcurrentCommitWhileSpilling(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			if err := c.Commit(name); err != nil {
+			if _, err := c.Commit(name); err != nil {
 				t.Errorf("commit: %v", err)
 				return
 			}

@@ -70,48 +70,20 @@ func linkIn(src, dst string) error {
 }
 
 // ExtractOutputs moves each declared output from the sandbox into the cache
-// under its cache name. Outputs must exist; a missing output is reported as
-// an error naming the mount, which the manager propagates as a task
-// failure. Returns the cache names extracted, with their sizes.
-type ExtractedOutput struct {
-	CacheName string
-	Size      int64
-}
-
-// ExtractOutputs relocates declared outputs into the cache directory.
-func (s *Sandbox) ExtractOutputs(cachePath func(string) string) ([]ExtractedOutput, error) {
-	var out []ExtractedOutput
+// under its cache name; the cache measures what it commits. Outputs must
+// exist; a missing output is reported as an error naming the mount, which
+// the manager propagates as a task failure.
+func (s *Sandbox) ExtractOutputs(cachePath func(string) string) error {
 	for _, m := range s.outputs {
 		src := filepath.Join(s.Dir, m.Name)
-		info, err := os.Stat(src)
-		if err != nil {
-			return out, fmt.Errorf("sandbox: task %s did not produce declared output %q: %w", s.name, m.Name, err)
+		if _, err := os.Stat(src); err != nil {
+			return fmt.Errorf("sandbox: task %s did not produce declared output %q: %w", s.name, m.Name, err)
 		}
-		dst := cachePath(m.FileID)
-		if err := os.Rename(src, dst); err != nil {
-			return out, fmt.Errorf("sandbox: extracting %q to cache: %w", m.Name, err)
+		if err := os.Rename(src, cachePath(m.FileID)); err != nil {
+			return fmt.Errorf("sandbox: extracting %q to cache: %w", m.Name, err)
 		}
-		size := info.Size()
-		if info.IsDir() {
-			size = treeSize(dst)
-		}
-		out = append(out, ExtractedOutput{CacheName: m.FileID, Size: size})
 	}
-	return out, nil
-}
-
-func treeSize(path string) int64 {
-	var total int64
-	filepath.WalkDir(path, func(_ string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if fi, err := d.Info(); err == nil {
-			total += fi.Size()
-		}
-		return nil
-	})
-	return total
+	return nil
 }
 
 // Destroy removes the sandbox directory and everything in it.

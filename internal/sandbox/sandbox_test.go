@@ -100,12 +100,8 @@ func TestExtractOutputs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(s.Dir, "output.txt"), []byte("result data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := s.ExtractOutputs(cachePath)
-	if err != nil {
+	if err := s.ExtractOutputs(cachePath); err != nil {
 		t.Fatal(err)
-	}
-	if len(ex) != 1 || ex[0].CacheName != "temp-xyz123" || ex[0].Size != 11 {
-		t.Fatalf("extracted = %+v", ex)
 	}
 	got, err := os.ReadFile(filepath.Join(cacheDir, "temp-xyz123"))
 	if err != nil || string(got) != "result data" {
@@ -121,7 +117,7 @@ func TestExtractMissingOutputFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Destroy()
-	if _, err := s.ExtractOutputs(cachePath); err == nil {
+	if err := s.ExtractOutputs(cachePath); err == nil {
 		t.Fatal("missing output extracted successfully")
 	}
 }
@@ -138,12 +134,8 @@ func TestExtractDirectoryOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(filepath.Join(s.Dir, "outdir", "sub", "f"), []byte("12345"), 0o644)
-	ex, err := s.ExtractOutputs(cachePath)
-	if err != nil {
+	if err := s.ExtractOutputs(cachePath); err != nil {
 		t.Fatal(err)
-	}
-	if ex[0].Size != 5 {
-		t.Fatalf("directory output size = %d", ex[0].Size)
 	}
 	if _, err := os.Stat(filepath.Join(cacheDir, "task-tree", "sub", "f")); err != nil {
 		t.Fatal("directory output not in cache")

@@ -542,14 +542,16 @@ func (c *Cluster) startTransfer(fh replica.FileH, src replica.Source, w *simWork
 	return true
 }
 
-// transferDone lands a transfer whose flow completed.
+// transferDone lands a transfer whose flow completed. A transfer that
+// ended while in flight, because its source or its receiver left, lands
+// nothing: the engine has already re-planned its fetch. Its flow drew on
+// the network until now all the same, as the network cannot cancel one.
 func (c *Cluster) transferDone(slot int) {
 	x := c.xfers.take(slot)
 	fh, w := x.fh, x.w
 	f := &c.files[fh]
-	c.trs.Complete(x.id)
-	if !w.joined {
-		return // worker preempted while the transfer was in flight
+	if _, ok := c.trs.Complete(x.id); !ok {
+		return
 	}
 	if x.fault != chaos.None && x.fault != chaos.Slow {
 		c.reps.Remove(fh, w.h)

@@ -163,6 +163,42 @@ func TestParkedTaskWakesOnSourceWorkerLeave(t *testing.T) {
 	}
 }
 
+// The source of a flow leaves mid-transfer: the engine ends that transfer
+// with it and re-plans the fetch from the URL. The departed source's flow
+// still drains, but lands nothing: no replica at the receiver, so task 2
+// waits for the URL copy, and no TransferEnd, so the input arrives once.
+func TestDepartedSourceFlowLandsNothing(t *testing.T) {
+	w := &Workload{
+		Files: map[string]*File{"in": urlFile("in", 100e6, files.LifetimeWorkflow)},
+		Tasks: []*Task{
+			{ID: 1, Runtime: 10, Cores: 1},
+			{ID: 2, Inputs: []string{"in"}, Runtime: 1, Cores: 1},
+		},
+		Workers: []WorkerSpec{
+			{ID: "w0", Cores: 1, Disk: 1e9, Prestaged: []string{"in"}, LeaveTime: 0.5},
+			{ID: "w1", Cores: 1, Disk: 1e9},
+		},
+	}
+	c := NewCluster(w, DefaultParams(), policy.DefaultLimits())
+	c.Run()
+	requireDone(t, c, w)
+	if starts := transferStarts(c, "in"); len(starts) != 2 || starts[0].Source != "worker:w0" {
+		t.Fatalf("transfers of in = %+v, want one from w0, then its re-plan", starts)
+	}
+	landed := false
+	for _, e := range c.Trace().Events() {
+		switch {
+		case e.Kind == trace.TransferEnd && e.File == "in":
+			if landed || e.Source != "url" {
+				t.Fatalf("TransferEnd of in from %s at %.3f; want one, from the url", e.Source, e.Time)
+			}
+			landed = true
+		case e.Kind == trace.TaskStart && e.TaskID == 2 && !landed:
+			t.Fatalf("task 2 started at %.3f, before its input landed from the url", e.Time)
+		}
+	}
+}
+
 // The parked task waits on a MiniTask product being unpacked at its
 // worker; the product landing must wake it to run.
 func TestParkedTaskWakesOnMiniProductLanding(t *testing.T) {

@@ -11,8 +11,10 @@ package tardir
 import (
 	"archive/tar"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,7 +78,12 @@ func Pack(dir string) ([]byte, error) {
 }
 
 // Unpack extracts a tar stream into dst, creating it if needed. Entry names
-// are validated against path traversal.
+// are validated against path traversal, and an entry is refused when its
+// path, or any directory on the way to it below dst, is a symlink: writing
+// through one (an archive's symlink `a` to a directory elsewhere, then a
+// file `a/x`) would land outside dst. Symlink entries themselves are kept,
+// as Pack preserves them. Sparse entries, which Pack never writes and whose
+// holes would be written out as zeros, are refused.
 func Unpack(r io.Reader, dst string) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
@@ -94,6 +101,9 @@ func Unpack(r io.Reader, dst string) error {
 		if strings.Contains(name, "..") || filepath.IsAbs(name) {
 			return fmt.Errorf("tardir: entry %q escapes destination", hdr.Name)
 		}
+		if err := noSymlinkOnPath(dst, name); err != nil {
+			return fmt.Errorf("tardir: entry %q: %w", hdr.Name, err)
+		}
 		path := filepath.Join(dst, name)
 		switch hdr.Typeflag {
 		case tar.TypeDir:
@@ -108,6 +118,9 @@ func Unpack(r io.Reader, dst string) error {
 				return err
 			}
 		case tar.TypeReg:
+			if isSparse(hdr) {
+				return fmt.Errorf("tardir: entry %q is sparse", hdr.Name)
+			}
 			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 				return err
 			}
@@ -124,8 +137,43 @@ func Unpack(r io.Reader, dst string) error {
 				return err
 			}
 		default:
-			// Ignore exotic entry types (devices, fifos): data objects
-			// contain only files, directories, and links.
+			// Ignore exotic entry types (devices, fifos, hard links): data
+			// objects contain only files, directories, and symlinks.
 		}
 	}
+}
+
+// noSymlinkOnPath reports an error when dst/name, or any directory between
+// dst and it, is a symlink. The walk stops at the first component that
+// does not exist yet: nothing below it can.
+func noSymlinkOnPath(dst, name string) error {
+	p := dst
+	for _, part := range strings.Split(name, string(filepath.Separator)) {
+		if part == "" || part == "." {
+			continue
+		}
+		p = filepath.Join(p, part)
+		info, err := os.Lstat(p)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if info.Mode()&fs.ModeSymlink != 0 {
+			return fmt.Errorf("path passes through symlink %s", p)
+		}
+	}
+	return nil
+}
+
+// isSparse reports whether a regular-file header is a GNU sparse file in
+// PAX form, which the tar reader expands to its full size.
+func isSparse(hdr *tar.Header) bool {
+	for k := range hdr.PAXRecords {
+		if strings.HasPrefix(k, "GNU.sparse.") {
+			return true
+		}
+	}
+	return false
 }

@@ -171,7 +171,7 @@ func TestChaosPeerDiesMidStream(t *testing.T) {
 		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "cut-obj"
 	})
 	// The advertised size in the error comes from the served header.
-	want := fmt.Sprintf("worker: peer sent %d of %d bytes", len(payload)/2, len(payload))
+	want := fmt.Sprintf("cache: cut-obj: got %d of %d bytes", len(payload)/2, len(payload))
 	if up.Status != protocol.StatusFailed || up.Error != want {
 		t.Fatalf("mid-stream death reported %+v, want error %q", up, want)
 	}

@@ -203,19 +203,19 @@ func (w *Worker) extractOutputs(sb *sandbox.Sandbox, spec *taskspec.Spec) ([]pro
 			return nil, fmt.Errorf("reserving output %s: %w", m.FileID, err)
 		}
 	}
-	extracted, err := sb.ExtractOutputs(w.cache.Path)
-	if err != nil {
+	if err := sb.ExtractOutputs(w.cache.Path); err != nil {
 		for _, m := range spec.Outputs {
 			w.cache.Fail(m.FileID, err)
 		}
 		return nil, err
 	}
-	var infos []protocol.OutputInfo
-	for _, ex := range extracted {
-		if err := w.cache.Commit(ex.CacheName); err != nil {
+	infos := make([]protocol.OutputInfo, 0, len(spec.Outputs))
+	for _, m := range spec.Outputs {
+		size, err := w.cache.Commit(m.FileID)
+		if err != nil {
 			return nil, err
 		}
-		infos = append(infos, protocol.OutputInfo{CacheName: ex.CacheName, Size: ex.Size})
+		infos = append(infos, protocol.OutputInfo{CacheName: m.FileID, Size: size})
 	}
 	return infos, nil
 }
@@ -606,18 +606,13 @@ func (w *Worker) handleMini(ctx context.Context, m *protocol.Message) {
 		fail(runErr)
 		return
 	}
-	extracted, err := sb.ExtractOutputs(w.cache.Path)
-	if err != nil {
+	if err := sb.ExtractOutputs(w.cache.Path); err != nil {
 		fail(err)
 		return
 	}
-	if err := w.cache.Commit(name); err != nil {
-		w.unpin(pinned)
-		w.cacheUpdate(name, 0, m.TransferID, err)
-		return
-	}
+	size, err := w.cache.Commit(name)
 	w.unpin(pinned)
-	w.cacheUpdate(name, extracted[0].Size, m.TransferID, nil)
+	w.cacheUpdate(name, size, m.TransferID, err)
 }
 
 // destroySandbox removes a task's sandbox, logging a failure instead of

@@ -5,99 +5,176 @@ package worker
 // payloads, and error frames that reach the requester before the hang-up.
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"taskvine/internal/protocol"
 	"taskvine/internal/tardir"
-	"taskvine/internal/taskspec"
 )
 
-// miniDirSpec builds a MiniTask that materializes a small directory object.
-func miniDirSpec(fileID string) *taskspec.Spec {
-	spec := &taskspec.Spec{Kind: taskspec.KindMini, Command: "mkdir -p output && echo deep > output/f"}
-	spec.Outputs = []taskspec.Mount{{FileID: fileID, Name: "output"}}
-	return spec
+// cutSources are the ways an object reaches a worker. start makes the worker
+// land name (size bytes advertised, a directory if dir) and delivers only
+// sent of it, then stalls until cut closes and hangs up. reports says
+// whether the failed cache-update can reach the manager afterwards: a put
+// arrives on the manager's own connection, so hanging up ends the session.
+type cutSource struct {
+	reports bool
+	start   func(t *testing.T, f *fakeManager, name string, size int64, dir bool, sent []byte, cut <-chan struct{})
 }
 
-// assertNoPartLitter fails if any .part- temporary survives in the
-// worker's cache directory.
-func assertNoPartLitter(t *testing.T, w *Worker) {
-	t.Helper()
-	dir := filepath.Dir(w.cache.Path("probe"))
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".part-") {
-			t.Fatalf("part file %s left in cache dir", e.Name())
+var cutSources = map[string]cutSource{
+	"peer": {reports: true, start: func(t *testing.T, f *fakeManager, name string, size int64, dir bool, sent []byte, cut <-chan struct{}) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestChaosKilledFetchLeavesNoFinalPathFile kills the serving peer halfway
-// through the payload and verifies the fundamental cache-insert invariant:
-// nothing — complete or truncated — may exist at the object's final cache
-// path unless the transfer verified end to end. A file there would be
-// adopted as a worker-lifetime object by the next worker on this node.
-func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
-	payload := bytes.Repeat([]byte("k"), 8192)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
+		t.Cleanup(func() { ln.Close() })
+		go func() {
 			nc, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			c := protocol.NewConn(nc)
-			if _, _, err := c.Recv(); err != nil {
-				nc.Close()
-				continue
+			defer nc.Close()
+			if _, _, err := protocol.NewConn(nc).Recv(); err != nil {
+				return
 			}
-			writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: "killed-obj", Size: int64(len(payload)), Payload: true})
-			nc.Write(payload[:len(payload)/2])
-			nc.Close() // killed mid-transfer
+			writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: name, Size: size, Dir: dir, Payload: true})
+			nc.Write(sent)
+			<-cut
+		}()
+		f.conn.Send(&protocol.Message{
+			Type: protocol.TypeFetchPeer, CacheName: name,
+			PeerAddr: ln.Addr().String(), Size: size, TransferID: "t-" + name,
+		})
+	}},
+	"put": {start: func(t *testing.T, f *fakeManager, name string, size int64, dir bool, sent []byte, cut <-chan struct{}) {
+		writeHeader(t, f.nc, &protocol.Message{
+			Type: protocol.TypePut, CacheName: name, Size: size, Dir: dir,
+			Lifetime: 1, TransferID: "t-" + name, Payload: true,
+		})
+		f.nc.Write(sent)
+		go func() {
+			<-cut
+			f.nc.Close()
+		}()
+	}},
+	"url": {reports: true, start: func(t *testing.T, f *fakeManager, name string, size int64, _ bool, sent []byte, cut <-chan struct{}) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-
-	f := startFake(t)
-	w := startWorkerCfg(t, f, func(c *Config) {
-		c.PeerFetchRetries = 1
-	})
-	f.conn.Send(&protocol.Message{
-		Type: protocol.TypeFetchPeer, CacheName: "killed-obj",
-		PeerAddr: ln.Addr().String(), Size: int64(len(payload)), TransferID: "t-killed",
-	})
-	up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
-		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "killed-obj"
-	})
-	want := fmt.Sprintf("worker: peer sent %d of %d bytes", len(payload)/2, len(payload))
-	if up.Status != protocol.StatusFailed || up.Error != want {
-		t.Fatalf("killed fetch reported %+v, want error %q", up, want)
-	}
-	if _, err := os.Stat(w.cache.Path("killed-obj")); !os.IsNotExist(err) {
-		t.Fatalf("killed fetch left a file at the final cache path (stat err=%v)", err)
-	}
-	assertNoPartLitter(t, w)
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer nc.Close()
+			if _, err := http.ReadRequest(bufio.NewReader(nc)); err != nil {
+				return
+			}
+			fmt.Fprintf(nc, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)
+			nc.Write(sent)
+			<-cut
+		}()
+		f.conn.Send(&protocol.Message{
+			Type: protocol.TypeFetchURL, CacheName: name,
+			URL: "http://" + ln.Addr().String() + "/" + name, Size: size, TransferID: "t-" + name,
+		})
+	}},
 }
 
-// TestChaosDirShortTarNotCommitted serves a directory payload whose tar
+// landCut starts src's delivery of name and cuts it off after sent. While
+// the payload stalls, a part must be landing and nothing may exist at the
+// object's final cache path: a worker killed then would leave a file
+// there, which the next worker on this node adopts as a ready object.
+// After the hang-up the worker must report the failure (wantErr names it)
+// where it can, remove the part, and still leave the final path empty.
+func landCut(t *testing.T, kind, name string, size int64, dir bool, sent []byte, wantErr string) {
+	src := cutSources[kind]
+	f := startFake(t)
+	w := startWorkerCfg(t, f, func(c *Config) { c.PeerFetchRetries = -1 })
+	final := w.cache.Path(name)
+	hasPart := func() bool {
+		ents, _ := os.ReadDir(filepath.Dir(final))
+		return slices.ContainsFunc(ents, func(e os.DirEntry) bool { return strings.HasPrefix(e.Name(), ".part-") })
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if _, err := os.Lstat(final); err == nil {
+				t.Fatalf("%s %s: the final cache path exists while waiting for %s", kind, name, what)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s %s: timed out waiting for %s", kind, name, what)
+			}
+		}
+	}
+	cut := make(chan struct{})
+	src.start(t, f, name, size, dir, sent, cut)
+	waitFor("the landing to start", hasPart)
+	close(cut)
+	if src.reports {
+		up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
+			return m.Type == protocol.TypeCacheUpdate && m.CacheName == name
+		})
+		if up.Status != protocol.StatusFailed || !strings.Contains(up.Error, wantErr) {
+			t.Fatalf("%s %s: cut landing reported %+v, want an error containing %q", kind, name, up, wantErr)
+		}
+	}
+	waitFor("the part to be removed", func() bool { return !hasPart() })
+	if _, err := os.Lstat(final); !os.IsNotExist(err) {
+		t.Fatalf("%s %s: cut landing left the final cache path (lstat err=%v)", kind, name, err)
+	}
+}
+
+// TestChaosKilledFetchLeavesNoFinalPathFile cuts every way a worker
+// receives an object — peer fetch, manager put of a plain file and of a
+// directory, URL download — halfway through its payload and checks the
+// cache-insert invariant: nothing, complete or truncated, may exist at the
+// object's final cache path until the landing verified end to end.
+func TestChaosKilledFetchLeavesNoFinalPathFile(t *testing.T) {
+	payload := bytes.Repeat([]byte("k"), 8192)
+	src := t.TempDir()
+	if err := os.WriteFile(filepath.Join(src, "member"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree, err := tardir.Pack(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		source, name string
+		body         []byte
+		dir          bool
+		wantErr      string
+	}{
+		{source: "peer", name: "killed-obj", body: payload, wantErr: "cache: killed-obj: got 4096 of 8192 bytes"},
+		{source: "put", name: "killed-put", body: payload},
+		{source: "put", name: "killed-tree", body: tree, dir: true},
+		{source: "url", name: "killed-url", body: payload, wantErr: "unexpected EOF"},
+	} {
+		t.Run(tc.source+"/"+tc.name, func(t *testing.T) {
+			landCut(t, tc.source, tc.name, int64(len(tc.body)), tc.dir, tc.body[:len(tc.body)/2], tc.wantErr)
+		})
+	}
+}
+
+// TestChaosDirShortTarNotCommitted delivers a directory payload whose tar
 // stream is complete (the unpacker succeeds) but shorter than the
-// advertised size. The transport-level byte count must fail the fetch:
-// before it was counted, the worker committed whatever the truncated
-// stream contained and reported the advertised size as delivered.
+// advertised size, by peer fetch and by manager put. Only the byte count
+// can refuse it: the unpacker stops at the end-of-archive marker before
+// the advertised size arrives.
 func TestChaosDirShortTarNotCommitted(t *testing.T) {
 	src := t.TempDir()
 	if err := os.WriteFile(filepath.Join(src, "member"), []byte("short tree"), 0o644); err != nil {
@@ -107,51 +184,13 @@ func TestChaosDirShortTarNotCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	size := int64(len(blob)) + 512
+	for _, source := range []string{"peer", "put"} {
+		t.Run(source, func(t *testing.T) {
+			landCut(t, source, "short-tree", size, true, blob,
+				fmt.Sprintf("cache: short-tree: got %d of %d bytes", len(blob), size))
+		})
 	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			c := protocol.NewConn(nc)
-			if _, _, err := c.Recv(); err != nil {
-				nc.Close()
-				continue
-			}
-			// Promise more than the archive holds, then hang up: a valid
-			// end-of-archive marker arrives before the advertised size does.
-			writeHeader(t, nc, &protocol.Message{
-				Type: protocol.TypeData, CacheName: "short-tree",
-				Size: int64(len(blob)) + 512, Dir: true, Payload: true,
-			})
-			nc.Write(blob)
-			nc.Close()
-		}
-	}()
-
-	f := startFake(t)
-	w := startWorkerCfg(t, f, func(c *Config) {
-		c.PeerFetchRetries = -1
-	})
-	f.conn.Send(&protocol.Message{
-		Type: protocol.TypeFetchPeer, CacheName: "short-tree",
-		PeerAddr: ln.Addr().String(), Size: int64(len(blob)) + 512, TransferID: "t-short",
-	})
-	up, _ := f.recvUntil(t, "failed cache-update", func(m *protocol.Message, _ []byte) bool {
-		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "short-tree"
-	})
-	if up.Status != protocol.StatusFailed || !strings.Contains(up.Error, "of") {
-		t.Fatalf("short dir payload reported %+v", up)
-	}
-	if _, err := os.Stat(w.cache.Path("short-tree")); !os.IsNotExist(err) {
-		t.Fatalf("short dir payload left a tree at the final cache path (stat err=%v)", err)
-	}
-	assertNoPartLitter(t, w)
 }
 
 // TestPeerServeErrorArrivesBeforeEOF: a serving worker's refusal is a

@@ -12,10 +12,7 @@ package worker
 import (
 	"bytes"
 	"context"
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"log"
 	"net"
@@ -403,39 +400,40 @@ func (w *Worker) insertFault(name string) error {
 	return nil
 }
 
-func (w *Worker) handlePut(m *protocol.Message, payload io.Reader) {
-	if err := w.insertFault(m.CacheName); err != nil {
-		// The unread payload is drained by the next Recv.
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
+// receive lands one object a transfer delivers, in the sequence every
+// source shares: the injected disk-full fault, the reservation, the
+// source's landing, then Commit or Fail, and the cache-update reporting
+// the outcome with the committed size. land writes the bytes through
+// Cache.Land; the reservation holds across whatever retries it makes.
+func (w *Worker) receive(m *protocol.Message, land func() error) {
+	name := m.CacheName
+	err := w.insertFault(name)
+	if err == nil {
+		var already bool
+		already, err = w.cache.Reserve(name, m.Size, cache.Lifetime(m.Lifetime))
+		if err == nil && already {
+			// Another instruction is already materializing the object; the
+			// manager's transfer record must still be closed.
+			err = fmt.Errorf("worker: %s already being materialized", name)
+		}
+	}
+	if err != nil {
+		w.cacheUpdate(name, 0, m.TransferID, err)
 		return
 	}
-	var err error
-	if m.Dir {
-		err = w.putDir(m.CacheName, m.Size, cache.Lifetime(m.Lifetime), payload)
+	var size int64
+	if err = land(); err != nil {
+		w.cache.Fail(name, err)
 	} else {
-		err = w.cache.Put(m.CacheName, m.Size, cache.Lifetime(m.Lifetime), payload)
+		size, err = w.cache.Commit(name)
 	}
-	size := m.Size
-	if e, ok := w.cache.Lookup(m.CacheName); ok {
-		size = e.Size
-	}
-	w.cacheUpdate(m.CacheName, size, m.TransferID, err)
+	w.cacheUpdate(name, size, m.TransferID, err)
 }
 
-// putDir materializes a directory object from a tar payload.
-func (w *Worker) putDir(name string, size int64, lt cache.Lifetime, payload io.Reader) error {
-	already, err := w.cache.Reserve(name, size, lt)
-	if err != nil {
-		return err
-	}
-	if already {
-		return fmt.Errorf("worker: %s is already being materialized", name)
-	}
-	if err := tardir.Unpack(io.LimitReader(payload, size), w.cache.Path(name)); err != nil {
-		w.cache.Fail(name, err)
-		return err
-	}
-	return w.cache.Commit(name)
+// handlePut lands an object the manager sends with the message. A payload
+// left unread by a failure is drained by the next Recv.
+func (w *Worker) handlePut(m *protocol.Message, payload io.Reader) {
+	w.receive(m, func() error { return w.cache.Land(m.CacheName, m.Size, m.Dir, "", payload) })
 }
 
 // openObject returns a payload reader for a cached object, packing
@@ -482,126 +480,52 @@ func (w *Worker) handleGet(m *protocol.Message) {
 	}
 }
 
+// handleFetchURL downloads an object, counted against the response's
+// Content-Length when the server sends one.
 func (w *Worker) handleFetchURL(ctx context.Context, m *protocol.Message) {
-	if err := w.insertFault(m.CacheName); err != nil {
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	already, err := w.cache.Reserve(m.CacheName, m.Size, cache.Lifetime(m.Lifetime))
-	if err != nil || already {
-		if err == nil {
-			// Another instruction is already materializing the object; the
-			// manager's transfer record must still be closed.
-			err = fmt.Errorf("worker: %s already being materialized", m.CacheName)
+	w.receive(m, func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL, nil)
+		if err != nil {
+			return err
 		}
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	size, err := w.downloadURL(ctx, m.URL, m.CacheName)
-	if err != nil {
-		w.cache.Fail(m.CacheName, err)
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	if err := w.cache.Commit(m.CacheName); err != nil {
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	w.cacheUpdate(m.CacheName, size, m.TransferID, nil)
-}
-
-func (w *Worker) downloadURL(ctx context.Context, url, name string) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("worker: GET %s: %s", url, resp.Status)
-	}
-	// Download into a part file and rename only once the body is complete,
-	// so an interrupted download never leaves a truncated object at the
-	// final cache path for a later workflow to adopt.
-	f, err := w.cache.CreatePart()
-	if err != nil {
-		return 0, err
-	}
-	partPath := f.Name()
-	n, err := protocol.CopyBuffer(f, resp.Body)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && resp.ContentLength >= 0 && n != resp.ContentLength {
-		err = fmt.Errorf("worker: GET %s: got %d of %d bytes", url, n, resp.ContentLength)
-	}
-	if err != nil {
-		os.Remove(partPath)
-		return 0, err
-	}
-	if err := w.cache.Promote(partPath, name); err != nil {
-		os.Remove(partPath)
-		return 0, err
-	}
-	return n, nil
-}
-
-func (w *Worker) handleFetchPeer(ctx context.Context, m *protocol.Message) {
-	if err := w.insertFault(m.CacheName); err != nil {
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	already, err := w.cache.Reserve(m.CacheName, m.Size, cache.Lifetime(m.Lifetime))
-	if err != nil || already {
-		if err == nil {
-			err = fmt.Errorf("worker: %s already being materialized", m.CacheName)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
 		}
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	size, err := w.fetchFromPeer(ctx, m)
-	if err != nil {
-		w.cache.Fail(m.CacheName, err)
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	if err := w.cache.Commit(m.CacheName); err != nil {
-		w.cacheUpdate(m.CacheName, 0, m.TransferID, err)
-		return
-	}
-	w.cacheUpdate(m.CacheName, size, m.TransferID, nil)
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("worker: GET %s: %s", m.URL, resp.Status)
+		}
+		return w.cache.Land(m.CacheName, resp.ContentLength, false, "", resp.Body)
+	})
 }
 
-// fetchFromPeer pulls an object from a peer's transfer service, retrying
+// handleFetchPeer pulls an object from a peer's transfer service, retrying
 // locally with capped exponential backoff before the failure propagates to
 // the manager. Local retries absorb transient faults (connection resets,
 // momentary peer restarts) without a round trip through the manager's
 // transfer supervisor; only a persistently failing source escalates. Every
 // attempt is one stream from the source the manager chose and charged.
-func (w *Worker) fetchFromPeer(ctx context.Context, m *protocol.Message) (int64, error) {
+func (w *Worker) handleFetchPeer(ctx context.Context, m *protocol.Message) {
 	addr, name := m.PeerAddr, m.CacheName
 	attempts := w.cfg.PeerFetchRetries + 1
-	var err error
-	for a := 1; a <= attempts; a++ {
-		if a > 1 {
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(chaos.Backoff(0, 0, a-1, 0, name)):
+	w.receive(m, func() (err error) {
+		for a := 1; a <= attempts; a++ {
+			if a > 1 {
+				select {
+				case <-ctx.Done():
+					return ctx.Err()
+				case <-time.After(chaos.Backoff(0, 0, a-1, 0, name)):
+				}
+				w.vm.PeerFetchRetries.Inc()
+				w.logf("retrying peer fetch of %s from %s (attempt %d/%d)", name, addr, a, attempts)
 			}
-			w.vm.PeerFetchRetries.Inc()
-			w.logf("retrying peer fetch of %s from %s (attempt %d/%d)", name, addr, a, attempts)
+			if err = w.fetchFromPeerOnce(addr, name); err == nil {
+				return nil
+			}
 		}
-		var n int64
-		n, err = w.fetchFromPeerOnce(addr, name)
-		if err == nil {
-			return n, nil
-		}
-	}
-	return 0, err
+		return err
+	})
 }
 
 // idleReader refreshes a connection deadline before every read, so the
@@ -638,117 +562,36 @@ func (cr *corruptReader) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// countingReader counts the bytes actually delivered downstream, so a
-// caller can verify that a consumer (like a tar unpacker) really saw the
-// advertised payload rather than stopping early at an end-of-archive
-// marker inside a truncated stream.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(b []byte) (int, error) {
-	n, err := cr.r.Read(b)
-	cr.n += int64(n)
-	return n, err
-}
-
-// fetchFromPeerOnce performs one complete fetch attempt. Nothing touches
-// the object's final cache path until the payload has been fully received
-// and its size and checksum verified: the body lands in a dot-prefixed
-// part file (invisible to cache adoption, purged at startup), and only the
-// final rename publishes it. A fetch killed mid-transfer therefore never
-// leaves a truncated object where a future workflow could adopt it.
-func (w *Worker) fetchFromPeerOnce(addr, name string) (int64, error) {
+// fetchFromPeerOnce performs one fetch attempt: it dials the peer, asks
+// for the object, and lands the answer's payload, checked against the
+// size and checksum the peer's header declares.
+func (w *Worker) fetchFromPeerOnce(addr, name string) error {
 	if f := w.cfg.Faults.At(chaos.PeerDial, w.cfg.ID, name); f.Action != chaos.None {
-		return 0, fmt.Errorf("worker: dialing peer %s: %s (injected)", addr, f.Action)
+		return fmt.Errorf("worker: dialing peer %s: %s (injected)", addr, f.Action)
 	}
 	conn, err := protocol.Dial(addr, peerDialTimeout)
 	if err != nil {
-		return 0, fmt.Errorf("worker: dialing peer %s: %w", addr, err)
+		return fmt.Errorf("worker: dialing peer %s: %w", addr, err)
 	}
 	defer conn.Close()
 	// One deadline covers the request and the response header; the payload
 	// then switches to a per-read idle deadline.
 	conn.SetDeadline(time.Now().Add(w.cfg.PeerIOTimeout))
 	if err := conn.Send(&protocol.Message{Type: protocol.TypeGet, CacheName: name}); err != nil {
-		return 0, err
+		return err
 	}
 	m, payload, err := conn.Recv()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if m.Type != protocol.TypeData {
-		return 0, fmt.Errorf("worker: peer %s: %s", addr, m.Error)
+		return fmt.Errorf("worker: peer %s: %s", addr, m.Error)
 	}
 	var body io.Reader = &idleReader{deadline: conn.SetReadDeadline, r: payload, timeout: w.cfg.PeerIOTimeout}
 	if f := w.cfg.Faults.At(chaos.PeerRead, w.cfg.ID, name); f.Action == chaos.Corrupt {
 		body = &corruptReader{r: body}
 	}
-	var digest hash.Hash
-	if m.Checksum != "" {
-		digest = md5.New()
-		body = io.TeeReader(body, digest)
-	}
-	var n int64
-	var partPath string
-	if m.Dir {
-		counted := &countingReader{r: body}
-		lim := io.LimitReader(counted, m.Size)
-		dir, err := w.cache.PartDir()
-		if err != nil {
-			return 0, err
-		}
-		partPath = dir
-		if err := tardir.Unpack(lim, dir); err != nil {
-			_ = os.RemoveAll(dir) // best-effort cleanup; the fetch error is what matters
-			return 0, err
-		}
-		// Drain any trailing tar padding Unpack left unread so the digest
-		// covers the whole payload — and so the consumed-byte count below
-		// is meaningful.
-		if _, err := io.Copy(io.Discard, lim); err != nil {
-			_ = os.RemoveAll(dir) // best-effort cleanup; the fetch error is what matters
-			return 0, err
-		}
-		if counted.n != m.Size {
-			// The unpacker can stop at an end-of-archive marker well before
-			// the stream does; only the transport-level count proves the
-			// peer delivered what it promised.
-			_ = os.RemoveAll(dir) // best-effort cleanup; the fetch error is what matters
-			return 0, fmt.Errorf("worker: peer sent %d of %d bytes", counted.n, m.Size)
-		}
-		n = m.Size
-	} else {
-		part, err := w.cache.CreatePart()
-		if err != nil {
-			return 0, err
-		}
-		partPath = part.Name()
-		n, err = protocol.CopyBuffer(part, body)
-		if cerr := part.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(partPath)
-			return 0, err
-		}
-		if n != m.Size {
-			os.Remove(partPath)
-			return 0, fmt.Errorf("worker: peer sent %d of %d bytes", n, m.Size)
-		}
-	}
-	if digest != nil {
-		if got := hex.EncodeToString(digest.Sum(nil)); got != m.Checksum {
-			_ = os.RemoveAll(partPath) // best-effort cleanup; the fetch error is what matters
-			return 0, fmt.Errorf("worker: %s from peer %s: checksum mismatch (got %s want %s)", name, addr, got, m.Checksum)
-		}
-	}
-	if err := w.cache.Promote(partPath, name); err != nil {
-		_ = os.RemoveAll(partPath) // best-effort cleanup; the fetch error is what matters
-		return 0, err
-	}
-	return n, nil
+	return w.cache.Land(name, m.Size, m.Dir, m.Checksum, body)
 }
 
 // servePeers answers worker-to-worker get requests from the cache, one

@@ -25,6 +25,7 @@ import (
 // fakeManager accepts one worker registration and exposes the connection.
 type fakeManager struct {
 	ln   net.Listener
+	nc   net.Conn // conn's socket, for frames a Conn would refuse to send
 	conn *protocol.Conn
 	reg  *protocol.Message
 }
@@ -79,7 +80,7 @@ func (f *fakeManager) accept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.conn = protocol.NewConn(nc)
+	f.nc, f.conn = nc, protocol.NewConn(nc)
 	msg, _, err := f.conn.Recv()
 	if err != nil || msg.Type != protocol.TypeRegister {
 		t.Fatalf("registration: %+v err=%v", msg, err)
@@ -320,6 +321,36 @@ func TestMiniTaskMaterialization(t *testing.T) {
 	})
 	if string(body) != "HELLO" {
 		t.Fatalf("mini product = %q", body)
+	}
+}
+
+// TestOutputSizesAreCommittedSizes: the size a worker reports for a task
+// output or a MiniTask product is the one its cache committed, also for a
+// symlink output (whose own size is not its target's) and a directory.
+func TestOutputSizesAreCommittedSizes(t *testing.T) {
+	f := startFake(t)
+	w := startWorker(t, f, nil)
+	spec := &taskspec.Spec{ID: 12, Kind: taskspec.KindCommand,
+		Command: "printf 12345678901234567890 > data && ln -s data link && mkdir tree && printf abc > tree/a"}
+	spec.Outputs = []taskspec.Mount{{FileID: "task-link", Name: "link"}, {FileID: "task-tree", Name: "tree"}}
+	f.conn.Send(&protocol.Message{Type: protocol.TypeTask, TaskID: 12, Spec: spec})
+	res, _ := f.recvUntil(t, "task done", func(m *protocol.Message, _ []byte) bool {
+		return m.Type == protocol.TypeComplete && m.TaskID == 12
+	})
+	if res.Status != protocol.StatusOK || len(res.Outputs) != 2 {
+		t.Fatalf("complete = %+v", res)
+	}
+	mini := &taskspec.Spec{Kind: taskspec.KindMini, Command: "mkdir -p output && echo deep > output/f"}
+	mini.Outputs = []taskspec.Mount{{FileID: "task-deep", Name: "output"}}
+	f.conn.Send(&protocol.Message{Type: protocol.TypeMini, CacheName: "task-deep", Spec: mini, Lifetime: 1})
+	up, _ := f.recvUntil(t, "mini done", func(m *protocol.Message, _ []byte) bool {
+		return m.Type == protocol.TypeCacheUpdate && m.CacheName == "task-deep"
+	})
+	for _, out := range append(res.Outputs, protocol.OutputInfo{CacheName: up.CacheName, Size: up.Size}) {
+		e, ok := w.cache.Lookup(out.CacheName)
+		if !ok || out.Size != e.Size {
+			t.Errorf("%s reported as %d bytes; the cache committed %+v", out.CacheName, out.Size, e)
+		}
 	}
 }
 
