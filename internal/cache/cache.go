@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"taskvine/internal/metrics"
+	"taskvine/internal/protocol"
 	"taskvine/internal/tardir"
 )
 
@@ -473,7 +474,10 @@ func (c *Cache) PutBytes(name string, lifetime Lifetime, data []byte) error {
 		}
 	}
 	c.mu.Unlock()
-	return c.Put(name, size, lifetime, bytes.NewReader(data))
+	_, err := c.Receive(name, size, lifetime, func() error {
+		return c.Land(name, size, false, "", bytes.NewReader(data))
+	})
+	return err
 }
 
 // Commit marks a pending object ready, adjusting accounting to its actual
@@ -542,22 +546,25 @@ func (c *Cache) Fail(name string, cause error) {
 	}
 }
 
-// Put stores an object read from r (size bytes) directly into the disk
-// tier, reserving, landing, and committing in one step.
-func (c *Cache) Put(name string, size int64, lifetime Lifetime, r io.Reader) error {
+// Receive runs the one sequence every received object goes through:
+// it reserves name (size bytes advertised), calls land to write the bytes
+// through Land, then commits the result, or fails the entry if land
+// failed, and returns the committed size. The reservation holds across
+// whatever retries land makes. An object that is already present or
+// already being materialized is refused without touching its entry.
+func (c *Cache) Receive(name string, size int64, lifetime Lifetime, land func() error) (int64, error) {
 	already, err := c.Reserve(name, size, lifetime)
 	if err == nil && already {
 		err = fmt.Errorf("cache: %s is already being materialized", name)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := c.Land(name, size, false, "", r); err != nil {
+	if err := land(); err != nil {
 		c.Fail(name, err)
-		return err
+		return 0, err
 	}
-	_, err = c.Commit(name)
-	return err
+	return c.Commit(name)
 }
 
 // Land writes the bytes of a reserved object as they arrive: into a fresh
@@ -591,7 +598,7 @@ func (c *Cache) Land(name string, size int64, dir bool, sum string, r io.Reader)
 			return ferr
 		}
 		part = f.Name()
-		_, err = io.Copy(f, body)
+		_, err = protocol.CopyBuffer(f, body)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -28,9 +28,15 @@ func newCache(t *testing.T, capacity int64) *Cache {
 
 func put(t *testing.T, c *Cache, name string, content string, lt Lifetime) {
 	t.Helper()
-	if err := c.Put(name, int64(len(content)), lt, strings.NewReader(content)); err != nil {
+	if err := putReader(c, name, int64(len(content)), lt, strings.NewReader(content)); err != nil {
 		t.Fatalf("put %s: %v", name, err)
 	}
+}
+
+// putReader receives a plain-file object of size bytes read from r.
+func putReader(c *Cache, name string, size int64, lt Lifetime, r io.Reader) error {
+	_, err := c.Receive(name, size, lt, func() error { return c.Land(name, size, false, "", r) })
+	return err
 }
 
 func TestPutOpenRoundTrip(t *testing.T) {
@@ -59,7 +65,7 @@ func TestPutOpenRoundTrip(t *testing.T) {
 func TestImmutability(t *testing.T) {
 	c := newCache(t, 1<<20)
 	put(t, c, "file-abc", "v1", LifetimeWorker)
-	if err := c.Put("file-abc", 2, LifetimeWorker, strings.NewReader("v2")); err == nil {
+	if err := putReader(c, "file-abc", 2, LifetimeWorker, strings.NewReader("v2")); err == nil {
 		t.Fatal("overwrite of ready object accepted")
 	}
 }
@@ -177,7 +183,7 @@ func TestPinnedObjectsSurviveEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 60 used, need 60 more: without eviction capacity is exceeded.
-	err := c.Put("big", 60, LifetimeWorkflow, strings.NewReader(strings.Repeat("b", 60)))
+	err := putReader(c, "big", 60, LifetimeWorkflow, strings.NewReader(strings.Repeat("b", 60)))
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("expected ErrNoSpace, got %v", err)
 	}
@@ -235,7 +241,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.Put("file-persist", 9, LifetimeWorker, strings.NewReader("keep this")); err != nil {
+	if err := putReader(c1, "file-persist", 9, LifetimeWorker, strings.NewReader("keep this")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate worker restart: a fresh cache over the same directory
@@ -316,7 +322,7 @@ func TestCommitHugeObjectFails(t *testing.T) {
 
 func TestShortWriteFailsPut(t *testing.T) {
 	c := newCache(t, 1000)
-	err := c.Put("trunc", 100, LifetimeWorkflow, strings.NewReader("only ten b"))
+	err := putReader(c, "trunc", 100, LifetimeWorkflow, strings.NewReader("only ten b"))
 	if err == nil {
 		t.Fatal("short payload committed")
 	}
@@ -337,7 +343,7 @@ func TestQuickCapacityInvariant(t *testing.T) {
 			i++
 			lt := Lifetime(k % 3)
 			content := strings.Repeat("z", int(size))
-			err := c.Put(name, size, lt, strings.NewReader(content))
+			err := putReader(c, name, size, lt, strings.NewReader(content))
 			if err != nil && !errors.Is(err, ErrNoSpace) {
 				t.Logf("unexpected error: %v", err)
 				return false

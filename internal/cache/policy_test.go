@@ -154,7 +154,7 @@ func TestCacheAndSimPolicyChooseAlike(t *testing.T) {
 
 	insert := func(name string, size int, lt Lifetime) (cacheEvicted, simEvicted []string) {
 		t.Helper()
-		if err := c.Put(name, int64(size), lt, strings.NewReader(strings.Repeat("x", size))); err != nil {
+		if err := putReader(c, name, int64(size), lt, strings.NewReader(strings.Repeat("x", size))); err != nil {
 			t.Fatalf("put %s: %v", name, err)
 		}
 		victims, fits := p.Victims(int64(size))

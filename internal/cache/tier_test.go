@@ -448,7 +448,7 @@ func TestChaosTierAccountingConservation(t *testing.T) {
 				case 0:
 					c.PutBytes(name, Lifetime(rng.Intn(3)), make([]byte, rng.Intn(96)))
 				case 1:
-					c.Put(name, 8, Lifetime(rng.Intn(3)), strings.NewReader("12345678"))
+					putReader(c, name, 8, Lifetime(rng.Intn(3)), strings.NewReader("12345678"))
 				case 2:
 					if r, _, err := c.Open(name); err == nil {
 						io.ReadAll(r)

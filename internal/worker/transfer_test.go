@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,19 +39,32 @@ var cutSources = map[string]cutSource{
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { ln.Close() })
+		// Every attempt, the first and the worker's local retry, gets the
+		// same cut-off payload; once cut closes, each hangs up at once.
+		var dials atomic.Int32
+		t.Cleanup(func() {
+			ln.Close()
+			if n := dials.Load(); n != peerRetries+1 {
+				t.Errorf("peer %s: served %d fetch attempts, want %d", name, n, peerRetries+1)
+			}
+		})
 		go func() {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				dials.Add(1)
+				go func() {
+					defer nc.Close()
+					if _, _, err := protocol.NewConn(nc).Recv(); err != nil {
+						return
+					}
+					writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: name, Size: size, Dir: dir, Payload: true})
+					nc.Write(sent)
+					<-cut
+				}()
 			}
-			defer nc.Close()
-			if _, _, err := protocol.NewConn(nc).Recv(); err != nil {
-				return
-			}
-			writeHeader(t, nc, &protocol.Message{Type: protocol.TypeData, CacheName: name, Size: size, Dir: dir, Payload: true})
-			nc.Write(sent)
-			<-cut
 		}()
 		f.conn.Send(&protocol.Message{
 			Type: protocol.TypeFetchPeer, CacheName: name,
@@ -94,6 +108,11 @@ var cutSources = map[string]cutSource{
 	}},
 }
 
+// peerRetries is the local retry count landCut gives the worker: a peer
+// fetch is cut off on its first attempt and again on the retry, which
+// lands under the same reservation.
+const peerRetries = 1
+
 // landCut starts src's delivery of name and cuts it off after sent. While
 // the payload stalls, a part must be landing and nothing may exist at the
 // object's final cache path: a worker killed then would leave a file
@@ -103,7 +122,7 @@ var cutSources = map[string]cutSource{
 func landCut(t *testing.T, kind, name string, size int64, dir bool, sent []byte, wantErr string) {
 	src := cutSources[kind]
 	f := startFake(t)
-	w := startWorkerCfg(t, f, func(c *Config) { c.PeerFetchRetries = -1 })
+	w := startWorkerCfg(t, f, func(c *Config) { c.PeerFetchRetries = peerRetries })
 	final := w.cache.Path(name)
 	hasPart := func() bool {
 		ents, _ := os.ReadDir(filepath.Dir(final))

@@ -401,33 +401,19 @@ func (w *Worker) insertFault(name string) error {
 }
 
 // receive lands one object a transfer delivers, in the sequence every
-// source shares: the injected disk-full fault, the reservation, the
-// source's landing, then Commit or Fail, and the cache-update reporting
-// the outcome with the committed size. land writes the bytes through
-// Cache.Land; the reservation holds across whatever retries it makes.
+// source shares: the injected disk-full fault, then Cache.Receive
+// around the source's landing, then the cache-update reporting the
+// outcome with the committed size. land writes the bytes through
+// Cache.Land. A refused object (already present or already being
+// materialized) is reported too: the manager's transfer record must
+// still be closed.
 func (w *Worker) receive(m *protocol.Message, land func() error) {
-	name := m.CacheName
-	err := w.insertFault(name)
-	if err == nil {
-		var already bool
-		already, err = w.cache.Reserve(name, m.Size, cache.Lifetime(m.Lifetime))
-		if err == nil && already {
-			// Another instruction is already materializing the object; the
-			// manager's transfer record must still be closed.
-			err = fmt.Errorf("worker: %s already being materialized", name)
-		}
-	}
-	if err != nil {
-		w.cacheUpdate(name, 0, m.TransferID, err)
-		return
-	}
 	var size int64
-	if err = land(); err != nil {
-		w.cache.Fail(name, err)
-	} else {
-		size, err = w.cache.Commit(name)
+	err := w.insertFault(m.CacheName)
+	if err == nil {
+		size, err = w.cache.Receive(m.CacheName, m.Size, cache.Lifetime(m.Lifetime), land)
 	}
-	w.cacheUpdate(name, size, m.TransferID, err)
+	w.cacheUpdate(m.CacheName, size, m.TransferID, err)
 }
 
 // handlePut lands an object the manager sends with the message. A payload
